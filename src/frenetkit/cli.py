@@ -6,8 +6,8 @@ All subcommands print structured JSON on stdout; errors go to stderr.
 
 from __future__ import annotations
 
+import inspect
 import json
-import math
 import sys
 
 import click
@@ -17,8 +17,8 @@ from . import discretize2d, io, spline2d, svg
 from .config import cli_tolerance
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, NumericalError, ParseError
-from .frames import analyze, edge_frames
-from .ngon_circle import Convention, circle_of_ngon, kappa_from_angle, NGonSpec
+from .frames import analyze, curvature_torsion, frenet_residual
+from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
 CONVENTIONS = [c.value for c in Convention]
@@ -34,12 +34,13 @@ def _fail(exc: Exception) -> int:
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, indent=2)
     if out_path:
+        # json.dump streams to the file, so the report text is never held whole
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
     else:
-        click.echo(text)
+        click.echo(json.dumps(obj, indent=2))
 
 
 @click.group()
@@ -59,10 +60,8 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     Curvature values use the unrefined edge length (the polyline's own
     edges); the refined half-edge is reported separately.
     """
-    from .frames import frenet_residual
-
-    tol = tol if tol is not None else cli_tolerance()
     try:
+        tol = tol if tol is not None else cli_tolerance()
         curve = io.load_curve(curve_file)
         rc = refine(curve)
         wanted = [Convention(convention)] if convention else list(Convention)
@@ -77,23 +76,14 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
             ff, data = analyze(rc, conv)
             res = frenet_residual(ff, data)
             worst = max(worst, res)
-            scale = []
-            for th, ph in zip(map(float, data.theta), map(float, data.phi)):
-                row = {"theta": th, "phi": ph}
-                row["kappa"] = (
-                    math.copysign(kappa_from_angle(abs(th), 2.0 * rc.ell, conv), th)
-                    if th != 0.0
-                    else 0.0
-                )
-                row["tau"] = (
-                    math.copysign(kappa_from_angle(abs(ph), 2.0 * rc.ell, conv), ph)
-                    if ph != 0.0
-                    else 0.0
-                )
-                scale.append(row)
+            edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
+            columns = (edge.theta, edge.phi, edge.kappa, edge.tau)
             report["conventions"][conv.value] = {
                 "frenet_residual": res,
-                "per_index": scale,
+                "per_index": [
+                    {"theta": th, "phi": ph, "kappa": k, "tau": t}
+                    for th, ph, k, t in zip(*(col.tolist() for col in columns))
+                ],
             }
         report["max_frenet_residual"] = worst
         report["residual_ok"] = bool(worst <= tol)
@@ -168,13 +158,24 @@ def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
 def cmd_discretize(curve_name, method, samples, density, variant, params, out_path):
     """Discretize a built-in smooth curve."""
     try:
+        ctor = discretize2d.BUILTIN_CURVES[curve_name]
+        numeric = sorted(
+            name
+            for name, par in inspect.signature(ctor).parameters.items()
+            if isinstance(par.default, float)
+        )
         kwargs = {}
         for item in params:
             if "=" not in item:
                 raise ParseError(f"--param expects key=value, got {item!r}")
             key, value = item.split("=", 1)
-            kwargs[key] = float(value)
-        curve = discretize2d.BUILTIN_CURVES[curve_name](**kwargs)
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise ParseError(f"--param {key} expects a number, got {value!r}") from None
+            if key not in numeric:
+                raise ParseError(f"{curve_name} has no parameter {key!r}; choose from {numeric}")
+        curve = ctor(**kwargs)
         if method == "centered":
             if density is None:
                 raise ParseError("--density is required for the centered method")

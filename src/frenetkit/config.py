@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -42,4 +44,7 @@ def cli_tolerance() -> float:
     raw = os.environ.get("FRENETKIT_TOL")
     if raw is None:
         return DEFAULT.cli_residual
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParseError(f"FRENETKIT_TOL must be a number, got {raw!r}") from None

@@ -14,7 +14,7 @@ where the original vertices live so downstream code never guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,18 +134,14 @@ def validate_refined(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> None:
         raise NonUniformLength(f"stored ell={rc.ell} disagrees with edges (mean {mean})")
     pts = rc.points
     n = len(pts)
-    mid_parity = 1 - rc.vertex_parity
-    for i in range(n):
-        if i % 2 != mid_parity:
-            continue
-        lo, hi = i - 1, i + 1
-        if rc.closed:
-            lo, hi = lo % n, hi % n
-        elif lo < 0 or hi >= n:
-            continue
-        defect = np.linalg.norm(pts[i] - 0.5 * (pts[lo] + pts[hi]))
-        if defect > tol.midpoint_rel * max(rc.ell, 1.0):
-            raise InputError(f"midpoint invariant violated at index {i} (defect {defect:.3e})")
+    mids = np.arange(1 - rc.vertex_parity, n, 2)
+    if not rc.closed:
+        mids = mids[(mids > 0) & (mids < n - 1)]
+    defect = np.linalg.norm(pts[mids] - 0.5 * (pts[mids - 1] + pts[(mids + 1) % n]), axis=1)
+    bad = np.nonzero(defect > tol.midpoint_rel * max(rc.ell, 1.0))[0]
+    if len(bad):
+        i = bad[0]
+        raise InputError(f"midpoint invariant violated at index {mids[i]} (defect {defect[i]:.3e})")
 
 
 def refine(curve: DiscreteCurve, tol: Tolerances = DEFAULT) -> RefinedCurve:

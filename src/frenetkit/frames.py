@@ -29,6 +29,7 @@ from .errors import (
     AngleOutOfRange,
     DegenerateVertexFrame,
     InputError,
+    InvalidAngles,
     UndefinedBinormal,
 )
 from .ngon_circle import Convention, kappa_from_angle, tau_from_angle
@@ -94,7 +95,6 @@ def edge_frames(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> FrameField:
     turning anywhere has no binormal and raises UndefinedBinormal.
     """
     pts = _embed3(rc.points)
-    n = len(pts)
     if rc.closed:
         edges = np.roll(pts, -1, axis=0) - pts
     else:
@@ -111,38 +111,34 @@ def edge_frames(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> FrameField:
     turn_mask = (idx + 1) % 2 == rc.vertex_parity
     # the two half-edges of an original edge are collinear (midpoint
     # invariant); share one tangent so twist transitions carry no spurious
-    # turning from rounding in the points
-    for i in np.nonzero(~turn_mask)[0]:
-        j = (i + 1) % m
-        t = Te[i] + Te[j]
-        Te[i] = Te[j] = t / np.linalg.norm(t)
+    # turning from rounding in the points.  Twist transitions alternate, so
+    # the pairs (i, i+1) are disjoint.
+    tw = np.nonzero(~turn_mask)[0]
+    tw_next = (tw + 1) % m
+    t = Te[tw] + Te[tw_next]
+    Te[tw] = Te[tw_next] = t / np.linalg.norm(t, axis=1)[:, None]
 
     planar = rc.dim == 2
     if planar:
         Be = np.tile(_EZ, (m, 1))
     else:
-        Te_next = np.roll(Te, -1, axis=0) if rc.closed else Te[1:]
-        Be = np.full((m, 3), np.nan)
-        defined = np.zeros(m, dtype=bool)
-        for i in np.nonzero(turn_mask)[0]:
-            c = np.cross(Te[i], Te_next[i])
-            nc = np.linalg.norm(c)
-            if nc >= tol.parallel_cross:
-                b = c / nc
-                Be[i] = b
-                defined[i] = True
-                # the binormal is shared by the two half-edges around the vertex
-                j = (i + 1) % m
-                Be[j] = b
-                defined[j] = True
-        if not defined.any():
+        tr = np.nonzero(turn_mask)[0]
+        c = np.cross(Te[tr], Te[(tr + 1) % m])
+        nc = np.linalg.norm(c, axis=1)
+        ok = nc >= tol.parallel_cross
+        tr, b = tr[ok], c[ok] / nc[ok, None]
+        if not len(tr):
             raise UndefinedBinormal("curve is straight everywhere; no binormal in 3D")
-        # propagate across straight vertices
-        order = np.nonzero(defined)[0]
-        for i in range(m):
-            if not defined[i]:
-                prev = order[order < i]
-                Be[i] = Be[prev[-1]] if len(prev) else Be[order[0]]
+        # the binormal is shared by the two half-edges around the vertex
+        Be = np.empty((m, 3))
+        defined = np.zeros(m, dtype=bool)
+        Be[tr] = Be[(tr + 1) % m] = b
+        defined[tr] = defined[(tr + 1) % m] = True
+        # parallel-transport across straight vertices: each undefined edge
+        # takes the last defined binormal before it, a leading run the first
+        src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
+        src[src < 0] = tr[0]
+        Be = Be[src]
     Ne = np.cross(Be, Te)
     return FrameField(
         Te=Te, Ne=Ne, Be=Be, ell=rc.ell, closed=rc.closed, turn_mask=turn_mask, planar=planar
@@ -163,25 +159,26 @@ def vertex_frames(ff: FrameField, tol: Tolerances = DEFAULT) -> FrameField:
     return replace(ff, Tv=avg(ff.Te), Nv=avg(ff.Ne), Bv=avg(ff.Be))
 
 
-def _signed_angle(a: np.ndarray, b: np.ndarray, axis: np.ndarray) -> float:
-    return math.atan2(float(np.dot(axis, np.cross(a, b))), float(np.dot(a, b)))
+def _signed_angles(a: np.ndarray, b: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Row-wise angle from a[i] to b[i], signed by the sense of rotation about axis[i]."""
+    cross = np.cross(a, b)
+    return np.arctan2(np.einsum("ij,ij->i", axis, cross), np.einsum("ij,ij->i", a, b))
 
 
 def turn_twist_angles(ff: FrameField):
-    """(theta, phi) per transition; theta vanishes at twists, phi at turns."""
-    n_t = ff.n_transitions
-    theta = np.zeros(n_t)
-    phi = np.zeros(n_t)
-    Te_next = ff.succ(ff.Te)
-    Be_next = ff.succ(ff.Be)
-    Te = ff.pred_slice(ff.Te)
-    Be = ff.pred_slice(ff.Be)
-    for i in range(n_t):
-        if ff.turn_mask[i]:
-            theta[i] = _signed_angle(Te[i], Te_next[i], Be[i])
-        else:
-            phi[i] = _signed_angle(Be[i], Be_next[i], Te[i])
-    return theta, phi
+    """(theta, phi) per transition; theta vanishes at twists, phi at turns.
+
+    A turn measures the tangent rotation about the binormal, a twist the
+    binormal rotation about the tangent.
+    """
+    turn = ff.turn_mask
+    Te, Be = ff.pred_slice(ff.Te), ff.pred_slice(ff.Be)
+    Te_next, Be_next = ff.succ(ff.Te), ff.succ(ff.Be)
+    sel = turn[:, None]
+    angle = _signed_angles(
+        np.where(sel, Te, Be), np.where(sel, Te_next, Be_next), np.where(sel, Be, Te)
+    )
+    return np.where(turn, angle, 0.0), np.where(turn, 0.0, angle)
 
 
 @dataclass(frozen=True)
@@ -208,6 +205,26 @@ class IntrinsicData:
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
 
 
+def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) -> None:
+    """Check an angle record: equal lengths, alternating zeros, |angle| <= pi/2.
+
+    Turns (theta) may be nonzero only at transition indices of parity
+    ``turn_parity``, twists (phi) only at the others.  Raises InvalidAngles
+    for a malformed record and AngleOutOfRange for an angle outside
+    [-pi/2, pi/2] (NaN included).
+    """
+    if turn_parity not in (0, 1):
+        raise InvalidAngles(f"turn_parity must be 0 or 1, got {turn_parity}")
+    if theta.shape != phi.shape:
+        raise InvalidAngles("theta and phi must have the same length")
+    turn = np.arange(len(theta)) % 2 == turn_parity
+    if np.any(theta[~turn] != 0.0) or np.any(phi[turn] != 0.0):
+        raise InvalidAngles("alternating-zero angle pattern violated")
+    limit = math.pi / 2 + 1e-12
+    if not (np.all(np.abs(theta) <= limit) and np.all(np.abs(phi) <= limit)):
+        raise AngleOutOfRange("angles must lie in [-pi/2, pi/2]")
+
+
 def curvature_torsion(
     theta: np.ndarray,
     phi: np.ndarray,
@@ -222,32 +239,11 @@ def curvature_torsion(
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if theta.shape != phi.shape:
-        raise InputError("theta and phi must have the same length")
-    idx = np.arange(len(theta))
-    turn = idx % 2 == turn_parity
-    if np.any(theta[~turn] != 0.0) or np.any(phi[turn] != 0.0):
-        raise InputError("alternating-zero angle pattern violated")
-    if np.max(np.abs(theta), initial=0.0) > math.pi / 2 + 1e-12 or np.max(
-        np.abs(phi), initial=0.0
-    ) > math.pi / 2 + 1e-12:
-        raise AngleOutOfRange("angles must lie in [-pi/2, pi/2]")
-    kappa = np.zeros_like(theta)
-    tau = np.zeros_like(phi)
-    for i in np.nonzero(turn)[0]:
-        if theta[i] != 0.0:
-            kappa[i] = math.copysign(kappa_from_angle(abs(theta[i]), ell, convention), theta[i])
-    for i in np.nonzero(~turn)[0]:
-        if phi[i] != 0.0:
-            tau[i] = math.copysign(tau_from_angle(abs(phi[i]), ell, convention), phi[i])
+    validate_angle_record(theta, phi, turn_parity)
+    # + 0.0 keeps the value of a zero angle at +0.0 when the angle is -0.0
+    kappa = np.copysign(kappa_from_angle(np.abs(theta), ell, convention), theta) + 0.0
+    tau = np.copysign(tau_from_angle(np.abs(phi), ell, convention), phi) + 0.0
     return IntrinsicData(ell, theta, phi, convention, kappa, tau, turn_parity)
-
-
-def _normalizer(angle: float, scaled: float) -> float:
-    """Factor nu with nu*2*sin(|angle|/2) = |scaled| (scaled = ell*kappa or ell*tau)."""
-    if angle == 0.0:
-        return 1.0
-    return abs(scaled) / (2.0 * math.sin(abs(angle) / 2.0))
 
 
 def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
@@ -269,22 +265,19 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
     DTe = ff.succ(ff.Te) - ff.pred_slice(ff.Te)
     DNe = ff.succ(ff.Ne) - ff.pred_slice(ff.Ne)
     DBe = ff.succ(ff.Be) - ff.pred_slice(ff.Be)
-    ell = data.ell
-    worst = 0.0
-    for i in range(n_t):
-        lk = ell * data.kappa[i]
-        lt = ell * data.tau[i]
-        if data.theta[i] != 0.0:
-            nu = _normalizer(data.theta[i], lk)
-        elif data.phi[i] != 0.0:
-            nu = _normalizer(data.phi[i], lt)
-        else:
-            nu = 1.0
-        r1 = np.linalg.norm(nu * DTe[i] - lk * ff.Nv[i])
-        r2 = np.linalg.norm(nu * DNe[i] + lk * ff.Tv[i] - lt * ff.Bv[i])
-        r3 = np.linalg.norm(nu * DBe[i] + lt * ff.Nv[i])
-        worst = max(worst, r1, r2, r3)
-    return worst
+    lk = data.ell * data.kappa
+    lt = data.ell * data.tau
+    # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero
+    # angle of each transition; 1 where both angles vanish
+    turning = data.theta != 0.0
+    angle = np.abs(np.where(turning, data.theta, data.phi))
+    scaled = np.abs(np.where(turning, lk, lt))
+    nu = np.divide(scaled, 2.0 * np.sin(angle / 2.0), out=np.ones(n_t), where=angle != 0.0)
+    nu, lk, lt = nu[:, None], lk[:, None], lt[:, None]
+    r1 = np.linalg.norm(nu * DTe - lk * ff.Nv, axis=1)
+    r2 = np.linalg.norm(nu * DNe + lk * ff.Tv - lt * ff.Bv, axis=1)
+    r3 = np.linalg.norm(nu * DBe + lt * ff.Nv, axis=1)
+    return float(max(r1.max(initial=0.0), r2.max(initial=0.0), r3.max(initial=0.0)))
 
 
 def analyze(rc: RefinedCurve, convention: Convention = Convention.INSCRIBED):
@@ -313,13 +306,7 @@ def polyline_turning_angles(dc: DiscreteCurve) -> np.ndarray:
     t = e / np.linalg.norm(e, axis=1)[:, None]
     t_next = np.roll(t, -1, axis=0) if dc.closed else t[1:]
     t_here = t if dc.closed else t[:-1]
-    out = np.empty(len(t_here))
-    for i in range(len(t_here)):
-        if dc.dim == 2:
-            out[i] = _signed_angle(t_here[i], t_next[i], _EZ)
-        else:
-            out[i] = math.atan2(
-                float(np.linalg.norm(np.cross(t_here[i], t_next[i]))),
-                float(np.dot(t_here[i], t_next[i])),
-            )
-    return out
+    if dc.dim == 2:
+        return _signed_angles(t_here, t_next, np.broadcast_to(_EZ, t_here.shape))
+    cross = np.linalg.norm(np.cross(t_here, t_next), axis=1)
+    return np.arctan2(cross, np.einsum("ij,ij->i", t_here, t_next))

@@ -29,11 +29,13 @@ class Convention(enum.Enum):
     CENTERED = "centered"
 
 
-def _check_angle(angle: float) -> None:
+def _check_angle(angle: float | np.ndarray) -> None:
     # the kernel accepts any exterior angle of an N-gon with N > 2; the
     # stricter [-pi/2, pi/2] bound of intrinsic data lives in frames
-    if not 0.0 <= angle < math.pi:
-        raise AngleOutOfRange(f"angle {angle} outside [0, pi)")
+    angle = np.asarray(angle)
+    bad = ~((0.0 <= angle) & (angle < math.pi))
+    if bad.any():
+        raise AngleOutOfRange(f"angle {float(angle[bad][0])} outside [0, pi)")
 
 
 def _check_length(ell: float) -> None:
@@ -41,18 +43,28 @@ def _check_length(ell: float) -> None:
         raise NonpositiveLength(f"length must be positive, got {ell}")
 
 
-def kappa_from_angle(theta: float, ell: float, convention: Convention) -> float:
-    """Curvature of the convention's circle for turning angle theta and side ell."""
+def kappa_from_angle(
+    theta: float | np.ndarray, ell: float, convention: Convention
+) -> float | np.ndarray:
+    """Curvature of the convention's circle for turning angle theta and side ell.
+
+    theta may be a float or an array of angles; the result has the same form.
+    """
     _check_length(ell)
-    _check_angle(theta)
+    angle = np.asarray(theta, dtype=float)
+    _check_angle(angle)
     if convention is Convention.INSCRIBED:
-        return 2.0 / ell * math.sin(theta / 2.0)
-    if convention is Convention.CIRCUMSCRIBED:
-        return 2.0 / ell * math.tan(theta / 2.0)
-    return theta / ell
+        kappa = 2.0 / ell * np.sin(angle / 2.0)
+    elif convention is Convention.CIRCUMSCRIBED:
+        kappa = 2.0 / ell * np.tan(angle / 2.0)
+    else:
+        kappa = angle / ell
+    return kappa if angle.ndim else float(kappa)
 
 
-def tau_from_angle(phi: float, ell: float, convention: Convention) -> float:
+def tau_from_angle(
+    phi: float | np.ndarray, ell: float, convention: Convention
+) -> float | np.ndarray:
     """Torsion for twisting angle phi; same formulas with phi in place of theta."""
     return kappa_from_angle(phi, ell, convention)
 

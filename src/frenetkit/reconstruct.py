@@ -17,7 +17,7 @@ import numpy as np
 
 from .curve_core import RefinedCurve
 from .errors import CountMismatch, InputError, InvalidAngles
-from .frames import IntrinsicData
+from .frames import IntrinsicData, validate_angle_record
 
 _REORTH_EVERY = 64
 
@@ -62,19 +62,8 @@ def reconstruct(
     turn_parity (0 in the standard indexing, which puts original vertices at
     odd point indices of the result).
     """
-    if data.turn_parity not in (0, 1):
-        raise InvalidAngles(f"turn_parity must be 0 or 1, got {data.turn_parity}")
     theta, phi = data.theta, data.phi
-    if len(theta) != len(phi):
-        raise InvalidAngles("theta and phi must have equal length")
-    idx = np.arange(len(theta))
-    turn = idx % 2 == data.turn_parity
-    if np.any(theta[~turn] != 0.0) or np.any(phi[turn] != 0.0):
-        raise InvalidAngles("alternating-zero angle pattern violated")
-    if np.max(np.abs(theta), initial=0.0) > math.pi / 2 + 1e-12 or np.max(
-        np.abs(phi), initial=0.0
-    ) > math.pi / 2 + 1e-12:
-        raise InvalidAngles("angles must lie in [-pi/2, pi/2]")
+    validate_angle_record(theta, phi, data.turn_parity)
     if n_steps is None:
         n_steps = len(theta) + 1
     if n_steps < 1 or len(theta) < n_steps - 1:

@@ -53,14 +53,19 @@ def make_random_intrinsic(rng, n_points, ell=None, planar=False, min_angle=0.05)
     return curvature_torsion(theta, phi, ell, Convention.INSCRIBED)
 
 
+def curve_from_intrinsic(rng, data, planar=False):
+    """Open refined curve with the given angle record, in a random pose (3D)."""
+    n_steps = len(data.theta) + 1
+    if planar:
+        rc = reconstruct(data, InitialPose(), n_steps=n_steps)
+        return rc.__class__(rc.points[:, :2], rc.ell, closed=False, vertex_parity=1)
+    return reconstruct(data, random_pose(rng), n_steps=n_steps)
+
+
 def make_random_refined(rng, n_points, planar=False):
     """Random refined curve (via its own intrinsic record) plus that record."""
     data = make_random_intrinsic(rng, n_points, planar=planar)
-    if planar:
-        rc = reconstruct(data, InitialPose(), n_steps=n_points - 1)
-        return rc.__class__(rc.points[:, :2], rc.ell, closed=False, vertex_parity=1), data
-    rc = reconstruct(data, random_pose(rng), n_steps=n_points - 1)
-    return rc, data
+    return curve_from_intrinsic(rng, data, planar=planar), data
 
 
 @pytest.fixture

@@ -48,6 +48,7 @@ def test_analyze_line_zeros(runner, tmp_path):
     assert result.exit_code == 0
     rows = json.loads(result.output)["conventions"]["inscribed"]["per_index"]
     assert all(r["kappa"] == 0.0 and r["tau"] == 0.0 for r in rows)
+    assert all(math.copysign(1.0, r[k]) == 1.0 for r in rows for k in ("kappa", "tau"))
 
 
 def test_analyze_csv_format(runner, tmp_path):
@@ -59,6 +60,7 @@ def test_analyze_csv_format(runner, tmp_path):
     # 3 conventions x 12 transitions of the closed refined hexagon
     assert len(lines) == 1 + 3 * 12
     assert "np.float64" not in result.output
+    assert all("-0.0" not in line.split(",") for line in lines)
 
 
 def test_analyze_malformed_json(runner, tmp_path):
@@ -74,6 +76,23 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
     assert result.exit_code == 1  # residual cannot beat 1e-30
     monkeypatch.delenv("FRENETKIT_TOL")
     assert runner.invoke(main, ["analyze", path]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "bogus=1"], {}),
+        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "r=abc"], {}),
+        (["analyze", "HEX"], {"FRENETKIT_TOL": "abc"}),
+    ],
+    ids=["unknown-param", "non-numeric-param", "non-numeric-tol-env"],
+)
+def test_bad_arguments_exit_2(runner, tmp_path, args, env):
+    path = _write(tmp_path, "hex.json", _hexagon_json())
+    result = runner.invoke(main, [path if a == "HEX" else a for a in args], env=env)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_roundtrip_hexagon(runner, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from frenetkit import (
     Convention,
@@ -14,6 +16,7 @@ from frenetkit import (
     polyline_turning_angles,
     refine,
     turn_twist_angles,
+    validate_refined,
     vertex_frames,
 )
 from frenetkit.errors import (
@@ -23,7 +26,7 @@ from frenetkit.errors import (
     UndefinedBinormal,
 )
 
-from conftest import make_random_refined
+from conftest import curve_from_intrinsic, make_random_intrinsic, make_random_refined
 
 
 def _hexagon_refined():
@@ -174,3 +177,116 @@ def test_polyline_turning_angles():
     # clockwise square: negative turning
     sq = DiscreteCurve(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]), closed=True)
     np.testing.assert_allclose(polyline_turning_angles(sq), -math.pi / 2.0, atol=1e-14)
+
+
+def test_curvature_torsion_negative_zero_angle():
+    data = curvature_torsion([-0.0, 0.0, 0.2], [0.0, -0.0, 0.0], 1.0, Convention.CIRCUMSCRIBED)
+    assert all(math.copysign(1.0, v) == 1.0 for v in (*data.kappa[:2], *data.tau))
+
+
+def test_validate_refined_reports_first_bad_midpoint():
+    ang = np.arange(12) * math.pi / 6.0
+    rc = refine(DiscreteCurve(np.column_stack([np.cos(ang), np.sin(ang)]), closed=True))
+    pts = rc.points.copy()
+    # push midpoints 4 and 10 off their edges, perpendicular to them, so the
+    # half-edge lengths stay uniform and only the midpoint invariant breaks
+    for i, shift in ((10, 2e-6), (4, 1e-6)):
+        edge = pts[i + 1] - pts[i - 1]
+        pts[i] += shift * np.array([-edge[1], edge[0]]) / np.linalg.norm(edge)
+    with pytest.raises(InputError, match=r"at index 4 \(defect 1\.000e-06\)"):
+        validate_refined(RefinedCurve(pts, rc.ell, closed=True, vertex_parity=1))
+
+
+def _record_with_straight_vertices(rng, n_points, planar, n_lead):
+    """make_random_intrinsic's record with some turns exactly zero, the first n_lead among them.
+
+    n_lead must leave two turns after the run.  edge_frames carries the binormal across straight vertices, so a twist
+    is seen only after some nonzero turn and right before a nonzero turn;
+    the other twists are set to zero, which the curve cannot distinguish.
+    """
+    data = make_random_intrinsic(rng, n_points, planar=planar)
+    theta, phi = data.theta.copy(), data.phi.copy()
+    turns = np.arange(0, len(theta), 2)
+    straight = rng.random(len(turns)) < 0.3
+    straight[:n_lead] = True
+    # a 3D curve needs one binormal, and a closed one (see _doubled) a turn
+    # strictly between the first and last vertex
+    straight[rng.integers(max(n_lead, 1), len(turns) - 1)] = False
+    theta[turns[straight]] = 0.0
+    turning = theta != 0.0
+    seen = np.cumsum(turning) - turning > 0
+    phi[~(seen & np.append(turning[1:], False))] = 0.0
+    return curvature_torsion(theta, phi, data.ell, Convention.INSCRIBED)
+
+
+def _doubled(points, axis):
+    """The open polygon followed by its copy turned by pi about axis.
+
+    With axis perpendicular to the chord the copy ends where the original
+    starts, so the result is a closed polygon with the same edge lengths.
+    """
+    steps = np.diff(points, axis=0)
+    turned = 2.0 * np.outer(steps @ axis, axis) - steps
+    return np.vstack([points, points[-1] + np.cumsum(turned, axis=0)[:-1]])
+
+
+def _closed_analysis(rng, rc_open, data, planar):
+    """Close rc_open by _doubled; return the analysis plus the expected angles and their mask.
+
+    Both halves repeat the record's first 2k transitions.  The junction turns
+    (transitions 0 and 2k) are known only in the plane; in 3D they, and the
+    twists that compare a binormal with a junction's, are masked out.
+    """
+    vertices = np.pad(rc_open.points[1::2], ((0, 0), (0, 3 - rc_open.dim)))
+    half = 2 * (len(vertices) - 1)
+    want_t, want_p = np.tile(data.theta[:half], 2), np.tile(data.phi[:half], 2)
+    chord = vertices[-1] - vertices[0]
+    if planar:
+        junction = math.remainder(math.pi - float(np.sum(data.theta[2:half])), 2.0 * math.pi)
+        assume(abs(junction) <= math.pi / 2.0)
+        want_t[0] = want_t[half] = junction
+        dc = DiscreteCurve(_doubled(vertices, np.array([0.0, 0.0, 1.0]))[:, :2], closed=True)
+        return (*analyze(refine(dc)), want_t, want_p, np.ones(2 * half, dtype=bool))
+    # a twist is known when the turn after it is zero, or when a nonzero turn
+    # of its own half, not a junction, precedes it
+    turning = data.theta[:half] != 0.0
+    turning[0] = False
+    seen = np.cumsum(turning) - turning > 0
+    known = (np.arange(half) % 2 == 0) | ~np.append(turning[1:], True) | seen
+    known[0] = known[half - 1] = False
+    e1 = np.cross(chord, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(chord, e1) / np.linalg.norm(chord)
+    # some turning axes give a junction angle outside [-pi/2, pi/2]; try a few
+    for alpha in np.linspace(0.0, math.pi, 8, endpoint=False):
+        axis = math.cos(alpha) * e1 + math.sin(alpha) * e2
+        dc = DiscreteCurve(_doubled(vertices, axis), closed=True)
+        try:
+            return (*analyze(refine(dc)), want_t, want_p, np.tile(known, 2))
+        except AngleOutOfRange:
+            continue
+    reject()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half_vertices=st.integers(2, 24),
+    n_lead=st.integers(0, 3),
+    planar=st.booleans(),
+    closed=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_analyze_recovers_angles_with_straight_vertices(seed, half_vertices, n_lead, planar, closed):
+    rng = np.random.default_rng(seed)
+    n_lead = min(n_lead, half_vertices - 1)
+    data = _record_with_straight_vertices(rng, 2 * half_vertices + 3, planar, n_lead)
+    rc = curve_from_intrinsic(rng, data, planar=planar)
+    if closed:
+        ff, out, want_t, want_p, known = _closed_analysis(rng, rc, data, planar)
+    else:
+        ff, out = analyze(rc)
+        want_t, want_p, known = data.theta, data.phi, np.ones(len(data.theta), dtype=bool)
+    assert out.theta.shape == want_t.shape
+    assert np.max(np.abs(out.theta - want_t)[known]) <= 1e-12
+    assert np.max(np.abs(out.phi - want_p)[known]) <= 1e-12
+    assert frenet_residual(ff, out) <= 1e-12

@@ -72,6 +72,19 @@ def test_domain_errors():
         angle_from_kappa(10.0, 1.0, Convention.CENTERED)
 
 
+def test_kappa_from_angle_arrays_match_scalars():
+    angles = np.array([0.0, 0.3, math.pi / 2.0, 3.0])
+    for conv in ALL:
+        k = kappa_from_angle(angles, 0.7, conv)
+        assert isinstance(kappa_from_angle(0.3, 0.7, conv), float)
+        assert k.shape == angles.shape
+        assert list(k) == [kappa_from_angle(float(a), 0.7, conv) for a in angles]
+    with pytest.raises(AngleOutOfRange, match="angle -0.2 outside"):
+        kappa_from_angle(np.array([0.1, -0.2, math.pi]), 1.0, Convention.INSCRIBED)
+    with pytest.raises(NonpositiveLength):
+        tau_from_angle(angles, -1.0, Convention.CENTERED)
+
+
 def test_angle_from_kappa_examples():
     assert angle_from_kappa(1.0, 1.0, Convention.INSCRIBED) == pytest.approx(math.pi / 3.0)
     assert angle_from_kappa(0.0, 1.0, Convention.CIRCUMSCRIBED) == 0.0

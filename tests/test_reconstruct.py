@@ -15,7 +15,7 @@ from frenetkit import (
     reconstruct,
     rigid_align,
 )
-from frenetkit.errors import CountMismatch, InputError, InvalidAngles
+from frenetkit.errors import AngleOutOfRange, CountMismatch, InputError, InvalidAngles
 
 from conftest import make_random_intrinsic, make_random_refined, random_rotation
 
@@ -107,6 +107,11 @@ def test_reconstruct_validation():
     with pytest.raises(InvalidAngles):
         data = curvature_torsion(np.zeros(4), np.zeros(4), 1.0, Convention.INSCRIBED)
         object.__setattr__(data, "theta", np.array([0.0, 0.3, 0.0, 0.0]))
+        reconstruct(data)
+    # reconstruct shares curvature_torsion's validator, range check included
+    data = curvature_torsion(np.zeros(4), np.zeros(4), 1.0, Convention.INSCRIBED)
+    object.__setattr__(data, "theta", np.array([2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(AngleOutOfRange):
         reconstruct(data)
 
 
