@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+from itertools import count, islice, repeat
 
 import click
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import discretize2d, io, spline2d, svg
 from .config import cli_tolerance
 from .curve_core import DiscreteCurve, refine
-from .errors import FrenetError, InputError, NumericalError, ParseError
+from .errors import FrenetError, InputError, ParseError
 from .frames import analyze, curvature_torsion, frenet_residual
 from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
@@ -24,26 +25,59 @@ from .reconstruct import InitialPose, congruent, reconstruct
 CONVENTIONS = [c.value for c in Convention]
 
 
-def _fail(exc: Exception) -> int:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, InputError):
-        return 2
-    if isinstance(exc, NumericalError):
-        return 1
-    return 1
+# one per-index row of the analyze report as json.dumps(report, indent=2) lays it out
+_JSON_ROW = (
+    '{\n          "theta": %s,\n          "phi": %s,\n'
+    '          "kappa": %s,\n          "tau": %s\n        }'
+)
+_ROWS_MARK = "\0per_index"  # stands for a convention's rows in the encoded report
+_CHUNK_ROWS = 4096
 
 
-def _emit(obj, out_path):
+def _float_strings(col: np.ndarray, fmt: str) -> list[str]:
+    """col's values spelled as json.dumps (fmt "json") or repr (fmt "csv") spells them."""
+    out = list(map(float.__repr__, col.tolist()))
+    if fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(col)):
+            out[i] = json.dumps(float(col[i]))  # NaN, Infinity, -Infinity
+    return out
+
+
+def _pieces(frame, tables, template, sep):
+    """Yield frame[0], the rows of tables[0], frame[1], ..., frame[-1]: each row
+    fills template, and a table's rows are joined by sep, _CHUNK_ROWS a piece."""
+    yield frame[0]
+    for rows, tail in zip(tables, frame[1:]):
+        lead = ""
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            yield lead + sep.join([template % row for row in chunk])
+            lead = sep
+        yield tail
+
+
+def _write(pieces, out_path):
+    """Write the pieces of a text to out_path, or echo them to stdout."""
     if out_path:
-        # json.dump streams to the file, so the report text is never held whole
         with open(out_path, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+            fh.writelines(pieces)
     else:
-        click.echo(json.dumps(obj, indent=2))
+        for piece in pieces:
+            click.echo(piece, nl=False)
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns a FrenetError from any subcommand into "error: ..." on stderr and
+    exit code 2 (input error) or 1 (numerical failure)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FrenetError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, InputError) else 1)
+
+
+@click.group(cls=_Group)
 def main():
     """Discrete curve analysis, reconstruction, discretization and splining."""
 
@@ -60,61 +94,51 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     Curvature values use the unrefined edge length (the polyline's own
     edges); the refined half-edge is reported separately.
     """
-    try:
-        tol = tol if tol is not None else cli_tolerance()
-        curve = io.load_curve(curve_file)
-        rc = refine(curve)
-        wanted = [Convention(convention)] if convention else list(Convention)
+    tol = tol if tol is not None else cli_tolerance()
+    rc = refine(io.load_curve(curve_file))
+    wanted = [Convention(convention)] if convention else list(Convention)
+    ff, data = analyze(rc)
+    angles = [_float_strings(a, fmt) for a in (data.theta, data.phi)]
+    residuals, columns = {}, {}
+    for conv in wanted:
+        at_ell = curvature_torsion(data.theta, data.phi, rc.ell, conv, data.turn_parity)
+        residuals[conv.value] = frenet_residual(ff, at_ell)
+        edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
+        columns[conv.value] = angles + [_float_strings(c, fmt) for c in (edge.kappa, edge.tau)]
+    worst = max(0.0, *residuals.values())
+    if fmt == "csv":
+        frame = ["convention,index,theta,phi,kappa,tau\n"] + ["\n"] * len(columns)
+        tables = [zip(repeat(name), count(), *cols) for name, cols in columns.items()]
+        pieces = _pieces(frame, tables, "%s,%d,%s,%s,%s,%s", "\n")
+    else:
         report = {
             "note": "kappa/tau computed from turning angles with the unrefined edge length",
             "edge_length": 2.0 * rc.ell,
             "half_edge_length": rc.ell,
-            "conventions": {},
+            "conventions": {
+                name: {"frenet_residual": res, "per_index": [_ROWS_MARK]}
+                for name, res in residuals.items()
+            },
+            "max_frenet_residual": worst,
+            "residual_ok": bool(worst <= tol),
         }
-        worst = 0.0
-        for conv in wanted:
-            ff, data = analyze(rc, conv)
-            res = frenet_residual(ff, data)
-            worst = max(worst, res)
-            edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
-            columns = (edge.theta, edge.phi, edge.kappa, edge.tau)
-            report["conventions"][conv.value] = {
-                "frenet_residual": res,
-                "per_index": [
-                    {"theta": th, "phi": ph, "kappa": k, "tau": t}
-                    for th, ph, k, t in zip(*(col.tolist() for col in columns))
-                ],
-            }
-        report["max_frenet_residual"] = worst
-        report["residual_ok"] = bool(worst <= tol)
-        if fmt == "csv":
-            lines = ["convention,index,theta,phi,kappa,tau"]
-            for name, block in report["conventions"].items():
-                for i, row in enumerate(block["per_index"]):
-                    lines.append(
-                        f"{name},{i},{row['theta']!r},{row['phi']!r},"
-                        f"{row['kappa']!r},{row['tau']!r}"
-                    )
-            text = "\n".join(lines)
-            if out_path:
-                with open(out_path, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                click.echo(text)
-        else:
-            _emit(report, out_path)
-        sys.exit(0 if worst <= tol else 1)
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+        frame = (json.dumps(report, indent=2) + "\n").split(json.dumps(_ROWS_MARK))
+        tables = [zip(*cols) for cols in columns.values()]
+        pieces = _pieces(frame, tables, _JSON_ROW, ",\n        ")
+    _write(pieces, out_path)
+    sys.exit(0 if worst <= tol else 1)
 
 
 def _parse_vec(text, default):
     if text is None:
         return np.asarray(default, dtype=float)
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ParseError(f"bad vector {text!r}") from exc
+    if vec.shape != (3,):
+        raise ParseError(f"vector {text!r} must have 3 components")
+    return vec
 
 
 @main.command("reconstruct")
@@ -125,26 +149,19 @@ def _parse_vec(text, default):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
     """Rebuild a curve from intrinsic data (ell, theta, phi)."""
-    try:
-        with open(intrinsic_file) as fh:
-            data = io.intrinsic_from_json(fh.read())
-        t = _parse_vec(tangent, [1.0, 0.0, 0.0])
-        nrm = _parse_vec(normal, [0.0, 1.0, 0.0])
-        pose = InitialPose(
-            origin=_parse_vec(origin, [0.0, 0.0, 0.0]),
-            tangent=t,
-            normal=nrm,
-            binormal=np.cross(t, nrm),
-        )
-        rc = reconstruct(data, pose)
-        out = io.curve_to_json(DiscreteCurve(rc.points, closed=False))
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(out + "\n")
-        else:
-            click.echo(out)
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+    with open(intrinsic_file) as fh:
+        data = io.intrinsic_from_json(fh.read())
+    t = _parse_vec(tangent, [1.0, 0.0, 0.0])
+    nrm = _parse_vec(normal, [0.0, 1.0, 0.0])
+    pose = InitialPose(
+        origin=_parse_vec(origin, [0.0, 0.0, 0.0]),
+        tangent=t,
+        normal=nrm,
+        binormal=np.cross(t, nrm),
+    )
+    rc = reconstruct(data, pose)
+    out = io.curve_to_json(DiscreteCurve(rc.points, closed=False))
+    _write([out, "\n"], out_path)
 
 
 @main.command("discretize")
@@ -157,61 +174,57 @@ def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_discretize(curve_name, method, samples, density, variant, params, out_path):
     """Discretize a built-in smooth curve."""
-    try:
-        ctor = discretize2d.BUILTIN_CURVES[curve_name]
-        numeric = sorted(
-            name
-            for name, par in inspect.signature(ctor).parameters.items()
-            if isinstance(par.default, float)
-        )
-        kwargs = {}
-        for item in params:
-            if "=" not in item:
-                raise ParseError(f"--param expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ParseError(f"--param {key} expects a number, got {value!r}") from None
-            if key not in numeric:
-                raise ParseError(f"{curve_name} has no parameter {key!r}; choose from {numeric}")
-        curve = ctor(**kwargs)
-        if method == "centered":
-            if density is None:
-                raise ParseError("--density is required for the centered method")
-            rc = discretize2d.discretize_centered(curve, density, variant=variant)
-            dc = DiscreteCurve(rc.points, closed=rc.closed)
-            report = {
-                "method": method,
-                "variant": variant,
-                "half_edge_length": rc.ell,
-                "polyline_length": rc.length(),
-                "curve_length": curve.length,
-                "length_error": abs(rc.length() - curve.length),
-            }
+    ctor = discretize2d.BUILTIN_CURVES[curve_name]
+    numeric = sorted(
+        name
+        for name, par in inspect.signature(ctor).parameters.items()
+        if isinstance(par.default, float)
+    )
+    kwargs = {}
+    for item in params:
+        if "=" not in item:
+            raise ParseError(f"--param expects key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        try:
+            kwargs[key] = float(value)
+        except ValueError:
+            raise ParseError(f"--param {key} expects a number, got {value!r}") from None
+        if key not in numeric:
+            raise ParseError(f"{curve_name} has no parameter {key!r}; choose from {numeric}")
+    curve = ctor(**kwargs)
+    if method == "centered":
+        if density is None:
+            raise ParseError("--density is required for the centered method")
+        rc = discretize2d.discretize_centered(curve, density, variant=variant)
+        dc = DiscreteCurve(rc.points, closed=rc.closed)
+        report = {
+            "method": method,
+            "variant": variant,
+            "half_edge_length": rc.ell,
+            "polyline_length": rc.length(),
+            "curve_length": curve.length,
+            "length_error": abs(rc.length() - curve.length),
+        }
+    else:
+        if samples is None:
+            raise ParseError("--samples is required for this method")
+        smap = discretize2d.uniform_samples(curve, samples)
+        if method == "inscribed":
+            dc = discretize2d.discretize_inscribed(curve, smap)
         else:
-            if samples is None:
-                raise ParseError("--samples is required for this method")
-            smap = discretize2d.uniform_samples(curve, samples)
-            if method == "inscribed":
-                dc = discretize2d.discretize_inscribed(curve, smap)
-            else:
-                dc = discretize2d.discretize_circumscribed(curve, smap)
-            report = {
-                "method": method,
-                "points": len(dc),
-                "polyline_length": dc.length(),
-                "curve_length": curve.length,
-            }
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(io.curve_to_json(dc) + "\n")
-            report["out"] = out_path
-        else:
-            report["curve"] = json.loads(io.curve_to_json(dc))
-        click.echo(json.dumps(report, indent=2))
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+            dc = discretize2d.discretize_circumscribed(curve, smap)
+        report = {
+            "method": method,
+            "points": len(dc),
+            "polyline_length": dc.length(),
+            "curve_length": curve.length,
+        }
+    if out_path:
+        _write([io.curve_to_json(dc), "\n"], out_path)
+        report["out"] = out_path
+    else:
+        report["curve"] = json.loads(io.curve_to_json(dc))
+    click.echo(json.dumps(report, indent=2))
 
 
 @main.command("spline")
@@ -222,39 +235,34 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
 def cmd_spline(curve_file, method, seed, out_path, svg_path):
     """Spline a discrete curve with arcs, clothoids or elastica."""
-    try:
-        curve = io.load_curve(curve_file)
-        if method == "circumscribed":
-            sp = spline2d.spline_circumscribed(curve)
+    curve = io.load_curve(curve_file)
+    if method == "circumscribed":
+        sp = spline2d.spline_circumscribed(curve)
+    else:
+        rc = refine(curve)
+        if method == "inscribed":
+            sp = spline2d.spline_inscribed(rc)
         else:
-            rc = refine(curve)
-            if method == "inscribed":
-                sp = spline2d.spline_inscribed(rc)
-            else:
-                sp = spline2d.spline_centered(rc, seed=seed)
-        pos_gap, ang_gap = spline2d.g1_defects(sp)
-        report = {
-            "method": method,
-            "segments": len(sp.segments),
-            "total_length": sp.total_length(),
-            "bending_energy": sp.energy(),
-            "g1_position_gap": pos_gap,
-            "g1_tangent_gap": ang_gap,
-        }
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(io.spline_to_json(sp) + "\n")
-            report["out"] = out_path
-        else:
-            report["spline"] = json.loads(io.spline_to_json(sp))
-        if svg_path:
-            doc = svg.render_svg(curves=[curve], splines=[sp])
-            with open(svg_path, "w") as fh:
-                fh.write(doc + "\n")
-            report["svg"] = svg_path
-        click.echo(json.dumps(report, indent=2))
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+            sp = spline2d.spline_centered(rc, seed=seed)
+    pos_gap, ang_gap = spline2d.g1_defects(sp)
+    report = {
+        "method": method,
+        "segments": len(sp.segments),
+        "total_length": sp.total_length(),
+        "bending_energy": sp.energy(),
+        "g1_position_gap": pos_gap,
+        "g1_tangent_gap": ang_gap,
+    }
+    if out_path:
+        _write([io.spline_to_json(sp), "\n"], out_path)
+        report["out"] = out_path
+    else:
+        report["spline"] = json.loads(io.spline_to_json(sp))
+    if svg_path:
+        doc = svg.render_svg(curves=[curve], splines=[sp])
+        _write([doc, "\n"], svg_path)
+        report["svg"] = svg_path
+    click.echo(json.dumps(report, indent=2))
 
 
 @main.command("roundtrip")
@@ -262,26 +270,23 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
 @click.option("--tol", type=float, default=1e-9, help="congruence rms threshold")
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check."""
-    try:
-        curve = io.load_curve(curve_file)
-        rc = refine(curve)
-        ff, data = analyze(rc)
-        pose = InitialPose(
-            origin=np.pad(rc.points[0], (0, 3 - rc.dim)),
-            tangent=ff.Te[0],
-            normal=ff.Ne[0],
-            binormal=ff.Be[0],
-        )
-        n_steps = rc.n_edges()
-        rebuilt = reconstruct(data, pose, n_steps=n_steps)
-        pts_orig = np.pad(rc.points, ((0, 0), (0, 3 - rc.dim)))
-        n_cmp = len(pts_orig)
-        ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
-        report = {"rms": rms, "congruent": bool(ok), "tol": tol}
-        click.echo(json.dumps(report, indent=2))
-        sys.exit(0 if ok else 1)
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+    curve = io.load_curve(curve_file)
+    rc = refine(curve)
+    ff, data = analyze(rc)
+    pose = InitialPose(
+        origin=np.pad(rc.points[0], (0, 3 - rc.dim)),
+        tangent=ff.Te[0],
+        normal=ff.Ne[0],
+        binormal=ff.Be[0],
+    )
+    n_steps = rc.n_edges()
+    rebuilt = reconstruct(data, pose, n_steps=n_steps)
+    pts_orig = np.pad(rc.points, ((0, 0), (0, 3 - rc.dim)))
+    n_cmp = len(pts_orig)
+    ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
+    report = {"rms": rms, "congruent": bool(ok), "tol": tol}
+    click.echo(json.dumps(report, indent=2))
+    sys.exit(0 if ok else 1)
 
 
 @main.command("render")
@@ -291,29 +296,22 @@ def cmd_roundtrip(curve_file, tol):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_render(curve_file, spline_path, with_circles, out_path):
     """Render a curve (and optional spline) to SVG."""
-    try:
-        curve = io.load_curve(curve_file)
-        splines = []
-        if spline_path:
-            with open(spline_path) as fh:
-                splines.append(io.spline_from_json(fh.read()))
-        circles = []
-        if with_circles:
-            if not curve.closed:
-                raise InputError("--with-circles needs a closed regular polygon")
-            side = float(np.mean(curve.edge_lengths()))
-            center = curve.points[:, :2].mean(axis=0)
-            spec = NGonSpec(len(curve), side, center=tuple(center))
-            for conv in Convention:
-                circles.append(circle_of_ngon(spec, conv))
-        doc = svg.render_svg(curves=[curve], splines=splines, circles=circles)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(doc + "\n")
-        else:
-            click.echo(doc)
-    except FrenetError as exc:
-        sys.exit(_fail(exc))
+    curve = io.load_curve(curve_file)
+    splines = []
+    if spline_path:
+        with open(spline_path) as fh:
+            splines.append(io.spline_from_json(fh.read()))
+    circles = []
+    if with_circles:
+        if not curve.closed:
+            raise InputError("--with-circles needs a closed regular polygon")
+        side = float(np.mean(curve.edge_lengths()))
+        center = curve.points[:, :2].mean(axis=0)
+        spec = NGonSpec(len(curve), side, center=tuple(center))
+        for conv in Convention:
+            circles.append(circle_of_ngon(spec, conv))
+    doc = svg.render_svg(curves=[curve], splines=splines, circles=circles)
+    _write([doc, "\n"], out_path)
 
 
 if __name__ == "__main__":

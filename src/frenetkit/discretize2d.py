@@ -179,6 +179,8 @@ def _check_samples(c: SmoothCurve, samples) -> np.ndarray:
 
 def uniform_samples(c: SmoothCurve, n: int) -> np.ndarray:
     """n equal arc-length samples (closed: spacing L/n; open: including both ends)."""
+    if n < 0:
+        raise InputError(f"sample count must be non-negative, got {n}")
     if c.closed:
         return np.linspace(0.0, c.length, n, endpoint=False)
     return np.linspace(0.0, c.length, n)
@@ -268,8 +270,8 @@ def discretize_centered(
 
     if variant not in ("exact", "published"):
         raise InputError(f"unknown offset variant {variant!r}")
-    if density <= 0.0:
-        raise InputError("density must be positive")
+    if not (0.0 < density < math.inf):
+        raise InputError(f"density must be positive and finite, got {density}")
     n = int(round(c.length * density))
     if n < (3 if c.closed else 1):
         raise MTooSmall("density too small for this curve", minimal_density=3.0 / c.length)

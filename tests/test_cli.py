@@ -4,9 +4,25 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from frenetkit import DiscreteCurve, curve_to_json, spline_from_json
-from frenetkit.cli import main
+from frenetkit import (
+    Convention,
+    DiscreteCurve,
+    curvature_torsion,
+    curve_to_json,
+    load_curve,
+    ngon_of_circle,
+    refine,
+    spline_from_json,
+    unrefine,
+)
+from frenetkit.cli import _CHUNK_ROWS, CONVENTIONS, _float_strings, main
+from frenetkit.config import cli_tolerance
+from frenetkit.frames import analyze, frenet_residual
+
+from conftest import make_random_refined, random_rotation
 
 
 @pytest.fixture
@@ -18,6 +34,14 @@ def _hexagon_json():
     ang = np.arange(6) * math.pi / 3.0
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return curve_to_json(DiscreteCurve(pts, closed=True))
+
+
+_HEX_INTRINSIC = {
+    "ell": 0.5,
+    "convention": "inscribed",
+    "theta": [math.pi / 3.0, 0.0] * 5 + [math.pi / 3.0],
+    "phi": [0.0] * 11,
+}
 
 
 def _write(tmp_path, name, text):
@@ -84,12 +108,29 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "bogus=1"], {}),
         (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "r=abc"], {}),
         (["analyze", "HEX"], {"FRENETKIT_TOL": "abc"}),
+        (["reconstruct", "INTRINSIC", "--origin", "1,2"], {}),
+        (["reconstruct", "INTRINSIC", "--tangent", "1,0"], {}),
+        (["discretize", "circle", "--method", "inscribed", "--samples", "-3"], {}),
+        (["discretize", "circle", "--method", "centered", "--density", "nan"], {}),
+        (["discretize", "circle", "--method", "centered", "--density", "inf"], {}),
     ],
-    ids=["unknown-param", "non-numeric-param", "non-numeric-tol-env"],
+    ids=[
+        "unknown-param",
+        "non-numeric-param",
+        "non-numeric-tol-env",
+        "two-component-origin",
+        "two-component-tangent",
+        "negative-samples",
+        "nan-density",
+        "inf-density",
+    ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
-    path = _write(tmp_path, "hex.json", _hexagon_json())
-    result = runner.invoke(main, [path if a == "HEX" else a for a in args], env=env)
+    files = {
+        "HEX": _write(tmp_path, "hex.json", _hexagon_json()),
+        "INTRINSIC": _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC)),
+    }
+    result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
@@ -105,13 +146,7 @@ def test_roundtrip_hexagon(runner, tmp_path):
 
 
 def test_reconstruct_command(runner, tmp_path):
-    intrinsic = {
-        "ell": 0.5,
-        "convention": "inscribed",
-        "theta": [math.pi / 3.0, 0.0] * 5 + [math.pi / 3.0],
-        "phi": [0.0] * 11,
-    }
-    path = _write(tmp_path, "hex_intrinsic.json", json.dumps(intrinsic))
+    path = _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC))
     result = runner.invoke(main, ["reconstruct", path, "--origin", "1,2,0"])
     assert result.exit_code == 0, result.output
     pts = np.asarray(json.loads(result.output)["points"])
@@ -210,3 +245,110 @@ def test_csv_curve_input(runner, tmp_path):
     path = _write(tmp_path, "line.csv", text)
     result = runner.invoke(main, ["analyze", path])
     assert result.exit_code == 0
+
+
+def _old_analyze_report(path, conventions):
+    """Reference analyze report: per_index row dicts, analysed once per convention."""
+    rc = refine(load_curve(path))
+    report = {
+        "note": "kappa/tau computed from turning angles with the unrefined edge length",
+        "edge_length": 2.0 * rc.ell,
+        "half_edge_length": rc.ell,
+        "conventions": {},
+    }
+    worst = 0.0
+    for conv in conventions:
+        ff, data = analyze(rc, conv)
+        res = frenet_residual(ff, data)
+        worst = max(worst, res)
+        edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
+        columns = (edge.theta, edge.phi, edge.kappa, edge.tau)
+        report["conventions"][conv.value] = {
+            "frenet_residual": res,
+            "per_index": [
+                {"theta": th, "phi": ph, "kappa": k, "tau": t}
+                for th, ph, k, t in zip(*(col.tolist() for col in columns))
+            ],
+        }
+    report["max_frenet_residual"] = worst
+    report["residual_ok"] = bool(worst <= cli_tolerance())
+    return report
+
+
+def _old_analyze_csv(report):
+    lines = ["convention,index,theta,phi,kappa,tau"]
+    for name, block in report["conventions"].items():
+        for i, row in enumerate(block["per_index"]):
+            lines.append(
+                f"{name},{i},{row['theta']!r},{row['phi']!r},{row['kappa']!r},{row['tau']!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _random_curve(rng, n_vertices, planar, closed):
+    if closed:
+        dc = ngon_of_circle(
+            float(rng.uniform(0.5, 2.0)), n_vertices, Convention.INSCRIBED,
+            phase=float(rng.uniform(0.0, math.tau)),
+        )
+        if planar:
+            return dc
+        pts = np.pad(dc.points, ((0, 0), (0, 1))) @ random_rotation(rng).T
+        return DiscreteCurve(pts, closed=True)
+    rc, _ = make_random_refined(rng, 2 * n_vertices + 1, planar=planar)
+    return unrefine(rc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 40),
+    planar=st.booleans(),
+    closed=st.booleans(),
+    convention=st.sampled_from([None, *CONVENTIONS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_analyze_output_matches_row_dict_report(
+    tmp_path_factory, seed, n_vertices, planar, closed, convention
+):
+    """analyze writes exactly json.dumps(report, indent=2) of the row-dict report (and its CSV)."""
+    # a closed polygon turns by at most pi/2 from 4 vertices on; a two-point
+    # curve has a binormal only in the plane
+    assume(n_vertices >= (4 if closed else 2 if planar else 3))
+    rng = np.random.default_rng(seed)
+    work = tmp_path_factory.mktemp("analyze")
+    path = _write(work, "curve.json", curve_to_json(_random_curve(rng, n_vertices, planar, closed)))
+    wanted = [Convention(convention)] if convention else list(Convention)
+    report = _old_analyze_report(path, wanted)
+    expect = {"json": json.dumps(report, indent=2) + "\n", "csv": _old_analyze_csv(report)}
+    extra = ["--convention", convention] if convention else []
+    runner = CliRunner()
+    for fmt, text in expect.items():
+        argv = ["analyze", path, "--format", fmt, *extra]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == text
+        out = work / f"report.{fmt}"
+        result = runner.invoke(main, [*argv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == ""
+        assert out.read_text() == text
+
+
+def test_analyze_long_report_is_written_in_pieces(tmp_path):
+    """A report with more rows than one piece holds keeps its bytes."""
+    rc, _ = make_random_refined(np.random.default_rng(5), 2 * 2500 + 1, planar=False)
+    path = _write(tmp_path, "long.json", curve_to_json(unrefine(rc)))
+    report = _old_analyze_report(path, list(Convention))
+    assert len(report["conventions"]["inscribed"]["per_index"]) > _CHUNK_ROWS
+    result = CliRunner().invoke(main, ["analyze", path])
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps(report, indent=2) + "\n"
+    result = CliRunner().invoke(main, ["analyze", path, "--format", "csv"])
+    assert result.stdout == _old_analyze_csv(report)
+
+
+def test_float_strings_spell_like_json_and_repr():
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
+    col = np.array(values)
+    assert _float_strings(col, "json") == [json.dumps(v) for v in values]
+    assert _float_strings(col, "csv") == [repr(v) for v in values]
