@@ -58,11 +58,21 @@ def _pieces(frame, tables, template, sep):
 def _write(pieces, out_path):
     """Write the pieces of a text to out_path, or echo them to stdout."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out_path, "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
+        # a named stream: click.echo would cache, and so keep alive, each redirected stdout
         for piece in pieces:
-            click.echo(piece, nl=False)
+            click.echo(piece, nl=False, file=sys.stdout)
+
+
+def _nonnegative(name, tol):
+    if not tol >= 0.0:  # also rejects NaN
+        raise ParseError(f"{name} must be a non-negative number, got {tol}")
+    return tol
 
 
 class _Group(click.Group):
@@ -73,7 +83,7 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except FrenetError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2 if isinstance(exc, InputError) else 1)
 
 
@@ -94,7 +104,9 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     Curvature values use the unrefined edge length (the polyline's own
     edges); the refined half-edge is reported separately.
     """
-    tol = tol if tol is not None else cli_tolerance()
+    if tol is None:
+        tol = _nonnegative("FRENETKIT_TOL", cli_tolerance())
+    tol = _nonnegative("--tol", tol)
     rc = refine(io.load_curve(curve_file))
     wanted = [Convention(convention)] if convention else list(Convention)
     ff, data = analyze(rc)
@@ -224,7 +236,7 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
         report["out"] = out_path
     else:
         report["curve"] = json.loads(io.curve_to_json(dc))
-    click.echo(json.dumps(report, indent=2))
+    _write([json.dumps(report, indent=2), "\n"], None)
 
 
 @main.command("spline")
@@ -262,7 +274,7 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
         doc = svg.render_svg(curves=[curve], splines=[sp])
         _write([doc, "\n"], svg_path)
         report["svg"] = svg_path
-    click.echo(json.dumps(report, indent=2))
+    _write([json.dumps(report, indent=2), "\n"], None)
 
 
 @main.command("roundtrip")
@@ -270,6 +282,7 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
 @click.option("--tol", type=float, default=1e-9, help="congruence rms threshold")
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check."""
+    tol = _nonnegative("--tol", tol)
     curve = io.load_curve(curve_file)
     rc = refine(curve)
     ff, data = analyze(rc)
@@ -285,7 +298,7 @@ def cmd_roundtrip(curve_file, tol):
     n_cmp = len(pts_orig)
     ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
     report = {"rms": rms, "congruent": bool(ok), "tol": tol}
-    click.echo(json.dumps(report, indent=2))
+    _write([json.dumps(report, indent=2), "\n"], None)
     sys.exit(0 if ok else 1)
 
 

@@ -18,18 +18,15 @@ from .curve_core import DiscreteCurve, refine
 from .discretize2d import circle, discretize_centered
 from .errors import MultipleSolutionsWarning
 from .ngon_circle import Convention, NGonSpec, circle_of_ngon, ngon_of_circle
-from .spline2d import spline_centered, spline_circumscribed, spline_inscribed
+from .spline2d import centered_nodes, spline_centered, spline_circumscribed, spline_inscribed
 from .svg import render_svg
 
 
 def _unit_step_polyline(angles) -> DiscreteCurve:
     """Open uniform polyline from successive turning angles, unit edges."""
-    heading = 0.0
-    pts = [np.zeros(2)]
-    for a in (0.0, *angles):
-        heading += a
-        pts.append(pts[-1] + np.array([math.cos(heading), math.sin(heading)]))
-    return DiscreteCurve(np.array(pts))
+    heading = np.cumsum([0.0, *angles])
+    steps = np.column_stack([np.cos(heading), np.sin(heading)])
+    return DiscreteCurve(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
 
 
 # the polyline splined in the last four figures; gentle convex turns
@@ -73,29 +70,9 @@ def fig_circumscribed_spline() -> str:
 
 def fig_centered_offsets() -> str:
     """The splining polyline together with its offset vertices."""
-    from .ngon_circle import centered_vertex_offset
-    from .spline2d import _rot90
-
     dc = _unit_step_polyline(_SPLINE_DEMO_ANGLES)
-    rc = refine(dc)
-    pts = rc.points
-    nodes = [pts[0]]
-    for v in range(1, len(pts) - 1):
-        if not rc.is_vertex(v):
-            continue
-        e0 = pts[v] - pts[v - 1]
-        e1 = pts[v + 1] - pts[v]
-        e0 /= np.linalg.norm(e0)
-        e1 /= np.linalg.norm(e1)
-        tv = (e0 + e1) / np.linalg.norm(e0 + e1)
-        theta = math.atan2(e0[0] * e1[1] - e0[1] * e1[0], float(np.dot(e0, e1)))
-        if abs(theta) < 1e-12:
-            nodes.append(pts[v].copy())
-        else:
-            off = centered_vertex_offset(abs(theta), rc.ell)
-            nodes.append(pts[v] + off * math.copysign(1.0, theta) * _rot90(tv))
-    nodes.append(pts[-1])
-    return render_svg(curves=[dc, DiscreteCurve(np.array(nodes))])
+    nodes, _ = centered_nodes(refine(dc))
+    return render_svg(curves=[dc, DiscreteCurve(nodes)])
 
 
 def fig_centered_spline() -> str:

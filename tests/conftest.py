@@ -11,6 +11,11 @@ from frenetkit import (
 )
 
 
+# turning angles of a zig-zag polyline (either sign, up to 0.6 rad) for which
+# span 3 of the centered elastica spline has no converged start
+ZIGZAG_ANGLES = (-0.3, 0.2, 0.2, -0.2, 0.6, 0.4)
+
+
 def random_rotation(rng):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0.0:

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +24,10 @@ from frenetkit import (
 )
 from frenetkit.cli import _CHUNK_ROWS, CONVENTIONS, _float_strings, main
 from frenetkit.config import cli_tolerance
+from frenetkit.figures import _unit_step_polyline
 from frenetkit.frames import analyze, frenet_residual
 
-from conftest import make_random_refined, random_rotation
+from conftest import ZIGZAG_ANGLES, make_random_refined, random_rotation
 
 
 @pytest.fixture
@@ -113,6 +118,18 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["discretize", "circle", "--method", "inscribed", "--samples", "-3"], {}),
         (["discretize", "circle", "--method", "centered", "--density", "nan"], {}),
         (["discretize", "circle", "--method", "centered", "--density", "inf"], {}),
+        (["analyze", "HEX", "--out", "MISSING"], {}),
+        (["reconstruct", "INTRINSIC", "--out", "MISSING"], {}),
+        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--out", "MISSING"], {}),
+        (["spline", "HEX", "--method", "inscribed", "--out", "MISSING"], {}),
+        (["spline", "HEX", "--method", "inscribed", "--svg", "MISSING"], {}),
+        (["render", "HEX", "--out", "MISSING"], {}),
+        (["analyze", "HEX", "--out", "DIR"], {}),
+        (["analyze", "HEX", "--tol", "nan"], {}),
+        (["analyze", "HEX", "--tol", "-1"], {}),
+        (["analyze", "HEX"], {"FRENETKIT_TOL": "nan"}),
+        (["roundtrip", "HEX", "--tol", "nan"], {}),
+        (["roundtrip", "HEX", "--tol", "-1"], {}),
     ],
     ids=[
         "unknown-param",
@@ -123,16 +140,68 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "negative-samples",
         "nan-density",
         "inf-density",
+        "analyze-out-missing-dir",
+        "reconstruct-out-missing-dir",
+        "discretize-out-missing-dir",
+        "spline-out-missing-dir",
+        "spline-svg-missing-dir",
+        "render-out-missing-dir",
+        "analyze-out-is-dir",
+        "analyze-nan-tol",
+        "analyze-negative-tol",
+        "nan-tol-env",
+        "roundtrip-nan-tol",
+        "roundtrip-negative-tol",
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
     files = {
         "HEX": _write(tmp_path, "hex.json", _hexagon_json()),
         "INTRINSIC": _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC)),
+        "MISSING": str(tmp_path / "missing" / "out"),
+        "DIR": str(tmp_path),
     }
     result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):
+    # click.echo caches a wrapper per implicit stream, and the wrapper keeps
+    # the stream alive: each in-process run would hold on to its output
+    path = _write(tmp_path, "hex.json", _hexagon_json())
+    runs = [
+        (["discretize", "circle", "--method", "inscribed", "--samples", "8"], None),
+        (["analyze", path, "--tol", "nan"], 2),
+    ]
+    for argv, code in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=argv, prog_name="frenetkit", standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == code
+        assert out.getvalue() or err.getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert all(ref() is None for ref in refs), argv
+
+
+def test_tolerance_zero_is_accepted(runner, tmp_path):
+    path = _write(tmp_path, "hex.json", _hexagon_json())
+    result = runner.invoke(main, ["roundtrip", path, "--tol", "0"])
+    assert result.exit_code in (0, 1), result.output
+    assert "error" not in result.stderr
+
+
+def test_spline_centered_failure_names_the_span(runner, tmp_path):
+    path = _write(tmp_path, "zigzag.json", curve_to_json(_unit_step_polyline(ZIGZAG_ANGLES)))
+    result = runner.invoke(main, ["spline", path, "--method", "centered"])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: span 3: ")
+    assert "best residual" in result.stderr
     assert "Traceback" not in result.stderr
 
 

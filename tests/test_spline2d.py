@@ -4,13 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine
+from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
+from frenetkit.config import DEFAULT as DEFAULT_TOL
 from frenetkit.errors import Infeasible, InputError, MultipleSolutionsWarning, NoConvergence
+from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.spline2d import (
     ArcSegment,
     ClothoidSegment,
     ElasticaSegment,
     LineSegment,
+    centered_nodes,
     clothoid_g1_fit,
     elastica_bvp,
     elastica_constraints,
@@ -22,6 +25,8 @@ from frenetkit.spline2d import (
     spline_circumscribed,
     spline_inscribed,
 )
+
+from conftest import ZIGZAG_ANGLES
 
 
 def _hexagon(closed=True):
@@ -258,6 +263,127 @@ def test_centered_spline_open_polyline():
     np.testing.assert_allclose(sp.segments[0].point_at(0.0), pts[0], atol=1e-12)
     end = sp.segments[-1]
     np.testing.assert_allclose(end.point_at(end.length), pts[-1], atol=1e-8)
+
+
+# per-span energies of spline_centered with the default arguments, as the
+# per-start solver computed them before the spans were solved as one batch
+_DEMO_SPAN_ENERGIES = (
+    0.24988501050318304,
+    0.23756400040962058,
+    0.30904632257103737,
+    0.29826326942162507,
+    0.10098684063175005,
+)
+_HEXAGON_SPAN_ENERGY = 1.096622711232152
+
+
+@pytest.mark.parametrize(
+    "dc, energies",
+    [
+        (_unit_step_polyline(_SPLINE_DEMO_ANGLES), _DEMO_SPAN_ENERGIES),
+        (_hexagon(), (_HEXAGON_SPAN_ENERGY,) * 6),
+    ],
+    ids=["demo-polyline", "hexagon"],
+)
+def test_centered_spline_span_energies_are_pinned(dc, energies):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleSolutionsWarning)
+        sp = spline_centered(refine(dc))
+    got = [seg.energy() for seg in sp.segments]
+    np.testing.assert_allclose(got, energies, rtol=0.0, atol=1e-12)
+
+
+def _count_multiple_solution_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn()
+    return sum(issubclass(w.category, MultipleSolutionsWarning) for w in caught)
+
+
+def test_several_minima_warn_once_per_span():
+    # a rod four times longer than its chord buckles to either side
+    p0, p1, t = [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]
+    assert _count_multiple_solution_warnings(lambda: elastica_bvp(p0, t, p1, t, 2.0)) == 1
+    # a U-turn of two 3 rad hairpins: the middle span joins ends that point
+    # opposite ways, 0.66 of its length apart, and has two minima; the end
+    # spans have one
+    rc = refine(_unit_step_polyline((3.0, 3.0)))
+    assert _count_multiple_solution_warnings(lambda: spline_centered(rc)) == 1
+
+
+def test_constraint_helpers_act_per_row(rng):
+    rows = np.cumsum(rng.normal(0.0, 0.2, size=(5, 33)), axis=1)
+    ds = 0.05
+    x, y = elastica_constraints(rows, ds)
+    gx, gy = spline2d._constraint_grad(rows, ds)
+    batch = (gx, gy, *spline2d._constraint_hessians(rows, ds))
+    for i, row in enumerate(rows):
+        assert (x[i], y[i]) == elastica_constraints(row, ds)
+        single = (*spline2d._constraint_grad(row, ds), *spline2d._constraint_hessians(row, ds))
+        for b, one in zip(batch, single):
+            np.testing.assert_array_equal(b[i], one)
+
+
+def _span_starts(rng, count, n=64):
+    grid = np.linspace(0.0, 1.0, n + 1)
+    bumps = rng.normal(0.0, 0.5, size=(count, 1)) * np.sin(math.pi * grid)
+    return 1.2 * grid + bumps
+
+
+def test_newton_batch_rows_are_independent(rng):
+    starts = _span_starts(rng, 6)
+    targets = np.tile([0.9, 0.35], (6, 1))
+    ds = 1.3 / 64
+    thetas, res = spline2d._newton_batch(starts, ds, targets)
+    assert np.sum(res < 1e-8) >= 1
+    for i in range(len(starts)):
+        alone, res_alone = spline2d._newton_batch(starts[i : i + 1], ds, targets[i : i + 1])
+        np.testing.assert_array_equal(thetas[i], alone[0])
+        assert res[i] == res_alone[0]
+
+
+def test_kkt_step_retires_singular_rows(rng, monkeypatch):
+    thetas = _span_starts(rng, 3, n=16)
+    lam = rng.normal(size=(3, 2))
+    lam[1] = (1.0, 0.0)
+    res = rng.normal(size=(3, 17))
+    ds = 0.1
+    hessians = spline2d._constraint_hessians
+
+    def singular_middle_block(th, ds):
+        dx, ex, dy, ey = hessians(th, ds)
+        if len(th) == 3:
+            # with lam[1] = (1, 0), the last row of row 1's Hessian block is
+            # exactly zero, so the solve meets a zero pivot inside the band
+            dx[1, -2], ex[1, -2] = -4.0 / ds, 2.0 / ds
+        return dx, ex, dy, ey
+
+    monkeypatch.setattr(spline2d, "_constraint_hessians", singular_middle_block)
+    step, ok = spline2d._kkt_step(thetas, lam, ds, res)
+    assert ok.tolist() == [True, False, True]
+    rest, rest_ok = spline2d._kkt_step(thetas[[0, 2]], lam[[0, 2]], ds, res[[0, 2]])
+    assert rest_ok.all()
+    np.testing.assert_array_equal(step[[0, 2]], rest)
+
+
+def test_centered_spline_names_the_failing_span():
+    rc = refine(_unit_step_polyline(ZIGZAG_ANGLES))
+    with pytest.raises(NoConvergence, match=r"^span 3: .*best residual") as info:
+        spline_centered(rc)
+    assert info.value.residual > DEFAULT_TOL.elastica_kkt
+
+
+def test_centered_nodes_closed_and_open():
+    hexa = ngon_of_circle(1.0, 6, Convention.CENTERED)
+    points, dirs = centered_nodes(refine(hexa))
+    # the centered hexagon's vertices move onto the circle it discretizes
+    np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", points, dirs), 0.0, atol=1e-12)
+    dc = _unit_step_polyline(_SPLINE_DEMO_ANGLES)
+    points, dirs = centered_nodes(refine(dc))
+    assert len(points) == len(dc)
+    np.testing.assert_array_equal(points[[0, -1]], dc.points[[0, -1]])
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
