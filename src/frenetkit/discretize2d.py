@@ -31,21 +31,36 @@ from .errors import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_BLOCK = 256  # cells per quadrature block: the (block, 16) temporaries stay ~32 KB
+MAX_SAMPLES = 1_000_000  # largest sample count a discretization may ask for
 
 
 @dataclass(frozen=True)
 class SmoothCurve:
     """Arc-length parametrized planar curve on s in [0, length].
 
-    ``point``/``tangent``/``curvature`` take the arc-length parameter;
+    ``point``/``tangent``/``curvature`` take arc length s, a float or an array,
+    and return shapes ``s.shape + (2,)``, ``s.shape + (2,)`` and ``s.shape``;
     the tangent is unit and curvature is signed (positive = turning left).
     """
 
-    point: Callable[[float], np.ndarray]
-    tangent: Callable[[float], np.ndarray]
-    curvature: Callable[[float], float]
+    point: Callable[[np.ndarray], np.ndarray]
+    tangent: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray], np.ndarray]
     length: float
     closed: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.length < math.inf:
+            raise InputError(f"curve length must be positive and finite, got {self.length}")
+
+
+def _check_params(positive, **values):
+    """Every value must be finite, and those named in positive also > 0."""
+    for name, v in values.items():
+        if not math.isfinite(v) or (name in positive and v <= 0.0):
+            kind = "positive and finite" if name in positive else "finite"
+            raise InputError(f"{name} must be {kind}, got {v}")
 
 
 class _ArcLengthParam:
@@ -56,30 +71,28 @@ class _ArcLengthParam:
         self.t0 = t0
         self.t1 = t1
         self.grid = np.linspace(t0, t1, cells + 1)
-        cum = np.zeros(cells + 1)
-        for j in range(cells):
-            cum[j + 1] = cum[j] + self._cell(self.grid[j], self.grid[j + 1])
-        self.cum = cum
-        self.length = float(cum[-1])
+        self.cum = np.concatenate([[0.0], np.cumsum(self._cells(self.grid[:-1], self.grid[1:]))])
+        self.length = float(self.cum[-1])
 
-    def _cell(self, a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = mid + half * _GL_NODES
-        speed = np.hypot(*self.deriv(t))
-        return float(half * np.dot(_GL_WEIGHTS, speed))
+    def _cells(self, a, b):
+        """16-node Gauss-Legendre speed integrals over the cells [a, b], elementwise."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        out = np.empty_like(mid)
+        for i in range(0, out.size, _BLOCK):
+            m, h = mid.flat[i : i + _BLOCK], half.flat[i : i + _BLOCK]
+            t = m[:, None] + h[:, None] * _GL_NODES
+            out.flat[i : i + _BLOCK] = h * (np.hypot(*self.deriv(t)) @ _GL_WEIGHTS)
+        return out
 
     def s_of_t(self, t):
-        j = int(np.clip(np.searchsorted(self.grid, t) - 1, 0, len(self.grid) - 2))
-        return float(self.cum[j] + self._cell(self.grid[j], t))
+        j = np.clip(np.searchsorted(self.grid, t) - 1, 0, len(self.grid) - 2)
+        return self.cum[j] + self._cells(self.grid[j], t)
 
     def t_of_s(self, s):
-        s = float(np.clip(s, 0.0, self.length))
-        t = float(np.interp(s, self.cum, self.grid))
+        s = np.clip(s, 0.0, self.length)
+        t = np.interp(s, self.cum, self.grid)
         for _ in range(4):
-            dx, dy = self.deriv(t)
-            speed = math.hypot(float(dx), float(dy))
-            t = float(np.clip(t - (self.s_of_t(t) - s) / speed, self.t0, self.t1))
+            t = np.clip(t - (self.s_of_t(t) - s) / np.hypot(*self.deriv(t)), self.t0, self.t1)
         return t
 
 
@@ -87,41 +100,40 @@ def _from_parametric(pos, deriv, deriv2, t0, t1, closed) -> SmoothCurve:
     param = _ArcLengthParam(deriv, t0, t1)
 
     def point(s):
-        t = param.t_of_s(s)
-        return np.asarray(pos(t), dtype=float)
+        return np.stack(pos(param.t_of_s(s)), axis=-1)
 
     def tangent(s):
-        t = param.t_of_s(s)
-        dx, dy = deriv(t)
-        n = math.hypot(float(dx), float(dy))
-        return np.array([dx / n, dy / n], dtype=float)
+        dx, dy = deriv(param.t_of_s(s))
+        n = np.hypot(dx, dy)
+        return np.stack([dx / n, dy / n], axis=-1)
 
     def curvature(s):
         t = param.t_of_s(s)
         dx, dy = deriv(t)
         ddx, ddy = deriv2(t)
-        speed = math.hypot(float(dx), float(dy))
-        return float(dx * ddy - dy * ddx) / speed**3
+        return (dx * ddy - dy * ddx) / np.hypot(dx, dy) ** 3
 
     return SmoothCurve(point, tangent, curvature, param.length, closed)
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> SmoothCurve:
     cx, cy = center
+    _check_params(("radius",), radius=radius, cx=cx, cy=cy)
     length = 2.0 * math.pi * radius
 
     def point(s):
-        a = s / radius
-        return np.array([cx + radius * math.cos(a), cy + radius * math.sin(a)])
+        a = np.asarray(s, dtype=float) / radius
+        return np.stack([cx + radius * np.cos(a), cy + radius * np.sin(a)], axis=-1)
 
     def tangent(s):
-        a = s / radius
-        return np.array([-math.sin(a), math.cos(a)])
+        a = np.asarray(s, dtype=float) / radius
+        return np.stack([-np.sin(a), np.cos(a)], axis=-1)
 
-    return SmoothCurve(point, tangent, lambda s: 1.0 / radius, length, closed=True)
+    return SmoothCurve(point, tangent, lambda s: np.full(np.shape(s), 1.0 / radius), length, closed=True)
 
 
 def ellipse(a: float = 2.0, b: float = 1.0) -> SmoothCurve:
+    _check_params(("a", "b"), a=a, b=b)
     return _from_parametric(
         lambda t: (a * np.cos(t), b * np.sin(t)),
         lambda t: (-a * np.sin(t), b * np.cos(t)),
@@ -133,6 +145,7 @@ def ellipse(a: float = 2.0, b: float = 1.0) -> SmoothCurve:
 
 
 def sine_arc(amplitude: float = 1.0, x_max: float = 2.0 * math.pi) -> SmoothCurve:
+    _check_params(("x_max",), amplitude=amplitude, x_max=x_max)
     return _from_parametric(
         lambda t: (t, amplitude * np.sin(t)),
         lambda t: (np.ones_like(np.asarray(t, dtype=float)), amplitude * np.cos(t)),
@@ -146,15 +159,21 @@ def sine_arc(amplitude: float = 1.0, x_max: float = 2.0 * math.pi) -> SmoothCurv
 def clothoid_arc(kappa0: float = 0.1, sharpness: float = 0.2, length: float = 5.0) -> SmoothCurve:
     from .spline2d import clothoid_xy  # local import; spline2d does not import us
 
+    _check_params(("length",), kappa0=kappa0, sharpness=sharpness, length=length)
+    # clothoid_xy integrates with up to max(length, turning / 1.5) panels a point
+    turning = abs(kappa0) * length + 0.5 * abs(sharpness) * length * length
+    if not max(length, turning) <= 1e3:
+        raise InputError(f"clothoid length {length} and turning {turning:.6g} rad must be at most 1e3")
+
     def point(s):
-        x, y = clothoid_xy(kappa0, sharpness, 0.0, s)
-        return np.array([x, y])
+        xy = [clothoid_xy(kappa0, sharpness, 0.0, v) for v in np.ravel(s).tolist()]
+        return np.reshape(np.array(xy, dtype=float), np.shape(s) + (2,))
 
     def tangent(s):
         th = kappa0 * s + 0.5 * sharpness * s * s
-        return np.array([math.cos(th), math.sin(th)])
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    return SmoothCurve(point, tangent, lambda s: kappa0 + sharpness * s, length, closed=False)
+    return SmoothCurve(point, tangent, lambda s: kappa0 + sharpness * np.asarray(s, dtype=float), length)
 
 
 BUILTIN_CURVES = {
@@ -171,9 +190,11 @@ def _check_samples(c: SmoothCurve, samples) -> np.ndarray:
         raise InputError("need at least two strictly increasing samples")
     if np.any(np.diff(s) <= 0.0):
         raise InputError("samples must be strictly increasing")
-    hi = c.length if not c.closed else c.length - 1e-12
-    if s[0] < -1e-12 or s[-1] > hi + 1e-9:
+    if s[0] < -1e-12 or s[-1] > c.length + 1e-9:
         raise OutOfDomain(f"samples must lie within [0, {c.length}]")
+    tol = 1e-9 * min(c.length, 1.0)
+    if c.closed and s[-1] >= s[0] + c.length - tol:  # would repeat the first vertex
+        raise OutOfDomain(f"closed curve: last sample {s[-1]} within {tol:.3g} of s[0] + length")
     return s
 
 
@@ -181,34 +202,31 @@ def uniform_samples(c: SmoothCurve, n: int) -> np.ndarray:
     """n equal arc-length samples (closed: spacing L/n; open: including both ends)."""
     if n < 0:
         raise InputError(f"sample count must be non-negative, got {n}")
-    if c.closed:
-        return np.linspace(0.0, c.length, n, endpoint=False)
-    return np.linspace(0.0, c.length, n)
+    if n > MAX_SAMPLES:
+        raise InputError(f"sample count {n} exceeds the limit of {MAX_SAMPLES}")
+    return np.linspace(0.0, c.length, n, endpoint=not c.closed)
 
 
 def discretize_inscribed(c: SmoothCurve, samples) -> DiscreteCurve:
     """Vertices on the curve at the given arc-length samples."""
     s = _check_samples(c, samples)
-    pts = np.array([c.point(v) for v in s])
-    return DiscreteCurve(pts, closed=c.closed)
+    return DiscreteCurve(c.point(s), closed=c.closed)
 
 
 def find_inflections(c: SmoothCurve, max_inflections: int = 64) -> np.ndarray:
     """Arc-length parameters where the signed curvature changes sign."""
     grid = np.linspace(0.0, c.length, 4096)
-    k = np.array([c.curvature(v) for v in grid])
-    roots = []
-    sign = np.sign(k)
-    for j in range(len(grid) - 1):
-        if sign[j] == 0.0:
-            roots.append(grid[j])
-        elif sign[j] * sign[j + 1] < 0.0:
-            roots.append(brentq(c.curvature, grid[j], grid[j + 1], xtol=1e-13))
-        if len(roots) > max_inflections:
-            raise InfinitelyManyInflections(
-                f"more than {max_inflections} inflections detected"
-            )
-    if len(k) and sign[-1] == 0.0:
+    sign = np.sign(c.curvature(grid))
+    # a zero on the grid is a root; a sign change brackets one
+    hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+    if len(hits) > max_inflections:
+        raise InfinitelyManyInflections(f"more than {max_inflections} inflections detected")
+    roots = [
+        grid[j] if sign[j] == 0.0
+        else brentq(lambda v: float(c.curvature(v)), grid[j], grid[j + 1], xtol=1e-13)
+        for j in hits
+    ]
+    if sign[-1] == 0.0:
         roots.append(grid[-1])
     return np.asarray(roots)
 
@@ -234,21 +252,20 @@ def discretize_circumscribed(
             raise MissingInflectionSample(
                 f"no sample strictly between inflections at {lo} and {hi}"
             )
-    pts = np.array([c.point(v) for v in s])
-    tans = np.array([c.tangent(v) for v in s])
-    pairs = len(s) if c.closed else len(s) - 1
-    verts = []
-    for i in range(pairs):
-        j = (i + 1) % len(s)
-        d = float(tans[i, 0] * tans[j, 1] - tans[i, 1] * tans[j, 0])
-        if abs(d) < 1e-12:
-            raise ParallelTangents(f"tangents at samples {i} and {j} are parallel")
-        rhs = pts[j] - pts[i]
-        t = (rhs[0] * tans[j, 1] - rhs[1] * tans[j, 0]) / d
-        verts.append(pts[i] + t * tans[i])
+    pts, tans = c.point(s), c.tangent(s)
+    i = np.arange(len(s) if c.closed else len(s) - 1)
+    j = (i + 1) % len(s)
+    ti, tj = tans[i], tans[j]
+    d = ti[:, 0] * tj[:, 1] - ti[:, 1] * tj[:, 0]
+    parallel = np.flatnonzero(np.abs(d) < 1e-12)
+    if len(parallel):
+        raise ParallelTangents(f"tangents at samples {parallel[0]} and {j[parallel[0]]} are parallel")
+    rhs = pts[j] - pts[i]
+    t = (rhs[:, 0] * tj[:, 1] - rhs[:, 1] * tj[:, 0]) / d
+    verts = pts[i] + t[:, None] * ti
     if not c.closed:
-        verts = [pts[0]] + verts + [pts[-1]]
-    return DiscreteCurve(np.array(verts), closed=c.closed)
+        verts = np.concatenate([pts[:1], verts, pts[-1:]])
+    return DiscreteCurve(verts, closed=c.closed)
 
 
 def discretize_centered(
@@ -267,11 +284,14 @@ def discretize_centered(
     or "published" (the textbook formula, offset along the outward normal).
     """
     from .ngon_circle import centered_offset, centered_offset_exact
+    from .spline2d import _rot90
 
     if variant not in ("exact", "published"):
         raise InputError(f"unknown offset variant {variant!r}")
     if not (0.0 < density < math.inf):
         raise InputError(f"density must be positive and finite, got {density}")
+    if c.length * density > MAX_SAMPLES:
+        raise InputError(f"density {density} asks for over {MAX_SAMPLES} samples")
     n = int(round(c.length * density))
     if n < (3 if c.closed else 1):
         raise MTooSmall("density too small for this curve", minimal_density=3.0 / c.length)
@@ -280,48 +300,39 @@ def discretize_centered(
     n_even = n if c.closed else n + 1
     s_vals = np.arange(n_even) / m_eff
 
-    even = np.empty((n_even, 2))
-    k_max = 0.0
-    for j, sv in enumerate(s_vals):
-        k = float(c.curvature(sv))
-        if k <= 0.0:
+    k = c.curvature(s_vals)
+    bad = np.flatnonzero((k <= 0.0) | (k / m_eff >= math.pi / 2.0))
+    if len(bad):
+        j = int(bad[0])
+        if k[j] <= 0.0:
             raise NonConvexCurve(f"nonpositive curvature at sample {j}", index=j)
-        k_max = max(k_max, k)
-        if k / m_eff >= math.pi / 2.0:
-            raise MTooSmall(
-                f"k/M = {k / m_eff:.3f} >= pi/2 at sample {j}",
-                index=j,
-                minimal_density=2.0 * k_max / math.pi,
-            )
-        p = c.point(sv)
-        t = c.tangent(sv)
-        normal_in = np.array([-t[1], t[0]])  # toward the center of curvature (k > 0)
-        if variant == "exact":
-            even[j] = p + centered_offset_exact(k, m_eff) * normal_in
-        else:
-            even[j] = p - centered_offset(k, m_eff) * normal_in
+        # k[j] is the running maximum of k: every earlier k/M is below pi/2
+        raise MTooSmall(
+            f"k/M = {k[j] / m_eff:.3f} >= pi/2 at sample {j}",
+            index=j,
+            minimal_density=2.0 * float(k[j]) / math.pi,
+        )
+    # offsets along the inward normal, toward the center of curvature (k > 0)
+    sign, offset = (1.0, centered_offset_exact) if variant == "exact" else (-1.0, centered_offset)
+    normal_in = _rot90(c.tangent(s_vals))
+    even = c.point(s_vals) + sign * offset(k, m_eff)[:, None] * normal_in
 
-    pts = []
-    for j in range(n):
-        p0 = even[j]
-        p1 = even[(j + 1) % n_even]
-        d = float(np.linalg.norm(p1 - p0))
-        if d > 2.0 * h + 1e-12:
-            raise MTooSmall(
-                f"offset samples {j} and {j + 1} are {d:.6g} apart, over the "
-                f"half-edge budget {2 * h:.6g}; increase the density",
-                index=j,
-                minimal_density=density * d / (2.0 * h),
-            )
-        u = (p1 - p0) / d
-        perp = np.array([-u[1], u[0]])
-        g2 = h * h - 0.25 * d * d
-        g = math.sqrt(max(g2, 0.0))
-        mid = 0.5 * (p0 + p1)
-        # positive turning at the inserted vertex: q = mid - g * perp
-        q = mid - g * perp if g > 0.0 else mid
-        pts.append(p0)
-        pts.append(q)
-    if not c.closed:
-        pts.append(even[-1])
-    return RefinedCurve(np.array(pts), h, closed=c.closed, vertex_parity=1)
+    p0, p1 = even[:n], even[np.arange(1, n + 1) % n_even]
+    d = np.linalg.norm(p1 - p0, axis=1)
+    over = np.flatnonzero(d > 2.0 * h + 1e-12)
+    if len(over):
+        j = int(over[0])
+        raise MTooSmall(
+            f"offset samples {j} and {j + 1} are {d[j]:.6g} apart, over the "
+            f"half-edge budget {2 * h:.6g}; increase the density",
+            index=j,
+            minimal_density=float(density * d[j] / (2.0 * h)),
+        )
+    perp = _rot90((p1 - p0) / d[:, None])
+    g = np.sqrt(np.maximum(h * h - 0.25 * d * d, 0.0))[:, None]
+    mid = 0.5 * (p0 + p1)
+    # positive turning at the inserted vertex: q = mid - g * perp
+    q = np.where(g > 0.0, mid - g * perp, mid)
+    # p0, q interleaved; an open curve ends on its last even vertex
+    pts = np.concatenate([np.stack([p0, q], axis=1).reshape(-1, 2), even[n:]])
+    return RefinedCurve(pts, h, closed=c.closed, vertex_parity=1)

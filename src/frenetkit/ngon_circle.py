@@ -145,7 +145,18 @@ def ngon_of_circle(
     return DiscreteCurve(pts, closed=True)
 
 
-def centered_offset(k: float, density: float) -> float:
+def _offset_x(k, density: float):
+    """k as an array and x = k/M, for k > 0 and x < pi."""
+    k = np.asarray(k, dtype=float)
+    if (k <= 0.0).any():
+        raise InputError(f"curvature must be positive, got {float(k[k <= 0.0][0])}")
+    x = k / density
+    if (x >= math.pi).any():
+        raise InputError(f"k/M = {float(x[x >= math.pi][0])} too large")
+    return k, x
+
+
+def centered_offset(k: float | np.ndarray, density: float) -> float | np.ndarray:
     """Sample offset for the centered 2D discretization, literal published form.
 
     Positive values move the sample along the outward normal (away from the
@@ -153,31 +164,25 @@ def centered_offset(k: float, density: float) -> float:
     variant derived from the equal-half-edge construction; the two disagree
     and only the exact one reproduces a circle's centered polygon.
     """
-    if k <= 0.0:
-        raise InputError(f"curvature must be positive, got {k}")
-    x = k / density
-    if x >= math.pi:
-        raise InputError(f"k/M = {x} too large")
-    return (x - math.sin(x)) / (k * math.sin(x))
+    k, x = _offset_x(k, density)
+    off = (x - np.sin(x)) / (k * np.sin(x))
+    return off if k.ndim else float(off)
 
 
-def centered_offset_exact(k: float, density: float) -> float:
+def centered_offset_exact(k: float | np.ndarray, density: float) -> float | np.ndarray:
     """Offset moving the sample to the apothem of the centered polygon.
 
     Returned as a distance toward the center of curvature:
     (1/k) * (1 - (x/2) * cot(x/2)) with x = k/M.  On a circle this places the
     even vertices exactly at the midpoints of the centered N-gon's sides.
     """
-    if k <= 0.0:
-        raise InputError(f"curvature must be positive, got {k}")
-    x = k / density
-    if x >= math.pi:
-        raise InputError(f"k/M = {x} too large")
+    k, x = _offset_x(k, density)
     half = x / 2.0
-    if half < 1e-8:
-        # series: 1 - t*cot(t) = t^2/3 + t^4/45 + ...
-        return (half * half / 3.0 + half**4 / 45.0) / k
-    return (1.0 - half / math.tan(half)) / k
+    # below 1e-8, the series 1 - t*cot(t) = t^2/3 + t^4/45 + ...
+    small = half < 1e-8
+    t = np.where(small, 1.0, half)
+    off = np.where(small, half * half / 3.0 + half**4 / 45.0, 1.0 - t / np.tan(t)) / k
+    return off if k.ndim else float(off)
 
 
 def centered_vertex_offset(theta: float, ell: float) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from frenetkit import (
 )
 from frenetkit.cli import _CHUNK_ROWS, CONVENTIONS, _float_strings, main
 from frenetkit.config import cli_tolerance
+from frenetkit.discretize2d import BUILTIN_CURVES
 from frenetkit.figures import _unit_step_polyline
 from frenetkit.frames import analyze, frenet_residual
 
@@ -130,6 +132,18 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["analyze", "HEX"], {"FRENETKIT_TOL": "nan"}),
         (["roundtrip", "HEX", "--tol", "nan"], {}),
         (["roundtrip", "HEX", "--tol", "-1"], {}),
+        (["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "b=0"], {}),
+        (["discretize", "ellipse", "--method", "circumscribed", "--samples", "5", "--param", "b=0"], {}),
+        (["discretize", "ellipse", "--method", "centered", "--density", "8", "--param", "b=0"], {}),
+        (["discretize", "clothoid", "--method", "centered", "--density", "8", "--param", "length=0"], {}),
+        (["discretize", "circle", "--method", "centered", "--density", "8", "--param", "radius=0"], {}),
+        (["discretize", "circle", "--method", "inscribed", "--samples", "5", "--param", "radius=-1"], {}),
+        (["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "x_max=-1"], {}),
+        (["discretize", "clothoid", "--method", "inscribed", "--samples", "5", "--param", "length=-2"], {}),
+        (["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "a=nan"], {}),
+        (["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "amplitude=inf"], {}),
+        (["discretize", "circle", "--method", "inscribed", "--samples", "1000000000000"], {}),
+        (["discretize", "circle", "--method", "centered", "--density", "1e300"], {}),
     ],
     ids=[
         "unknown-param",
@@ -152,6 +166,18 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "nan-tol-env",
         "roundtrip-nan-tol",
         "roundtrip-negative-tol",
+        "ellipse-inscribed-zero-b",
+        "ellipse-circumscribed-zero-b",
+        "ellipse-centered-zero-b",
+        "clothoid-zero-length",
+        "circle-zero-radius",
+        "circle-negative-radius",
+        "sine-negative-x-max",
+        "clothoid-negative-length",
+        "ellipse-nan-a",
+        "sine-inf-amplitude",
+        "oversized-samples",
+        "oversized-density",
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
@@ -165,6 +191,47 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+def test_bad_curve_parameter_is_named(runner):
+    argv = ["discretize", "clothoid", "--method", "centered", "--density", "8", "--param", "length=0"]
+    result = runner.invoke(main, argv)
+    assert result.stderr == "error: length must be positive and finite, got 0.0\n"
+
+
+_CURVE_PARAMS = {
+    name: sorted(k for k, p in inspect.signature(ctor).parameters.items() if isinstance(p.default, float))
+    for name, ctor in BUILTIN_CURVES.items()
+}
+_SPECIAL_VALUES = ["0", "-1", "-2", "nan", "inf", "-inf", "1e-300", "1e300"]
+_PARAM_VALUES = st.sampled_from(_SPECIAL_VALUES) | st.floats(-10.0, 10.0).map(repr)
+
+
+@st.composite
+def _discretize_argv(draw):
+    curve = draw(st.sampled_from(sorted(BUILTIN_CURVES)))
+    method = draw(st.sampled_from(["inscribed", "circumscribed", "centered"]))
+    argv = ["discretize", curve, "--method", method]
+    if method == "centered":
+        density = st.sampled_from(["0", "-1", "nan", "0.5", "8"]) | st.floats(0.01, 20.0).map(repr)
+        argv += ["--density", draw(density), "--variant", draw(st.sampled_from(["exact", "published"]))]
+    else:
+        argv += ["--samples", str(draw(st.integers(-2, 40)))]
+    for key in draw(st.lists(st.sampled_from(_CURVE_PARAMS[curve]), max_size=3, unique=True)):
+        argv += ["--param", f"{key}={draw(_PARAM_VALUES)}"]
+    return argv
+
+
+@given(_discretize_argv())
+@settings(max_examples=150, deadline=None)
+def test_discretize_fuzz_exits_without_traceback(argv):
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    # CliRunner catches an escaping exception instead of printing its traceback
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
+    assert "Traceback" not in result.stderr
+    if result.exit_code:  # numpy may warn of an overflow first
+        assert result.stderr.splitlines()[-1].startswith("error: "), (argv, result.stderr)
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):

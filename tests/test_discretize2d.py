@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frenetkit import (
     Convention,
@@ -11,10 +15,13 @@ from frenetkit import (
 )
 from frenetkit.discretize2d import (
     BUILTIN_CURVES,
+    SmoothCurve,
     circle,
+    clothoid_arc,
     discretize_centered,
     discretize_circumscribed,
     discretize_inscribed,
+    ellipse,
     find_inflections,
     sine_arc,
     uniform_samples,
@@ -146,8 +153,6 @@ def test_centered_published_variant_overruns_budget():
 
 
 def test_centered_ellipse_length_and_convexity():
-    from frenetkit.discretize2d import ellipse
-
     c = ellipse(2.0, 1.0)
     rc = discretize_centered(c, 20.0, variant="exact")
     assert rc.length() == pytest.approx(c.length, abs=1e-9)
@@ -158,8 +163,6 @@ def test_centered_ellipse_length_and_convexity():
 def test_centered_open_convex_arc():
     # convex half of the sine arc, restricted: use a circular arc instead
     full = circle(1.0)
-    from frenetkit.discretize2d import SmoothCurve
-
     arc = SmoothCurve(full.point, full.tangent, full.curvature, math.pi, closed=False)
     rc = discretize_centered(arc, 8.0, variant="exact")
     assert not rc.closed
@@ -181,3 +184,128 @@ def test_builtin_registry():
     cl = BUILTIN_CURVES["clothoid"]()
     # curvature grows linearly along a clothoid
     assert cl.curvature(2.0) == pytest.approx(0.1 + 0.2 * 2.0)
+
+
+# outputs of the discretize ops of the planar-fit benchmark workload (65
+# samples, density 8) and the sine-arc inflections, as the scalar
+# per-sample implementation computed them
+PINNED = json.loads((Path(__file__).parent / "data" / "planar_fit_discretize.json").read_text())
+_CURVES = {name: ctor() for name, ctor in BUILTIN_CURVES.items()}
+
+
+@pytest.mark.parametrize("key", sorted(k for k in PINNED if k != "sine/inflections"))
+def test_planar_fit_outputs_pinned(key):
+    name, method = key.split("/")
+    c = _CURVES[name]
+    if method == "centered":
+        pts = discretize_centered(c, 8.0).points
+    else:
+        disc = discretize_inscribed if method == "inscribed" else discretize_circumscribed
+        pts = disc(c, uniform_samples(c, 65)).points
+    want = PINNED[key]
+    assert abs(c.length - want["curve_length"]) <= 1e-12
+    assert pts.shape == np.shape(want["points"])
+    np.testing.assert_allclose(pts, want["points"], rtol=0.0, atol=1e-12)
+
+
+def test_sine_inflections_pinned():
+    np.testing.assert_allclose(
+        find_inflections(_CURVES["sine"]), PINNED["sine/inflections"], rtol=0.0, atol=1e-12
+    )
+
+
+@given(
+    st.sampled_from(sorted(BUILTIN_CURVES)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),
+)
+@settings(max_examples=80, deadline=None)
+def test_array_evaluation_matches_scalar_calls(name, fractions):
+    c = _CURVES[name]
+    s = np.asarray(fractions) * c.length
+    for f, tail in ((c.point, (2,)), (c.tangent, (2,)), (c.curvature, ())):
+        got = f(s)
+        assert got.shape == s.shape + tail
+        want = np.array([f(float(v)) for v in s])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # any array shape: a column of samples keeps its shape
+        np.testing.assert_allclose(f(s[:, None]), want[:, None], rtol=0.0, atol=1e-14)
+
+
+def test_evaluation_shapes_of_scalars():
+    for c in _CURVES.values():
+        assert np.shape(c.point(0.5)) == (2,) and np.shape(c.tangent(0.5)) == (2,)
+        assert np.shape(c.curvature(0.5)) == ()
+        assert np.shape(c.point(np.zeros((0,)))) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "params, density, variant, error, index, minimal_density, message",
+    [
+        ((1.0, -0.5, 5.0), 8.0, "exact", NonConvexCurve, 16, None,
+         "nonpositive curvature at sample 16"),
+        ((0.5, 2.0, 5.0), 2.0, "exact", MTooSmall, 3, 2.228169203286535,
+         "k/M = 1.750 >= pi/2 at sample 3"),
+        ((1e-9, 4e-5, 5.0), 8.0, "published", MTooSmall, 13, 8.000000000071289,
+         "offset samples 13 and 14 are 0.125 apart, over the half-edge budget 0.125; "
+         "increase the density"),
+    ],
+    ids=["nonconvex", "k-over-m", "half-edge-budget"],
+)
+def test_centered_reports_the_first_offending_sample(
+    params, density, variant, error, index, minimal_density, message
+):
+    # clothoids whose curvature crosses zero, or grows past the limit, partway
+    with pytest.raises(error) as exc:
+        discretize_centered(clothoid_arc(*params), density, variant=variant)
+    assert str(exc.value) == message
+    assert exc.value.index == index
+    if minimal_density is not None:
+        assert exc.value.minimal_density == pytest.approx(minimal_density, rel=1e-12)
+
+
+def test_closed_curve_rejects_a_sample_at_the_full_length():
+    c = circle(1.0)
+    for disc in (discretize_inscribed, discretize_circumscribed):
+        with pytest.raises(OutOfDomain):
+            disc(c, [0.0, math.pi / 2.0, math.pi, 2.0 * math.pi])
+        with pytest.raises(OutOfDomain):
+            disc(c, [0.0, 2.0, 4.0, 2.0 * math.pi - 5e-10])
+    dc = discretize_inscribed(c, [0.0, math.pi / 2.0, math.pi, 2.0 * math.pi - 1e-6])
+    assert len(dc) == 4
+
+
+@pytest.mark.parametrize(
+    "ctor, kwargs, name",
+    [
+        (circle, {"radius": 0.0}, "radius"),
+        (circle, {"radius": -1.0}, "radius"),
+        (circle, {"center": (math.nan, 0.0)}, "cx"),
+        (ellipse, {"b": 0.0}, "b"),
+        (ellipse, {"a": math.inf}, "a"),
+        (sine_arc, {"x_max": -1.0}, "x_max"),
+        (sine_arc, {"amplitude": math.nan}, "amplitude"),
+        (clothoid_arc, {"length": 0.0}, "length"),
+        (clothoid_arc, {"sharpness": -math.inf}, "sharpness"),
+    ],
+)
+def test_builtin_rejects_degenerate_parameters(ctor, kwargs, name):
+    with pytest.raises(InputError, match=f"^{name} must be"):
+        ctor(**kwargs)
+
+
+def test_curve_length_must_be_positive_and_finite():
+    c = circle(1.0)
+    for length in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="curve length must be positive and finite"):
+            SmoothCurve(c.point, c.tangent, c.curvature, length)
+    # an overflowing arc-length integral is caught the same way
+    with pytest.raises(InputError, match="curve length"):
+        ellipse(1e308, 1.0)
+
+
+def test_clothoid_quadrature_work_is_bounded():
+    # clothoid_xy spends max(length, turning / 1.5) quadrature panels a point
+    for kwargs in ({"kappa0": 1e300}, {"length": 2e3, "kappa0": 0.0, "sharpness": 0.0}, {"sharpness": 1e3}):
+        with pytest.raises(InputError, match="^clothoid length .* must be at most 1e3"):
+            clothoid_arc(**kwargs)
+    assert clothoid_arc(kappa0=0.0, sharpness=0.0, length=1e3).length == 1e3

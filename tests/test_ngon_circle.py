@@ -179,6 +179,22 @@ def test_centered_offsets():
         np.testing.assert_allclose(offs, (k / ms) ** 2 / (lead * k), rtol=0.02)
 
 
+def test_centered_offsets_arrays_match_scalars():
+    # the series branch of the exact offset (x/2 < 1e-8) included
+    k = np.array([1e-9, 0.3, 1.0, 2.5])
+    for fn in (centered_offset, centered_offset_exact):
+        off = fn(k, 1.0)
+        assert isinstance(fn(0.3, 1.0), float)
+        assert off.shape == k.shape
+        assert list(off) == [fn(float(v), 1.0) for v in k]
+        with pytest.raises(InputError, match="curvature must be positive, got -0.5"):
+            fn(np.array([0.2, -0.5, 0.0]), 1.0)
+        with pytest.raises(InputError, match="k/M = 4.0 too large"):
+            fn(np.array([0.2, 4.0]), 1.0)
+        with pytest.raises(InputError, match="curvature must be positive, got 0.0"):
+            fn(0.0, 1.0)
+
+
 def test_centered_vertex_offset():
     # hexagon vertex: circumradius ell/sin(theta/2) = 1, centered radius 3/pi
     th = math.pi / 3.0
