@@ -157,17 +157,13 @@ def sine_arc(amplitude: float = 1.0, x_max: float = 2.0 * math.pi) -> SmoothCurv
 
 
 def clothoid_arc(kappa0: float = 0.1, sharpness: float = 0.2, length: float = 5.0) -> SmoothCurve:
-    from .spline2d import clothoid_xy  # local import; spline2d does not import us
+    from .spline2d import check_clothoid_size, clothoid_xy  # local import; spline2d does not import us
 
     _check_params(("length",), kappa0=kappa0, sharpness=sharpness, length=length)
-    # clothoid_xy integrates with up to max(length, turning / 1.5) panels a point
-    turning = abs(kappa0) * length + 0.5 * abs(sharpness) * length * length
-    if not max(length, turning) <= 1e3:
-        raise InputError(f"clothoid length {length} and turning {turning:.6g} rad must be at most 1e3")
+    check_clothoid_size(kappa0, sharpness, length)
 
     def point(s):
-        xy = [clothoid_xy(kappa0, sharpness, 0.0, v) for v in np.ravel(s).tolist()]
-        return np.reshape(np.array(xy, dtype=float), np.shape(s) + (2,))
+        return clothoid_xy(kappa0, sharpness, 0.0, s)
 
     def tangent(s):
         th = kappa0 * s + 0.5 * sharpness * s * s

@@ -18,7 +18,7 @@ from .curve_core import DiscreteCurve
 from .errors import ParseError
 from .frames import IntrinsicData
 from .ngon_circle import Convention
-from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
+from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, check_clothoid_size
 
 
 def curve_to_json(curve: DiscreteCurve) -> str:
@@ -143,34 +143,44 @@ def _segment_to_obj(seg) -> dict:
     raise ParseError(f"unknown segment type {type(seg)!r}")
 
 
+def _finite(obj: dict, key: str, positive: bool = False):
+    """obj[key] as a float (a float array for a list); finite, and > 0 if positive."""
+    raw = obj[key]
+    v = np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
+    if not np.all(np.isfinite(v)) or (positive and not np.all(v > 0.0)):
+        kind = "positive and finite" if positive else "finite"
+        raise ParseError(f"{obj['type']} segment {key} must be {kind}, got {raw!r}")
+    return v
+
+
 def _segment_from_obj(obj: dict):
     kind = obj.get("type")
     if kind == "line":
         return LineSegment(
-            np.asarray(obj["start"], dtype=float),
-            np.asarray(obj["direction"], dtype=float),
-            float(obj["length"]),
+            _finite(obj, "start"),
+            _finite(obj, "direction"),
+            _finite(obj, "length", positive=True),
         )
     if kind == "arc":
+        sweep = _finite(obj, "sweep")
+        if sweep == 0.0:
+            raise ParseError("arc segment sweep must be nonzero")
         return ArcSegment(
-            np.asarray(obj["center"], dtype=float),
-            float(obj["radius"]),
-            float(obj["start_angle"]),
-            float(obj["sweep"]),
+            _finite(obj, "center"),
+            _finite(obj, "radius", positive=True),
+            _finite(obj, "start_angle"),
+            sweep,
         )
     if kind == "clothoid":
-        return ClothoidSegment(
-            np.asarray(obj["start"], dtype=float),
-            float(obj["start_angle"]),
-            float(obj["kappa0"]),
-            float(obj["sharpness"]),
-            float(obj["length"]),
-        )
+        kappa0, sharpness = _finite(obj, "kappa0"), _finite(obj, "sharpness")
+        length = _finite(obj, "length", positive=True)
+        check_clothoid_size(kappa0, sharpness, length)
+        return ClothoidSegment(_finite(obj, "start"), _finite(obj, "start_angle"), kappa0, sharpness, length)
     if kind == "elastica":
         return ElasticaSegment(
-            np.asarray(obj["start"], dtype=float),
-            np.asarray(obj["thetas"], dtype=float),
-            float(obj["length"]),
+            _finite(obj, "start"),
+            _finite(obj, "thetas"),
+            _finite(obj, "length", positive=True),
             float(obj.get("c_const", 0.0)),
         )
     raise ParseError(f"unknown segment type {kind!r}")

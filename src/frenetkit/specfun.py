@@ -1,29 +1,21 @@
 """Special functions for splining: Fresnel integrals, complete elliptic
-integral of the first kind, Jacobi sn/cn.
+integral of the first kind, Jacobi sn/cn, as checked wrappers over
+``scipy.special``.
 
-Fresnel integrals use the pi*t^2/2 normalization throughout:
+Fresnel integrals use the pi*t^2/2 normalization:
     C(s) = int_0^s cos(pi t^2 / 2) dt,   S(s) = int_0^s sin(pi t^2 / 2) dt.
-Clothoid code converts its scale factors explicitly, so this is the single
-internal convention.
-
-Evaluation: Maclaurin series for |s| <= 1.6, composite Gauss-Legendre
-panels for the mid range, and the auxiliary asymptotic series once its
-smallest term drops below 1e-13 (|s| >= 6).  K(k) uses the
-arithmetic-geometric mean; sn/cn use the descending Landen (Gauss
-transformation) recursion.
+The elliptic functions take the modulus k, where scipy takes the parameter
+m = k^2.  Arguments are floats or arrays; the modulus is a float.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .errors import ModulusOutOfRange
-
-_SERIES_CUT = 1.6
-_ASYMPT_CUT = 6.0
 
 
 class FresnelPair(NamedTuple):
@@ -31,133 +23,41 @@ class FresnelPair(NamedTuple):
     S: float
 
 
-def _fresnel_series(x: float) -> FresnelPair:
-    # C = sum (-1)^k (pi/2)^{2k} x^{4k+1} / ((2k)! (4k+1)),  S analogous
-    h = math.pi / 2.0 * x * x
-    h2 = h * h
-    c_term = x
-    c_sum = c_term
-    s_term = x * h
-    s_sum = s_term / 3.0
-    k = 0
-    while True:
-        k += 1
-        c_term *= -h2 / ((2 * k) * (2 * k - 1))
-        s_term *= -h2 / ((2 * k) * (2 * k + 1))
-        dc = c_term / (4 * k + 1)
-        ds = s_term / (4 * k + 3)
-        c_sum += dc
-        s_sum += ds
-        if abs(dc) < 1e-17 and abs(ds) < 1e-17:
-            return FresnelPair(c_sum, s_sum)
-        if k > 80:  # pragma: no cover - series always converges below the cut
-            return FresnelPair(c_sum, s_sum)
+def _finite(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} argument must be finite")
+    return x
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_SERIES_AT_CUT = _fresnel_series(_SERIES_CUT)
-
-
-def _fresnel_panels(x: float) -> FresnelPair:
-    # integrate from the series anchor at 1.6 with short Gauss panels
-    c, s = _SERIES_AT_CUT
-    a = _SERIES_CUT
-    while a < x - 1e-300:
-        b = min(a + 0.25, x)
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = mid + half * _GL_NODES
-        w = half * _GL_WEIGHTS
-        arg = math.pi / 2.0 * t * t
-        c += float(np.dot(w, np.cos(arg)))
-        s += float(np.dot(w, np.sin(arg)))
-        a = b
-    return FresnelPair(c, s)
-
-
-def _fresnel_asymptotic(x: float) -> FresnelPair:
-    # C = 1/2 + f sin(z) - g cos(z), S = 1/2 - f cos(z) - g sin(z), z = pi x^2/2
-    z = math.pi * x * x
-    f = 0.0
-    g = 0.0
-    term_f = 1.0 / (math.pi * x)
-    term_g = term_f / z
-    sign = 1.0
-    for k in range(0, 9):
-        f += sign * term_f
-        g += sign * term_g
-        # next numerators: (4k+1)!! / previous for f is (4k+1)(4k+3) / z^2
-        term_f *= (4 * k + 1) * (4 * k + 3) / (z * z)
-        term_g *= (4 * k + 3) * (4 * k + 5) / (z * z)
-        sign = -sign
-        if term_f < 1e-17 and term_g < 1e-17:
-            break
-    zz = z / 2.0
-    return FresnelPair(
-        0.5 + f * math.sin(zz) - g * math.cos(zz),
-        0.5 - f * math.cos(zz) - g * math.sin(zz),
-    )
-
-
-def fresnel(s: float) -> FresnelPair:
+def fresnel(s) -> FresnelPair:
     """Fresnel integrals (C(s), S(s)); odd in s."""
-    x = abs(float(s))
-    if not math.isfinite(x):
-        raise ValueError("fresnel argument must be finite")
-    if x <= _SERIES_CUT:
-        pair = _fresnel_series(x)
-    elif x < _ASYMPT_CUT:
-        pair = _fresnel_panels(x)
-    else:
-        pair = _fresnel_asymptotic(x)
-    if s < 0:
-        return FresnelPair(-pair.C, -pair.S)
-    return pair
+    sv, cv = special.fresnel(_finite(s, "fresnel"))
+    return FresnelPair(cv, sv)
 
 
-def _check_modulus(k: float) -> float:
+def _parameter(k: float) -> float:
+    """scipy's parameter m = k^2 of a modulus k in [0, 1)."""
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise ModulusOutOfRange(f"elliptic modulus must be in [0, 1), got {k}")
-    return k
+    return k * k
 
 
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
-    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), via the AGM.
+    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t).
     """
-    k = _check_modulus(k)
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(60):  # quadratic convergence; the cap avoids ulp cycling
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return float(special.ellipk(_parameter(k)))
 
 
-def jacobi_sn_cn(u: float, k: float):
-    """(sn(u, k), cn(u, k)) by the descending Landen recursion."""
-    k = _check_modulus(k)
-    u = float(u)
-    if k == 0.0:
-        return math.sin(u), math.cos(u)
-    a = [1.0]
-    c = [k]
-    b = math.sqrt(1.0 - k * k)
-    while c[-1] > 1e-16 * a[-1]:
-        a.append(0.5 * (a[-1] + b))
-        c.append(0.5 * (a[-2] - b))
-        b = math.sqrt(a[-2] * b)
-        if len(a) > 40:  # pragma: no cover - AGM converges quadratically
-            break
-    n = len(a) - 1
-    phi = (2.0**n) * a[n] * u
-    for m in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, c[m] / a[m] * math.sin(phi)))))
-    return math.sin(phi), math.cos(phi)
+def jacobi_sn_cn(u, k: float):
+    """(sn(u, k), cn(u, k)), modulus convention."""
+    sn, cn, _, _ = special.ellipj(_finite(u, "jacobi_sn"), _parameter(k))
+    return sn, cn
 
 
-def jacobi_sn(u: float, k: float) -> float:
+def jacobi_sn(u, k: float):
     """Jacobi sn(u, k), modulus convention; period 4K(k) in u."""
     return jacobi_sn_cn(u, k)[0]

@@ -11,6 +11,7 @@ plus the discrete elastica turning-angle generator built on Jacobi sn.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .frames import _EZ, _embed3, _signed_angles
 from .ngon_circle import centered_vertex_offset
-from .specfun import elliptic_K, fresnel, jacobi_sn
+from .specfun import elliptic_K, jacobi_sn
 
 _TWO_PI = 2.0 * math.pi
 
@@ -45,50 +46,66 @@ def _rot90(v: np.ndarray) -> np.ndarray:
 # clothoid evaluation
 
 
-def _gl_phase_integral(theta0, kappa0, a, s):
-    """(int cos theta, int sin theta) over [0, s] for theta = theta0 + k0 t + a t^2/2."""
-    phase_span = abs(kappa0 * s) + abs(a) * s * s / 2.0
-    panels = max(1, int(math.ceil(phase_span / 1.5)), int(math.ceil(abs(s))))
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(0.0, s, panels + 1)
-    x = y = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = mid + half * nodes
-        th = theta0 + kappa0 * t + 0.5 * a * t * t
-        x += half * float(np.dot(weights, np.cos(th)))
-        y += half * float(np.dot(weights, np.sin(th)))
-    return x, y
+_GLN, _GLW = np.polynomial.legendre.leggauss(24)
+_MAX_PHASE = 1.5  # rad of phase per Gauss-Legendre panel: 24 nodes are exact to rounding
+_BLOCK_NODES = 256 * len(_GLN)  # quadrature nodes per block: temporaries stay ~50 KB
 
 
-def clothoid_xy(kappa0: float, a: float, theta0: float, s: float):
+@functools.lru_cache(maxsize=16)
+def _panel_nodes(panels: int):
+    """Nodes u of [0, 1] in equal panels, weights w, and w * (u^2 - u) for the moment."""
+    u = ((np.arange(panels)[:, None] + 0.5 * (_GLN + 1.0)) / panels).ravel()
+    w = np.tile(_GLW, panels) / (2.0 * panels)
+    table = u, w, w * (u * u - u)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _phase_integrals(c0, c1, c2) -> np.ndarray:
+    """(X, Y, G') of theta(u) = c0 + c1 u + c2 u^2 along a last axis of size 3:
+    X = int_0^1 cos theta du, Y = int_0^1 sin theta du and
+    G' = int_0^1 (u^2 - u) cos theta du, for c0, c1, c2 floats or arrays.
+
+    Each entry gets as many panels as keep its phase change within _MAX_PHASE.
+    """
+    shape = np.broadcast(c0, c1, c2).shape
+    c = np.empty((3,) + shape)
+    c[0], c[1], c[2] = c0, c1, c2
+    c = c.reshape(3, -1)
+    span = np.abs(c[1]) + np.abs(c[2])
+    if not np.isfinite(c[0] + span).all():
+        raise ValueError("clothoid phase must be finite")
+    panels = np.maximum(np.ceil(span / _MAX_PHASE), 1.0).astype(np.intp)
+    out = np.empty((panels.size, 3))
+    for p in np.flatnonzero(np.bincount(panels)):
+        rows = np.flatnonzero(panels == p)
+        u, w, wm = _panel_nodes(int(p))
+        step = max(1, _BLOCK_NODES // u.size)
+        for i in range(0, rows.size, step):
+            r = rows[i : i + step]
+            c0, c1, c2 = c[:, r, None]
+            theta = c0 + u * (c1 + u * c2)
+            cos = np.cos(theta)
+            out[r, 0], out[r, 1], out[r, 2] = cos @ w, np.sin(theta) @ w, cos @ wm
+    return out.reshape(shape + (3,))
+
+
+def clothoid_xy(kappa0: float, a: float, theta0: float, s):
     """Displacement along a clothoid with curvature kappa0 + a*t, start angle theta0.
 
-    Uses Fresnel integrals when the quadratic phase is significant and a
-    short Gauss quadrature otherwise (tiny sharpness makes the Fresnel scale
-    factor blow up).
+    ``s`` is a float or an array of arc lengths; the result has shape
+    ``s.shape + (2,)``.  The phase integral is taken from 0 to the smallest
+    sample, then over each gap between sorted samples, and summed in order.
     """
-    if s == 0.0:
-        return 0.0, 0.0
-    if abs(a) * s * s < 1e-6:
-        if abs(kappa0 * s) < 1e-12 and abs(a) * s * s < 1e-14:
-            return s * math.cos(theta0), s * math.sin(theta0)
-        return _gl_phase_integral(theta0, kappa0, a, s)
-    sigma = math.sqrt(math.pi / abs(a))
-    u0 = kappa0 / a
-    u1 = s + u0
-    c0 = theta0 - kappa0 * kappa0 / (2.0 * a)
-    c_hi, s_hi = fresnel(u1 / sigma)
-    c_lo, s_lo = fresnel(u0 / sigma)
-    dc, ds = c_hi - c_lo, s_hi - s_lo
-    cos0, sin0 = math.cos(c0), math.sin(c0)
-    if a > 0.0:
-        x = sigma * (cos0 * dc - sin0 * ds)
-        y = sigma * (sin0 * dc + cos0 * ds)
-    else:
-        x = sigma * (cos0 * dc + sin0 * ds)
-        y = sigma * (sin0 * dc - cos0 * ds)
-    return x, y
+    s = np.asarray(s, dtype=float)
+    order = np.argsort(s, axis=None, kind="stable")
+    t = np.concatenate([[0.0], s.ravel()[order]])
+    t, h = t[:-1], np.diff(t)
+    gaps = _phase_integrals(theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h)
+    xy = np.empty(s.shape + (2,))
+    xy.reshape(-1, 2)[order] = np.cumsum(h[:, None] * gaps[:, :2], axis=0)
+    return xy
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +145,9 @@ class ArcSegment:
         if self.length == 0.0:
             object.__setattr__(self, "length", abs(self.sweep) * self.radius)
 
-    def point_at(self, s: float) -> np.ndarray:
-        a = self.start_angle + self.sweep * s / self.length
-        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
+    def point_at(self, s) -> np.ndarray:
+        a = self.start_angle + self.sweep * np.asarray(s, dtype=float) / self.length
+        return self.center + self.radius * np.stack([np.cos(a), np.sin(a)], axis=-1)
 
     def angle_at(self, s: float) -> float:
         a = self.start_angle + self.sweep * s / self.length
@@ -141,8 +158,15 @@ class ArcSegment:
 
     def polyline(self, tol: float) -> np.ndarray:
         n = max(2, int(math.ceil(abs(self.sweep) / max(2.0 * math.sqrt(2.0 * tol / self.radius), 1e-6))) + 1)
-        s = np.linspace(0.0, self.length, n)
-        return np.array([self.point_at(v) for v in s])
+        return self.point_at(np.linspace(0.0, self.length, n))
+
+
+def check_clothoid_size(kappa0: float, sharpness: float, length: float):
+    """Raise InputError unless a clothoid's length and total turning (rad) are at
+    most 1e3: its quadrature panels and polyline samples grow with both."""
+    turning = abs(kappa0) * length + 0.5 * abs(sharpness) * length * length
+    if not max(length, turning) <= 1e3:
+        raise InputError(f"clothoid length {length} and turning {turning:.6g} rad must be at most 1e3")
 
 
 @dataclass(frozen=True)
@@ -153,9 +177,8 @@ class ClothoidSegment:
     sharpness: float  # d kappa / d s
     length: float
 
-    def point_at(self, s: float) -> np.ndarray:
-        x, y = clothoid_xy(self.kappa0, self.sharpness, self.start_angle, s)
-        return self.start + np.array([x, y])
+    def point_at(self, s) -> np.ndarray:
+        return self.start + clothoid_xy(self.kappa0, self.sharpness, self.start_angle, s)
 
     def angle_at(self, s: float) -> float:
         return self.start_angle + self.kappa0 * s + 0.5 * self.sharpness * s * s
@@ -169,8 +192,7 @@ class ClothoidSegment:
         kmax = max(abs(self.kappa0), abs(self.kappa0 + self.sharpness * self.length), 1e-9)
         step = math.sqrt(8.0 * tol / kmax)
         n = max(2, int(math.ceil(self.length / step)) + 1)
-        s = np.linspace(0.0, self.length, n)
-        return np.array([self.point_at(v) for v in s])
+        return self.point_at(np.linspace(0.0, self.length, n))
 
 
 @dataclass(frozen=True)
@@ -313,36 +335,13 @@ def spline_inscribed(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> Spline:
 # ---------------------------------------------------------------------------
 # clothoid G1 fitting (circumscribed splining)
 
-_GLN, _GLW = np.polynomial.legendre.leggauss(24)
-
-
-def _phase_integrals(phi0: float, delta: float, a_param: float):
-    """X = int_0^1 cos theta(u) du, Y = int sin, G' = int (u^2-u) cos theta du,
-    for theta(u) = phi0 + (delta - A) u + A u^2."""
-    span = abs(delta - a_param) + abs(a_param)
-    panels = max(1, int(math.ceil(span / 3.0)))
-    x = y = gp = 0.0
-    for p in range(panels):
-        lo = p / panels
-        hi = (p + 1) / panels
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * _GLN
-        th = phi0 + (delta - a_param) * u + a_param * u * u
-        cu = np.cos(th)
-        su = np.sin(th)
-        x += half * float(np.dot(_GLW, cu))
-        y += half * float(np.dot(_GLW, su))
-        gp += half * float(np.dot(_GLW, (u * u - u) * cu))
-    return x, y, gp
-
-
 def _solve_clothoid_param(phi0: float, delta: float, max_iter: int = 200):
-    """Root A of Y(A) = 0 for the normalized fitting problem; None on failure."""
+    """Root A of Y(A) = int_0^1 sin(phi0 + (delta - A) u + A u^2) du = 0; None on failure."""
     # linearized solution of the fitting equation
     a_param = 6.0 * phi0 + 3.0 * delta
     best = None
     for _ in range(max_iter):
-        x, y, gp = _phase_integrals(phi0, delta, a_param)
+        _, y, gp = _phase_integrals(phi0, delta - a_param, a_param)
         if best is None or abs(y) < best[0]:
             best = (abs(y), a_param)
         if abs(y) < 1e-14:
@@ -357,15 +356,12 @@ def _solve_clothoid_param(phi0: float, delta: float, max_iter: int = 200):
 
     center = best[1]
     span = np.linspace(center - 40.0, center + 40.0, 161)
-    vals = [_phase_integrals(phi0, delta, a)[1] for a in span]
-    for lo, hi, vlo, vhi in zip(span[:-1], span[1:], vals[:-1], vals[1:]):
-        if vlo == 0.0:
-            return float(lo)
-        if vlo * vhi < 0.0:
-            return float(
-                brentq(lambda a: _phase_integrals(phi0, delta, a)[1], lo, hi, xtol=1e-14)
-            )
-    return None
+    vals = _phase_integrals(phi0, delta - span, span)[:, 1]
+    hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)  # a sign change or a zero
+    if not hits.size:
+        return None
+    lo, hi = span[hits[0]], span[hits[0] + 1]
+    return float(brentq(lambda a: _phase_integrals(phi0, delta - a, a)[1], lo, hi, xtol=1e-14))
 
 
 def clothoid_g1_fit(p0, t0, p1, t1, tol: Tolerances = DEFAULT) -> Segment:
@@ -373,18 +369,18 @@ def clothoid_g1_fit(p0, t0, p1, t1, tol: Tolerances = DEFAULT) -> Segment:
 
     Exactly collinear data yields a Line, symmetric data an Arc, anything
     else a first-order clothoid solved by Newton iteration on the normalized
-    fitting equation.  NoConvergence carries the best endpoint residual.
+    fitting equation.  NoConvergence carries the best endpoint residual;
+    a chord or tangent that is zero, not finite or overflows raises InputError.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t0 = t0 / np.linalg.norm(t0)
-    t1 = t1 / np.linalg.norm(t1)
+    p0, t0, p1, t1 = (np.asarray(v, dtype=float) for v in (p0, t0, p1, t1))
+    n0, n1 = np.linalg.norm(t0), np.linalg.norm(t1)
+    if not (0.0 < n0 < math.inf and 0.0 < n1 < math.inf):
+        raise InputError("fit tangents must be nonzero with a finite norm")
+    t0, t1 = t0 / n0, t1 / n1
     chord = p1 - p0
     d = float(np.linalg.norm(chord))
-    if d == 0.0:
-        raise InputError("fit endpoints coincide")
+    if not 0.0 < d < math.inf:
+        raise InputError(f"fit chord length must be positive and finite, got {d}")
     psi = math.atan2(chord[1], chord[0])
     phi0 = _wrap_angle(math.atan2(t0[1], t0[0]) - psi)
     phi1 = _wrap_angle(math.atan2(t1[1], t1[0]) - psi)
@@ -403,7 +399,7 @@ def clothoid_g1_fit(p0, t0, p1, t1, tol: Tolerances = DEFAULT) -> Segment:
         a_param = _solve_clothoid_param(phi0, delta)
         if a_param is None:
             continue
-        x, _, _ = _phase_integrals(phi0, delta, a_param)
+        x = _phase_integrals(phi0, delta - a_param, a_param)[0]
         if x <= 1e-9:
             continue
         length = d / x
@@ -818,10 +814,5 @@ def sogo_turning_angles(theta0: float, k: float, n_steps: int) -> np.ndarray:
     """
     if n_steps < 2:
         raise InputError("need at least 2 steps")
-    big_k = elliptic_K(k)
-    amp = math.sin(theta0 / 2.0)
-    out = np.empty(n_steps + 1)
-    for j in range(n_steps + 1):
-        sn = jacobi_sn(big_k * (n_steps - j) / n_steps, k)
-        out[j] = 2.0 * math.asin(max(-1.0, min(1.0, amp * sn)))
-    return out
+    sn = jacobi_sn(elliptic_K(k) * np.arange(n_steps, -1, -1.0) / n_steps, k)
+    return 2.0 * np.arcsin(np.clip(math.sin(theta0 / 2.0) * sn, -1.0, 1.0))

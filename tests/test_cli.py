@@ -51,6 +51,27 @@ _HEX_INTRINSIC = {
 }
 
 
+def _clothoid_spline_json(**params):
+    seg = {
+        "type": "clothoid",
+        "start": [0.0, 0.0],
+        "start_angle": 0.0,
+        "kappa0": 0.5,
+        "sharpness": 0.1,
+        "length": 2.0,
+    }
+    return json.dumps({"closed": False, "segments": [{**seg, **params}]})
+
+
+# spline files of one clothoid with a bad parameter, for render --spline
+_BAD_CLOTHOIDS = {
+    "NAN_KAPPA0": {"kappa0": math.nan},
+    "HUGE_KAPPA0": {"kappa0": 1e160},
+    "LONG_CLOTHOID": {"length": 1e9},
+    "NEGATIVE_LENGTH": {"length": -1.0},
+}
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -144,6 +165,10 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "amplitude=inf"], {}),
         (["discretize", "circle", "--method", "inscribed", "--samples", "1000000000000"], {}),
         (["discretize", "circle", "--method", "centered", "--density", "1e300"], {}),
+        (["render", "HEX", "--spline", "NAN_KAPPA0"], {}),
+        (["render", "HEX", "--spline", "HUGE_KAPPA0"], {}),
+        (["render", "HEX", "--spline", "LONG_CLOTHOID"], {}),
+        (["render", "HEX", "--spline", "NEGATIVE_LENGTH"], {}),
     ],
     ids=[
         "unknown-param",
@@ -178,6 +203,10 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "sine-inf-amplitude",
         "oversized-samples",
         "oversized-density",
+        "render-nan-kappa0",
+        "render-huge-kappa0",
+        "render-long-clothoid",
+        "render-negative-clothoid-length",
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
@@ -187,6 +216,8 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
         "MISSING": str(tmp_path / "missing" / "out"),
         "DIR": str(tmp_path),
     }
+    for key, params in _BAD_CLOTHOIDS.items():
+        files[key] = _write(tmp_path, f"{key.lower()}.json", _clothoid_spline_json(**params))
     result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")

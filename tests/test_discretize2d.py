@@ -304,7 +304,7 @@ def test_curve_length_must_be_positive_and_finite():
 
 
 def test_clothoid_quadrature_work_is_bounded():
-    # clothoid_xy spends max(length, turning / 1.5) quadrature panels a point
+    # quadrature panels and polyline samples of a clothoid grow with its length and turning
     for kwargs in ({"kappa0": 1e300}, {"length": 2e3, "kappa0": 0.0, "sharpness": 0.0}, {"sharpness": 1e3}):
         with pytest.raises(InputError, match="^clothoid length .* must be at most 1e3"):
             clothoid_arc(**kwargs)

@@ -97,3 +97,21 @@ def test_sn_inversion_oracle():
 
         phi = brentq(f, 0.0, math.pi / 2.0, xtol=1e-14)
         assert jacobi_sn(u, k) == pytest.approx(math.sin(phi), abs=1e-10)
+
+
+def test_arrays_match_scalars_and_arguments_are_checked():
+    x = np.linspace(-9.0, 9.0, 37)
+    c, sv = fresnel(x)
+    assert c.shape == sv.shape == x.shape
+    assert all(fresnel(float(v)) == (ci, si) for v, ci, si in zip(x, c, sv))
+    sn, cn = jacobi_sn_cn(x, 0.7)
+    assert all(jacobi_sn_cn(float(v), 0.7) == (a, b) for v, a, b in zip(x, sn, cn))
+    np.testing.assert_array_equal(jacobi_sn(x, 0.7), sn)
+    for bad in (math.nan, math.inf, [0.5, -math.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            fresnel(bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            jacobi_sn(bad, 0.5)
+    for k in (math.nan, 1.5):
+        with pytest.raises(ModulusOutOfRange):
+            jacobi_sn_cn(x, k)

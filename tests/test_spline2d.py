@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
 from frenetkit.config import DEFAULT as DEFAULT_TOL
@@ -15,6 +18,7 @@ from frenetkit.spline2d import (
     LineSegment,
     centered_nodes,
     clothoid_g1_fit,
+    clothoid_xy,
     elastica_bvp,
     elastica_constraints,
     elastica_energy,
@@ -92,6 +96,60 @@ def test_inscribed_interpolates_midpoints(rng):
 
 
 # ---------------------------------------------------------------------------
+# clothoid evaluation
+
+
+def _clothoid_oracle(kappa0, a, theta0, s):
+    """Displacement by adaptive quadrature over pieces of at most 2 rad of turning."""
+    theta = lambda t: theta0 + kappa0 * t + 0.5 * a * t * t  # noqa: E731
+    edges = np.linspace(0.0, s, max(1, math.ceil(abs(kappa0 * s) + 0.5 * abs(a) * s * s)) + 1)
+    xy = np.zeros(2)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for i, f in enumerate((math.cos, math.sin)):
+            xy[i] += quad(lambda t: f(theta(t)), lo, hi, epsabs=1e-14 * (hi - lo), limit=200)[0]
+    return xy
+
+
+@st.composite
+def _clothoids(draw):
+    """(kappa0, a, theta0, s) with |a| s^2 in [1e-12, 10] and kappa0^2 / |a| up to 1e15."""
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    a = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 1.0)) / (s * s)
+    kappa0 = draw(st.sampled_from([-1.0, 1.0])) * math.sqrt(10.0 ** draw(st.floats(-6.0, 15.0)) * abs(a))
+    assume(abs(kappa0) * s <= 300.0)  # keeps the oracle's pieces few
+    return kappa0, a, draw(st.floats(-math.pi, math.pi)), s
+
+
+@given(_clothoids())
+@example((100.0, 2.6e-7, 0.0, 2.0))  # kappa0^2 / a = 3.8e10: a completed-square Fresnel form loses 4e-8
+@settings(max_examples=60, deadline=None)
+def test_clothoid_xy_matches_quadrature(clothoid):
+    kappa0, a, theta0, s = clothoid
+    xy = clothoid_xy(kappa0, a, theta0, np.array([s, 0.5 * s, 0.0]))
+    assert xy.shape == (3, 2)
+    for row, v in zip(xy, (s, 0.5 * s)):
+        assert np.max(np.abs(row - _clothoid_oracle(kappa0, a, theta0, v))) <= 1e-11 * max(1.0, v)
+    assert np.all(xy[2] == 0.0)
+
+
+def test_clothoid_xy_nearly_circular():
+    kappa0 = 1e-10
+    s = np.linspace(0.0, 1e3, 16001)
+    xy = clothoid_xy(kappa0, 0.0, 0.0, s)
+    np.testing.assert_allclose(xy[:, 0], np.sin(kappa0 * s) / kappa0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(xy[:, 1], 2.0 * np.sin(kappa0 * s / 2.0) ** 2 / kappa0, rtol=0, atol=1e-9)
+
+
+def test_segment_polylines_match_pointwise_evaluation():
+    arc = ArcSegment(np.array([0.5, -1.0]), 2.0, 0.3, -2.5)
+    clothoid = ClothoidSegment(np.array([1.0, 2.0]), 0.4, -0.7, 1.3, 3.0)
+    for seg, atol in ((arc, 0.0), (clothoid, 1e-14)):
+        pts = seg.polyline(1e-4)
+        s = np.linspace(0.0, seg.length, len(pts))
+        np.testing.assert_allclose(pts, [seg.point_at(v) for v in s], rtol=0, atol=atol)
+
+
+# ---------------------------------------------------------------------------
 # clothoid fitting / circumscribed
 
 
@@ -129,6 +187,22 @@ def test_clothoid_fit_random_poses(rng):
 def test_clothoid_fit_coincident_points():
     with pytest.raises(InputError):
         clothoid_g1_fit([0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "p0, t0, p1, t1, match",
+    [
+        ([math.nan, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], "chord length must be positive and finite"),
+        ([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], "tangents"),
+        ([0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [math.inf, 0.0], "tangents"),
+        ([0.0, 0.0], [1.0, 0.0], [1e308, 1e308], [1.0, 0.0], "chord length must be positive and finite"),
+    ],
+    ids=["nan-point", "zero-tangent", "infinite-tangent", "overflowing-chord"],
+)
+def test_clothoid_fit_rejects_bad_input(p0, t0, p1, t1, match):
+    with pytest.raises(InputError, match=match), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing norm
+        clothoid_g1_fit(p0, t0, p1, t1)
 
 
 def test_circumscribed_hexagon_is_circle():
