@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import discretize2d, io, spline2d, svg
-from .config import cli_tolerance
+from .config import DEFAULT, cli_tolerance
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
 from .frames import analyze, curvature_torsion, frenet_residual
@@ -279,7 +279,7 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
 
 @main.command("roundtrip")
 @click.argument("curve_file", type=click.Path(exists=True))
-@click.option("--tol", type=float, default=1e-9, help="congruence rms threshold")
+@click.option("--tol", type=float, default=DEFAULT.congruence_rms, help="congruence rms threshold")
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check."""
     tol = _nonnegative("--tol", tol)

@@ -24,8 +24,6 @@ class Tolerances:
     orthonormal: float = 1e-12
     # discrete Frenet equation residual for frames built from a curve
     frenet_residual: float = 1e-12
-    # angle <-> curvature round trip
-    angle_roundtrip: float = 1e-12
     # rigid-motion congruence rms
     congruence_rms: float = 1e-9
     # clothoid fit endpoint residual (position and tangent)

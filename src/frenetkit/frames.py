@@ -206,7 +206,7 @@ class IntrinsicData:
 
 
 def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) -> None:
-    """Check an angle record: equal lengths, alternating zeros, |angle| <= pi/2.
+    """Check an angle record: 1-D, equal lengths, alternating zeros, |angle| <= pi/2.
 
     Turns (theta) may be nonzero only at transition indices of parity
     ``turn_parity``, twists (phi) only at the others.  Raises InvalidAngles
@@ -215,6 +215,8 @@ def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) 
     """
     if turn_parity not in (0, 1):
         raise InvalidAngles(f"turn_parity must be 0 or 1, got {turn_parity}")
+    if theta.ndim != 1 or phi.ndim != 1:
+        raise InvalidAngles(f"theta and phi must be 1-D, got shapes {theta.shape} and {phi.shape}")
     if theta.shape != phi.shape:
         raise InvalidAngles("theta and phi must have the same length")
     turn = np.arange(len(theta)) % 2 == turn_parity

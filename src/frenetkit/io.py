@@ -163,8 +163,9 @@ def _segment_from_obj(obj: dict):
         )
     if kind == "arc":
         sweep = _finite(obj, "sweep")
-        if sweep == 0.0:
-            raise ParseError("arc segment sweep must be nonzero")
+        if sweep == 0.0 or abs(sweep) > 2.0 * math.pi:
+            # no spline arc turns more than once
+            raise ParseError(f"arc segment sweep must be nonzero with |sweep| <= 2*pi, got {sweep!r}")
         return ArcSegment(
             _finite(obj, "center"),
             _finite(obj, "radius", positive=True),

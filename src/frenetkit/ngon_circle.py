@@ -185,17 +185,20 @@ def centered_offset_exact(k: float | np.ndarray, density: float) -> float | np.n
     return off if k.ndim else float(off)
 
 
-def centered_vertex_offset(theta: float, ell: float) -> float:
+def centered_vertex_offset(theta: float | np.ndarray, ell: float) -> float | np.ndarray:
     """Inward offset of a polyline vertex onto its centered circle.
 
     A vertex with turning angle theta and half-edge ell sits at circumradius
     ell/sin(theta/2) of the local N-gon; the centered circle has radius
     2*ell/theta.  The difference is the distance to move toward the center
-    of curvature when building the centered spline.
+    of curvature when building the centered spline.  theta may be a float
+    or an array of angles; the result has the same form.
     """
     _check_length(ell)
-    _check_angle(abs(theta))
-    t = abs(theta)
-    if t < 1e-12:
-        return 0.0
-    return ell * (1.0 / math.sin(t / 2.0) - 2.0 / t)
+    t = np.abs(np.asarray(theta, dtype=float))
+    _check_angle(t)
+    # a vertex below 1e-12 is straight and stays on its edge
+    straight = t < 1e-12
+    t_safe = np.where(straight, 1.0, t)
+    off = np.where(straight, 0.0, ell * (1.0 / np.sin(t_safe / 2.0) - 2.0 / t_safe))
+    return off if t.ndim else float(off)

@@ -3,23 +3,20 @@
 Given the half-edge length and the alternating turning/twisting angles, the
 curve is reproduced uniquely up to a rigid motion by stepping along the
 tangent and rotating the frame: by theta_i about the binormal at vertices,
-by phi_i about the tangent across edges.  Both updates are pure rotations,
-so the frame stays orthonormal; a periodic nearest-orthogonal projection
-absorbs the slow floating-point drift on very long curves.
+by phi_i about the tangent across edges.  Every frame is therefore a prefix
+product of rotations, taken as one array scan over the steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT
 from .curve_core import RefinedCurve
 from .errors import CountMismatch, InputError, InvalidAngles
 from .frames import IntrinsicData, validate_angle_record
-
-_REORTH_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -35,19 +32,25 @@ class InitialPose:
         for name in ("origin", "tangent", "normal", "binormal"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         frame = np.column_stack([self.tangent, self.normal, self.binormal])
-        if np.max(np.abs(frame.T @ frame - np.eye(3))) > 1e-12:
+        if np.max(np.abs(frame.T @ frame - np.eye(3))) > DEFAULT.orthonormal:
             raise InputError("initial frame is not orthonormal")
         if np.linalg.det(frame) < 0.0:
             raise InputError("initial frame is not right-handed")
 
 
-def _orthonormalize(frame: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(frame)
-    q = u @ vt
-    if np.linalg.det(q) < 0.0:
-        u[:, -1] = -u[:, -1]
-        q = u @ vt
-    return q
+def _prefix_products(m: np.ndarray) -> None:
+    """Replace each row of an (n, 3, 3) stack by m[0] @ m[1] @ ... @ m[i].
+
+    A work-efficient scan (Blelloch 1990): the products of row pairs
+    (2j, 2j+1) are scanned recursively and become the odd rows, then each
+    even row after the first takes the odd row before it on its left.
+    About 2n products in all, so the time grows linearly.
+    """
+    if len(m) > 1:
+        odd = m[0::2][: len(m) // 2] @ m[1::2]
+        _prefix_products(odd)
+        m[1::2] = odd
+        m[2::2] = odd[: (len(m) - 1) // 2] @ m[2::2]
 
 
 def reconstruct(
@@ -55,7 +58,7 @@ def reconstruct(
     pose: InitialPose | None = None,
     n_steps: int | None = None,
 ) -> RefinedCurve:
-    """Integrate the frame equations into a refined curve with n_steps edges.
+    """Rebuild the refined curve with n_steps edges from the frame equations.
 
     theta_i acts between edges i and i+1, so angle arrays must cover indices
     0 .. n_steps-2.  Turns happen at transition indices with the data's
@@ -70,30 +73,20 @@ def reconstruct(
         raise InvalidAngles(f"need at least {n_steps - 1} angles for {n_steps} steps")
 
     pose = pose or InitialPose()
-    ell = data.ell
-    pts = np.empty((n_steps + 1, 3))
-    pts[0] = pose.origin
-    t = pose.tangent.copy()
-    n = pose.normal.copy()
-    b = pose.binormal.copy()
-    for i in range(n_steps):
-        pts[i + 1] = pts[i] + ell * t
-        if i >= n_steps - 1 or i >= len(theta):
-            break
-        th = theta[i]
-        ph = phi[i]
-        if th != 0.0:
-            # turn about the binormal
-            c, s = math.cos(th), math.sin(th)
-            t, n = c * t + s * n, -s * t + c * n
-        if ph != 0.0:
-            # twist about the tangent
-            c, s = math.cos(ph), math.sin(ph)
-            n, b = c * n + s * b, -s * n + c * b
-        if (i + 1) % _REORTH_EVERY == 0:
-            frame = _orthonormalize(np.column_stack([t, n, b]))
-            t, n, b = frame[:, 0], frame[:, 1], frame[:, 2]
-    return RefinedCurve(pts, ell, closed=False, vertex_parity=(data.turn_parity + 1) % 2)
+    # row 0 is the initial frame [t n b], row i the step rotation
+    # Rz(theta) Rx(phi) after edge i - 1 (one of the two angles is zero)
+    th, ph = theta[: n_steps - 1], phi[: n_steps - 1]
+    ct, st, cp, sp = np.cos(th), np.sin(th), np.cos(ph), np.sin(ph)
+    rot = np.empty((n_steps, 3, 3))
+    rot[0] = np.column_stack([pose.tangent, pose.normal, pose.binormal])
+    np.stack(
+        [ct, -st * cp, st * sp, st, ct * cp, -ct * sp, np.zeros_like(th), sp, cp],
+        axis=1,
+        out=rot[1:].reshape(-1, 9),
+    )
+    _prefix_products(rot)
+    pts = np.cumsum(np.vstack([pose.origin, data.ell * rot[:, :, 0]]), axis=0)
+    return RefinedCurve(pts, data.ell, closed=False, vertex_parity=(data.turn_parity + 1) % 2)
 
 
 def rigid_align(a: np.ndarray, b: np.ndarray):
@@ -120,7 +113,7 @@ def rigid_align(a: np.ndarray, b: np.ndarray):
     return rot, trans, rms
 
 
-def congruent(a, b, tol: float = 1e-9):
+def congruent(a, b, tol: float = DEFAULT.congruence_rms):
     """Whether two curves agree up to a proper rigid motion.
 
     Accepts RefinedCurve/DiscreteCurve or raw point arrays with equal point

@@ -770,7 +770,7 @@ def centered_nodes(rc: RefinedCurve):
     pts = rc.points
     v, e0, e1, theta = _vertex_turns(rc)
     tv = (e0 + e1) / np.linalg.norm(e0 + e1, axis=1)[:, None]
-    offset = np.sign(theta) * [centered_vertex_offset(abs(t), rc.ell) for t in theta]
+    offset = np.sign(theta) * centered_vertex_offset(theta, rc.ell)
     points = pts[v] + offset[:, None] * _rot90(tv)
     if rc.closed:
         return points, tv

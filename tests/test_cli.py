@@ -71,6 +71,20 @@ _BAD_CLOTHOIDS = {
     "NEGATIVE_LENGTH": {"length": -1.0},
 }
 
+# an arc that would turn 1e9 rad, for render --spline
+_LONG_ARC = {
+    "closed": False,
+    "segments": [{"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "start_angle": 0.0, "sweep": 1e9}],
+}
+
+# a well-formed angle record with 2-D theta and phi
+_TWO_D_INTRINSIC = {
+    "ell": 1.0,
+    "convention": "inscribed",
+    "theta": [[0.1, 0.2], [0.0, 0.0]],
+    "phi": [[0.0, 0.0], [0.1, 0.1]],
+}
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -169,6 +183,8 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["render", "HEX", "--spline", "HUGE_KAPPA0"], {}),
         (["render", "HEX", "--spline", "LONG_CLOTHOID"], {}),
         (["render", "HEX", "--spline", "NEGATIVE_LENGTH"], {}),
+        (["render", "HEX", "--spline", "LONG_ARC"], {}),
+        (["reconstruct", "TWO_D_INTRINSIC"], {}),
     ],
     ids=[
         "unknown-param",
@@ -207,6 +223,8 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "render-huge-kappa0",
         "render-long-clothoid",
         "render-negative-clothoid-length",
+        "render-arc-sweep-1e9",
+        "reconstruct-2d-angles",
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
@@ -215,6 +233,8 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
         "INTRINSIC": _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC)),
         "MISSING": str(tmp_path / "missing" / "out"),
         "DIR": str(tmp_path),
+        "LONG_ARC": _write(tmp_path, "long_arc.json", json.dumps(_LONG_ARC)),
+        "TWO_D_INTRINSIC": _write(tmp_path, "two_d_intrinsic.json", json.dumps(_TWO_D_INTRINSIC)),
     }
     for key, params in _BAD_CLOTHOIDS.items():
         files[key] = _write(tmp_path, f"{key.lower()}.json", _clothoid_spline_json(**params))

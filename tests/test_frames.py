@@ -23,6 +23,7 @@ from frenetkit.errors import (
     AngleOutOfRange,
     DegenerateVertexFrame,
     InputError,
+    InvalidAngles,
     UndefinedBinormal,
 )
 
@@ -165,6 +166,10 @@ def test_curvature_torsion_validation():
         curvature_torsion([0.1, 0.2], [0.0, 0.0], 1.0, Convention.INSCRIBED)
     with pytest.raises(AngleOutOfRange):
         curvature_torsion([2.0, 0.0], [0.0, 0.1], 1.0, Convention.INSCRIBED)
+    with pytest.raises(InvalidAngles, match="1-D"):
+        curvature_torsion([[0.1, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.1]], 1.0, Convention.INSCRIBED)
+    with pytest.raises(InvalidAngles, match="1-D"):
+        curvature_torsion(0.1, 0.0, 1.0, Convention.INSCRIBED)
     data = curvature_torsion([0.3, 0.0], [0.0, -0.2], 1.0, Convention.CENTERED)
     assert data.kappa[0] == pytest.approx(0.3)
     assert data.tau[1] == pytest.approx(-0.2)

@@ -201,3 +201,14 @@ def test_centered_vertex_offset():
     off = centered_vertex_offset(th, 0.5)
     assert off == pytest.approx(1.0 - 2.0 * 0.5 / th)
     assert centered_vertex_offset(0.0, 1.0) == 0.0
+    # arrays match scalars; the sign of theta is dropped, straight stays put
+    th = np.array([0.0, 1e-13, 0.3, -0.3, math.pi / 2.0, 3.0])
+    off = centered_vertex_offset(th, 0.7)
+    assert isinstance(centered_vertex_offset(0.3, 0.7), float)
+    assert off.shape == th.shape
+    assert list(off) == [centered_vertex_offset(float(t), 0.7) for t in th]
+    assert off[0] == off[1] == 0.0 and off[2] == off[3] > 0.0
+    with pytest.raises(AngleOutOfRange):
+        centered_vertex_offset(np.array([0.1, math.pi]), 1.0)
+    with pytest.raises(NonpositiveLength):
+        centered_vertex_offset(th, 0.0)

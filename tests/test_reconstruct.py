@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frenetkit import (
     Convention,
@@ -17,7 +19,7 @@ from frenetkit import (
 )
 from frenetkit.errors import AngleOutOfRange, CountMismatch, InputError, InvalidAngles
 
-from conftest import make_random_intrinsic, make_random_refined, random_rotation
+from conftest import make_random_intrinsic, make_random_refined, random_pose, random_rotation
 
 
 def test_initial_pose_validation():
@@ -125,6 +127,60 @@ def test_long_curve_frame_stays_orthonormal():
         float(np.max(np.abs(f.T @ f - np.eye(3)))) for f in frames[:: 37]
     )
     assert worst <= 1e-12
+
+
+def _step_loop(data, pose, n_steps):
+    """Reference: walk the steps, turning then twisting the frame each time."""
+    pts = np.empty((n_steps + 1, 3))
+    pts[0] = pose.origin
+    t, n, b = pose.tangent, pose.normal, pose.binormal
+    for i in range(n_steps):
+        pts[i + 1] = pts[i] + data.ell * t
+        if i == n_steps - 1:
+            break
+        c, s = math.cos(data.theta[i]), math.sin(data.theta[i])
+        t, n = c * t + s * n, -s * t + c * n
+        c, s = math.cos(data.phi[i]), math.sin(data.phi[i])
+        n, b = c * n + s * b, -s * n + c * b
+    return pts
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(3, 600),
+    planar=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    unused=st.integers(0, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_reconstruct_matches_step_loop(seed, n_points, planar, zero_share, unused):
+    rng = np.random.default_rng(seed)
+    data = make_random_intrinsic(rng, n_points, planar=planar)
+    zero = rng.random(len(data.theta)) < zero_share
+    theta, phi = np.where(zero, 0.0, data.theta), np.where(zero, 0.0, data.phi)
+    data = curvature_torsion(theta, phi, data.ell, Convention.INSCRIBED)
+    pose = InitialPose() if planar else random_pose(rng)
+    # n_steps may leave trailing angles unused
+    n_steps = max(1, len(theta) + 1 - unused)
+    got = reconstruct(data, pose, n_steps=n_steps).points
+    want = _step_loop(data, pose, n_steps)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * n_steps * data.ell
+    if planar:
+        # exactly +0.0, so the rebuilt curve reads as planar
+        assert all(math.copysign(1.0, z) == 1.0 and z == 0.0 for z in got[:, 2])
+
+
+def test_roundtrip_at_1e5_turns():
+    rng = np.random.default_rng(5)
+    data = make_random_intrinsic(rng, 200_001, ell=1.0)
+    rc = reconstruct(data, random_pose(rng))
+    ff, back = analyze(rc)
+    assert np.max(np.abs(back.theta - data.theta)) <= 1e-9
+    assert np.max(np.abs(back.phi - data.phi)) <= 1e-9
+    pose = InitialPose(origin=rc.points[0], tangent=ff.Te[0], normal=ff.Ne[0], binormal=ff.Be[0])
+    ok, rms = congruent(rc, reconstruct(back, pose, n_steps=rc.n_edges()))
+    assert ok and rms <= 1e-9, rms
 
 
 def test_rigid_align_exact_motion(rng):
