@@ -2,7 +2,7 @@
 (arcs, clothoids, elastica) that realize them.
 """
 
-from .config import DEFAULT, Tolerances, cli_tolerance
+from .config import cli_tolerance
 from .curve_core import (
     DiscreteCurve,
     RefinedCurve,
@@ -75,6 +75,6 @@ from .spline2d import (
     spline_circumscribed,
     spline_inscribed,
 )
-from .svg import RenderStyle, render_svg
+from .svg import render_svg
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import MIDPOINT_REL, UNIFORM_LENGTH_REL
 from .errors import InputError, NonUniformLength, TooShort
 
 
@@ -58,10 +58,7 @@ class DiscreteCurve:
 
     def edges(self) -> np.ndarray:
         """Edge vectors, wrapping for closed curves."""
-        pts = self.points
-        if self.closed:
-            return np.roll(pts, -1, axis=0) - pts
-        return pts[1:] - pts[:-1]
+        return diff(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
         return np.linalg.norm(self.edges(), axis=1)
@@ -101,10 +98,7 @@ class RefinedCurve:
         return len(self.points) if self.closed else len(self.points) - 1
 
     def edges(self) -> np.ndarray:
-        pts = self.points
-        if self.closed:
-            return np.roll(pts, -1, axis=0) - pts
-        return pts[1:] - pts[:-1]
+        return diff(self.points, self.closed)
 
     def length(self) -> float:
         return float(np.sum(np.linalg.norm(self.edges(), axis=1)))
@@ -117,7 +111,7 @@ class RefinedCurve:
         return np.arange(self.vertex_parity, n, 2)
 
 
-def validate_refined(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> None:
+def validate_refined(rc: RefinedCurve) -> None:
     """Check the two defining invariants of a refined curve.
 
     Raises NonUniformLength when half-edge lengths spread beyond tolerance,
@@ -125,12 +119,12 @@ def validate_refined(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> None:
     """
     lengths = np.linalg.norm(rc.edges(), axis=1)
     mean = float(np.mean(lengths))
-    if (np.max(lengths) - np.min(lengths)) > tol.uniform_length_rel * mean:
+    if (np.max(lengths) - np.min(lengths)) > UNIFORM_LENGTH_REL * mean:
         raise NonUniformLength(
             f"half-edge lengths spread {np.max(lengths) - np.min(lengths):.3e} "
-            f"exceeds {tol.uniform_length_rel:.1e} relative"
+            f"exceeds {UNIFORM_LENGTH_REL:.1e} relative"
         )
-    if abs(mean - rc.ell) > tol.uniform_length_rel * mean + 1e-300:
+    if abs(mean - rc.ell) > UNIFORM_LENGTH_REL * mean + 1e-300:
         raise NonUniformLength(f"stored ell={rc.ell} disagrees with edges (mean {mean})")
     pts = rc.points
     n = len(pts)
@@ -138,24 +132,24 @@ def validate_refined(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> None:
     if not rc.closed:
         mids = mids[(mids > 0) & (mids < n - 1)]
     defect = np.linalg.norm(pts[mids] - 0.5 * (pts[mids - 1] + pts[(mids + 1) % n]), axis=1)
-    bad = np.nonzero(defect > tol.midpoint_rel * max(rc.ell, 1.0))[0]
+    bad = np.nonzero(defect > MIDPOINT_REL * max(rc.ell, 1.0))[0]
     if len(bad):
         i = bad[0]
         raise InputError(f"midpoint invariant violated at index {mids[i]} (defect {defect[i]:.3e})")
 
 
-def refine(curve: DiscreteCurve, tol: Tolerances = DEFAULT) -> RefinedCurve:
+def refine(curve: DiscreteCurve) -> RefinedCurve:
     """Insert edge midpoints, producing the half-edge-uniform refined curve.
 
     The input must have uniform edge length 2*ell (relative tolerance
-    ``tol.uniform_length_rel``); NonUniformLength otherwise.
+    ``UNIFORM_LENGTH_REL``); NonUniformLength otherwise.
     """
     lengths = curve.edge_lengths()
     mean = float(np.mean(lengths))
-    if (np.max(lengths) - np.min(lengths)) > tol.uniform_length_rel * mean:
+    if (np.max(lengths) - np.min(lengths)) > UNIFORM_LENGTH_REL * mean:
         raise NonUniformLength(
             f"edge length spread {np.max(lengths) - np.min(lengths):.3e} exceeds "
-            f"{tol.uniform_length_rel:.1e} relative; refine requires uniform edges"
+            f"{UNIFORM_LENGTH_REL:.1e} relative; refine requires uniform edges"
         )
     pts = curve.points
     n = len(pts)

@@ -33,6 +33,7 @@ from .errors import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # cells per quadrature block: the (block, 16) temporaries stay ~32 KB
 MAX_SAMPLES = 1_000_000  # largest sample count a discretization may ask for
+MAX_INFLECTIONS = 64  # more sign changes of the curvature than this count as infinitely many
 
 
 @dataclass(frozen=True)
@@ -209,14 +210,14 @@ def discretize_inscribed(c: SmoothCurve, samples) -> DiscreteCurve:
     return DiscreteCurve(c.point(s), closed=c.closed)
 
 
-def find_inflections(c: SmoothCurve, max_inflections: int = 64) -> np.ndarray:
+def find_inflections(c: SmoothCurve) -> np.ndarray:
     """Arc-length parameters where the signed curvature changes sign."""
     grid = np.linspace(0.0, c.length, 4096)
     sign = np.sign(c.curvature(grid))
     # a zero on the grid is a root; a sign change brackets one
     hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
-    if len(hits) > max_inflections:
-        raise InfinitelyManyInflections(f"more than {max_inflections} inflections detected")
+    if len(hits) > MAX_INFLECTIONS:
+        raise InfinitelyManyInflections(f"more than {MAX_INFLECTIONS} inflections detected")
     roots = [
         grid[j] if sign[j] == 0.0
         else brentq(lambda v: float(c.curvature(v)), grid[j], grid[j + 1], xtol=1e-13)
@@ -227,9 +228,7 @@ def find_inflections(c: SmoothCurve, max_inflections: int = 64) -> np.ndarray:
     return np.asarray(roots)
 
 
-def discretize_circumscribed(
-    c: SmoothCurve, samples, max_inflections: int = 64
-) -> DiscreteCurve:
+def discretize_circumscribed(c: SmoothCurve, samples) -> DiscreteCurve:
     """Vertices at intersections of consecutive tangent lines.
 
     Every inflection of the curve must appear among the samples, with at
@@ -239,7 +238,7 @@ def discretize_circumscribed(
     """
     s = _check_samples(c, samples)
     tol_s = 1e-9 * max(c.length, 1.0)
-    inflections = find_inflections(c, max_inflections)
+    inflections = find_inflections(c)
     for s_inf in inflections:
         if np.min(np.abs(s - s_inf)) > tol_s:
             raise MissingInflectionSample(f"inflection at s={s_inf} not sampled")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .curve_core import DiscreteCurve, RefinedCurve
+from .config import PARALLEL_CROSS
+from .curve_core import DiscreteCurve, RefinedCurve, diff
 from .errors import (
     AngleOutOfRange,
     DegenerateVertexFrame,
@@ -87,18 +87,14 @@ class FrameField:
         return arr[:-1]
 
 
-def edge_frames(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> FrameField:
+def edge_frames(rc: RefinedCurve) -> FrameField:
     """Edge frames of a refined curve.
 
     Binormals at straight vertices (parallel consecutive tangents) are
     parallel-transported from the nearest defined vertex; a 3D curve with no
     turning anywhere has no binormal and raises UndefinedBinormal.
     """
-    pts = _embed3(rc.points)
-    if rc.closed:
-        edges = np.roll(pts, -1, axis=0) - pts
-    else:
-        edges = pts[1:] - pts[:-1]
+    edges = diff(_embed3(rc.points), rc.closed)
     lengths = np.linalg.norm(edges, axis=1)
     if np.min(lengths) <= 0.0:
         raise InputError("zero-length edge")
@@ -125,7 +121,7 @@ def edge_frames(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> FrameField:
         tr = np.nonzero(turn_mask)[0]
         c = np.cross(Te[tr], Te[(tr + 1) % m])
         nc = np.linalg.norm(c, axis=1)
-        ok = nc >= tol.parallel_cross
+        ok = nc >= PARALLEL_CROSS
         tr, b = tr[ok], c[ok] / nc[ok, None]
         if not len(tr):
             raise UndefinedBinormal("curve is straight everywhere; no binormal in 3D")
@@ -145,13 +141,13 @@ def edge_frames(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> FrameField:
     )
 
 
-def vertex_frames(ff: FrameField, tol: Tolerances = DEFAULT) -> FrameField:
+def vertex_frames(ff: FrameField) -> FrameField:
     """Fill in vertex frames: normalized sums of consecutive edge frames."""
 
     def avg(arr):
         s = ff.pred_slice(arr) + ff.succ(arr)
         norms = np.linalg.norm(s, axis=1)
-        if np.min(norms) < tol.parallel_cross:
+        if np.min(norms) < PARALLEL_CROSS:
             i = int(np.argmin(norms))
             raise DegenerateVertexFrame(f"antiparallel frame vectors at transition {i}")
         return s / norms[:, None]
@@ -264,9 +260,7 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
     n_t = ff.n_transitions
     if len(data.theta) != n_t:
         raise InputError(f"angle arrays have length {len(data.theta)}, expected {n_t}")
-    DTe = ff.succ(ff.Te) - ff.pred_slice(ff.Te)
-    DNe = ff.succ(ff.Ne) - ff.pred_slice(ff.Ne)
-    DBe = ff.succ(ff.Be) - ff.pred_slice(ff.Be)
+    DTe, DNe, DBe = (diff(arr, ff.closed) for arr in (ff.Te, ff.Ne, ff.Be))
     lk = data.ell * data.kappa
     lt = data.ell * data.tau
     # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero
@@ -300,11 +294,7 @@ def polyline_turning_angles(dc: DiscreteCurve) -> np.ndarray:
     Signed for planar curves (positive = left turn), unsigned in 3D.
     One value per interior vertex (open) or per vertex (closed).
     """
-    pts = _embed3(dc.points)
-    if dc.closed:
-        e = np.roll(pts, -1, axis=0) - pts
-    else:
-        e = pts[1:] - pts[:-1]
+    e = diff(_embed3(dc.points), dc.closed)
     t = e / np.linalg.norm(e, axis=1)[:, None]
     t_next = np.roll(t, -1, axis=0) if dc.closed else t[1:]
     t_here = t if dc.closed else t[:-1]

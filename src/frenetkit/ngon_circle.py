@@ -39,8 +39,8 @@ def _check_angle(angle: float | np.ndarray) -> None:
 
 
 def _check_length(ell: float) -> None:
-    if not ell > 0.0:
-        raise NonpositiveLength(f"length must be positive, got {ell}")
+    if not 0.0 < ell < math.inf:
+        raise NonpositiveLength(f"length must be positive and finite, got {ell}")
 
 
 def kappa_from_angle(

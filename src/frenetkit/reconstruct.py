@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import CONGRUENCE_RMS, ORTHONORMAL
 from .curve_core import RefinedCurve
 from .errors import CountMismatch, InputError, InvalidAngles
 from .frames import IntrinsicData, validate_angle_record
@@ -32,7 +32,7 @@ class InitialPose:
         for name in ("origin", "tangent", "normal", "binormal"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         frame = np.column_stack([self.tangent, self.normal, self.binormal])
-        if np.max(np.abs(frame.T @ frame - np.eye(3))) > DEFAULT.orthonormal:
+        if np.max(np.abs(frame.T @ frame - np.eye(3))) > ORTHONORMAL:
             raise InputError("initial frame is not orthonormal")
         if np.linalg.det(frame) < 0.0:
             raise InputError("initial frame is not right-handed")
@@ -85,7 +85,9 @@ def reconstruct(
         out=rot[1:].reshape(-1, 9),
     )
     _prefix_products(rot)
-    pts = np.cumsum(np.vstack([pose.origin, data.ell * rot[:, :, 0]]), axis=0)
+    # a huge ell overflows the sum to inf or nan; RefinedCurve rejects those points
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.cumsum(np.vstack([pose.origin, data.ell * rot[:, :, 0]]), axis=0)
     return RefinedCurve(pts, data.ell, closed=False, vertex_parity=(data.turn_parity + 1) % 2)
 
 
@@ -113,7 +115,7 @@ def rigid_align(a: np.ndarray, b: np.ndarray):
     return rot, trans, rms
 
 
-def congruent(a, b, tol: float = DEFAULT.congruence_rms):
+def congruent(a, b, tol: float = CONGRUENCE_RMS):
     """Whether two curves agree up to a proper rigid motion.
 
     Accepts RefinedCurve/DiscreteCurve or raw point arrays with equal point

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import CLOTHOID_FIT, ELASTICA_KKT
 from .curve_core import DiscreteCurve, RefinedCurve, validate_refined
 from .errors import (
     Infeasible,
@@ -235,8 +235,7 @@ class ElasticaSegment:
         return float(np.interp(s, grid, self.thetas))
 
     def energy(self) -> float:
-        d = np.diff(self.thetas)
-        return float(np.sum(d * d) / self.ds)
+        return elastica_energy(self.thetas, self.ds)
 
     def polyline(self, tol: float) -> np.ndarray:
         return self.node_points()
@@ -305,10 +304,10 @@ def _arc_from_pose(p: np.ndarray, direction: np.ndarray, kappa: float, length: f
     return ArcSegment(center, radius, alpha0, kappa * length, length)
 
 
-def spline_inscribed(rc: RefinedCurve, tol: Tolerances = DEFAULT) -> Spline:
+def spline_inscribed(rc: RefinedCurve) -> Spline:
     """One arc per vertex, tangent to both adjacent edges at their midpoints."""
     _require_planar(rc.points)
-    validate_refined(rc, tol)
+    validate_refined(rc)
     pts = rc.points
     n = len(pts)
     ell = rc.ell
@@ -364,7 +363,7 @@ def _solve_clothoid_param(phi0: float, delta: float, max_iter: int = 200):
     return float(brentq(lambda a: _phase_integrals(phi0, delta - a, a)[1], lo, hi, xtol=1e-14))
 
 
-def clothoid_g1_fit(p0, t0, p1, t1, tol: Tolerances = DEFAULT) -> Segment:
+def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
     """Shortest line/arc/clothoid joining pose (p0, t0) to (p1, t1).
 
     Exactly collinear data yields a Line, symmetric data an Arc, anything
@@ -414,14 +413,14 @@ def clothoid_g1_fit(p0, t0, p1, t1, tol: Tolerances = DEFAULT) -> Segment:
     residual = float(np.linalg.norm(end - p1)) + abs(
         _wrap_angle(seg.angle_at(length) - math.atan2(t1[1], t1[0]))
     )
-    if residual > tol.clothoid_fit * max(1.0, d):
+    if residual > CLOTHOID_FIT * max(1.0, d):
         raise NoConvergence(
             f"fitted clothoid misses the end pose by {residual:.3e}", residual=residual
         )
     return seg
 
 
-def spline_circumscribed(dc: DiscreteCurve, tol: Tolerances = DEFAULT) -> Spline:
+def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     """Clothoid spline interpolating the vertices of a discrete curve.
 
     The tangent at each vertex is the normalized sum of the adjacent edge
@@ -445,7 +444,7 @@ def spline_circumscribed(dc: DiscreteCurve, tol: Tolerances = DEFAULT) -> Spline
     for i in range(spans):
         j = (i + 1) % n
         try:
-            segments.append(clothoid_g1_fit(pts[i], tangents[i], pts[j], tangents[j], tol))
+            segments.append(clothoid_g1_fit(pts[i], tangents[i], pts[j], tangents[j]))
         except NoConvergence as exc:
             raise NoConvergence(f"segment {i}: {exc}", residual=exc.residual) from exc
     return Spline(tuple(segments), closed=dc.closed)
@@ -633,7 +632,7 @@ def _fit_c_const(th: np.ndarray, ds: float) -> float:
 _BATCH_ROWS = 64
 
 
-def _elastica_spans(spans, length, n, restarts, seed, tol, name_spans=False):
+def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     """The elastica of the given length for each span (p0, t0, p1, t1).
 
     The starts of all spans are solved together, _BATCH_ROWS rows per
@@ -684,7 +683,7 @@ def _elastica_spans(spans, length, n, restarts, seed, tol, name_spans=False):
             continue
         found, residuals = thetas[row : row + count], res[row : row + count]
         row += count
-        converged = found[residuals < tol.elastica_kkt]  # a copy: no segment keeps the batch
+        converged = found[residuals < ELASTICA_KKT]  # a copy: no segment keeps the batch
         solutions = sorted([(elastica_energy(th, ds), th) for th in converged], key=lambda e: e[0])
         if not solutions:
             best_res = float(np.min(residuals))
@@ -717,7 +716,6 @@ def elastica_bvp(
     n: int = 64,
     restarts: int = 8,
     seed: int = 0,
-    tol: Tolerances = DEFAULT,
 ) -> ElasticaSegment:
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
@@ -726,7 +724,7 @@ def elastica_bvp(
     perturbations); distinct local minima trigger MultipleSolutionsWarning
     and the lowest-energy one is returned.
     """
-    return _elastica_spans([(p0, t0, p1, t1)], length, n, restarts, seed, tol)[0]
+    return _elastica_spans([(p0, t0, p1, t1)], length, n, restarts, seed)[0]
 
 
 def project_to_constraints(thetas: np.ndarray, ds: float, target, max_iter: int = 50):
@@ -784,7 +782,6 @@ def spline_centered(
     n: int = 64,
     restarts: int = 8,
     seed: int = 0,
-    tol: Tolerances = DEFAULT,
 ) -> Spline:
     """Length-preserving elastica spline through centered offset points.
 
@@ -793,11 +790,11 @@ def spline_centered(
     every span is solved as one Newton batch.
     """
     _require_planar(rc.points)
-    validate_refined(rc, tol)
+    validate_refined(rc)
     points, dirs = centered_nodes(rc)
     spans = list(zip(points, dirs, np.roll(points, -1, axis=0), np.roll(dirs, -1, axis=0)))
     spans = spans if rc.closed else spans[:-1]
-    segments = _elastica_spans(spans, 2.0 * rc.ell, n, restarts, seed, tol, name_spans=True)
+    segments = _elastica_spans(spans, 2.0 * rc.ell, n, restarts, seed, name_spans=True)
     return Spline(tuple(segments), closed=rc.closed)
 
 

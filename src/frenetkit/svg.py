@@ -9,7 +9,6 @@ usable as golden files in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,21 +17,17 @@ from .errors import NonPlanarData
 from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke_width: float = 0.02
-    curve_color: str = "#1f4e9c"
-    spline_color: str = "#c03020"
-    circle_color: str = "#3a9c3a"
-    marker_radius: float = 0.035
-    marker_color: str = "#202020"
-    padding: float = 0.6
-    # chordal deviation budget for sampled segments, as a fraction of viewport
-    chord_tol_frac: float = 0.001
-
-    def __post_init__(self):
-        if self.stroke_width <= 0 or self.marker_radius <= 0 or self.padding < 0:
-            raise ValueError("style dimensions must be positive")
+_WIDTH = 480  # pixels; the height follows the aspect ratio of the viewport
+_PADDING = 0.6  # margin around the drawing, in user units
+# stroke width, marker radius and the chordal deviation budget for sampled
+# segments, as fractions of the larger viewport side
+_STROKE_WIDTH = 0.02
+_MARKER_RADIUS = 0.035
+_CHORD_TOL_FRAC = 0.001
+_CURVE_COLOR = "#1f4e9c"
+_SPLINE_COLOR = "#c03020"
+_CIRCLE_COLOR = "#3a9c3a"
+_MARKER_COLOR = "#202020"
 
 
 def _fmt(x: float) -> str:
@@ -84,20 +79,13 @@ def _segment_path(seg, start_cmd: bool, tol: float) -> str:
     return path if start_cmd else path[path.index("L") :]
 
 
-def render_svg(
-    curves=(),
-    splines=(),
-    circles=(),
-    style: RenderStyle | None = None,
-    width: int = 480,
-) -> str:
+def render_svg(curves=(), splines=(), circles=()) -> str:
     """Compose an SVG 1.1 document.
 
     ``curves``: DiscreteCurve/RefinedCurve instances drawn as polylines with
     point markers; ``splines``: Spline instances; ``circles``: (center,
     radius) pairs.  3D input raises NonPlanarData.
     """
-    style = style or RenderStyle()
     chunks = []
     curve_pts = []
     for c in curves:
@@ -113,9 +101,9 @@ def render_svg(
         chunks.append(center + np.array([[radius, 0], [-radius, 0], [0, radius], [0, -radius]]))
 
     lo, hi = _bounds_of(chunks)
-    pad = style.padding if style.padding > 0 else 0.05 * max(float(np.max(hi - lo)), 1e-9)
-    span = np.maximum(hi - lo + 2 * pad, 1e-9)
-    tol = style.chord_tol_frac * float(np.max(span))
+    span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
+    scale = float(np.max(span))
+    tol = _CHORD_TOL_FRAC * scale
 
     for sp in splines:
         if not sp.segments:
@@ -125,35 +113,35 @@ def render_svg(
             parts.append(_segment_path(seg, start_cmd=(i == 0), tol=tol))
         spline_paths.append(" ".join(parts))
 
-    height = int(round(width * span[1] / span[0])) if span[0] > 0 else width
-    view = f"{_fmt(lo[0] - pad)} {_fmt(-(hi[1] + pad))} {_fmt(span[0])} {_fmt(span[1])}"
-    sw = style.stroke_width * float(np.max(span))
+    height = int(round(_WIDTH * span[1] / span[0]))
+    view = f"{_fmt(lo[0] - _PADDING)} {_fmt(-(hi[1] + _PADDING))} {_fmt(span[0])} {_fmt(span[1])}"
+    sw = _fmt(_STROKE_WIDTH * scale)
+    marker_r = _fmt(_MARKER_RADIUS * scale)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="{view}">',
+        f'width="{_WIDTH}" height="{height}" viewBox="{view}">',
     ]
     for center, radius in circles:
         cx, cy = np.asarray(center, dtype=float)
         out.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(radius)}" fill="none" '
-            f'stroke="{style.circle_color}" stroke-width="{_fmt(sw)}"/>'
+            f'stroke="{_CIRCLE_COLOR}" stroke-width="{sw}"/>'
         )
     for pts, closed in curve_pts:
         out.append(
             f'<path d="{_polyline_path(pts, closed)}" fill="none" '
-            f'stroke="{style.curve_color}" stroke-width="{_fmt(sw)}"/>'
+            f'stroke="{_CURVE_COLOR}" stroke-width="{sw}"/>'
         )
         for p in pts:
             out.append(
                 f'<circle cx="{_fmt(p[0])}" cy="{_fmt(-p[1])}" '
-                f'r="{_fmt(style.marker_radius * float(np.max(span)))}" '
-                f'fill="{style.marker_color}"/>'
+                f'r="{marker_r}" fill="{_MARKER_COLOR}"/>'
             )
     for path in spline_paths:
         out.append(
-            f'<path d="{path}" fill="none" stroke="{style.spline_color}" '
-            f'stroke-width="{_fmt(sw)}"/>'
+            f'<path d="{path}" fill="none" stroke="{_SPLINE_COLOR}" '
+            f'stroke-width="{sw}"/>'
         )
     out.append("</svg>")
     return "\n".join(out)

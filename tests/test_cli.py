@@ -343,6 +343,16 @@ def test_reconstruct_command(runner, tmp_path):
     assert np.linalg.norm(pts[12] - pts[0]) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ell", [1e308, math.inf], ids=["overflowing", "infinite"])
+def test_reconstruct_rejects_huge_ell_without_warnings(runner, tmp_path, ell):
+    path = _write(tmp_path, "intrinsic.json", json.dumps({**_HEX_INTRINSIC, "ell": ell}))
+    result = runner.invoke(main, ["reconstruct", path])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_discretize_centered_report(runner):
     result = CliRunner().invoke(
         main, ["discretize", "circle", "--method", "centered", "--density", "4"]
@@ -368,6 +378,13 @@ def test_discretize_circumscribed_sine_missing_inflection(runner):
     )
     # the unsampled inflection is an input problem
     assert result.exit_code == 2
+
+
+def test_discretize_circumscribed_too_many_inflections(runner):
+    argv = ["discretize", "sine", "--method", "circumscribed", "--samples", "20", "--param", "x_max=1000"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stderr == "error: more than 64 inflections detected\n"
 
 
 def test_discretize_inscribed_with_params(runner, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
-from frenetkit.config import DEFAULT as DEFAULT_TOL
+from frenetkit.config import ELASTICA_KKT
 from frenetkit.errors import Infeasible, InputError, MultipleSolutionsWarning, NoConvergence
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.spline2d import (
@@ -444,7 +444,7 @@ def test_centered_spline_names_the_failing_span():
     rc = refine(_unit_step_polyline(ZIGZAG_ANGLES))
     with pytest.raises(NoConvergence, match=r"^span 3: .*best residual") as info:
         spline_centered(rc)
-    assert info.value.residual > DEFAULT_TOL.elastica_kkt
+    assert info.value.residual > ELASTICA_KKT
 
 
 def test_centered_nodes_closed_and_open():
