@@ -61,7 +61,14 @@ class DiscreteCurve:
         return diff(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edges(), axis=1)
+        edges = self.edges()
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(edges, axis=1)
+            # a finite edge whose squared norm overflowed: scale it down first
+            if (big := np.isinf(lengths) & np.isfinite(edges).all(axis=1)).any():
+                scale = np.max(np.abs(edges[big]), axis=1)
+                lengths[big] = scale * np.linalg.norm(edges[big] / scale[:, None], axis=1)
+        return lengths
 
     def length(self) -> float:
         return float(np.sum(self.edge_lengths()))

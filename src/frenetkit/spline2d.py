@@ -529,17 +529,10 @@ def _kkt_residual(thetas, lam, ds, target):
     return np.concatenate([stationary, defect], axis=-1)
 
 
-def _kkt_step(thetas, lam, ds, res):
-    """Newton steps of the KKT systems of a batch of rows, and a mask of the
-    rows whose systems are nonsingular.
-
-    A row's Lagrangian Hessian is tridiagonal with a two-row constraint
-    border: one gtsv (LAPACK's tridiagonal solver, as in scipy's solve_banded)
-    solves the block-diagonal band of all rows, and each row's 2x2 Schur
-    complement is solved in closed form.
-    """
-    from scipy.linalg.lapack import dgtsv
-
+def _lagrangian_band(thetas, lam, ds):
+    """Each row's Lagrangian Hessian on the interior nodes as a tridiagonal
+    band (diag, off), off zero in its last column, and the constraint
+    Jacobian G (B x 2 x interior nodes)."""
     n_rows, n_int = len(thetas), thetas.shape[1] - 2
     gx, gy = _constraint_grad(thetas, ds)
     dx, ex, dy, ey = _constraint_hessians(thetas, ds)
@@ -547,19 +540,44 @@ def _kkt_step(thetas, lam, ds, res):
     diag = 4.0 / ds + lam[:, :1] * dx[:, 1:-1] + lam[:, 1:] * dy[:, 1:-1]
     off = np.zeros((n_rows, n_int))  # the last column couples a row to the next: zero
     off[:, :-1] = -2.0 / ds + lam[:, :1] * ex[:, 1:-1] + lam[:, 1:] * ey[:, 1:-1]
-    g = np.stack([gx[:, 1:-1], gy[:, 1:-1]], axis=1)  # B x 2 x n_int
-    rhs = np.stack([res[:, :n_int], g[:, 0], g[:, 1]], axis=-1)
-    ok = np.ones(n_rows, dtype=bool)
+    return diag, off, np.stack([gx[:, 1:-1], gy[:, 1:-1]], axis=1)
+
+
+def _band_solve(diag, off, rhs):
+    """Solutions (B x n x k) of every row's tridiagonal system for its k
+    right-hand sides, and a mask of the rows whose systems are nonsingular.
+
+    One gtsv (LAPACK's tridiagonal solver, as in scipy's solve_banded)
+    solves the block-diagonal band of all rows; a singular row is retired,
+    its entries overwritten, and the others solved again.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    n_int = diag.shape[1]
+    ok = np.ones(len(diag), dtype=bool)
     while True:
         band = off.ravel()[:-1]
-        *_, sol, info = dgtsv(band, diag.ravel(), band, rhs.reshape(-1, 3))
+        *_, sol, info = dgtsv(band, diag.ravel(), band, rhs.reshape(-1, rhs.shape[-1]))
         if info == 0:
-            break
+            return sol.reshape(rhs.shape), ok
         # zero pivot in row k's block: retire the row and solve the others again
         k = (info - 1) // n_int
         ok[k] = False
         diag[k], off[k], rhs[k] = 1.0, 0.0, 0.0
-    sol = sol.reshape(n_rows, n_int, 3)
+
+
+def _kkt_step(thetas, lam, ds, res):
+    """Newton steps of the KKT systems of a batch of rows, and a mask of the
+    rows whose systems are nonsingular.
+
+    A row's Lagrangian Hessian is tridiagonal with a two-row constraint
+    border: one band solve covers all rows, and each row's 2x2 Schur
+    complement is solved in closed form.
+    """
+    n_int = thetas.shape[1] - 2
+    diag, off, g = _lagrangian_band(thetas, lam, ds)
+    rhs = np.stack([res[:, :n_int], g[:, 0], g[:, 1]], axis=-1)
+    sol, ok = _band_solve(diag, off, rhs)
     hr, hg = sol[..., 0], sol[..., 1:]  # H^-1 r1, H^-1 G^T
     schur = g @ hg
     c = res[:, n_int:] - np.einsum("bij,bj->bi", g, hr)
@@ -571,9 +589,31 @@ def _kkt_step(thetas, lam, ds, res):
     return np.column_stack([-hr - np.einsum("bij,bj->bi", hg, dlam), dlam]), ok
 
 
+def _second_order_ok(thetas, lam, ds):
+    """Mask of the rows whose reduced Hessian (the Lagrangian Hessian H on the
+    tangent space of the two constraints) is positive definite.
+
+    By Haynsworth's inertia additivity on the KKT matrix [[H, G^T], [G, 0]],
+    it is iff H and the 2x2 Schur complement S = G H^-1 G^T are nonsingular
+    and have as many negative eigenvalues.  H's count is the number of
+    negative LDL^T pivots, O(n) per row; a zero pivot fails the test.
+    """
+    diag, off, g = _lagrangian_band(thetas, lam, ds)
+    pivot = diag[:, 0]
+    negative, nonzero = (pivot < 0.0).astype(int), pivot != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, diag.shape[1]):
+            pivot = diag[:, k] - off[:, k - 1] ** 2 / pivot
+            negative += pivot < 0.0
+            nonzero &= pivot != 0.0
+    hg, ok = _band_solve(diag, off, g.transpose(0, 2, 1).copy())
+    eig = np.linalg.eigvalsh(g @ hg)
+    return ok & nonzero & (eig != 0.0).all(axis=1) & (negative == (eig < 0.0).sum(axis=1))
+
+
 def _newton_batch(starts, ds, targets, max_iter=100):
     """Damped Newton on the KKT system of every row of starts (B, n+1) at once;
-    returns the final thetas and each row's max|res|.
+    returns the final thetas, each row's max|res| and its multipliers (B, 2).
 
     Each row stops below 1e-11, after max_iter steps, on a singular step, or
     after 6 slow steps in a row (max|res| not cut below 0.7x); its line search
@@ -613,7 +653,7 @@ def _newton_batch(starts, ds, targets, max_iter=100):
         slow[rows] = np.where(improved & (new <= 0.7 * nrm[rows]), 0, slow[rows] + 1)
         nrm[rows] = new
         live[rows] &= slow[rows] < 6
-    return thetas, nrm
+    return thetas, nrm, lam
 
 
 def _fit_c_const(th: np.ndarray, ds: float) -> float:
@@ -627,21 +667,66 @@ def _fit_c_const(th: np.ndarray, ds: float) -> float:
     return num / den if den > 0.0 else 0.0
 
 
+def _span_starts(t0, t1, n, restarts, seed):
+    """The 3 + restarts start rows (n + 1 nodes each) of a span with unit end
+    tangents t0, t1.
+
+    The first three are the linear turning-angle ramp and its two 2 pi
+    windings; each further row adds smooth random interior bumps, drawn from
+    default_rng(seed), to one of the three in turn.
+    """
+    grid = np.linspace(0.0, 1.0, n + 1)
+    th0 = math.atan2(t0[1], t0[0])
+    th1 = th0 + _wrap_angle(math.atan2(t1[1], t1[0]) - th0)
+    own = [th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)]
+    rng = np.random.default_rng(seed) if restarts else None
+    while len(own) < 3 + restarts:
+        base = own[len(own) % 3].copy()
+        for mode in range(1, 4):
+            # interior perturbation only; sin windows vanish at both ends
+            base += rng.normal(0.0, 0.6 / mode) * np.sin(math.pi * mode * grid)
+        own.append(base)
+    return np.array(own)
+
+
 # rows per _newton_batch call: a batch holds about 30 temporaries of its size;
 # 64 rows keep them near 1.5 MB, where one batch of 330 rows held 5 MB for 1.3x the speed
 _BATCH_ROWS = 64
 
 
+def _solve_rows(starts, targets, ds):
+    """_newton_batch on the rows of starts, _BATCH_ROWS rows per call."""
+    parts = [
+        _newton_batch(starts[i : i + _BATCH_ROWS], ds, targets[i : i + _BATCH_ROWS])
+        for i in range(0, len(starts), _BATCH_ROWS)
+    ]
+    return (np.concatenate(a) for a in zip(*parts))
+
+
+def _distinct_minima(thetas, residuals, ds):
+    """Indices of the converged rows that are distinct minima, lowest energy
+    first: a row counts unless it is within 1e-6 (max abs) of one kept."""
+    converged = np.flatnonzero(residuals < ELASTICA_KKT)
+    energies = [elastica_energy(thetas[j], ds) for j in converged]
+    distinct = []
+    for j in converged[np.argsort(energies, kind="stable")]:
+        if all(np.max(np.abs(thetas[j] - thetas[k])) > 1e-6 for k in distinct):
+            distinct.append(j)
+    return distinct
+
+
 def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     """The elastica of the given length for each span (p0, t0, p1, t1).
 
-    The starts of all spans are solved together, _BATCH_ROWS rows per
-    _newton_batch call; span i draws its random starts from
-    default_rng(seed + i).  With name_spans, NoConvergence names the span.
+    Phase 1 solves the three winding starts of every span.  Phase 2 solves
+    the random restarts, drawn from default_rng(seed + i) for span i, only
+    for the spans whose winding starts are inconclusive: none converged,
+    they reached distinct minima, or the reduced Hessian at their minimum
+    is not positive definite.  Each phase solves the rows of all its spans
+    together.  With name_spans, NoConvergence names the span.
     """
     ds = length / n
-    grid = np.linspace(0.0, 1.0, n + 1)
-    plans, starts, targets = [], [], []  # plans: (p0, thetas if straight, start count)
+    segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
     for i, (p0, t0, p1, t1) in enumerate(spans):
         p0 = np.asarray(p0, dtype=float)
         chord = np.asarray(p1, dtype=float) - p0
@@ -650,60 +735,49 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
         d = float(np.linalg.norm(chord))
         if length < d * (1.0 - 1e-12):
             raise Infeasible(f"length {length} shorter than chord {d}")
-        th0 = math.atan2(t0[1], t0[0])
-        th1 = th0 + _wrap_angle(math.atan2(t1[1], t1[0]) - th0)
         if length <= d * (1.0 + 1e-12):
             psi = math.atan2(chord[1], chord[0])
-            if abs(_wrap_angle(th0 - psi)) > 1e-9 or abs(_wrap_angle(th1 - psi)) > 1e-9:
+            if max(abs(_wrap_angle(math.atan2(t[1], t[0]) - psi)) for t in (t0, t1)) > 1e-9:
                 raise Infeasible("length equals chord but tangents are not aligned")
-            plans.append((p0, np.full(n + 1, psi), 0))
+            segments.append(ElasticaSegment(p0, np.full(n + 1, psi), length, 0.0))
             continue
-        rng = np.random.default_rng(seed + i)
-        own = [th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)]
-        while len(own) < 3 + restarts:
-            base = own[len(own) % 3].copy()
-            for mode in range(1, 4):
-                # interior perturbation only; sin windows vanish at both ends
-                base += rng.normal(0.0, 0.6 / mode) * np.sin(math.pi * mode * grid)
-            own.append(base)
-        plans.append((p0, None, len(own)))
-        starts += own
-        targets += [chord] * len(own)
-    if starts:
-        starts, targets = np.array(starts), np.array(targets)
-        parts = [
-            _newton_batch(starts[i : i + _BATCH_ROWS], ds, targets[i : i + _BATCH_ROWS])
-            for i in range(0, len(starts), _BATCH_ROWS)
-        ]
-        thetas, res = (np.concatenate(a) for a in zip(*parts))
-    segments, row = [], 0
-    for i, (p0, straight, count) in enumerate(plans):
-        if straight is not None:
-            segments.append(ElasticaSegment(p0, straight, length, 0.0))
-            continue
-        found, residuals = thetas[row : row + count], res[row : row + count]
-        row += count
-        converged = found[residuals < ELASTICA_KKT]  # a copy: no segment keeps the batch
-        solutions = sorted([(elastica_energy(th, ds), th) for th in converged], key=lambda e: e[0])
-        if not solutions:
-            best_res = float(np.min(residuals))
+        segments.append(None)
+        curved.append((i, p0, chord, t0, t1))
+    if not curved:
+        return segments
+    chords = np.array([c[2] for c in curved])
+    starts = np.concatenate([_span_starts(t0, t1, n, 0, seed + i) for i, _, _, t0, t1 in curved])
+    thetas, res, lam = _solve_rows(starts, np.repeat(chords, 3, axis=0), ds)
+    found = [(thetas[k : k + 3], res[k : k + 3]) for k in range(0, len(thetas), 3)]
+    minima = [_distinct_minima(th, r, ds) for th, r in found]
+    single = [k for k, m in enumerate(minima) if len(m) == 1]
+    rows = [3 * k + minima[k][0] for k in single]
+    sure = dict(zip(single, _second_order_ok(thetas[rows], lam[rows], ds))) if rows else {}
+    retry = [k for k in range(len(curved)) if not sure.get(k, False)]
+    if restarts and retry:
+        todo = [curved[k] for k in retry]
+        starts = np.concatenate([_span_starts(t0, t1, n, restarts, seed + i)[3:] for i, _, _, t0, t1 in todo])
+        more, more_res, _ = _solve_rows(starts, np.repeat(chords[retry], restarts, axis=0), ds)
+        for m, k in enumerate(retry):
+            new = slice(m * restarts, (m + 1) * restarts)
+            found[k] = (np.concatenate([found[k][0], more[new]]), np.concatenate([found[k][1], more_res[new]]))
+            minima[k] = _distinct_minima(*found[k], ds)
+    for (i, p0, *_), (th, r), m in zip(curved, found, minima):
+        if not m:
+            best_res = float(np.min(r))
             where = f"span {i}: " if name_spans else ""
             raise NoConvergence(
                 f"{where}elastica boundary value problem did not converge "
-                f"(best residual {best_res:.3e})",
+                f"(best residual {best_res:.3e} over {len(r)} starts)",
                 residual=best_res,
             )
-        distinct = [solutions[0]]
-        for e, th in solutions[1:]:
-            if all(np.max(np.abs(th - other[1])) > 1e-6 for other in distinct):
-                distinct.append((e, th))
-        if len(distinct) > 1:
+        if len(m) > 1:
             warnings.warn(
-                f"{len(distinct)} distinct elastica solutions; returning lowest energy",
+                f"{len(m)} distinct elastica solutions; returning lowest energy",
                 MultipleSolutionsWarning,
             )
-        best = distinct[0][1]
-        segments.append(ElasticaSegment(p0, best, length, _fit_c_const(best, ds)))
+        best = th[m[0]].copy()  # a copy: no segment keeps the batch
+        segments[i] = ElasticaSegment(p0, best, length, _fit_c_const(best, ds))
     return segments
 
 
@@ -720,9 +794,11 @@ def elastica_bvp(
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
     Solves the KKT system of the turning-angle discretization by damped
-    Newton from several starts (winding branches plus random smooth
-    perturbations); distinct local minima trigger MultipleSolutionsWarning
-    and the lowest-energy one is returned.
+    Newton from the three winding branches; the restarts random smooth
+    perturbations of them run only when those starts are inconclusive (none
+    converged, distinct minima, or a reduced Hessian that is not positive
+    definite).  Distinct local minima trigger MultipleSolutionsWarning and
+    the lowest-energy one is returned.
     """
     return _elastica_spans([(p0, t0, p1, t1)], length, n, restarts, seed)[0]
 
@@ -786,8 +862,10 @@ def spline_centered(
     """Length-preserving elastica spline through centered offset points.
 
     The spline passes through centered_nodes(rc) along their directions,
-    and each span gets an elastica of length exactly 2*ell; every start of
-    every span is solved as one Newton batch.
+    and each span gets an elastica of length exactly 2*ell.  The winding
+    starts of all spans are solved as one Newton batch, then the random
+    restarts only for the spans whose winding starts are inconclusive, as
+    in elastica_bvp.
     """
     _require_planar(rc.points)
     validate_refined(rc)

@@ -401,6 +401,17 @@ def test_discretize_inscribed_with_params(runner, tmp_path):
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 2.0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_discretize_reports_a_finite_length_when_edge_squares_overflow(runner):
+    # edges near 1e200 long: their squared norms overflow, their lengths do not
+    argv = ["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "amplitude=1e200"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    report = json.loads(result.output, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert report["polyline_length"] == pytest.approx(report["curve_length"], rel=1e-6)
+
+
 def test_spline_inscribed_svg(runner, tmp_path):
     curve = _write(tmp_path, "hex.json", _hexagon_json())
     out = tmp_path / "spline.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import null_space
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
 from frenetkit.config import ELASTICA_KKT
@@ -339,6 +340,19 @@ def test_centered_spline_open_polyline():
     np.testing.assert_allclose(end.point_at(end.length), pts[-1], atol=1e-8)
 
 
+def _count_newton_rows(monkeypatch):
+    """Rows given to each _newton_batch call, appended as the calls happen."""
+    calls = []
+    solve = spline2d._newton_batch
+
+    def counting(starts, ds, targets, max_iter=100):
+        calls.append(len(starts))
+        return solve(starts, ds, targets, max_iter)
+
+    monkeypatch.setattr(spline2d, "_newton_batch", counting)
+    return calls
+
+
 # per-span energies of spline_centered with the default arguments, as the
 # per-start solver computed them before the spans were solved as one batch
 _DEMO_SPAN_ENERGIES = (
@@ -359,12 +373,15 @@ _HEXAGON_SPAN_ENERGY = 1.096622711232152
     ],
     ids=["demo-polyline", "hexagon"],
 )
-def test_centered_spline_span_energies_are_pinned(dc, energies):
+def test_centered_spline_span_energies_are_pinned(dc, energies, monkeypatch):
+    calls = _count_newton_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MultipleSolutionsWarning)
         sp = spline_centered(refine(dc))
     got = [seg.energy() for seg in sp.segments]
     np.testing.assert_allclose(got, energies, rtol=0.0, atol=1e-12)
+    # the winding starts are conclusive on every span: no restarts run
+    assert sum(calls) == 3 * len(energies)
 
 
 def _count_multiple_solution_warnings(fn):
@@ -374,15 +391,93 @@ def _count_multiple_solution_warnings(fn):
     return sum(issubclass(w.category, MultipleSolutionsWarning) for w in caught)
 
 
-def test_several_minima_warn_once_per_span():
+def test_several_minima_warn_once_per_span(monkeypatch):
+    calls = _count_newton_rows(monkeypatch)
     # a rod four times longer than its chord buckles to either side
     p0, p1, t = [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]
     assert _count_multiple_solution_warnings(lambda: elastica_bvp(p0, t, p1, t, 2.0)) == 1
+    assert calls == [3, 8]  # the winding starts, then the restarts
     # a U-turn of two 3 rad hairpins: the middle span joins ends that point
     # opposite ways, 0.66 of its length apart, and has two minima; the end
-    # spans have one
+    # spans have one, and only the middle one restarts
+    calls.clear()
     rc = refine(_unit_step_polyline((3.0, 3.0)))
     assert _count_multiple_solution_warnings(lambda: spline_centered(rc)) == 1
+    assert calls == [3 * 3, 8]
+
+
+def test_a_saddle_from_the_winding_starts_runs_the_restarts(monkeypatch):
+    # the ramp start converges to a KKT point of energy 20.76 whose reduced
+    # Hessian is not positive definite; the restarts find two minima below it
+    calls = _count_newton_rows(monkeypatch)
+    t0, t1 = [math.cos(0.5), math.sin(0.5)], [math.cos(0.3), math.sin(0.3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seg = elastica_bvp([0.0, 0.0], t0, [1.0, 0.0], t1, 1.3)
+    assert [w.category for w in caught] == [MultipleSolutionsWarning]
+    assert calls == [3, 8]
+    assert seg.energy() == pytest.approx(13.187126, abs=1e-6)
+
+
+@st.composite
+def _convex_or_zigzag_turns(draw):
+    turns = draw(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6))
+    if draw(st.booleans()):  # zig-zag: each turn either way
+        turns = [t * draw(st.sampled_from((-1.0, 1.0))) for t in turns]
+    return tuple(turns)
+
+
+def _full_restart_solve(rc, n=64, restarts=8, seed=0):
+    """Every start row of every span of an open centered spline, solved
+    together: per span the rows, their residuals and the indices of the
+    distinct converged minima, lowest energy first."""
+    points, dirs = centered_nodes(rc)
+    t = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    starts = [spline2d._span_starts(t[i], t[i + 1], n, restarts, seed + i) for i in range(len(points) - 1)]
+    chords = np.repeat(np.diff(points, axis=0), 3 + restarts, axis=0)
+    ds = 2.0 * rc.ell / n
+    thetas, res, _ = spline2d._newton_batch(np.concatenate(starts), ds, chords)
+    spans = []
+    for i in range(0, len(thetas), 3 + restarts):
+        th, r = thetas[i : i + 3 + restarts], res[i : i + 3 + restarts]
+        ok = np.flatnonzero(r < ELASTICA_KKT)
+        minima = []
+        for j in sorted(ok, key=lambda j: elastica_energy(th[j], ds)):
+            if all(np.max(np.abs(th[j] - th[k])) > 1e-6 for k in minima):
+                minima.append(j)
+        spans.append((th, r, minima))
+    return spans
+
+
+@given(_convex_or_zigzag_turns())
+@example(ZIGZAG_ANGLES)  # span 3 converges from no start
+@example((3.0, 3.0))  # the U-turn's middle span has two minima
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_restarts_on_inconclusive_spans_agree_with_the_full_solve(turns):
+    rc = refine(_unit_step_polyline(turns))
+    full = _full_restart_solve(rc)
+    failing = [i for i, (_, _, minima) in enumerate(full) if not minima]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            segments = spline_centered(rc).segments
+        except NoConvergence as exc:
+            assert failing and str(exc).startswith(f"span {failing[0]}: ")
+            assert exc.residual == np.min(full[failing[0]][1])
+            full, segments = full[: failing[0]], ()
+        else:
+            assert not failing
+    said = [str(w.message) for w in caught if issubclass(w.category, MultipleSolutionsWarning)]
+    assert said == [
+        f"{len(minima)} distinct elastica solutions; returning lowest energy"
+        for _, _, minima in full
+        if len(minima) > 1
+    ]
+    for seg, (th, _, minima) in zip(segments, full):
+        want = th[minima[0]]
+        assert np.max(np.abs(seg.thetas - want)) <= 1e-6
+        e = elastica_energy(want, seg.ds)
+        assert abs(seg.energy() - e) <= 1e-9 * max(1.0, e)
 
 
 def test_constraint_helpers_act_per_row(rng):
@@ -408,12 +503,27 @@ def test_newton_batch_rows_are_independent(rng):
     starts = _span_starts(rng, 6)
     targets = np.tile([0.9, 0.35], (6, 1))
     ds = 1.3 / 64
-    thetas, res = spline2d._newton_batch(starts, ds, targets)
+    thetas, res, lam = spline2d._newton_batch(starts, ds, targets)
     assert np.sum(res < 1e-8) >= 1
     for i in range(len(starts)):
-        alone, res_alone = spline2d._newton_batch(starts[i : i + 1], ds, targets[i : i + 1])
+        alone, res_alone, lam_alone = spline2d._newton_batch(starts[i : i + 1], ds, targets[i : i + 1])
         np.testing.assert_array_equal(thetas[i], alone[0])
         assert res[i] == res_alone[0]
+        np.testing.assert_array_equal(lam[i], lam_alone[0])
+
+
+def test_second_order_test_matches_the_dense_reduced_hessian(rng):
+    n, ds = 16, 0.1
+    thetas = _span_starts(rng, 40, n=n)
+    lam = rng.normal(0.0, 60.0, size=(40, 2))
+    got = spline2d._second_order_ok(thetas, lam, ds)
+    want = []
+    for d, off, g in zip(*spline2d._lagrangian_band(thetas, lam, ds)):
+        h = np.diag(d) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+        z = null_space(g)  # basis of the constraint tangent space
+        want.append(bool(np.linalg.eigvalsh(z.T @ h @ z).min() > 0.0))
+    assert 0 < sum(want) < len(want)
+    assert got.tolist() == want
 
 
 def test_kkt_step_retires_singular_rows(rng, monkeypatch):
