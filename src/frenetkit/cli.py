@@ -30,7 +30,7 @@ _JSON_ROW = (
     '{\n          "theta": %s,\n          "phi": %s,\n'
     '          "kappa": %s,\n          "tau": %s\n        }'
 )
-_ROWS_MARK = "\0per_index"  # stands for a convention's rows in the encoded report
+_MARK = "\0spliced"  # stands for text spliced into an encoded report
 _CHUNK_ROWS = 4096
 
 
@@ -53,6 +53,12 @@ def _pieces(frame, tables, template, sep):
             yield lead + sep.join([template % row for row in chunk])
             lead = sep
         yield tail
+
+
+def _report_pieces(report, text=None):
+    """json.dumps(report, indent=2) and a newline, with text (an indent=2 document) spliced in at _MARK."""
+    head, *tail = json.dumps(report, indent=2).split(json.dumps(_MARK))
+    return [head, *(text.replace("\n", "\n  ") + rest for rest in tail), "\n"]
 
 
 def _write(pieces, out_path):
@@ -128,13 +134,13 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
             "edge_length": 2.0 * rc.ell,
             "half_edge_length": rc.ell,
             "conventions": {
-                name: {"frenet_residual": res, "per_index": [_ROWS_MARK]}
+                name: {"frenet_residual": res, "per_index": [_MARK]}
                 for name, res in residuals.items()
             },
             "max_frenet_residual": worst,
             "residual_ok": bool(worst <= tol),
         }
-        frame = (json.dumps(report, indent=2) + "\n").split(json.dumps(_ROWS_MARK))
+        frame = (json.dumps(report, indent=2) + "\n").split(json.dumps(_MARK))
         tables = [zip(*cols) for cols in columns.values()]
         pieces = _pieces(frame, tables, _JSON_ROW, ",\n        ")
     _write(pieces, out_path)
@@ -231,12 +237,13 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
             "polyline_length": dc.length(),
             "curve_length": curve.length,
         }
+    text = io.curve_to_json(dc)
     if out_path:
-        _write([io.curve_to_json(dc), "\n"], out_path)
+        _write([text, "\n"], out_path)
         report["out"] = out_path
     else:
-        report["curve"] = json.loads(io.curve_to_json(dc))
-    _write([json.dumps(report, indent=2), "\n"], None)
+        report["curve"] = _MARK
+    _write(_report_pieces(report, text), None)
 
 
 @main.command("spline")
@@ -265,16 +272,17 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
         "g1_position_gap": pos_gap,
         "g1_tangent_gap": ang_gap,
     }
+    text = io.spline_to_json(sp)
     if out_path:
-        _write([io.spline_to_json(sp), "\n"], out_path)
+        _write([text, "\n"], out_path)
         report["out"] = out_path
     else:
-        report["spline"] = json.loads(io.spline_to_json(sp))
+        report["spline"] = _MARK
     if svg_path:
         doc = svg.render_svg(curves=[curve], splines=[sp])
         _write([doc, "\n"], svg_path)
         report["svg"] = svg_path
-    _write([json.dumps(report, indent=2), "\n"], None)
+    _write(_report_pieces(report, text), None)
 
 
 @main.command("roundtrip")
@@ -298,7 +306,7 @@ def cmd_roundtrip(curve_file, tol):
     n_cmp = len(pts_orig)
     ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
     report = {"rms": rms, "congruent": bool(ok), "tol": tol}
-    _write([json.dumps(report, indent=2), "\n"], None)
+    _write(_report_pieces(report), None)
     sys.exit(0 if ok else 1)
 
 

@@ -54,6 +54,8 @@ class SmoothCurve:
     def __post_init__(self):
         if not 0.0 < self.length < math.inf:
             raise InputError(f"curve length must be positive and finite, got {self.length}")
+        if self.length < np.finfo(float).tiny:  # arc-length interpolation overflows below it
+            raise InputError(f"curve length {self.length} is subnormal")
 
 
 def _check_params(positive, **values):
@@ -72,7 +74,8 @@ class _ArcLengthParam:
         self.t0 = t0
         self.t1 = t1
         self.grid = np.linspace(t0, t1, cells + 1)
-        self.cum = np.concatenate([[0.0], np.cumsum(self._cells(self.grid[:-1], self.grid[1:]))])
+        with np.errstate(over="ignore"):  # an overflowing length fails SmoothCurve's finite-length check
+            self.cum = np.concatenate([[0.0], np.cumsum(self._cells(self.grid[:-1], self.grid[1:]))])
         self.length = float(self.cum[-1])
 
     def _cells(self, a, b):
@@ -110,9 +113,10 @@ def _from_parametric(pos, deriv, deriv2, t0, t1, closed) -> SmoothCurve:
 
     def curvature(s):
         t = param.t_of_s(s)
-        dx, dy = deriv(t)
-        ddx, ddy = deriv2(t)
-        return (dx * ddy - dy * ddx) / np.hypot(dx, dy) ** 3
+        (dx, dy), (ddx, ddy) = deriv(t), deriv2(t)
+        n = np.hypot(dx, dy)
+        with np.errstate(over="ignore"):  # n**3 overflows where the curvature does not; this only where it does
+            return (dx / n * ddy - dy / n * ddx) / n / n
 
     return SmoothCurve(point, tangent, curvature, param.length, closed)
 

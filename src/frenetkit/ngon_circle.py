@@ -165,7 +165,10 @@ def centered_offset(k: float | np.ndarray, density: float) -> float | np.ndarray
     and only the exact one reproduces a circle's centered polygon.
     """
     k, x = _offset_x(k, density)
-    off = (x - np.sin(x)) / (k * np.sin(x))
+    # below x = 1e-8 the series x / (6 M): there x - sin x cancels to 0 and k sin x can underflow
+    small = x < 1e-8
+    t, kt = np.where(small, 1.0, x), np.where(small, 1.0, k)
+    off = np.where(small, x / (6.0 * density), (t - np.sin(t)) / (kt * np.sin(t)))
     return off if k.ndim else float(off)
 
 

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .config import CLOTHOID_FIT, ELASTICA_KKT
 from .curve_core import DiscreteCurve, RefinedCurve, validate_refined
@@ -261,19 +262,44 @@ class Spline:
         return float(sum(seg.energy() for seg in self.segments))
 
 
+def _end_points(segs) -> np.ndarray:
+    """Start and end point of every segment, (2, len(segs), 2), with one array
+    evaluation per segment type (and elastica grid size)."""
+    out = np.empty((2, len(segs), 2))
+    groups = {}
+    for i, seg in enumerate(segs):
+        groups.setdefault((type(seg), len(getattr(seg, "thetas", ()))), []).append(i)
+    for (kind, _), rows in groups.items():
+        col = lambda name: np.array([getattr(segs[i], name) for i in rows], dtype=float)  # noqa: E731
+        length = col("length")[:, None]
+        if kind is ArcSegment:
+            a = col("start_angle")[:, None] + col("sweep")[:, None] * np.hstack([0.0 * length, length]) / length
+            pts = col("center")[:, None] + col("radius")[:, None, None] * np.stack([np.cos(a), np.sin(a)], -1)
+            out[:, rows] = pts.swapaxes(0, 1)
+            continue
+        out[0, rows] = col("start")
+        if kind is LineSegment:
+            step = col("direction")
+        elif kind is ClothoidSegment:
+            c1, c2 = col("kappa0") * length[:, 0], 0.5 * col("sharpness") * length[:, 0] * length[:, 0]
+            step = _phase_integrals(col("start_angle"), c1, c2)[:, :2]
+        else:
+            m, _, sinc, _, _ = _cell_arrays(thetas := col("thetas"))
+            step = np.cumsum(np.stack([np.cos(m) * sinc, np.sin(m) * sinc], -1), axis=1)[:, -1] / (thetas.shape[1] - 1)
+        out[1, rows] = out[0, rows] + length * step
+    return out
+
+
 def g1_defects(spline: Spline):
     """(max position gap, max tangent-angle gap in radians) at the joints."""
     segs = spline.segments
-    pairs = list(zip(segs[:-1], segs[1:]))
-    if spline.closed and len(segs) > 1:
-        pairs.append((segs[-1], segs[0]))
-    pos = ang = 0.0
-    for a, b in pairs:
-        pa = a.point_at(a.length)
-        pb = b.point_at(0.0)
-        pos = max(pos, float(np.linalg.norm(pa - pb)))
-        ang = max(ang, abs(_wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))))
-    return pos, ang
+    joints = len(segs) if spline.closed and len(segs) > 1 else len(segs) - 1
+    if joints < 1:
+        return 0.0, 0.0
+    start, end = _end_points(segs)
+    pos = float(np.max(np.linalg.norm(end[:joints] - np.roll(start, -1, axis=0)[:joints], axis=1)))
+    pairs = zip(segs[:joints], segs[1:] + segs[:1])
+    return pos, max(abs(_wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +360,84 @@ def spline_inscribed(rc: RefinedCurve) -> Spline:
 # ---------------------------------------------------------------------------
 # clothoid G1 fitting (circumscribed splining)
 
-def _solve_clothoid_param(phi0: float, delta: float, max_iter: int = 200):
-    """Root A of Y(A) = int_0^1 sin(phi0 + (delta - A) u + A u^2) du = 0; None on failure."""
-    # linearized solution of the fitting equation
-    a_param = 6.0 * phi0 + 3.0 * delta
-    best = None
-    for _ in range(max_iter):
-        _, y, gp = _phase_integrals(phi0, delta - a_param, a_param)
-        if best is None or abs(y) < best[0]:
-            best = (abs(y), a_param)
-        if abs(y) < 1e-14:
-            return a_param
-        if gp == 0.0:
-            break
-        step = y / gp
-        step = max(-10.0, min(10.0, step))
-        a_param -= step
-    # fall back to a bracketing scan around the best Newton iterate
-    from scipy.optimize import brentq
-
-    center = best[1]
+def _bracket_root(phi0: float, delta: float, center: float):
+    """(A, X(A)) at the root of Y that brentq finds in the sign change nearest
+    center of a scan over center +- 40; (nan, nan) if there is none."""
     span = np.linspace(center - 40.0, center + 40.0, 161)
     vals = _phase_integrals(phi0, delta - span, span)[:, 1]
     hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)  # a sign change or a zero
     if not hits.size:
-        return None
-    lo, hi = span[hits[0]], span[hits[0] + 1]
-    return float(brentq(lambda a: _phase_integrals(phi0, delta - a, a)[1], lo, hi, xtol=1e-14))
+        return math.nan, math.nan
+    k = hits[np.argmin(np.abs(span[hits] + 0.25 - center))]
+    a = brentq(lambda v: _phase_integrals(phi0, delta - v, v)[1], span[k], span[k + 1], xtol=1e-14)
+    return a, _phase_integrals(phi0, delta - a, a)[0]
+
+
+def _clothoid_roots(phi0, delta, max_iter: int = 200):
+    """Roots A of Y(A) = int_0^1 sin(phi0 + (delta - A) u + A u^2) du = 0, and X(A)
+    (the same integral of cos), for arrays phi0, delta; nan where none is found.
+    Newton from the linearized solution runs on all rows at once; a row whose
+    derivative vanishes or that is still live after max_iter goes to _bracket_root."""
+    a = 6.0 * phi0 + 3.0 * delta
+    root, x_root, best = (np.full(a.shape, v) for v in (math.nan, math.nan, math.inf))
+    best_a, live = a.copy(), np.arange(a.size)
+    for _ in range(max_iter):
+        x, y, gp = _phase_integrals(phi0[live], delta[live] - a[live], a[live]).T
+        better = np.abs(y) < best[live]
+        best[live[better]], best_a[live[better]] = np.abs(y[better]), a[live[better]]
+        done = np.abs(y) < 1e-14
+        root[live[done]], x_root[live[done]] = a[live[done]], x[done]
+        go = ~done & (gp != 0.0)
+        a[live[go]] -= np.clip(y[go] / gp[go], -10.0, 10.0)
+        if not (live := live[go]).size:
+            break
+    for i in np.flatnonzero(np.isnan(root)):
+        root[i], x_root[i] = _bracket_root(phi0[i], delta[i], best_a[i])
+    return root, x_root
+
+
+def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
+    """clothoid_g1_fit of each row of the (m, 2) arrays p0, t0, p1, t1, with the
+    fitting equations of all rows and winding branches solved together and one
+    quadrature checking every end pose.  With name_spans, NoConvergence names
+    the first row that fails."""
+    p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
+    norms = np.linalg.norm([t0, t1], axis=2)
+    if not ((0.0 < norms) & (norms < math.inf)).all():
+        raise InputError("fit tangents must be nonzero with a finite norm")
+    t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
+    d = np.linalg.norm(chord, axis=1)
+    if (bad := np.flatnonzero(~((0.0 < d) & (d < math.inf)))).size:
+        raise InputError(f"fit chord length must be positive and finite, got {d[bad[0]]}")
+    psi = np.arctan2(chord[:, 1], chord[:, 0])
+    phi0, phi1 = (_wrap_angle(np.arctan2(t[:, 1], t[:, 0]) - psi) for t in (t0, t1))
+    line = (np.abs(phi0) < 1e-12) & (np.abs(phi1) < 1e-12)
+    arc = ~line & (np.abs(phi0 + phi1) < 1e-12)  # symmetric data: constant curvature
+    rows = np.flatnonzero(~line & ~arc)
+    delta = ((phi1 - phi0)[rows, None] + _TWO_PI * np.array([0.0, -1.0, 1.0])).ravel()
+    a_param, x = _clothoid_roots(np.repeat(phi0[rows], 3), delta)
+    lengths = np.divide(np.repeat(d[rows], 3), x, out=np.full(x.shape, math.inf), where=x > 1e-9)
+    # the shortest admissible branch; argmin keeps the first of equal lengths in the order k = 0, -1, 1
+    pick = 3 * np.arange(len(rows)) + np.argmin(lengths.reshape(-1, 3), axis=1)
+    found = np.isfinite(lengths[pick])  # the other rows get placeholders and a nan residual
+    length, a_param = np.where(found, lengths[pick], 1.0), np.where(found, a_param[pick], 0.0)
+    kappa0, sharp = (delta[pick] - a_param) / length, 2.0 * a_param / length**2
+    theta0, c1, c2 = psi[rows] + phi0[rows], kappa0 * length, 0.5 * sharp * length * length
+    end = p0[rows] + length[:, None] * _phase_integrals(theta0, c1, c2)[:, :2]
+    turn = _wrap_angle(theta0 + c1 + c2 - np.arctan2(t1[rows, 1], t1[rows, 0]))
+    residual = np.where(found, np.linalg.norm(end - p1[rows], axis=1) + np.abs(turn), math.nan)
+    if (bad := np.flatnonzero(~(residual <= CLOTHOID_FIT * np.maximum(1.0, d[rows])))).size:
+        r = None if math.isnan(residual[bad[0]]) else float(residual[bad[0]])
+        msg = "clothoid fitting equation has no admissible root"
+        msg = msg if r is None else f"fitted clothoid misses the end pose by {r:.3e}"
+        raise NoConvergence(f"segment {rows[bad[0]]}: {msg}" if name_spans else msg, residual=r)
+    segments = [LineSegment(p0[i], chord[i] / d[i], float(d[i])) if line[i] else None for i in range(len(p0))]
+    for i, sweep in zip(np.flatnonzero(arc).tolist(), (phi1 - phi0)[arc].tolist()):
+        arc_length = float(d[i]) * (sweep / 2.0) / math.sin(sweep / 2.0)
+        segments[i] = _arc_from_pose(p0[i], t0[i], sweep / arc_length, arc_length)
+    for i, *params in zip(rows.tolist(), theta0.tolist(), kappa0.tolist(), sharp.tolist(), length.tolist()):
+        segments[i] = ClothoidSegment(p0[i], *params)
+    return segments
 
 
 def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
@@ -371,60 +448,15 @@ def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
     fitting equation.  NoConvergence carries the best endpoint residual;
     a chord or tangent that is zero, not finite or overflows raises InputError.
     """
-    p0, t0, p1, t1 = (np.asarray(v, dtype=float) for v in (p0, t0, p1, t1))
-    n0, n1 = np.linalg.norm(t0), np.linalg.norm(t1)
-    if not (0.0 < n0 < math.inf and 0.0 < n1 < math.inf):
-        raise InputError("fit tangents must be nonzero with a finite norm")
-    t0, t1 = t0 / n0, t1 / n1
-    chord = p1 - p0
-    d = float(np.linalg.norm(chord))
-    if not 0.0 < d < math.inf:
-        raise InputError(f"fit chord length must be positive and finite, got {d}")
-    psi = math.atan2(chord[1], chord[0])
-    phi0 = _wrap_angle(math.atan2(t0[1], t0[0]) - psi)
-    phi1 = _wrap_angle(math.atan2(t1[1], t1[0]) - psi)
-    if abs(phi0) < 1e-12 and abs(phi1) < 1e-12:
-        return LineSegment(p0, chord / d, d)
-    if abs(phi0 + phi1) < 1e-12:
-        # symmetric data: constant curvature
-        sweep = phi1 - phi0
-        length = d * (sweep / 2.0) / math.sin(sweep / 2.0)
-        kappa = sweep / length
-        return _arc_from_pose(p0, t0, kappa, length)
-
-    candidates = []
-    for k in (0, -1, 1):
-        delta = phi1 - phi0 + _TWO_PI * k
-        a_param = _solve_clothoid_param(phi0, delta)
-        if a_param is None:
-            continue
-        x = _phase_integrals(phi0, delta - a_param, a_param)[0]
-        if x <= 1e-9:
-            continue
-        length = d / x
-        kappa0 = (delta - a_param) / length
-        sharp = 2.0 * a_param / length**2
-        candidates.append((length, kappa0, sharp))
-    if not candidates:
-        raise NoConvergence("clothoid fitting equation has no admissible root")
-    length, kappa0, sharp = min(candidates, key=lambda c: c[0])
-    seg = ClothoidSegment(p0, psi + phi0, kappa0, sharp, length)
-    end = seg.point_at(length)
-    residual = float(np.linalg.norm(end - p1)) + abs(
-        _wrap_angle(seg.angle_at(length) - math.atan2(t1[1], t1[0]))
-    )
-    if residual > CLOTHOID_FIT * max(1.0, d):
-        raise NoConvergence(
-            f"fitted clothoid misses the end pose by {residual:.3e}", residual=residual
-        )
-    return seg
+    return _fit_spans(p0, t0, p1, t1)[0]
 
 
 def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     """Clothoid spline interpolating the vertices of a discrete curve.
 
     The tangent at each vertex is the normalized sum of the adjacent edge
-    directions (edge direction itself at open endpoints).
+    directions (edge direction itself at open endpoints).  All spans are
+    fitted as one batch; NoConvergence names the first span that fails.
     """
     _require_planar(dc.points)
     pts = dc.points
@@ -439,15 +471,9 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     if (bad := np.flatnonzero(norms < 1e-12)).size:
         raise InputError(f"antiparallel edges at vertex {bad[0]}")
     tangents = sums / norms[:, None]
-    segments = []
-    spans = n if dc.closed else n - 1
-    for i in range(spans):
-        j = (i + 1) % n
-        try:
-            segments.append(clothoid_g1_fit(pts[i], tangents[i], pts[j], tangents[j]))
-        except NoConvergence as exc:
-            raise NoConvergence(f"segment {i}: {exc}", residual=exc.residual) from exc
-    return Spline(tuple(segments), closed=dc.closed)
+    i = np.arange(n if dc.closed else n - 1)
+    j = (i + 1) % n
+    return Spline(tuple(_fit_spans(pts[i], tangents[i], pts[j], tangents[j], name_spans=True)), closed=dc.closed)
 
 
 # ---------------------------------------------------------------------------

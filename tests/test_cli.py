@@ -23,10 +23,12 @@ from frenetkit import (
     spline_from_json,
     unrefine,
 )
-from frenetkit.cli import _CHUNK_ROWS, CONVENTIONS, _float_strings, main
+from frenetkit import io as fio
+from frenetkit.cli import _CHUNK_ROWS, _MARK, CONVENTIONS, _float_strings, _report_pieces, main
 from frenetkit.config import cli_tolerance
 from frenetkit.discretize2d import BUILTIN_CURVES
 from frenetkit.figures import _unit_step_polyline
+from frenetkit.spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
 from frenetkit.frames import analyze, frenet_residual
 
 from conftest import ZIGZAG_ANGLES, make_random_refined, random_rotation
@@ -281,8 +283,8 @@ def test_discretize_fuzz_exits_without_traceback(argv):
     # CliRunner catches an escaping exception instead of printing its traceback
     assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
     assert "Traceback" not in result.stderr
-    if result.exit_code:  # numpy may warn of an overflow first
-        assert result.stderr.splitlines()[-1].startswith("error: "), (argv, result.stderr)
+    if result.exit_code:  # one error line, and no numpy warning before it
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, (argv, result.stderr)
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):
@@ -410,6 +412,86 @@ def test_discretize_reports_a_finite_length_when_edge_squares_overflow(runner):
     assert result.stderr == ""
     report = json.loads(result.output, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
     assert report["polyline_length"] == pytest.approx(report["curve_length"], rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_curve_length_prints_only_the_error(runner):
+    argv = ["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "a=1e308"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stderr == "error: curve length must be positive and finite, got inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_sine_with_an_overflowing_cubed_speed_prints_only_the_error(runner):
+    # the curvature no longer overflows: the samples' tangents are what is wrong
+    argv = ["discretize", "sine", "--method", "circumscribed", "--samples", "5", "--param", "amplitude=1e150"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stderr == "error: tangents at samples 0 and 1 are parallel\n"
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.tuples(_FLOATS, _FLOATS).map(np.array)
+
+
+@st.composite
+def _spliced_documents(draw):
+    """(report key, JSON document) pairs as discretize and spline splice them:
+    open and closed curves, and splines of lines, arcs, clothoids and elastica."""
+    kind = draw(st.sampled_from(["open", "closed", "line", "arc", "clothoid", "elastica"]))
+    if kind in ("open", "closed"):
+        # coordinates m * 10^e: edge lengths neither underflow nor overflow
+        coord = st.builds(lambda m, e: m * 10.0**e, st.integers(-999, 999), st.integers(-30, 30))
+        points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6, unique=True))
+        return "curve", fio.curve_to_json(DiscreteCurve(np.array(points), closed=kind == "closed"))
+    positive = st.floats(1e-300, 1e300)
+    make = {
+        "line": lambda: LineSegment(draw(_POINTS), draw(_POINTS), draw(positive)),
+        "arc": lambda: ArcSegment(draw(_POINTS), draw(positive), draw(_FLOATS), draw(st.floats(-6.0, 6.0))),
+        "clothoid": lambda: ClothoidSegment(draw(_POINTS), draw(_FLOATS), draw(_FLOATS), draw(_FLOATS), draw(positive)),
+        "elastica": lambda: ElasticaSegment(
+            draw(_POINTS), draw(st.lists(_FLOATS, min_size=17, max_size=20)), draw(positive), draw(_FLOATS)
+        ),
+    }[kind]
+    segments = [make() for _ in range(draw(st.integers(0, 3)))]
+    return "spline", fio.spline_to_json(Spline(segments, closed=draw(st.booleans())))
+
+
+@given(_spliced_documents(), _FLOATS, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_spliced_reports_equal_the_reencoded_report(document, value, svg):
+    key, text = document
+    report = {"method": "inscribed", "segments": 3, "total_length": value, key: _MARK}
+    if svg:
+        report["svg"] = "out.svg"
+    old = json.dumps({**report, key: json.loads(text)}, indent=2) + "\n"
+    assert "".join(_report_pieces(report, text)) == old
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discretize", "circle", "--method", "inscribed", "--samples", "7"],
+        ["discretize", "sine", "--method", "circumscribed", "--samples", "9"],
+        ["discretize", "clothoid", "--method", "centered", "--density", "4"],
+        ["spline", "HEX", "--method", "inscribed", "--svg", "SVG"],
+        ["spline", "HEX", "--method", "circumscribed"],
+        ["spline", "DEMO", "--method", "circumscribed", "--svg", "SVG"],
+        ["spline", "DEMO", "--method", "centered"],
+        ["roundtrip", "HEX"],
+    ],
+    ids=lambda argv: "-".join(argv[:4:3] + argv[-2:-1]),
+)
+def test_reports_are_what_json_dumps_encodes(runner, tmp_path, argv):
+    files = {
+        "HEX": _write(tmp_path, "hex.json", _hexagon_json()),
+        "DEMO": _write(tmp_path, "demo.json", curve_to_json(_unit_step_polyline((0.55, 0.4, 0.65, 0.35)))),
+        "SVG": str(tmp_path / "out.svg"),
+    }
+    result = runner.invoke(main, [files.get(a, a) for a in argv])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
 
 
 def test_spline_inscribed_svg(runner, tmp_path):

@@ -133,6 +133,21 @@ def test_find_inflections_sine():
     assert np.min(np.abs(xs)) <= 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_find_inflections_where_the_cubed_speed_overflows():
+    # at amplitude 1e150 the speed reaches 1e150, whose cube overflows, while
+    # the curvature (about 1e-300 off the crests) is still a normal float
+    fractions = [find_inflections(c) / c.length for c in (sine_arc(amplitude=1.0), sine_arc(amplitude=1e150))]
+    np.testing.assert_allclose(fractions[0], [0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(fractions[1], fractions[0], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_curve_length_is_an_input_error():
+    with pytest.raises(InputError, match="curve length .* is subnormal"):
+        ellipse(5e-324, 1e-310)
+
+
 def test_centered_circle_length_exact():
     for density in (4.0, 10.0, 50.0):
         rc = discretize_centered(circle(1.0), density, variant="exact")

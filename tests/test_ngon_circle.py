@@ -195,6 +195,18 @@ def test_centered_offsets_arrays_match_scalars():
             fn(0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_published_offset_series_for_tiny_curvature():
+    # below x = k/M = 1e-8 the published offset is its series x/(6M): at
+    # k = 1e-300 the closed form divides 0 by an underflowed 0
+    for k in (1e-300, 5e-324, 1e-9):
+        assert centered_offset(k, 8.0) == pytest.approx(k / 8.0 / 48.0, rel=1e-15)
+    # from 1e-8 up, the closed form as before
+    k = np.array([8e-8, 0.5, 3.0])
+    x = k / 8.0
+    assert list(centered_offset(k, 8.0)) == list((x - np.sin(x)) / (k * np.sin(x)))
+
+
 def test_centered_vertex_offset():
     # hexagon vertex: circumradius ell/sin(theta/2) = 1, centered radius 3/pi
     th = math.pi / 3.0

@@ -234,6 +234,147 @@ def test_circumscribed_general_curve_g1():
         np.testing.assert_allclose(seg.point_at(0.0), p, atol=1e-12)
 
 
+# the circumscribed spline of the demo polyline, per span (start angle, kappa0,
+# sharpness, length), as the per-span scalar Newton solve fitted it
+_DEMO_CLOTHOIDS = [
+    (0.0, -0.5460546822303657, 1.6311130582208024, 1.0050479965046497),
+    (0.27500000000000013, 0.6924991877973634, -0.4398111449704091, 1.0096034048010707),
+    (0.75, 0.1499456412997902, 0.7289695453085269, 1.0119663358507704),
+    (1.2750000000000001, 0.9377324030996568, -0.876706784878248, 1.0110535121858821),
+    (1.7750000000000001, 0.6982673478169376, -1.0451133252399545, 1.0020427071258289),
+]
+
+
+def test_circumscribed_demo_segments_are_pinned():
+    sp = spline_circumscribed(_unit_step_polyline(_SPLINE_DEMO_ANGLES))
+    assert [type(seg) for seg in sp.segments] == [ClothoidSegment] * len(_DEMO_CLOTHOIDS)
+    for seg, pinned in zip(sp.segments, _DEMO_CLOTHOIDS):
+        got = (seg.start_angle, seg.kappa0, seg.sharpness, seg.length)
+        np.testing.assert_allclose(got, pinned, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "a0, a1, k, pinned",
+    [
+        (-3.1, 2.0, -1, (6.419044614615462, -5.0488128478993035, 2.715401083144556)),
+        (3.1, -2.0, 1, (-6.419044614615462, 5.0488128478993035, 2.715401083144556)),
+        (-2.5, 2.9, -1, (7.01411274958074, -6.983856806758676, 2.1275442902635686)),
+    ],
+)
+def test_clothoid_fit_takes_a_shorter_winding_branch(a0, a1, k, pinned):
+    # the shortest admissible clothoid turns by a1 - a0 + 2 pi k with k = +-1;
+    # kappa0, sharpness and length as the per-span scalar solve fitted them
+    seg = clothoid_g1_fit([0.0, 0.0], [math.cos(a0), math.sin(a0)], [1.0, 0.0], [math.cos(a1), math.sin(a1)])
+    assert isinstance(seg, ClothoidSegment) and seg.start_angle == pytest.approx(a0, abs=1e-15)
+    np.testing.assert_allclose((seg.kappa0, seg.sharpness, seg.length), pinned, rtol=1e-13, atol=1e-13)
+    turn = seg.kappa0 * seg.length + 0.5 * seg.sharpness * seg.length**2
+    assert turn == pytest.approx(a1 - a0 + 2.0 * math.pi * k, abs=1e-12)
+
+
+def _assert_same_segment(a, b, tol=1e-13):
+    assert type(a) is type(b)
+    for name in ("length", "kappa0", "sharpness", "radius", "sweep", "start_angle"):
+        if hasattr(a, name):
+            v, w = getattr(a, name), getattr(b, name)
+            assert abs(v - w) <= tol * max(1.0, abs(v)), (name, v, w)
+
+
+@st.composite
+def _pose_rows(draw):
+    """(p0, t0, p1, t1) rows with chords of 0.1-10 and tangents up to 3 rad off
+    the chord; some rows are symmetric (arcs) or aligned with it (lines)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        p0 = np.array(draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))))
+        psi, d = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.1, 10.0))
+        kind = draw(st.sampled_from(["clothoid", "clothoid", "arc", "line"]))
+        a0 = 0.0 if kind == "line" else draw(st.floats(-3.0, 3.0))
+        a1 = draw(st.floats(-3.0, 3.0)) if kind == "clothoid" else -a0
+        unit = lambda a: np.array([math.cos(psi + a), math.sin(psi + a)])  # noqa: E731
+        rows.append((p0, unit(a0), p0 + d * unit(0.0), unit(a1)))
+    return rows
+
+
+@given(_pose_rows())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_batched_fit_equals_the_one_span_fits(rows):
+    try:
+        batch = spline2d._fit_spans(*map(np.array, zip(*rows)))
+    except NoConvergence:
+        # then some row fails on its own too
+        with pytest.raises(NoConvergence):
+            for row in rows:
+                clothoid_g1_fit(*row)
+        return
+    for seg, row in zip(batch, rows):
+        _assert_same_segment(seg, clothoid_g1_fit(*row))
+
+
+def _criterion_08_poses():
+    """The pose pairs of acceptance criterion 08, drawn in the same order."""
+    rng = np.random.default_rng(808)
+    for _ in range(1000):
+        p0 = rng.normal(size=2)
+        chord_angle = rng.uniform(-math.pi, math.pi)
+        p1 = p0 + rng.uniform(0.3, 3.0) * np.array([math.cos(chord_angle), math.sin(chord_angle)])
+        a0 = chord_angle + rng.uniform(-math.pi / 4.0, math.pi / 4.0)
+        a1 = chord_angle + rng.uniform(-math.pi / 4.0, math.pi / 4.0)
+        yield p0, np.array([math.cos(a0), math.sin(a0)]), p1, np.array([math.cos(a1), math.sin(a1)])
+
+
+def test_bracket_fallback_runs_on_no_criterion_08_fit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: calls.append(args))
+    for pose in _criterion_08_poses():
+        clothoid_g1_fit(*pose)
+    assert calls == []
+
+
+def test_bracket_fallback_returns_the_newton_root(monkeypatch):
+    # chord-frame end angles up to pi/4, as in criterion 08, on all three winding branches
+    phi0, phi1 = (a.ravel() for a in np.meshgrid(np.linspace(-0.78, 0.78, 5), np.linspace(-0.77, 0.77, 4)))
+    phi0 = np.repeat(phi0, 3)
+    delta = np.repeat(phi1, 3) - phi0 + 2.0 * math.pi * np.tile([0.0, -1.0, 1.0], len(phi1))
+    calls = []
+    bracket = spline2d._bracket_root
+    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: calls.append(args) or bracket(*args))
+    newton = spline2d._clothoid_roots(phi0, delta)
+    assert calls == []
+    fallback = spline2d._clothoid_roots(phi0, delta, max_iter=2)  # too few steps for most rows
+    assert len(calls) > len(phi0) // 2
+    np.testing.assert_allclose(fallback, newton, rtol=0.0, atol=1e-12)
+
+
+def _joint_gaps(sp):
+    """g1_defects as two point_at calls per joint compute it."""
+    segs = sp.segments
+    pairs = list(zip(segs[:-1], segs[1:])) + ([(segs[-1], segs[0])] if sp.closed else [])
+    pos = max(float(np.linalg.norm(a.point_at(a.length) - b.point_at(0.0))) for a, b in pairs)
+    ang = max(abs(math.remainder(a.angle_at(a.length) - b.angle_at(0.0), 2.0 * math.pi)) for a, b in pairs)
+    return pos, ang
+
+
+def test_g1_defects_match_pointwise_joints():
+    mixed = (
+        LineSegment(np.array([0.0, 0.0]), np.array([0.6, 0.8]), 2.0),
+        ArcSegment(np.array([1.0, -1.0]), 2.0, 0.3, -2.5),
+        ClothoidSegment(np.array([1.0, 2.0]), 0.4, -0.7, 1.3, 3.0),
+        ElasticaSegment(np.array([0.5, 0.5]), np.linspace(0.0, 1.0, 17), 1.5),
+        ElasticaSegment(np.array([-1.0, 0.5]), np.sin(np.linspace(0.0, 3.0, 33)), 2.5),
+        ClothoidSegment(np.array([-2.0, 1.0]), -1.1, 0.3, -0.2, 1.7),
+    )
+    splines = [spline2d.Spline(mixed, closed=closed) for closed in (False, True)]
+    for dc in (_hexagon(), _unit_step_polyline(_SPLINE_DEMO_ANGLES)):
+        rc = refine(dc)
+        splines += [spline_inscribed(rc), spline_circumscribed(dc), spline_centered(rc, n=16, restarts=0)]
+    for sp in splines:
+        pos, ang = g1_defects(sp)
+        old_pos, old_ang = _joint_gaps(sp)
+        assert abs(pos - old_pos) <= 1e-14 * max(1.0, old_pos)
+        assert abs(ang - old_ang) <= 1e-14
+    assert g1_defects(spline2d.Spline(mixed[:1])) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # elastica
 
