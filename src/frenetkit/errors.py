@@ -108,9 +108,5 @@ class ParseError(InputError):
     pass
 
 
-class DegenerateCurve(InputError):
-    pass
-
-
 class NonPlanarData(InputError):
     pass

@@ -216,8 +216,8 @@ class ElasticaSegment:
         return self.length / (len(self.thetas) - 1)
 
     def node_points(self) -> np.ndarray:
-        m, _, s, _, _ = _cell_arrays(self.thetas)
-        steps = self.ds * np.cumsum(np.column_stack([np.cos(m) * s, np.sin(m) * s]), axis=0)
+        cm, sm, _, s, _, _ = _cell_arrays(self.thetas)
+        steps = self.ds * np.cumsum(np.column_stack([cm * s, sm * s]), axis=0)
         return self.start + np.vstack([np.zeros(2), steps])
 
     def point_at(self, s: float) -> np.ndarray:
@@ -228,8 +228,8 @@ class ElasticaSegment:
         if frac <= 0.0:
             return pts[j]
         a = self.thetas[j]  # theta is linear over the cell: integrate exactly
-        m, _, s, _, _ = _cell_arrays(np.array([a, a + (self.thetas[j + 1] - a) * frac / ds]))
-        return pts[j] + frac * s * np.array([math.cos(m[0]), math.sin(m[0])])
+        cm, sm, _, s, _, _ = _cell_arrays(np.array([a, a + (self.thetas[j + 1] - a) * frac / ds]))
+        return pts[j] + frac * s * np.array([cm[0], sm[0]])
 
     def angle_at(self, s: float) -> float:
         grid = np.linspace(0.0, self.length, len(self.thetas))
@@ -284,8 +284,8 @@ def _end_points(segs) -> np.ndarray:
             c1, c2 = col("kappa0") * length[:, 0], 0.5 * col("sharpness") * length[:, 0] * length[:, 0]
             step = _phase_integrals(col("start_angle"), c1, c2)[:, :2]
         else:
-            m, _, sinc, _, _ = _cell_arrays(thetas := col("thetas"))
-            step = np.cumsum(np.stack([np.cos(m) * sinc, np.sin(m) * sinc], -1), axis=1)[:, -1] / (thetas.shape[1] - 1)
+            cm, sm, _, sinc, _, _ = _cell_arrays(thetas := col("thetas"))
+            step = np.cumsum(np.stack([cm * sinc, sm * sinc], -1), axis=1)[:, -1] / (thetas.shape[1] - 1)
         out[1, rows] = out[0, rows] + length * step
     return out
 
@@ -481,7 +481,8 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
 
 
 def _cell_arrays(thetas: np.ndarray):
-    """Per-cell midpoints, half-spreads and sinc values (vectorized)."""
+    """Per cell: cos and sin of the midpoint angle, the half-spread h, sinc h
+    and its derivative, and the mask of the cells where those use a series."""
     a = thetas[..., :-1]
     b = thetas[..., 1:]
     m = 0.5 * (a + b)
@@ -494,13 +495,14 @@ def _cell_arrays(thetas: np.ndarray):
         t = h[small]
         s[small] = 1.0 - t * t / 6.0 + t**4 / 120.0
         sp[small] = -t / 3.0 + t**3 / 30.0
-    return m, h, s, sp, small
+    return np.cos(m), np.sin(m), h, s, sp, small
 
 
-def elastica_constraints(thetas: np.ndarray, ds: float):
-    """Displacement (X, Y) of the piecewise-linear turning-angle curve (per row)."""
-    m, _, s, _, _ = _cell_arrays(np.asarray(thetas, dtype=float))
-    return ds * np.sum(np.cos(m) * s, axis=-1), ds * np.sum(np.sin(m) * s, axis=-1)
+def elastica_constraints(thetas: np.ndarray, ds: float, cells=None):
+    """Displacement (X, Y) of the piecewise-linear turning-angle curve (per row);
+    cells, if given, are _cell_arrays(thetas)."""
+    cm, sm, _, s, _, _ = cells or _cell_arrays(np.asarray(thetas, dtype=float))
+    return ds * np.sum(cm * s, axis=-1), ds * np.sum(sm * s, axis=-1)
 
 
 def elastica_energy(thetas: np.ndarray, ds: float) -> float:
@@ -508,47 +510,42 @@ def elastica_energy(thetas: np.ndarray, ds: float) -> float:
     return float(np.sum(d * d) / ds)
 
 
-def _constraint_grad(thetas: np.ndarray, ds: float):
+def _to_nodes(first, last):
+    """Node array of per-cell terms: first goes to each cell's first node, last to its last."""
+    out = np.zeros(first.shape[:-1] + (first.shape[-1] + 1,))
+    out[..., :-1] += first
+    out[..., 1:] += last
+    return out
+
+
+def _constraint_grad(thetas: np.ndarray, ds: float, cells=None):
     """Gradients of (X, Y) with respect to every theta node (analytic)."""
-    thetas = np.asarray(thetas, dtype=float)
-    m, _, s, sp, _ = _cell_arrays(thetas)
-    cm, sm = np.cos(m), np.sin(m)
-    gx = np.zeros(thetas.shape)
-    gy = np.zeros(thetas.shape)
+    cm, sm, _, s, sp, _ = cells or _cell_arrays(np.asarray(thetas, dtype=float))
     # d/da: dm = 1/2, dh = -1/2 ; d/db: dm = 1/2, dh = 1/2
-    gx[..., :-1] += ds * 0.5 * (-sm * s - cm * sp)
-    gx[..., 1:] += ds * 0.5 * (-sm * s + cm * sp)
-    gy[..., :-1] += ds * 0.5 * (cm * s - sm * sp)
-    gy[..., 1:] += ds * 0.5 * (cm * s + sm * sp)
+    gx = _to_nodes(ds * 0.5 * (-sm * s - cm * sp), ds * 0.5 * (-sm * s + cm * sp))
+    gy = _to_nodes(ds * 0.5 * (cm * s - sm * sp), ds * 0.5 * (cm * s + sm * sp))
     return gx, gy
 
 
-def _constraint_hessians(thetas: np.ndarray, ds: float):
+def _constraint_hessians(thetas: np.ndarray, ds: float, cells=None):
     """Tridiagonal Hessians of (X, Y): (diag, offdiag) node arrays each."""
-    thetas = np.asarray(thetas, dtype=float)
-    m, h, s, sp, small = _cell_arrays(thetas)
+    cm, sm, h, s, sp, small = cells or _cell_arrays(np.asarray(thetas, dtype=float))
     # sinc'' = -sinc - 2 sinc'/h, series -1/3 + h^2/10 near zero
     spp = np.where(small, -1.0 / 3.0 + h * h / 10.0, -s - 2.0 * sp / np.where(small, 1.0, h))
-    cm, sm = np.cos(m), np.sin(m)
     faa = 0.25 * (-cm * s + 2.0 * sm * sp + cm * spp)
     fbb = 0.25 * (-cm * s - 2.0 * sm * sp + cm * spp)
     fab = -0.25 * cm * (s + spp)
     gaa = 0.25 * (-sm * s - 2.0 * cm * sp + sm * spp)
     gbb = 0.25 * (-sm * s + 2.0 * cm * sp + sm * spp)
     gab = -0.25 * sm * (s + spp)
-    dx = np.zeros(thetas.shape)
-    dy = np.zeros(thetas.shape)
-    dx[..., :-1] += ds * faa
-    dx[..., 1:] += ds * fbb
-    dy[..., :-1] += ds * gaa
-    dy[..., 1:] += ds * gbb
-    return dx, ds * fab, dy, ds * gab
+    return _to_nodes(ds * faa, ds * fbb), ds * fab, _to_nodes(ds * gaa, ds * gbb), ds * gab
 
 
 def _kkt_residual(thetas, lam, ds, target):
     """Stationarity at the interior nodes, then the two constraint defects."""
-    gx, gy = _constraint_grad(thetas, ds)
-    x, y = elastica_constraints(thetas, ds)
+    cells = _cell_arrays(thetas)
+    gx, gy = _constraint_grad(thetas, ds, cells)
+    x, y = elastica_constraints(thetas, ds, cells)
     grad_e = 2.0 * (2.0 * thetas[..., 1:-1] - thetas[..., :-2] - thetas[..., 2:]) / ds
     stationary = grad_e + lam[..., :1] * gx[..., 1:-1] + lam[..., 1:] * gy[..., 1:-1]
     defect = np.stack([x - target[..., 0], y - target[..., 1]], axis=-1)
@@ -560,8 +557,9 @@ def _lagrangian_band(thetas, lam, ds):
     band (diag, off), off zero in its last column, and the constraint
     Jacobian G (B x 2 x interior nodes)."""
     n_rows, n_int = len(thetas), thetas.shape[1] - 2
-    gx, gy = _constraint_grad(thetas, ds)
-    dx, ex, dy, ey = _constraint_hessians(thetas, ds)
+    cells = _cell_arrays(thetas)
+    gx, gy = _constraint_grad(thetas, ds, cells)
+    dx, ex, dy, ey = _constraint_hessians(thetas, ds, cells)
     # energy Hessian: tridiagonal (4, -2, -2)/ds on interior nodes
     diag = 4.0 / ds + lam[:, :1] * dx[:, 1:-1] + lam[:, 1:] * dy[:, 1:-1]
     off = np.zeros((n_rows, n_int))  # the last column couples a row to the next: zero
@@ -729,13 +727,22 @@ def _solve_rows(starts, targets, ds):
     return (np.concatenate(a) for a in zip(*parts))
 
 
+def _energy_bound(thetas, ds):
+    """The least energy of any row with these end angles, which Newton keeps:
+    by Cauchy-Schwarz, sum(dtheta_i^2) / ds >= (theta_n - theta_0)^2 / (n ds)."""
+    return (thetas[..., -1] - thetas[..., 0]) ** 2 / (ds * (thetas.shape[-1] - 1))
+
+
 def _distinct_minima(thetas, residuals, ds):
     """Indices of the converged rows that are distinct minima, lowest energy
-    first: a row counts unless it is within 1e-6 (max abs) of one kept."""
+    first: a row counts unless it is within 1e-6 (max abs) of one kept, or
+    the energy bound of its winding is not below the lowest energy."""
     converged = np.flatnonzero(residuals < ELASTICA_KKT)
     energies = [elastica_energy(thetas[j], ds) for j in converged]
     distinct = []
     for j in converged[np.argsort(energies, kind="stable")]:
+        if distinct and _energy_bound(thetas[j], ds) >= min(energies):
+            continue
         if all(np.max(np.abs(thetas[j] - thetas[k])) > 1e-6 for k in distinct):
             distinct.append(j)
     return distinct
@@ -744,12 +751,16 @@ def _distinct_minima(thetas, residuals, ds):
 def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     """The elastica of the given length for each span (p0, t0, p1, t1).
 
-    Phase 1 solves the three winding starts of every span.  Phase 2 solves
-    the random restarts, drawn from default_rng(seed + i) for span i, only
-    for the spans whose winding starts are inconclusive: none converged,
-    they reached distinct minima, or the reduced Hessian at their minimum
-    is not positive definite.  Each phase solves the rows of all its spans
-    together.  With name_spans, NoConvergence names the span.
+    No row of a winding branch goes below the branch's _energy_bound, so a
+    branch is open only while its bound is below the span's lowest converged
+    energy.  Phase 1 solves the ramp start of every span, then its open +-2
+    pi windings.  Phase 2 solves the random restarts on open branches, drawn
+    from default_rng(seed + i) for span i, only for the spans whose winding
+    starts are inconclusive: none converged, they reached distinct minima,
+    or the reduced Hessian at their minimum is not positive definite.  Phase
+    3 continues the best row of each span with no converged row, up to 3
+    times.  Each phase solves the rows of all its spans together.  With
+    name_spans, NoConvergence names the span.
     """
     ds = length / n
     segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
@@ -772,29 +783,46 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     if not curved:
         return segments
     chords = np.array([c[2] for c in curved])
-    starts = np.concatenate([_span_starts(t0, t1, n, 0, seed + i) for i, _, _, t0, t1 in curved])
-    thetas, res, lam = _solve_rows(starts, np.repeat(chords, 3, axis=0), ds)
-    found = [(thetas[k : k + 3], res[k : k + 3]) for k in range(0, len(thetas), 3)]
-    minima = [_distinct_minima(th, r, ds) for th, r in found]
+    windings = np.array([_span_starts(t0, t1, n, 0, seed + i) for i, _, _, t0, t1 in curved])
+    bounds = _energy_bound(windings, ds)
+    rows = [[] for _ in curved]  # per span: (theta, residual, multipliers) of each row solved
+    minima = [[] for _ in curved]
+
+    def solve(jobs):
+        """Solve the (span, start) jobs as one batch and file each row under its span."""
+        if jobs:
+            owner, starts = zip(*jobs)
+            for k, *row in zip(owner, *_solve_rows(np.array(starts), chords[list(owner)], ds)):
+                rows[k].append(row)
+            for k in set(owner):
+                th, res, _ = zip(*rows[k])
+                minima[k] = _distinct_minima(np.array(th), np.array(res), ds)
+
+    def open_branches():
+        """(spans, 3) mask of the branches whose bound is below the lowest converged energy."""
+        best = [elastica_energy(rows[k][m[0]][0], ds) if m else math.inf for k, m in enumerate(minima)]
+        return bounds < np.array(best)[:, None]
+
+    solve([(k, w[0]) for k, w in enumerate(windings)])
+    solve([(k, windings[k][b + 1]) for k, b in zip(*np.nonzero(open_branches()[:, 1:]))])
     single = [k for k, m in enumerate(minima) if len(m) == 1]
-    rows = [3 * k + minima[k][0] for k in single]
-    sure = dict(zip(single, _second_order_ok(thetas[rows], lam[rows], ds))) if rows else {}
+    th, lam = (np.array([rows[k][minima[k][0]][v] for k in single]) for v in (0, 2))
+    sure = dict(zip(single, _second_order_ok(th, lam, ds))) if single else {}
     retry = [k for k in range(len(curved)) if not sure.get(k, False)]
     if restarts and retry:
-        todo = [curved[k] for k in retry]
-        starts = np.concatenate([_span_starts(t0, t1, n, restarts, seed + i)[3:] for i, _, _, t0, t1 in todo])
-        more, more_res, _ = _solve_rows(starts, np.repeat(chords[retry], restarts, axis=0), ds)
-        for m, k in enumerate(retry):
-            new = slice(m * restarts, (m + 1) * restarts)
-            found[k] = (np.concatenate([found[k][0], more[new]]), np.concatenate([found[k][1], more_res[new]]))
-            minima[k] = _distinct_minima(*found[k], ds)
-    for (i, p0, *_), (th, r), m in zip(curved, found, minima):
+        keep = open_branches()
+        draws = {k: _span_starts(*curved[k][3:], n, restarts, seed + curved[k][0]) for k in retry}
+        solve([(k, draws[k][j]) for k in retry for j in range(3, 3 + restarts) if keep[k, j % 3]])
+    for _ in range(3):  # the slow-step rule can retire a row that would still converge
+        stalled = [k for k, m in enumerate(minima) if not m]
+        solve([(k, rows[k].pop(int(np.argmin([r[1] for r in rows[k]])))[0]) for k in stalled])
+    for (i, p0, *_), found, m in zip(curved, rows, minima):
         if not m:
-            best_res = float(np.min(r))
+            best_res = float(min(r[1] for r in found))
             where = f"span {i}: " if name_spans else ""
             raise NoConvergence(
                 f"{where}elastica boundary value problem did not converge "
-                f"(best residual {best_res:.3e} over {len(r)} starts)",
+                f"(best residual {best_res:.3e} over {len(found)} starts)",
                 residual=best_res,
             )
         if len(m) > 1:
@@ -802,7 +830,7 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
                 f"{len(m)} distinct elastica solutions; returning lowest energy",
                 MultipleSolutionsWarning,
             )
-        best = th[m[0]].copy()  # a copy: no segment keeps the batch
+        best = found[m[0]][0].copy()  # a copy: no segment keeps the batch
         segments[i] = ElasticaSegment(p0, best, length, _fit_c_const(best, ds))
     return segments
 
@@ -820,37 +848,14 @@ def elastica_bvp(
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
     Solves the KKT system of the turning-angle discretization by damped
-    Newton from the three winding branches; the restarts random smooth
-    perturbations of them run only when those starts are inconclusive (none
-    converged, distinct minima, or a reduced Hessian that is not positive
-    definite).  Distinct local minima trigger MultipleSolutionsWarning and
-    the lowest-energy one is returned.
+    Newton from the linear turning-angle ramp and from those of its +-2 pi
+    windings whose energy bound is below the ramp's energy; random smooth
+    perturbations of the three run only when these starts are inconclusive,
+    and a start that stalls is continued (see _elastica_spans).  Distinct
+    local minima on the windings that could hold the lowest energy trigger
+    MultipleSolutionsWarning; the lowest-energy one is returned.
     """
     return _elastica_spans([(p0, t0, p1, t1)], length, n, restarts, seed)[0]
-
-
-def project_to_constraints(thetas: np.ndarray, ds: float, target, max_iter: int = 50):
-    """Minimally adjust interior thetas so the displacement hits the target.
-
-    Used to generate feasible perturbations when probing local minimality.
-    Endpoint values are preserved.  Returns the adjusted array or None.
-    """
-    th = np.asarray(thetas, dtype=float).copy()
-    for _ in range(max_iter):
-        x, y = elastica_constraints(th, ds)
-        g = np.array([x - target[0], y - target[1]])
-        if np.max(np.abs(g)) < 1e-13:
-            return th
-        gx, gy = _constraint_grad(th, ds)
-        jac = np.vstack([gx[1:-1], gy[1:-1]])  # 2 x interior
-        # minimum-norm correction: dth = -J^T (J J^T)^{-1} g
-        jjt = jac @ jac.T
-        try:
-            mu = np.linalg.solve(jjt, g)
-        except np.linalg.LinAlgError:
-            return None
-        th[1:-1] -= jac.T @ mu
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +893,8 @@ def spline_centered(
     """Length-preserving elastica spline through centered offset points.
 
     The spline passes through centered_nodes(rc) along their directions,
-    and each span gets an elastica of length exactly 2*ell.  The winding
-    starts of all spans are solved as one Newton batch, then the random
-    restarts only for the spans whose winding starts are inconclusive, as
-    in elastica_bvp.
+    and each span gets an elastica of length exactly 2*ell; the spans are
+    solved together, each as in elastica_bvp.
     """
     _require_planar(rc.points)
     validate_refined(rc)

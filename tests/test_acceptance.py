@@ -48,14 +48,13 @@ from frenetkit.spline2d import (
     elastica_constraints,
     elastica_energy,
     g1_defects,
-    project_to_constraints,
     sogo_turning_angles,
     spline_centered,
     spline_circumscribed,
     spline_inscribed,
 )
 
-from conftest import make_random_refined, random_pose
+from conftest import make_random_refined, project_to_constraints, random_pose
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -24,6 +24,7 @@ from frenetkit import (
     unrefine,
 )
 from frenetkit import io as fio
+from frenetkit import spline2d
 from frenetkit.cli import _CHUNK_ROWS, _MARK, CONVENTIONS, _float_strings, _report_pieces, main
 from frenetkit.config import cli_tolerance
 from frenetkit.discretize2d import BUILTIN_CURVES
@@ -316,13 +317,25 @@ def test_tolerance_zero_is_accepted(runner, tmp_path):
     assert "error" not in result.stderr
 
 
-def test_spline_centered_failure_names_the_span(runner, tmp_path):
+def test_spline_centered_failure_names_the_span(runner, tmp_path, monkeypatch):
+    solve = spline2d._newton_batch
+    # two Newton steps per row are enough for span 0 only
+    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 2))
     path = _write(tmp_path, "zigzag.json", curve_to_json(_unit_step_polyline(ZIGZAG_ANGLES)))
     result = runner.invoke(main, ["spline", path, "--method", "centered"])
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: span 3: ")
-    assert "best residual" in result.stderr
+    assert result.stderr.startswith("error: span 1: ")
+    assert "best residual 5.361e-06 over 11 starts" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_spline_centered_zigzag_converges(runner, tmp_path):
+    # span 3 has no converged start until its best one is continued
+    path = _write(tmp_path, "zigzag.json", curve_to_json(_unit_step_polyline(ZIGZAG_ANGLES)))
+    result = runner.invoke(main, ["spline", path, "--method", "centered"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert max(report["g1_position_gap"], report["g1_tangent_gap"]) <= 1e-8
 
 
 def test_roundtrip_hexagon(runner, tmp_path):
