@@ -7,9 +7,8 @@ All subcommands print structured JSON on stdout; errors go to stderr.
 from __future__ import annotations
 
 import inspect
-import json
 import sys
-from itertools import count, islice, repeat
+from itertools import chain
 
 import click
 import numpy as np
@@ -23,46 +22,11 @@ from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
 CONVENTIONS = [c.value for c in Convention]
-
-
-# one per-index row of the analyze report as json.dumps(report, indent=2) lays it out
-_JSON_ROW = (
-    '{\n          "theta": %s,\n          "phi": %s,\n'
-    '          "kappa": %s,\n          "tau": %s\n        }'
-)
-_MARK = "\0spliced"  # stands for text spliced into an encoded report
-_CHUNK_ROWS = 4096
-
-
-def _float_strings(col: np.ndarray, fmt: str) -> list[str]:
-    """col's values spelled as json.dumps (fmt "json") or repr (fmt "csv") spells them."""
-    out = list(map(float.__repr__, col.tolist()))
-    if fmt == "json":
-        for i in np.flatnonzero(~np.isfinite(col)):
-            out[i] = json.dumps(float(col[i]))  # NaN, Infinity, -Infinity
-    return out
-
-
-def _pieces(frame, tables, template, sep):
-    """Yield frame[0], the rows of tables[0], frame[1], ..., frame[-1]: each row
-    fills template, and a table's rows are joined by sep, _CHUNK_ROWS a piece."""
-    yield frame[0]
-    for rows, tail in zip(tables, frame[1:]):
-        lead = ""
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            yield lead + sep.join([template % row for row in chunk])
-            lead = sep
-        yield tail
-
-
-def _report_pieces(report, text=None):
-    """json.dumps(report, indent=2) and a newline, with text (an indent=2 document) spliced in at _MARK."""
-    head, *tail = json.dumps(report, indent=2).split(json.dumps(_MARK))
-    return [head, *(text.replace("\n", "\n  ") + rest for rest in tail), "\n"]
+_ROW_KEYS = ("theta", "phi", "kappa", "tau")  # of the analyze report's per-index rows
 
 
 def _write(pieces, out_path):
-    """Write the pieces of a text to out_path, or echo them to stdout."""
+    """Write the pieces of a text to out_path, or to stdout."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -70,9 +34,21 @@ def _write(pieces, out_path):
         except OSError as exc:
             raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
-        # a named stream: click.echo would cache, and so keep alive, each redirected stdout
-        for piece in pieces:
-            click.echo(piece, nl=False, file=sys.stdout)
+        # sys.stdout itself: click.echo would cache, and so keep alive, each redirected stdout
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+
+
+def _write_json(obj, out_path):
+    """Write obj as JSON with an indent of 2 and a newline, to out_path or stdout."""
+    _write(chain(io.json_pieces(obj), ["\n"]), out_path)
+
+
+def _file_or_nest(report, key, record, out_path):
+    """Write record to out_path and name the file in report, or nest record in report under key."""
+    if out_path:
+        _write_json(record, out_path)
+    report["out" if out_path else key] = out_path or record
 
 
 def _nonnegative(name, tol):
@@ -116,46 +92,45 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     rc = refine(io.load_curve(curve_file))
     wanted = [Convention(convention)] if convention else list(Convention)
     ff, data = analyze(rc)
-    angles = [_float_strings(a, fmt) for a in (data.theta, data.phi)]
+    angles = [io.spell_floats(a, fmt == "csv") for a in (data.theta, data.phi)]
     residuals, columns = {}, {}
     for conv in wanted:
         at_ell = curvature_torsion(data.theta, data.phi, rc.ell, conv, data.turn_parity)
         residuals[conv.value] = frenet_residual(ff, at_ell)
         edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
-        columns[conv.value] = angles + [_float_strings(c, fmt) for c in (edge.kappa, edge.tau)]
+        columns[conv.value] = angles + [io.spell_floats(c, fmt == "csv") for c in (edge.kappa, edge.tau)]
     worst = max(0.0, *residuals.values())
     if fmt == "csv":
-        frame = ["convention,index,theta,phi,kappa,tau\n"] + ["\n"] * len(columns)
-        tables = [zip(repeat(name), count(), *cols) for name, cols in columns.items()]
-        pieces = _pieces(frame, tables, "%s,%d,%s,%s,%s,%s", "\n")
+        index = list(map(str, range(len(data.theta))))
+        tables = [io.csv_pieces([[name] * len(index), index, *cols]) for name, cols in columns.items()]
+        _write(chain(["convention,index,theta,phi,kappa,tau\n"], *tables), out_path)
     else:
         report = {
             "note": "kappa/tau computed from turning angles with the unrefined edge length",
             "edge_length": 2.0 * rc.ell,
             "half_edge_length": rc.ell,
             "conventions": {
-                name: {"frenet_residual": res, "per_index": [_MARK]}
-                for name, res in residuals.items()
+                name: {"frenet_residual": residuals[name], "per_index": io.Rows(zip(_ROW_KEYS, cols))}
+                for name, cols in columns.items()
             },
             "max_frenet_residual": worst,
             "residual_ok": bool(worst <= tol),
         }
-        frame = (json.dumps(report, indent=2) + "\n").split(json.dumps(_MARK))
-        tables = [zip(*cols) for cols in columns.values()]
-        pieces = _pieces(frame, tables, _JSON_ROW, ",\n        ")
-    _write(pieces, out_path)
+        _write_json(report, out_path)
     sys.exit(0 if worst <= tol else 1)
 
 
-def _parse_vec(text, default):
+def _parse_vec(option, text, default):
     if text is None:
         return np.asarray(default, dtype=float)
     try:
         vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise ParseError(f"bad vector {text!r}") from exc
+        raise ParseError(f"{option}: bad vector {text!r}") from exc
     if vec.shape != (3,):
-        raise ParseError(f"vector {text!r} must have 3 components")
+        raise ParseError(f"{option}: vector {text!r} must have 3 components")
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"{option}: vector {text!r} must be finite")
     return vec
 
 
@@ -169,17 +144,16 @@ def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
     """Rebuild a curve from intrinsic data (ell, theta, phi)."""
     with open(intrinsic_file) as fh:
         data = io.intrinsic_from_json(fh.read())
-    t = _parse_vec(tangent, [1.0, 0.0, 0.0])
-    nrm = _parse_vec(normal, [0.0, 1.0, 0.0])
+    t = _parse_vec("--tangent", tangent, [1.0, 0.0, 0.0])
+    nrm = _parse_vec("--normal", normal, [0.0, 1.0, 0.0])
     pose = InitialPose(
-        origin=_parse_vec(origin, [0.0, 0.0, 0.0]),
+        origin=_parse_vec("--origin", origin, [0.0, 0.0, 0.0]),
         tangent=t,
         normal=nrm,
         binormal=np.cross(t, nrm),
     )
     rc = reconstruct(data, pose)
-    out = io.curve_to_json(DiscreteCurve(rc.points, closed=False))
-    _write([out, "\n"], out_path)
+    _write_json(io.curve_record(DiscreteCurve(rc.points, closed=False)), out_path)
 
 
 @main.command("discretize")
@@ -237,13 +211,8 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
             "polyline_length": dc.length(),
             "curve_length": curve.length,
         }
-    text = io.curve_to_json(dc)
-    if out_path:
-        _write([text, "\n"], out_path)
-        report["out"] = out_path
-    else:
-        report["curve"] = _MARK
-    _write(_report_pieces(report, text), None)
+    _file_or_nest(report, "curve", io.curve_record(dc), out_path)
+    _write_json(report, None)
 
 
 @main.command("spline")
@@ -272,17 +241,12 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
         "g1_position_gap": pos_gap,
         "g1_tangent_gap": ang_gap,
     }
-    text = io.spline_to_json(sp)
-    if out_path:
-        _write([text, "\n"], out_path)
-        report["out"] = out_path
-    else:
-        report["spline"] = _MARK
+    _file_or_nest(report, "spline", io.spline_record(sp), out_path)
     if svg_path:
         doc = svg.render_svg(curves=[curve], splines=[sp])
         _write([doc, "\n"], svg_path)
         report["svg"] = svg_path
-    _write(_report_pieces(report, text), None)
+    _write_json(report, None)
 
 
 @main.command("roundtrip")
@@ -305,8 +269,7 @@ def cmd_roundtrip(curve_file, tol):
     pts_orig = np.pad(rc.points, ((0, 0), (0, 3 - rc.dim)))
     n_cmp = len(pts_orig)
     ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
-    report = {"rms": rms, "congruent": bool(ok), "tol": tol}
-    _write(_report_pieces(report), None)
+    _write_json({"rms": rms, "congruent": bool(ok), "tol": tol}, None)
     sys.exit(0 if ok else 1)
 
 

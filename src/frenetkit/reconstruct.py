@@ -32,7 +32,7 @@ class InitialPose:
         for name in ("origin", "tangent", "normal", "binormal"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         frame = np.column_stack([self.tangent, self.normal, self.binormal])
-        if np.max(np.abs(frame.T @ frame - np.eye(3))) > ORTHONORMAL:
+        if not (np.all(np.isfinite(frame)) and np.max(np.abs(frame.T @ frame - np.eye(3))) <= ORTHONORMAL):
             raise InputError("initial frame is not orthonormal")
         if np.linalg.det(frame) < 0.0:
             raise InputError("initial frame is not right-handed")

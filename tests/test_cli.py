@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from frenetkit import (
 )
 from frenetkit import io as fio
 from frenetkit import spline2d
-from frenetkit.cli import _CHUNK_ROWS, _MARK, CONVENTIONS, _float_strings, _report_pieces, main
+from frenetkit.cli import CONVENTIONS, main
 from frenetkit.config import cli_tolerance
 from frenetkit.discretize2d import BUILTIN_CURVES
 from frenetkit.figures import _unit_step_polyline
@@ -188,6 +189,9 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["render", "HEX", "--spline", "NEGATIVE_LENGTH"], {}),
         (["render", "HEX", "--spline", "LONG_ARC"], {}),
         (["reconstruct", "TWO_D_INTRINSIC"], {}),
+        (["reconstruct", "INTRINSIC", "--tangent", "nan,0,0"], {}),
+        (["reconstruct", "INTRINSIC", "--origin", "nan,0,0"], {}),
+        (["reconstruct", "INTRINSIC", "--normal", "0,1e400,0"], {}),
     ],
     ids=[
         "unknown-param",
@@ -228,6 +232,9 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "render-negative-clothoid-length",
         "render-arc-sweep-1e9",
         "reconstruct-2d-angles",
+        "reconstruct-nan-tangent",
+        "reconstruct-nan-origin",
+        "reconstruct-overflowing-normal",
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args, env):
@@ -241,9 +248,14 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
     }
     for key, params in _BAD_CLOTHOIDS.items():
         files[key] = _write(tmp_path, f"{key.lower()}.json", _clothoid_spline_json(**params))
-    result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
     assert result.exit_code == 2, result.output
+    # exactly one error line: no warning or traceback before it
+    assert not caught, [str(w.message) for w in caught]
     assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -251,6 +263,15 @@ def test_bad_curve_parameter_is_named(runner):
     argv = ["discretize", "clothoid", "--method", "centered", "--density", "8", "--param", "length=0"]
     result = runner.invoke(main, argv)
     assert result.stderr == "error: length must be positive and finite, got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "option, text", [("--tangent", "nan,0,0"), ("--origin", "nan,0,0"), ("--normal", "0,1e400,0")]
+)
+def test_bad_pose_vector_is_named(runner, tmp_path, option, text):
+    path = _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC))
+    result = runner.invoke(main, ["reconstruct", path, option, text])
+    assert result.stderr == f"error: {option}: vector {text!r} must be finite\n"
 
 
 _CURVE_PARAMS = {
@@ -450,14 +471,15 @@ _POINTS = st.tuples(_FLOATS, _FLOATS).map(np.array)
 
 @st.composite
 def _spliced_documents(draw):
-    """(report key, JSON document) pairs as discretize and spline splice them:
-    open and closed curves, and splines of lines, arcs, clothoids and elastica."""
+    """(report key, record, JSON document) triples as discretize and spline nest
+    them: open and closed curves, and splines of lines, arcs, clothoids and elastica."""
     kind = draw(st.sampled_from(["open", "closed", "line", "arc", "clothoid", "elastica"]))
     if kind in ("open", "closed"):
         # coordinates m * 10^e: edge lengths neither underflow nor overflow
         coord = st.builds(lambda m, e: m * 10.0**e, st.integers(-999, 999), st.integers(-30, 30))
         points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6, unique=True))
-        return "curve", fio.curve_to_json(DiscreteCurve(np.array(points), closed=kind == "closed"))
+        curve = DiscreteCurve(np.array(points), closed=kind == "closed")
+        return "curve", fio.curve_record(curve), fio.curve_to_json(curve)
     positive = st.floats(1e-300, 1e300)
     make = {
         "line": lambda: LineSegment(draw(_POINTS), draw(_POINTS), draw(positive)),
@@ -468,18 +490,19 @@ def _spliced_documents(draw):
         ),
     }[kind]
     segments = [make() for _ in range(draw(st.integers(0, 3)))]
-    return "spline", fio.spline_to_json(Spline(segments, closed=draw(st.booleans())))
+    spline = Spline(segments, closed=draw(st.booleans()))
+    return "spline", fio.spline_record(spline), fio.spline_to_json(spline)
 
 
 @given(_spliced_documents(), _FLOATS, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_spliced_reports_equal_the_reencoded_report(document, value, svg):
-    key, text = document
-    report = {"method": "inscribed", "segments": 3, "total_length": value, key: _MARK}
+    key, record, text = document
+    report = {"method": "inscribed", "segments": 3, "total_length": value, key: record}
     if svg:
         report["svg"] = "out.svg"
-    old = json.dumps({**report, key: json.loads(text)}, indent=2) + "\n"
-    assert "".join(_report_pieces(report, text)) == old
+    old = json.dumps({**report, key: json.loads(text)}, indent=2)
+    assert "".join(fio.json_pieces(report)) == old
 
 
 @pytest.mark.parametrize(
@@ -649,7 +672,7 @@ def test_analyze_long_report_is_written_in_pieces(tmp_path):
     rc, _ = make_random_refined(np.random.default_rng(5), 2 * 2500 + 1, planar=False)
     path = _write(tmp_path, "long.json", curve_to_json(unrefine(rc)))
     report = _old_analyze_report(path, list(Convention))
-    assert len(report["conventions"]["inscribed"]["per_index"]) > _CHUNK_ROWS
+    assert len(report["conventions"]["inscribed"]["per_index"]) > fio.PIECE_ROWS
     result = CliRunner().invoke(main, ["analyze", path])
     assert result.exit_code == 0
     assert result.stdout == json.dumps(report, indent=2) + "\n"
@@ -660,5 +683,5 @@ def test_analyze_long_report_is_written_in_pieces(tmp_path):
 def test_float_strings_spell_like_json_and_repr():
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
     col = np.array(values)
-    assert _float_strings(col, "json") == [json.dumps(v) for v in values]
-    assert _float_strings(col, "csv") == [repr(v) for v in values]
+    assert fio.spell_floats(col) == [json.dumps(v) for v in values]
+    assert fio.spell_floats(col, csv=True) == [repr(v) for v in values]

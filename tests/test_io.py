@@ -1,7 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frenetkit import (
     ArcSegment,
@@ -22,6 +27,7 @@ from frenetkit import (
     spline_to_json,
 )
 from frenetkit.errors import NonPlanarData, ParseError
+from frenetkit.io import PIECE_ROWS, Rows, json_pieces, spell_floats
 from frenetkit.spline2d import ClothoidSegment
 
 
@@ -45,6 +51,11 @@ def test_curve_parse_errors():
         curve_from_json("{")
     with pytest.raises(ParseError):
         curve_from_json('{"dim": 2, "closed": false, "points": [[1, 2, 3]]}')
+    # "false" is a string, and a truthy one: it must not load as a closed curve
+    square = '"points": [[0, 0], [1, 0], [1, 1], [0, 1]]'
+    for closed in ('"false"', "0", "null"):
+        with pytest.raises(ParseError, match="closed must be true or false"):
+            curve_from_json(f'{{"dim": 2, "closed": {closed}, {square}}}')
     with pytest.raises(ParseError):
         curve_from_csv("a,b\n")
     with pytest.raises(ParseError):
@@ -79,6 +90,84 @@ def test_spline_round_trip_all_segment_kinds():
         assert a.length == b.length
     with pytest.raises(ParseError):
         spline_from_json('{"segments": [{"type": "spiral"}]}')
+
+
+_LINE = '{"type": "line", "start": [0, 0], "direction": [1, 0], "length": 1}'
+_ELASTICA = '{"type": "elastica", "start": [0, 0], "thetas": %s, "length": 1, "c_const": 0.5}' % ([0.0] * 17)
+
+
+def test_spline_parse_errors():
+    assert spline_from_json(f'{{"closed": true, "segments": [{_LINE}]}}').closed is True
+    for closed in ('"false"', "0", "null"):
+        with pytest.raises(ParseError, match="closed must be true or false"):
+            spline_from_json(f'{{"closed": {closed}, "segments": [{_LINE}]}}')
+    with pytest.raises(ParseError, match="c_const must be finite"):
+        spline_from_json('{"segments": [%s]}' % _ELASTICA.replace("0.5", "NaN"))
+    spline_from_json('{"segments": [%s]}' % _ELASTICA)
+    # a line's direction must be a unit vector, or point_at(length) is not length away
+    for direction in ("[3, 4]", "[0.6, 0.8000001]", "[0, 0]"):
+        with pytest.raises(ParseError, match="direction must be a unit vector"):
+            spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", direction))
+    spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", "[0.6, 0.8]"))
+
+
+def _plain(obj):
+    """obj with every array and Rows table turned into the lists and dicts it holds."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Rows):
+        return [dict(zip(obj, map(json.loads, row))) for row in zip(*obj.values())]
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+_FLOAT = st.one_of(_SPECIAL, st.floats())
+_ARRAY = hnp.arrays(
+    float, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5), elements=_FLOAT
+)
+
+
+@st.composite
+def _rows(draw):
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    columns = [spell_floats(draw(st.lists(_FLOAT, min_size=n, max_size=n))) for _ in keys]
+    return Rows(zip(keys, columns))
+
+
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _FLOAT, st.text(max_size=6), _ARRAY, _rows())
+_DOCUMENT = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_DOCUMENT)
+@settings(max_examples=300, deadline=None)
+def test_json_pieces_are_what_json_dumps_encodes(obj):
+    assert "".join(json_pieces(obj)) == json.dumps(_plain(obj), indent=2)
+
+
+def test_no_piece_holds_more_than_piece_rows():
+    n = 2 * PIECE_ROWS + 5
+    values = np.linspace(-1.0, 1.0, n)
+    table = Rows(a=spell_floats(values), b=spell_floats(-values))
+    doc = {"points": np.column_stack([values, values]), "first": table, "second": table, "line": values}
+    pieces = list(json_pieces(doc))
+    assert "".join(pieces) == json.dumps(_plain(doc), indent=2)
+    for piece in pieces:
+        # every table is the value of a top-level key, so its rows start at an indent of 4
+        assert len(re.findall(r"\n    [^ \]}]", piece)) <= PIECE_ROWS
+    assert len(pieces) > 4
 
 
 def test_svg_empty_spline_shell():

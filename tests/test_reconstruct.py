@@ -27,6 +27,10 @@ def test_initial_pose_validation():
         InitialPose(tangent=np.array([1.0, 1.0, 0.0]))
     with pytest.raises(InputError):
         InitialPose(binormal=np.array([0.0, 0.0, -1.0]))  # left-handed
+    # a non-finite frame, with no numpy warning on the way
+    for bad in ([math.nan, 0.0, 0.0], [1.0, math.inf, 0.0]):
+        with pytest.raises(InputError, match="not orthonormal"):
+            InitialPose(tangent=np.array(bad))
 
 
 def test_zero_angles_straight_line():
