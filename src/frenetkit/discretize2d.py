@@ -43,6 +43,8 @@ class SmoothCurve:
     ``point``/``tangent``/``curvature`` take arc length s, a float or an array,
     and return shapes ``s.shape + (2,)``, ``s.shape + (2,)`` and ``s.shape``;
     the tangent is unit and curvature is signed (positive = turning left).
+    ``parametric`` is (t0, t1, numerator, s_of_t) for a curve on a parameter t other
+    than s: numerator(t) has the curvature's sign, and s_of_t(t) is the arc length.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
@@ -50,6 +52,7 @@ class SmoothCurve:
     curvature: Callable[[np.ndarray], np.ndarray]
     length: float
     closed: bool = False
+    parametric: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.length < math.inf:
@@ -111,14 +114,18 @@ def _from_parametric(pos, deriv, deriv2, t0, t1, closed) -> SmoothCurve:
         n = np.hypot(dx, dy)
         return np.stack([dx / n, dy / n], axis=-1)
 
-    def curvature(s):
-        t = param.t_of_s(s)
+    def numerator(t):  # the curvature times the squared speed, and the speed
         (dx, dy), (ddx, ddy) = deriv(t), deriv2(t)
         n = np.hypot(dx, dy)
-        with np.errstate(over="ignore"):  # n**3 overflows where the curvature does not; this only where it does
-            return (dx / n * ddy - dy / n * ddx) / n / n
+        return dx / n * ddy - dy / n * ddx, n
 
-    return SmoothCurve(point, tangent, curvature, param.length, closed)
+    def curvature(s):
+        k, n = numerator(param.t_of_s(s))
+        with np.errstate(over="ignore"):  # n**3 overflows where the curvature does not; this only where it does
+            return k / n / n
+
+    form = (t0, t1, lambda t: numerator(t)[0], param.s_of_t)
+    return SmoothCurve(point, tangent, curvature, param.length, closed, form)
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> SmoothCurve:
@@ -162,7 +169,7 @@ def sine_arc(amplitude: float = 1.0, x_max: float = 2.0 * math.pi) -> SmoothCurv
 
 
 def clothoid_arc(kappa0: float = 0.1, sharpness: float = 0.2, length: float = 5.0) -> SmoothCurve:
-    from .spline2d import check_clothoid_size, clothoid_xy  # local import; spline2d does not import us
+    from .spline2d import check_clothoid_size, clothoid_xy  # local import: spline2d imports this module
 
     _check_params(("length",), kappa0=kappa0, sharpness=sharpness, length=length)
     check_clothoid_size(kappa0, sharpness, length)
@@ -215,21 +222,22 @@ def discretize_inscribed(c: SmoothCurve, samples) -> DiscreteCurve:
 
 
 def find_inflections(c: SmoothCurve) -> np.ndarray:
-    """Arc-length parameters where the signed curvature changes sign."""
-    grid = np.linspace(0.0, c.length, 4096)
-    sign = np.sign(c.curvature(grid))
+    """Arc-length parameters where the signed curvature changes sign, read on the curve's parameter."""
+    t0, t1, numerator, s_of_t = c.parametric or (0.0, c.length, c.curvature, np.asarray)
+    grid = np.linspace(t0, t1, 4096)
+    sign = np.sign(numerator(grid))
     # a zero on the grid is a root; a sign change brackets one
     hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
     if len(hits) > MAX_INFLECTIONS:
         raise InfinitelyManyInflections(f"more than {MAX_INFLECTIONS} inflections detected")
     roots = [
         grid[j] if sign[j] == 0.0
-        else brentq(lambda v: float(c.curvature(v)), grid[j], grid[j + 1], xtol=1e-13)
+        else brentq(lambda v: float(numerator(v)), grid[j], grid[j + 1], xtol=1e-13)
         for j in hits
     ]
     if sign[-1] == 0.0:
         roots.append(grid[-1])
-    return np.asarray(roots)
+    return s_of_t(np.asarray(roots))
 
 
 def discretize_circumscribed(c: SmoothCurve, samples) -> DiscreteCurve:

@@ -178,7 +178,7 @@ def intrinsic_from_json(text: str) -> IntrinsicData:
 
     try:
         obj = json.loads(text)
-        ell = float(obj["ell"])
+        ell = _number(obj["ell"], "intrinsic ell")
         convention = Convention(obj["convention"])
         theta = np.asarray(obj["theta"], dtype=float)
         phi = np.asarray(obj["phi"], dtype=float)
@@ -206,10 +206,17 @@ def _segment_to_obj(seg) -> dict:
     raise ParseError(f"unknown segment type {type(seg)!r}")
 
 
+def _number(raw, what: str):
+    """raw as a float (a float array for a list); a JSON true or false is no number."""
+    if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+        raise ParseError(f"{what} must be numeric, got {json.dumps(raw)}")
+    return np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
+
+
 def _finite(obj: dict, key: str, positive: bool = False):
     """obj[key] as a float (a float array for a list); finite, and > 0 if positive."""
     raw = obj[key]
-    v = np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
+    v = _number(raw, f"{obj['type']} segment {key}")
     if not np.all(np.isfinite(v)) or (positive and not np.all(v > 0.0)):
         kind = "positive and finite" if positive else "finite"
         raise ParseError(f"{obj['type']} segment {key} must be {kind}, got {raw!r}")

@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 
 from .config import CLOTHOID_FIT, ELASTICA_KKT
 from .curve_core import DiscreteCurve, RefinedCurve, validate_refined
+from .discretize2d import MAX_SAMPLES
 from .errors import (
     Infeasible,
     InputError,
@@ -96,17 +97,25 @@ def clothoid_xy(kappa0: float, a: float, theta0: float, s):
     """Displacement along a clothoid with curvature kappa0 + a*t, start angle theta0.
 
     ``s`` is a float or an array of arc lengths; the result has shape
-    ``s.shape + (2,)``.  The phase integral is taken from 0 to the smallest
-    sample, then over each gap between sorted samples, and summed in order.
+    ``s.shape + (2,)``.  The samples are integrated in sorted order.
     """
     s = np.asarray(s, dtype=float)
     order = np.argsort(s, axis=None, kind="stable")
-    t = np.concatenate([[0.0], s.ravel()[order]])
-    t, h = t[:-1], np.diff(t)
-    gaps = _phase_integrals(theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h)
     xy = np.empty(s.shape + (2,))
-    xy.reshape(-1, 2)[order] = np.cumsum(h[:, None] * gaps[:, :2], axis=0)
+    xy.reshape(-1, 2)[order] = _clothoid_runs(theta0, kappa0, a, s.ravel()[order], [0])[0]
     return xy
+
+
+def _clothoid_runs(theta0, kappa0, a, s, first):
+    """Displacements along clothoids at the arc lengths s: one clothoid per run of
+    sorted samples, each run starting at an index in first; theta0, kappa0 and a
+    are floats or given per sample.  The phase integral is taken over each gap
+    between samples, all in one _phase_integrals call, and summed in order."""
+    t = np.concatenate([[0.0], s[:-1]])  # each row integrates from t over the gap h
+    t[first] = 0.0
+    h = s - t
+    gaps = _phase_integrals(theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h)
+    return [np.cumsum(run, axis=0) for run in np.split(h[:, None] * gaps[:, :2], first[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +136,6 @@ class LineSegment:
 
     def energy(self) -> float:
         return 0.0
-
-    def polyline(self, tol: float) -> np.ndarray:
-        return np.array([self.start, self.start + self.length * self.direction])
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,6 @@ class ArcSegment:
 
     def energy(self) -> float:
         return self.length / self.radius**2
-
-    def polyline(self, tol: float) -> np.ndarray:
-        n = max(2, int(math.ceil(abs(self.sweep) / max(2.0 * math.sqrt(2.0 * tol / self.radius), 1e-6))) + 1)
-        return self.point_at(np.linspace(0.0, self.length, n))
 
 
 def check_clothoid_size(kappa0: float, sharpness: float, length: float):
@@ -188,12 +190,6 @@ class ClothoidSegment:
         # int (kappa0 + a s)^2 ds
         k0, a, L = self.kappa0, self.sharpness, self.length
         return k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0
-
-    def polyline(self, tol: float) -> np.ndarray:
-        kmax = max(abs(self.kappa0), abs(self.kappa0 + self.sharpness * self.length), 1e-9)
-        step = math.sqrt(8.0 * tol / kmax)
-        n = max(2, int(math.ceil(self.length / step)) + 1)
-        return self.point_at(np.linspace(0.0, self.length, n))
 
 
 @dataclass(frozen=True)
@@ -238,9 +234,6 @@ class ElasticaSegment:
     def energy(self) -> float:
         return elastica_energy(self.thetas, self.ds)
 
-    def polyline(self, tol: float) -> np.ndarray:
-        return self.node_points()
-
 
 Segment = LineSegment | ArcSegment | ClothoidSegment | ElasticaSegment
 
@@ -262,15 +255,21 @@ class Spline:
         return float(sum(seg.energy() for seg in self.segments))
 
 
-def _end_points(segs) -> np.ndarray:
-    """Start and end point of every segment, (2, len(segs), 2), with one array
-    evaluation per segment type (and elastica grid size)."""
-    out = np.empty((2, len(segs), 2))
+def _groups(segs):
+    """(segment type, rows, col) per segment type and elastica grid size: the
+    indices of those segments in segs, and col(name) their field name as an array."""
     groups = {}
     for i, seg in enumerate(segs):
         groups.setdefault((type(seg), len(getattr(seg, "thetas", ()))), []).append(i)
     for (kind, _), rows in groups.items():
-        col = lambda name: np.array([getattr(segs[i], name) for i in rows], dtype=float)  # noqa: E731
+        yield kind, rows, lambda name, rows=rows: np.array([getattr(segs[i], name) for i in rows], dtype=float)
+
+
+def _end_points(segs) -> np.ndarray:
+    """Start and end point of every segment, (2, len(segs), 2), with one array
+    evaluation per segment type (and elastica grid size)."""
+    out = np.empty((2, len(segs), 2))
+    for kind, rows, col in _groups(segs):
         length = col("length")[:, None]
         if kind is ArcSegment:
             a = col("start_angle")[:, None] + col("sweep")[:, None] * np.hstack([0.0 * length, length]) / length
@@ -288,6 +287,61 @@ def _end_points(segs) -> np.ndarray:
             step = np.cumsum(np.stack([cm * sinc, sm * sinc], -1), axis=1)[:, -1] / (thetas.shape[1] - 1)
         out[1, rows] = out[0, rows] + length * step
     return out
+
+
+def _grid(lengths, counts):
+    """np.linspace(0, length, count) of every row, concatenated; the index of each
+    row's first sample; and a function repeating a per-row array per sample."""
+    counts = counts.astype(np.intp)
+    first = np.cumsum(counts) - counts
+    rep = functools.partial(np.repeat, repeats=counts, axis=0)
+    s = (np.arange(counts.sum()) - rep(first)) * rep(lengths / (counts - 1))
+    s[first + counts - 1] = lengths
+    return s, first, rep
+
+
+def polyline_sampler(segs):
+    """A function of a chord tolerance tol that returns every segment's polyline,
+    from its start to its end point.  Arc and clothoid chords stray at most tol
+    from the curve, and an elastica gives its grid nodes at any tol.  All arcs
+    are sampled as one angle array and all clothoids with one _phase_integrals
+    call.  InputError if the polylines would hold over MAX_SAMPLES points."""
+    fixed, arcs, clothoids = {}, (), ()  # fixed: the polylines that do not depend on tol
+    for kind, rows, col in _groups(segs):
+        if kind is ArcSegment:
+            arcs = rows, col("length"), col("center"), col("radius"), col("start_angle"), col("sweep")
+        elif kind is ClothoidSegment:
+            clothoids = rows, col("length"), col("start"), col("start_angle"), col("kappa0"), col("sharpness")
+        else:
+            fixed.update((i, segs[i].node_points() if kind is ElasticaSegment else
+                          np.array([segs[i].start, segs[i].point_at(segs[i].length)])) for i in rows)
+
+    def sample(tol: float) -> list:
+        n_arc = n_clothoid = np.zeros(0)  # chords per arc and per clothoid
+        if arcs:
+            rows, length, center, radius, a0, sweep = arcs
+            n_arc = np.abs(sweep) / np.maximum(2.0 * np.sqrt(2.0 * tol / radius), 1e-6)
+        if clothoids:
+            rows, length, start, theta0, k0, a = clothoids
+            n_clothoid = length / np.sqrt(8.0 * tol / np.maximum(np.maximum(np.abs(k0), np.abs(k0 + a * length)), 1e-9))
+        n_arc, n_clothoid = (np.maximum(np.ceil(n) + 1.0, 2.0) for n in (n_arc, n_clothoid))
+        total = sum(map(len, fixed.values())) + n_arc.sum() + n_clothoid.sum()
+        if not total <= MAX_SAMPLES:
+            raise InputError(f"drawing the spline needs {total:.6g} points, over the limit of {MAX_SAMPLES}")
+        out = dict(fixed)
+        if arcs:
+            rows, length, center, radius, a0, sweep = arcs
+            s, first, rep = _grid(length, n_arc)
+            a = rep(a0) + rep(sweep) * s / rep(length)
+            pts = rep(center) + rep(radius)[:, None] * np.stack([np.cos(a), np.sin(a)], -1)
+            out.update(zip(rows, np.split(pts, first[1:])))
+        if clothoids:
+            rows, length, start, theta0, k0, a = clothoids
+            s, first, rep = _grid(length, n_clothoid)
+            out.update(zip(rows, map(np.add, start, _clothoid_runs(rep(theta0), rep(k0), rep(a), s, first))))
+        return [out[i] for i in range(len(segs))]
+
+    return sample
 
 
 def g1_defects(spline: Spline):

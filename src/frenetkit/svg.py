@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .curve_core import DiscreteCurve, RefinedCurve
 from .errors import NonPlanarData
-from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
+from .spline2d import ArcSegment, polyline_sampler
 
 
 _WIDTH = 480  # pixels; the height follows the aspect ratio of the viewport
@@ -43,40 +42,30 @@ def _require_planar(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _bounds_of(chunks):
-    pts = np.vstack(chunks) if chunks else np.zeros((1, 2))
-    return pts.min(axis=0), pts.max(axis=0)
+def _fill(template: str, pts: np.ndarray) -> str:
+    """template, which holds a "%.10g" pair per point, filled with the points'
+    x and -y (-y keeps a y of 0.0 spelled -0, as _fmt(-y) does)."""
+    return template % tuple(np.column_stack([pts[:, 0], np.negative(pts[:, 1])]).ravel().tolist())
 
 
 def _polyline_path(pts: np.ndarray, close: bool) -> str:
-    cmds = [f"M {_fmt(pts[0, 0])} {_fmt(-pts[0, 1])}"]
-    for p in pts[1:]:
-        cmds.append(f"L {_fmt(p[0])} {_fmt(-p[1])}")
-    if close:
-        cmds.append("Z")
-    return " ".join(cmds)
+    return _fill(" L ".join(["%.10g %.10g"] * len(pts)).join(["M ", " Z" if close else ""]), pts)
 
 
-def _segment_path(seg, start_cmd: bool, tol: float) -> str:
-    if isinstance(seg, LineSegment):
-        p0 = seg.start
-        p1 = seg.point_at(seg.length)
-        head = f"M {_fmt(p0[0])} {_fmt(-p0[1])} " if start_cmd else ""
-        return head + f"L {_fmt(p1[0])} {_fmt(-p1[1])}"
-    if isinstance(seg, ArcSegment):
-        p0 = seg.point_at(0.0)
-        p1 = seg.point_at(seg.length)
-        large = 1 if abs(seg.sweep) > math.pi else 0
-        # y-flip reverses the sweep sense
-        sweep_flag = 0 if seg.sweep > 0 else 1
-        head = f"M {_fmt(p0[0])} {_fmt(-p0[1])} " if start_cmd else ""
-        return head + (
-            f"A {_fmt(seg.radius)} {_fmt(seg.radius)} 0 {large} {sweep_flag} "
-            f"{_fmt(p1[0])} {_fmt(-p1[1])}"
-        )
-    pts = seg.polyline(tol)
-    path = _polyline_path(pts, close=False)
-    return path if start_cmd else path[path.index("L") :]
+def _spline_path(segs, polylines) -> str:
+    """Path data of a spline: arcs as native arc commands, every other segment as
+    lines through its polyline."""
+    cmds, ends = ["M %.10g %.10g"], [polylines[0][:1]]
+    for seg, pts in zip(segs, polylines):
+        if isinstance(seg, ArcSegment):
+            # y-flip reverses the sweep sense
+            large, sweep_flag = int(abs(seg.sweep) > math.pi), 0 if seg.sweep > 0 else 1
+            cmds.append(f"A {_fmt(seg.radius)} {_fmt(seg.radius)} 0 {large} {sweep_flag} %.10g %.10g")
+            ends.append(pts[-1:])
+        else:
+            cmds += ["L %.10g %.10g"] * (len(pts) - 1)
+            ends.append(pts[1:])
+    return _fill(" ".join(cmds), np.concatenate(ends))
 
 
 def render_svg(curves=(), splines=(), circles=()) -> str:
@@ -84,39 +73,26 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
 
     ``curves``: DiscreteCurve/RefinedCurve instances drawn as polylines with
     point markers; ``splines``: Spline instances; ``circles``: (center,
-    radius) pairs.  3D input raises NonPlanarData.
+    radius) pairs.  3D input raises NonPlanarData; a spline that would need
+    more than discretize2d.MAX_SAMPLES polyline points raises InputError.
     """
-    chunks = []
-    curve_pts = []
-    for c in curves:
-        pts = _require_planar(c.points)
-        curve_pts.append((pts, getattr(c, "closed", False)))
-        chunks.append(pts)
-    spline_paths = []
-    for sp in splines:
-        for seg in sp.segments:
-            chunks.append(seg.polyline(1e-3))
+    curve_pts = [(_require_planar(c.points), getattr(c, "closed", False)) for c in curves]
+    chunks = [pts for pts, _ in curve_pts]
+    samplers = [(sp.segments, polyline_sampler(sp.segments)) for sp in splines if sp.segments]
+    for _, sample in samplers:
+        chunks += sample(1e-3)
     for center, radius in circles:
         center = np.asarray(center, dtype=float)
         chunks.append(center + np.array([[radius, 0], [-radius, 0], [0, radius], [0, -radius]]))
 
-    lo, hi = _bounds_of(chunks)
+    drawn = np.vstack(chunks or [np.zeros((1, 2))])
+    lo, hi = drawn.min(axis=0), drawn.max(axis=0)
     span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
     scale = float(np.max(span))
-    tol = _CHORD_TOL_FRAC * scale
-
-    for sp in splines:
-        if not sp.segments:
-            continue
-        parts = []
-        for i, seg in enumerate(sp.segments):
-            parts.append(_segment_path(seg, start_cmd=(i == 0), tol=tol))
-        spline_paths.append(" ".join(parts))
-
     height = int(round(_WIDTH * span[1] / span[0]))
     view = f"{_fmt(lo[0] - _PADDING)} {_fmt(-(hi[1] + _PADDING))} {_fmt(span[0])} {_fmt(span[1])}"
     sw = _fmt(_STROKE_WIDTH * scale)
-    marker_r = _fmt(_MARKER_RADIUS * scale)
+    marker = f'<circle cx="%.10g" cy="%.10g" r="{_fmt(_MARKER_RADIUS * scale)}" fill="{_MARKER_COLOR}"/>'
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -128,20 +104,10 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(radius)}" fill="none" '
             f'stroke="{_CIRCLE_COLOR}" stroke-width="{sw}"/>'
         )
+    path = f'<path d="{{}}" fill="none" stroke="{{}}" stroke-width="{sw}"/>'
     for pts, closed in curve_pts:
-        out.append(
-            f'<path d="{_polyline_path(pts, closed)}" fill="none" '
-            f'stroke="{_CURVE_COLOR}" stroke-width="{sw}"/>'
-        )
-        for p in pts:
-            out.append(
-                f'<circle cx="{_fmt(p[0])}" cy="{_fmt(-p[1])}" '
-                f'r="{marker_r}" fill="{_MARKER_COLOR}"/>'
-            )
-    for path in spline_paths:
-        out.append(
-            f'<path d="{path}" fill="none" stroke="{_SPLINE_COLOR}" '
-            f'stroke-width="{sw}"/>'
-        )
+        out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), _fill("\n".join([marker] * len(pts)), pts)]
+    tol = _CHORD_TOL_FRAC * scale
+    out += [path.format(_spline_path(segs, sample(tol)), _SPLINE_COLOR) for segs, sample in samplers]
     out.append("</svg>")
     return "\n".join(out)

@@ -81,6 +81,12 @@ _LONG_ARC = {
     "segments": [{"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "start_angle": 0.0, "sweep": 1e9}],
 }
 
+# one turn of radius 1e12, which a chord tolerance of 1e-3 cuts into 6.3e6 pieces
+_HUGE_ARC = {
+    "closed": False,
+    "segments": [{"type": "arc", "center": [0.0, 0.0], "radius": 1e12, "start_angle": 0.0, "sweep": 2.0 * math.pi}],
+}
+
 # a well-formed angle record with 2-D theta and phi
 _TWO_D_INTRINSIC = {
     "ell": 1.0,
@@ -188,6 +194,9 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         (["render", "HEX", "--spline", "LONG_CLOTHOID"], {}),
         (["render", "HEX", "--spline", "NEGATIVE_LENGTH"], {}),
         (["render", "HEX", "--spline", "LONG_ARC"], {}),
+        (["render", "HEX", "--spline", "HUGE_ARC"], {}),
+        (["render", "HEX", "--spline", "BOOL_LENGTH"], {}),
+        (["reconstruct", "BOOL_ELL"], {}),
         (["reconstruct", "TWO_D_INTRINSIC"], {}),
         (["reconstruct", "INTRINSIC", "--tangent", "nan,0,0"], {}),
         (["reconstruct", "INTRINSIC", "--origin", "nan,0,0"], {}),
@@ -231,6 +240,9 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "render-long-clothoid",
         "render-negative-clothoid-length",
         "render-arc-sweep-1e9",
+        "render-arc-radius-1e12",
+        "render-boolean-length",
+        "reconstruct-boolean-ell",
         "reconstruct-2d-angles",
         "reconstruct-nan-tangent",
         "reconstruct-nan-origin",
@@ -244,6 +256,9 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
         "MISSING": str(tmp_path / "missing" / "out"),
         "DIR": str(tmp_path),
         "LONG_ARC": _write(tmp_path, "long_arc.json", json.dumps(_LONG_ARC)),
+        "HUGE_ARC": _write(tmp_path, "huge_arc.json", json.dumps(_HUGE_ARC)),
+        "BOOL_LENGTH": _write(tmp_path, "bool_length.json", _clothoid_spline_json(length=True)),
+        "BOOL_ELL": _write(tmp_path, "bool_ell.json", json.dumps({**_HEX_INTRINSIC, "ell": True})),
         "TWO_D_INTRINSIC": _write(tmp_path, "two_d_intrinsic.json", json.dumps(_TWO_D_INTRINSIC)),
     }
     for key, params in _BAD_CLOTHOIDS.items():
@@ -564,6 +579,19 @@ def test_render_with_circles(runner, tmp_path):
     doc = out.read_text()
     for r in (1.0, math.sqrt(3.0) / 2.0, 3.0 / math.pi):
         assert f'r="{r:.10g}"' in doc
+
+
+def test_circumscribed_svg_samples_all_clothoids_at_once(runner, tmp_path, monkeypatch):
+    # 31 vertices: the fit, its end-pose check, and one quadrature per sampling pass of render_svg
+    path = _write(tmp_path, "poly31.json", curve_to_json(_unit_step_polyline(np.linspace(0.1, 0.6, 29))))
+    calls = []
+    integrals = spline2d._phase_integrals
+    monkeypatch.setattr(spline2d, "_phase_integrals", lambda *c: calls.append(1) or integrals(*c))
+    argv = ["spline", path, "--method", "circumscribed", "--svg", str(tmp_path / "poly31.svg")]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert 'd="M ' in (tmp_path / "poly31.svg").read_text()
+    assert len(calls) <= 11
 
 
 def test_render_3d_curve_fails(runner, tmp_path):

@@ -229,6 +229,14 @@ def test_sine_inflections_pinned():
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_inflections_of_a_huge_sine_arc():
+    # off its crests the curvature of this arc underflows to 0 and its parametric
+    # numerator does not: two roots, and none at s = L
+    c = sine_arc(amplitude=1e200)
+    np.testing.assert_allclose(find_inflections(c) / c.length, [0.0, 0.5], rtol=0.0, atol=1e-12)
+
+
 @given(
     st.sampled_from(sorted(BUILTIN_CURVES)),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),

@@ -26,9 +26,10 @@ from frenetkit import (
     spline_from_json,
     spline_to_json,
 )
+from frenetkit import svg
 from frenetkit.errors import NonPlanarData, ParseError
 from frenetkit.io import PIECE_ROWS, Rows, json_pieces, spell_floats
-from frenetkit.spline2d import ClothoidSegment
+from frenetkit.spline2d import ClothoidSegment, polyline_sampler
 
 
 def test_curve_json_round_trip_bit_exact(rng):
@@ -73,6 +74,11 @@ def test_intrinsic_round_trip():
     assert np.array_equal(back.phi, data.phi)
     with pytest.raises(ParseError):
         intrinsic_from_json('{"ell": 1.0}')
+    # a JSON boolean is no number, though float(True) is 1.0
+    record = json.loads(intrinsic_to_json(data))
+    for ell in (True, False):
+        with pytest.raises(ParseError, match=f"intrinsic ell must be numeric, got {json.dumps(ell)}"):
+            intrinsic_from_json(json.dumps({**record, "ell": ell}))
 
 
 def test_spline_round_trip_all_segment_kinds():
@@ -109,6 +115,10 @@ def test_spline_parse_errors():
         with pytest.raises(ParseError, match="direction must be a unit vector"):
             spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", direction))
     spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", "[0.6, 0.8]"))
+    # JSON booleans are not numbers, alone or in a list
+    for old, new, key in (('"length": 1', '"length": true', "length"), ("[0, 0]", "[0, false]", "start")):
+        with pytest.raises(ParseError, match=f"line segment {key} must be numeric"):
+            spline_from_json('{"segments": [%s]}' % _LINE.replace(old, new))
 
 
 def _plain(obj):
@@ -193,11 +203,21 @@ def test_svg_arc_native_and_deterministic():
     assert doc == render_svg(splines=[Spline((arc,))])
 
 
+def test_svg_template_speller_matches_fmt():
+    # x as _fmt(x), y as _fmt(-y): a y of 0.0 spells -0 and a y of -0.0 spells 0
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, math.pi, 123456.789012345]
+    pts = np.column_stack([values, values[::-1]])
+    want = " ".join(f"{svg._fmt(x)} {svg._fmt(-y)}" for x, y in pts.tolist())
+    assert svg._fill(" ".join(["%.10g %.10g"] * len(pts)), pts) == want
+    assert svg._fill("%.10g %.10g", np.array([[0.0, 0.0]])) == "0 -0"
+    assert svg._fill("%.10g %.10g", np.array([[-0.0, -0.0]])) == "-0 0"
+
+
 def test_svg_polyline_chordal_deviation():
     # elastica polylines must stay within 0.1% of the viewport span
     seg = ElasticaSegment(np.array([0.0, 0.0]), np.linspace(0.0, 2.0, 65), 2.0)
     doc = render_svg(splines=[Spline((seg,))])
-    pts = seg.polyline(1e-3)
+    (pts,) = polyline_sampler([seg])(1e-3)
     steps = np.diff(pts, axis=0)
     # crude bound: sagitta <= kappa * chord^2 / 8
     kmax = np.max(np.abs(np.diff(seg.thetas))) / seg.ds

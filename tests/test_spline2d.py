@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from frenetkit.spline2d import (
     elastica_constraints,
     elastica_energy,
     g1_defects,
+    polyline_sampler,
     sogo_turning_angles,
     spline_centered,
     spline_circumscribed,
@@ -143,10 +145,68 @@ def test_clothoid_xy_nearly_circular():
 def test_segment_polylines_match_pointwise_evaluation():
     arc = ArcSegment(np.array([0.5, -1.0]), 2.0, 0.3, -2.5)
     clothoid = ClothoidSegment(np.array([1.0, 2.0]), 0.4, -0.7, 1.3, 3.0)
-    for seg, atol in ((arc, 0.0), (clothoid, 1e-14)):
-        pts = seg.polyline(1e-4)
-        s = np.linspace(0.0, seg.length, len(pts))
-        np.testing.assert_allclose(pts, [seg.point_at(v) for v in s], rtol=0, atol=atol)
+    # each segment alone, and both sampled together
+    for segs in ([arc], [clothoid], [arc, clothoid]):
+        for seg, pts in zip(segs, polyline_sampler(segs)(1e-4)):
+            s = np.linspace(0.0, seg.length, len(pts))
+            atol = 0.0 if seg is arc else 1e-14
+            np.testing.assert_allclose(pts, [seg.point_at(v) for v in s], rtol=0, atol=atol)
+
+
+def _reference_polyline(seg, tol):
+    """A segment's polyline at chord tolerance tol, sampled on its own."""
+    if isinstance(seg, LineSegment):
+        return np.array([seg.start, seg.start + seg.length * seg.direction])
+    if isinstance(seg, ArcSegment):
+        n = max(2, int(math.ceil(abs(seg.sweep) / max(2.0 * math.sqrt(2.0 * tol / seg.radius), 1e-6))) + 1)
+    elif isinstance(seg, ClothoidSegment):
+        kmax = max(abs(seg.kappa0), abs(seg.kappa0 + seg.sharpness * seg.length), 1e-9)
+        n = max(2, int(math.ceil(seg.length / math.sqrt(8.0 * tol / kmax))) + 1)
+    else:
+        return seg.node_points()
+    return seg.point_at(np.linspace(0.0, seg.length, n))
+
+
+_XY = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array)
+_ANGLE = st.floats(-math.pi, math.pi)
+_SAMPLED_SEGMENT = st.one_of(
+    st.builds(lambda p, a, length: LineSegment(p, np.array([math.cos(a), math.sin(a)]), length),
+              _XY, _ANGLE, st.floats(0.01, 5.0)),
+    st.builds(ArcSegment, _XY, st.floats(0.05, 20.0), _ANGLE,
+              st.floats(0.01, 2.0 * math.pi) | st.floats(-2.0 * math.pi, -0.01)),
+    st.builds(ClothoidSegment, _XY, _ANGLE, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 5.0)),
+    st.builds(lambda p, n, a, b, length: ElasticaSegment(p, a + b * np.linspace(0.0, 1.0, n) ** 2, length),
+              _XY, st.sampled_from([17, 33]), _ANGLE, st.floats(-3.0, 3.0), st.floats(0.01, 5.0)),
+)
+
+
+@given(
+    st.lists(_SAMPLED_SEGMENT, min_size=1, max_size=12),
+    st.lists(st.sampled_from([1e-4, 1e-3, 0.0123, 0.5]), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_polyline_sampler_matches_per_segment_sampling(segs, tols):
+    sample = polyline_sampler(segs)
+    for tol in tols:
+        got = sample(tol)
+        assert len(got) == len(segs)
+        for seg, pts in zip(segs, got):
+            want = _reference_polyline(seg, tol)
+            assert pts.shape == want.shape
+            assert np.all(np.abs(pts - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), type(seg).__name__
+
+
+def test_polyline_sampler_counts_before_sampling():
+    # one turn of radius 1e12 at chord tolerance 1e-3 asks for 2*pi/1e-6 angle steps
+    arc = ArcSegment(np.array([0.0, 0.0]), 1e12, 0.0, 2.0 * math.pi)
+    sample = polyline_sampler([arc])
+    tracemalloc.start()
+    with pytest.raises(InputError, match="6.28319e\\+06 points, over the limit of 1000000"):
+        sample(1e-3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1e5  # the 6.3e6 samples would take 50 MB per coordinate array
+    assert len(sample(1e3)[0]) == math.ceil(2.0 * math.pi / (2.0 * math.sqrt(2e-9))) + 1
 
 
 # ---------------------------------------------------------------------------
