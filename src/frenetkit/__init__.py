@@ -2,7 +2,6 @@
 (arcs, clothoids, elastica) that realize them.
 """
 
-from .config import cli_tolerance
 from .curve_core import (
     DiscreteCurve,
     RefinedCurve,

@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from . import discretize2d, io, spline2d, svg
-from .config import CONGRUENCE_RMS, cli_tolerance
+from .config import CLI_RESIDUAL, CONGRUENCE_RMS
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
 from .frames import analyze, curvature_torsion, frenet_residual
@@ -77,7 +77,7 @@ def main():
 @main.command("analyze")
 @click.argument("curve_file", type=click.Path(exists=True))
 @click.option("--convention", type=click.Choice(CONVENTIONS), default=None)
-@click.option("--tol", type=float, default=None, help="residual threshold for success")
+@click.option("--tol", type=float, default=CLI_RESIDUAL, help="residual threshold for success")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_analyze(curve_file, convention, tol, fmt, out_path):
@@ -86,8 +86,6 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     Curvature values use the unrefined edge length (the polyline's own
     edges); the refined half-edge is reported separately.
     """
-    if tol is None:
-        tol = _nonnegative("FRENETKIT_TOL", cli_tolerance())
     tol = _nonnegative("--tol", tol)
     rc = refine(io.load_curve(curve_file))
     wanted = [Convention(convention)] if convention else list(Convention)

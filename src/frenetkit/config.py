@@ -1,14 +1,8 @@
-"""Centralized tolerances.
+"""Centralized tolerances and limits.
 
 Every numerical contract in the library refers to one of the constants
 below, so there is a single place to see (or tighten) them.
 """
-
-from __future__ import annotations
-
-import os
-
-from .errors import ParseError
 
 # relative spread allowed between edge lengths of a uniform curve
 UNIFORM_LENGTH_REL = 1e-9
@@ -26,14 +20,8 @@ CLOTHOID_FIT = 1e-8
 ELASTICA_KKT = 1e-8
 # CLI analyze success threshold on the Frenet residual
 CLI_RESIDUAL = 1e-10
+# supported edge lengths: their squares stay normal doubles
+EDGE_RANGE = (1e-150, 1e150)
+# largest sample count a discretization or a drawn spline may ask for
+MAX_SAMPLES = 1_000_000
 
-
-def cli_tolerance() -> float:
-    """Residual threshold for CLI success, overridable via FRENETKIT_TOL."""
-    raw = os.environ.get("FRENETKIT_TOL")
-    if raw is None:
-        return CLI_RESIDUAL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"FRENETKIT_TOL must be a number, got {raw!r}") from None

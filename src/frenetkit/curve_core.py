@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIDPOINT_REL, UNIFORM_LENGTH_REL
+from .config import EDGE_RANGE, MIDPOINT_REL, UNIFORM_LENGTH_REL
 from .errors import InputError, NonUniformLength, TooShort
 
 
@@ -64,10 +64,11 @@ class DiscreteCurve:
         edges = self.edges()
         with np.errstate(over="ignore"):
             lengths = np.linalg.norm(edges, axis=1)
-            # a finite edge whose squared norm overflowed: scale it down first
-            if (big := np.isinf(lengths) & np.isfinite(edges).all(axis=1)).any():
-                scale = np.max(np.abs(edges[big]), axis=1)
-                lengths[big] = scale * np.linalg.norm(edges[big] / scale[:, None], axis=1)
+            # a finite nonzero edge whose squared norm overflowed or underflowed: scale it first
+            if not 0.0 < lengths.min() <= lengths.max() < np.inf:
+                odd = np.isinf(lengths) & np.isfinite(edges).all(axis=1) | (lengths == 0.0) & edges.any(axis=1)
+                scale = np.max(np.abs(edges[odd]), axis=1)
+                lengths[odd] = scale * np.linalg.norm(edges[odd] / scale[:, None], axis=1)
         return lengths
 
     def length(self) -> float:
@@ -118,6 +119,14 @@ class RefinedCurve:
         return np.arange(self.vertex_parity, n, 2)
 
 
+def check_edge_lengths(lengths, what: str = "edge length") -> None:
+    """InputError unless every length lies in EDGE_RANGE, where squares stay normal doubles."""
+    lo, hi = float(np.min(lengths)), float(np.max(lengths))
+    if not EDGE_RANGE[0] <= lo <= hi <= EDGE_RANGE[1]:
+        bad = hi if lo >= EDGE_RANGE[0] else lo
+        raise InputError(f"{what} {bad!r} is outside the supported range [{EDGE_RANGE[0]:.0e}, {EDGE_RANGE[1]:.0e}]")
+
+
 def validate_refined(rc: RefinedCurve) -> None:
     """Check the two defining invariants of a refined curve.
 
@@ -149,9 +158,11 @@ def refine(curve: DiscreteCurve) -> RefinedCurve:
     """Insert edge midpoints, producing the half-edge-uniform refined curve.
 
     The input must have uniform edge length 2*ell (relative tolerance
-    ``UNIFORM_LENGTH_REL``); NonUniformLength otherwise.
+    ``UNIFORM_LENGTH_REL``); NonUniformLength otherwise.  InputError for an
+    edge length outside ``EDGE_RANGE``.
     """
     lengths = curve.edge_lengths()
+    check_edge_lengths(lengths)
     mean = float(np.mean(lengths))
     if (np.max(lengths) - np.min(lengths)) > UNIFORM_LENGTH_REL * mean:
         raise NonUniformLength(

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .curve_core import DiscreteCurve, RefinedCurve
+from .config import MAX_SAMPLES
+from .curve_core import DiscreteCurve, RefinedCurve, check_edge_lengths
 from .errors import (
     InfinitelyManyInflections,
     InputError,
@@ -29,10 +30,12 @@ from .errors import (
     OutOfDomain,
     ParallelTangents,
 )
+from .ngon_circle import centered_offset, centered_offset_exact
+from .spline2d import _rot90, check_clothoid_size, clothoid_xy
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # cells per quadrature block: the (block, 16) temporaries stay ~32 KB
-MAX_SAMPLES = 1_000_000  # largest sample count a discretization may ask for
+_CELLS = 2048  # quadrature cells of the arc-length table
 MAX_INFLECTIONS = 64  # more sign changes of the curvature than this count as infinitely many
 
 
@@ -72,11 +75,11 @@ def _check_params(positive, **values):
 class _ArcLengthParam:
     """Numeric arc-length reparametrization of a regular parametric curve."""
 
-    def __init__(self, deriv, t0, t1, cells=2048):
+    def __init__(self, deriv, t0, t1):
         self.deriv = deriv
         self.t0 = t0
         self.t1 = t1
-        self.grid = np.linspace(t0, t1, cells + 1)
+        self.grid = np.linspace(t0, t1, _CELLS + 1)
         with np.errstate(over="ignore"):  # an overflowing length fails SmoothCurve's finite-length check
             self.cum = np.concatenate([[0.0], np.cumsum(self._cells(self.grid[:-1], self.grid[1:]))])
         self.length = float(self.cum[-1])
@@ -169,8 +172,6 @@ def sine_arc(amplitude: float = 1.0, x_max: float = 2.0 * math.pi) -> SmoothCurv
 
 
 def clothoid_arc(kappa0: float = 0.1, sharpness: float = 0.2, length: float = 5.0) -> SmoothCurve:
-    from .spline2d import check_clothoid_size, clothoid_xy  # local import: spline2d imports this module
-
     _check_params(("length",), kappa0=kappa0, sharpness=sharpness, length=length)
     check_clothoid_size(kappa0, sharpness, length)
 
@@ -264,9 +265,10 @@ def discretize_circumscribed(c: SmoothCurve, samples) -> DiscreteCurve:
     j = (i + 1) % len(s)
     ti, tj = tans[i], tans[j]
     d = ti[:, 0] * tj[:, 1] - ti[:, 1] * tj[:, 0]
-    parallel = np.flatnonzero(np.abs(d) < 1e-12)
-    if len(parallel):
-        raise ParallelTangents(f"tangents at samples {parallel[0]} and {j[parallel[0]]} are parallel")
+    if len(parallel := np.flatnonzero(np.abs(d) < 1e-12)):
+        a, b = i[parallel[0]], j[parallel[0]]
+        at = [f"{k} (s = {s[k]:.6g}, direction ({tans[k, 0]:.6g}, {tans[k, 1]:.6g}))" for k in (a, b)]
+        raise ParallelTangents(f"computed tangents at samples {at[0]} and {at[1]} are parallel to within 1e-12")
     rhs = pts[j] - pts[i]
     t = (rhs[:, 0] * tj[:, 1] - rhs[:, 1] * tj[:, 0]) / d
     verts = pts[i] + t[:, None] * ti
@@ -290,9 +292,6 @@ def discretize_centered(
     the center of curvature, derived from the equal-half-edge construction)
     or "published" (the textbook formula, offset along the outward normal).
     """
-    from .ngon_circle import centered_offset, centered_offset_exact
-    from .spline2d import _rot90
-
     if variant not in ("exact", "published"):
         raise InputError(f"unknown offset variant {variant!r}")
     if not (0.0 < density < math.inf):
@@ -304,6 +303,7 @@ def discretize_centered(
         raise MTooSmall("density too small for this curve", minimal_density=3.0 / c.length)
     m_eff = n / c.length
     h = 1.0 / (2.0 * m_eff)
+    check_edge_lengths(h, "half-edge length")
     n_even = n if c.closed else n + 1
     s_vals = np.arange(n_even) / m_eff
 

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ORTHONORMAL
 from .curve_core import DiscreteCurve
 from .errors import ParseError
-from .frames import IntrinsicData
+from .frames import IntrinsicData, curvature_torsion
 from .ngon_circle import Convention
 from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, check_clothoid_size
 
@@ -118,13 +118,12 @@ def curve_to_json(curve: DiscreteCurve) -> str:
 def curve_from_json(text: str) -> DiscreteCurve:
     try:
         obj = json.loads(text)
-        points = obj["points"]
+        pts = np.asarray(obj["points"], dtype=float)
         dim = obj["dim"]
         closed = obj["closed"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad curve JSON: {exc}") from exc
     _check_bool("curve", closed)
-    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ParseError(f"points have shape {pts.shape}, expected (n, {dim})")
     try:
@@ -174,8 +173,6 @@ def intrinsic_to_json(data: IntrinsicData) -> str:
 
 
 def intrinsic_from_json(text: str) -> IntrinsicData:
-    from .frames import curvature_torsion
-
     try:
         obj = json.loads(text)
         ell = _number(obj["ell"], "intrinsic ell")

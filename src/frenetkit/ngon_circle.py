@@ -96,7 +96,6 @@ class NGonSpec:
     n: float
     ell: float
     center: tuple = (0.0, 0.0)
-    phase: float = 0.0
 
     def __post_init__(self):
         if not self.n > 2.0:

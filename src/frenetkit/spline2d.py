@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import CLOTHOID_FIT, ELASTICA_KKT
-from .curve_core import DiscreteCurve, RefinedCurve, validate_refined
-from .discretize2d import MAX_SAMPLES
+from .config import CLOTHOID_FIT, ELASTICA_KKT, MAX_SAMPLES
+from .curve_core import DiscreteCurve, RefinedCurve, check_edge_lengths, validate_refined
 from .errors import (
     Infeasible,
     InputError,
@@ -515,8 +514,9 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     _require_planar(dc.points)
     pts = dc.points
     n = len(pts)
-    edges = dc.edges()
-    dirs = edges / np.linalg.norm(edges, axis=1)[:, None]
+    lengths = dc.edge_lengths()
+    check_edge_lengths(lengths)
+    dirs = dc.edges() / lengths[:, None]
     if dc.closed:
         sums = np.roll(dirs, 1, axis=0) + dirs
     else:

@@ -29,10 +29,6 @@ _CIRCLE_COLOR = "#3a9c3a"
 _MARKER_COLOR = "#202020"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _require_planar(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.shape[1] == 3:
@@ -42,30 +38,35 @@ def _require_planar(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _fill(template: str, pts: np.ndarray) -> str:
-    """template, which holds a "%.10g" pair per point, filled with the points'
-    x and -y (-y keeps a y of 0.0 spelled -0, as _fmt(-y) does)."""
-    return template % tuple(np.column_stack([pts[:, 0], np.negative(pts[:, 1])]).ravel().tolist())
+def _fill(template: str, values) -> str:
+    """template, which holds a "%.10g" per value, filled with the values: the one
+    spelling of every number in a document."""
+    return template % tuple(np.ravel(values).tolist())
+
+
+def _xy(pts: np.ndarray) -> np.ndarray:
+    """The points' x and -y, pair by pair (the y-flip spells a y of 0.0 as -0)."""
+    return np.column_stack([pts[:, 0], np.negative(pts[:, 1])])
 
 
 def _polyline_path(pts: np.ndarray, close: bool) -> str:
-    return _fill(" L ".join(["%.10g %.10g"] * len(pts)).join(["M ", " Z" if close else ""]), pts)
+    return _fill(" L ".join(["%.10g %.10g"] * len(pts)).join(["M ", " Z" if close else ""]), _xy(pts))
 
 
 def _spline_path(segs, polylines) -> str:
     """Path data of a spline: arcs as native arc commands, every other segment as
     lines through its polyline."""
-    cmds, ends = ["M %.10g %.10g"], [polylines[0][:1]]
+    cmds, values = ["M %.10g %.10g"], [_xy(polylines[0][:1])]
     for seg, pts in zip(segs, polylines):
         if isinstance(seg, ArcSegment):
             # y-flip reverses the sweep sense
             large, sweep_flag = int(abs(seg.sweep) > math.pi), 0 if seg.sweep > 0 else 1
-            cmds.append(f"A {_fmt(seg.radius)} {_fmt(seg.radius)} 0 {large} {sweep_flag} %.10g %.10g")
-            ends.append(pts[-1:])
+            cmds.append(f"A %.10g %.10g 0 {large} {sweep_flag} %.10g %.10g")
+            values += [[[seg.radius, seg.radius]], _xy(pts[-1:])]
         else:
             cmds += ["L %.10g %.10g"] * (len(pts) - 1)
-            ends.append(pts[1:])
-    return _fill(" ".join(cmds), np.concatenate(ends))
+            values.append(_xy(pts[1:]))
+    return _fill(" ".join(cmds), np.concatenate(values))
 
 
 def render_svg(curves=(), splines=(), circles=()) -> str:
@@ -74,7 +75,7 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     ``curves``: DiscreteCurve/RefinedCurve instances drawn as polylines with
     point markers; ``splines``: Spline instances; ``circles``: (center,
     radius) pairs.  3D input raises NonPlanarData; a spline that would need
-    more than discretize2d.MAX_SAMPLES polyline points raises InputError.
+    more than config.MAX_SAMPLES polyline points raises InputError.
     """
     curve_pts = [(_require_planar(c.points), getattr(c, "closed", False)) for c in curves]
     chunks = [pts for pts, _ in curve_pts]
@@ -90,23 +91,24 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
     scale = float(np.max(span))
     height = int(round(_WIDTH * span[1] / span[0]))
-    view = f"{_fmt(lo[0] - _PADDING)} {_fmt(-(hi[1] + _PADDING))} {_fmt(span[0])} {_fmt(span[1])}"
-    sw = _fmt(_STROKE_WIDTH * scale)
-    marker = f'<circle cx="%.10g" cy="%.10g" r="{_fmt(_MARKER_RADIUS * scale)}" fill="{_MARKER_COLOR}"/>'
+    sw, marker_r = _fill("%.10g", _STROKE_WIDTH * scale), _fill("%.10g", _MARKER_RADIUS * scale)
+    marker = f'<circle cx="%.10g" cy="%.10g" r="{marker_r}" fill="{_MARKER_COLOR}"/>'
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH}" height="{height}" viewBox="{view}">',
+        _fill(
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_WIDTH}" height="{height}" viewBox="%.10g %.10g %.10g %.10g">',
+            [lo[0] - _PADDING, -(hi[1] + _PADDING), *span],
+        ),
     ]
+    circle = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="{sw}"/>'
     for center, radius in circles:
         cx, cy = np.asarray(center, dtype=float)
-        out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(radius)}" fill="none" '
-            f'stroke="{_CIRCLE_COLOR}" stroke-width="{sw}"/>'
-        )
+        out.append(_fill(circle, [cx, -cy, radius]))
     path = f'<path d="{{}}" fill="none" stroke="{{}}" stroke-width="{sw}"/>'
     for pts, closed in curve_pts:
-        out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), _fill("\n".join([marker] * len(pts)), pts)]
+        markers = _fill("\n".join([marker] * len(pts)), _xy(pts))
+        out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), markers]
     tol = _CHORD_TOL_FRAC * scale
     out += [path.format(_spline_path(segs, sample(tol)), _SPLINE_COLOR) for segs, sample in samplers]
     out.append("</svg>")

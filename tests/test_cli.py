@@ -4,8 +4,11 @@ import inspect
 import io
 import json
 import math
+import re
+import tempfile
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from frenetkit import (
 from frenetkit import io as fio
 from frenetkit import spline2d
 from frenetkit.cli import CONVENTIONS, main
-from frenetkit.config import cli_tolerance
+from frenetkit.config import CLI_RESIDUAL
 from frenetkit.discretize2d import BUILTIN_CURVES
 from frenetkit.figures import _unit_step_polyline
 from frenetkit.spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
@@ -41,9 +44,9 @@ def runner():
     return CliRunner()
 
 
-def _hexagon_json():
+def _hexagon_json(radius=1.0):
     ang = np.arange(6) * math.pi / 3.0
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
     return curve_to_json(DiscreteCurve(pts, closed=True))
 
 
@@ -85,6 +88,21 @@ _LONG_ARC = {
 _HUGE_ARC = {
     "closed": False,
     "segments": [{"type": "arc", "center": [0.0, 0.0], "radius": 1e12, "start_angle": 0.0, "sweep": 2.0 * math.pi}],
+}
+
+# curves whose squared edge lengths overflow or underflow
+_EXTREME_SCALES = {
+    "spline-inscribed-hexagon-1e200": ["spline", "HEX_1E200", "--method", "inscribed"],
+    "spline-circumscribed-hexagon-1e200": ["spline", "HEX_1E200", "--method", "circumscribed"],
+    "spline-centered-hexagon-1e200": ["spline", "HEX_1E200", "--method", "centered"],
+    "analyze-hexagon-1e200": ["analyze", "HEX_1E200"],
+    "roundtrip-hexagon-1e200": ["roundtrip", "HEX_1E200"],
+    "analyze-hexagon-1e-170": ["analyze", "HEX_1E-170"],
+    "spline-circumscribed-hexagon-1e-170": ["spline", "HEX_1E-170", "--method", "circumscribed"],
+    "ellipse-centered-radius-1e200": [
+        "discretize", "ellipse", "--method", "centered", "--density", "1e-199",
+        "--param", "a=1e200", "--param", "b=1e200",
+    ],
 }
 
 # a well-formed angle record with 2-D theta and phi
@@ -145,67 +163,63 @@ def test_analyze_malformed_json(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
+def test_analyze_tol_override(runner, tmp_path):
     path = _write(tmp_path, "hex.json", _hexagon_json())
-    monkeypatch.setenv("FRENETKIT_TOL", "1e-30")
-    result = runner.invoke(main, ["analyze", path])
+    result = runner.invoke(main, ["analyze", path, "--tol", "1e-30"])
     assert result.exit_code == 1  # residual cannot beat 1e-30
-    monkeypatch.delenv("FRENETKIT_TOL")
     assert runner.invoke(main, ["analyze", path]).exit_code == 0
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args",
     [
-        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "bogus=1"], {}),
-        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "r=abc"], {}),
-        (["analyze", "HEX"], {"FRENETKIT_TOL": "abc"}),
-        (["reconstruct", "INTRINSIC", "--origin", "1,2"], {}),
-        (["reconstruct", "INTRINSIC", "--tangent", "1,0"], {}),
-        (["discretize", "circle", "--method", "inscribed", "--samples", "-3"], {}),
-        (["discretize", "circle", "--method", "centered", "--density", "nan"], {}),
-        (["discretize", "circle", "--method", "centered", "--density", "inf"], {}),
-        (["analyze", "HEX", "--out", "MISSING"], {}),
-        (["reconstruct", "INTRINSIC", "--out", "MISSING"], {}),
-        (["discretize", "circle", "--method", "inscribed", "--samples", "8", "--out", "MISSING"], {}),
-        (["spline", "HEX", "--method", "inscribed", "--out", "MISSING"], {}),
-        (["spline", "HEX", "--method", "inscribed", "--svg", "MISSING"], {}),
-        (["render", "HEX", "--out", "MISSING"], {}),
-        (["analyze", "HEX", "--out", "DIR"], {}),
-        (["analyze", "HEX", "--tol", "nan"], {}),
-        (["analyze", "HEX", "--tol", "-1"], {}),
-        (["analyze", "HEX"], {"FRENETKIT_TOL": "nan"}),
-        (["roundtrip", "HEX", "--tol", "nan"], {}),
-        (["roundtrip", "HEX", "--tol", "-1"], {}),
-        (["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "b=0"], {}),
-        (["discretize", "ellipse", "--method", "circumscribed", "--samples", "5", "--param", "b=0"], {}),
-        (["discretize", "ellipse", "--method", "centered", "--density", "8", "--param", "b=0"], {}),
-        (["discretize", "clothoid", "--method", "centered", "--density", "8", "--param", "length=0"], {}),
-        (["discretize", "circle", "--method", "centered", "--density", "8", "--param", "radius=0"], {}),
-        (["discretize", "circle", "--method", "inscribed", "--samples", "5", "--param", "radius=-1"], {}),
-        (["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "x_max=-1"], {}),
-        (["discretize", "clothoid", "--method", "inscribed", "--samples", "5", "--param", "length=-2"], {}),
-        (["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "a=nan"], {}),
-        (["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "amplitude=inf"], {}),
-        (["discretize", "circle", "--method", "inscribed", "--samples", "1000000000000"], {}),
-        (["discretize", "circle", "--method", "centered", "--density", "1e300"], {}),
-        (["render", "HEX", "--spline", "NAN_KAPPA0"], {}),
-        (["render", "HEX", "--spline", "HUGE_KAPPA0"], {}),
-        (["render", "HEX", "--spline", "LONG_CLOTHOID"], {}),
-        (["render", "HEX", "--spline", "NEGATIVE_LENGTH"], {}),
-        (["render", "HEX", "--spline", "LONG_ARC"], {}),
-        (["render", "HEX", "--spline", "HUGE_ARC"], {}),
-        (["render", "HEX", "--spline", "BOOL_LENGTH"], {}),
-        (["reconstruct", "BOOL_ELL"], {}),
-        (["reconstruct", "TWO_D_INTRINSIC"], {}),
-        (["reconstruct", "INTRINSIC", "--tangent", "nan,0,0"], {}),
-        (["reconstruct", "INTRINSIC", "--origin", "nan,0,0"], {}),
-        (["reconstruct", "INTRINSIC", "--normal", "0,1e400,0"], {}),
+        ["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "bogus=1"],
+        ["discretize", "circle", "--method", "inscribed", "--samples", "8", "--param", "r=abc"],
+        ["reconstruct", "INTRINSIC", "--origin", "1,2"],
+        ["reconstruct", "INTRINSIC", "--tangent", "1,0"],
+        ["discretize", "circle", "--method", "inscribed", "--samples", "-3"],
+        ["discretize", "circle", "--method", "centered", "--density", "nan"],
+        ["discretize", "circle", "--method", "centered", "--density", "inf"],
+        ["analyze", "HEX", "--out", "MISSING"],
+        ["reconstruct", "INTRINSIC", "--out", "MISSING"],
+        ["discretize", "circle", "--method", "inscribed", "--samples", "8", "--out", "MISSING"],
+        ["spline", "HEX", "--method", "inscribed", "--out", "MISSING"],
+        ["spline", "HEX", "--method", "inscribed", "--svg", "MISSING"],
+        ["render", "HEX", "--out", "MISSING"],
+        ["analyze", "HEX", "--out", "DIR"],
+        ["analyze", "HEX", "--tol", "nan"],
+        ["analyze", "HEX", "--tol", "-1"],
+        ["roundtrip", "HEX", "--tol", "nan"],
+        ["roundtrip", "HEX", "--tol", "-1"],
+        ["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "b=0"],
+        ["discretize", "ellipse", "--method", "circumscribed", "--samples", "5", "--param", "b=0"],
+        ["discretize", "ellipse", "--method", "centered", "--density", "8", "--param", "b=0"],
+        ["discretize", "clothoid", "--method", "centered", "--density", "8", "--param", "length=0"],
+        ["discretize", "circle", "--method", "centered", "--density", "8", "--param", "radius=0"],
+        ["discretize", "circle", "--method", "inscribed", "--samples", "5", "--param", "radius=-1"],
+        ["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "x_max=-1"],
+        ["discretize", "clothoid", "--method", "inscribed", "--samples", "5", "--param", "length=-2"],
+        ["discretize", "ellipse", "--method", "inscribed", "--samples", "5", "--param", "a=nan"],
+        ["discretize", "sine", "--method", "inscribed", "--samples", "5", "--param", "amplitude=inf"],
+        ["discretize", "circle", "--method", "inscribed", "--samples", "1000000000000"],
+        ["discretize", "circle", "--method", "centered", "--density", "1e300"],
+        ["render", "HEX", "--spline", "NAN_KAPPA0"],
+        ["render", "HEX", "--spline", "HUGE_KAPPA0"],
+        ["render", "HEX", "--spline", "LONG_CLOTHOID"],
+        ["render", "HEX", "--spline", "NEGATIVE_LENGTH"],
+        ["render", "HEX", "--spline", "LONG_ARC"],
+        ["render", "HEX", "--spline", "HUGE_ARC"],
+        ["render", "HEX", "--spline", "BOOL_LENGTH"],
+        ["reconstruct", "BOOL_ELL"],
+        ["reconstruct", "TWO_D_INTRINSIC"],
+        ["reconstruct", "INTRINSIC", "--tangent", "nan,0,0"],
+        ["reconstruct", "INTRINSIC", "--origin", "nan,0,0"],
+        ["reconstruct", "INTRINSIC", "--normal", "0,1e400,0"],
+        *_EXTREME_SCALES.values(),
     ],
     ids=[
         "unknown-param",
         "non-numeric-param",
-        "non-numeric-tol-env",
         "two-component-origin",
         "two-component-tangent",
         "negative-samples",
@@ -220,7 +234,6 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "analyze-out-is-dir",
         "analyze-nan-tol",
         "analyze-negative-tol",
-        "nan-tol-env",
         "roundtrip-nan-tol",
         "roundtrip-negative-tol",
         "ellipse-inscribed-zero-b",
@@ -247,11 +260,35 @@ def test_analyze_tol_env_override(runner, tmp_path, monkeypatch):
         "reconstruct-nan-tangent",
         "reconstruct-nan-origin",
         "reconstruct-overflowing-normal",
+        *_EXTREME_SCALES,
     ],
 )
-def test_bad_arguments_exit_2(runner, tmp_path, args, env):
+def test_bad_arguments_exit_2(runner, tmp_path, args):
+    files = _arg_files(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [files.get(a, a) for a in args])
+    assert result.exit_code == 2, result.output
+    # exactly one error line: no warning or traceback before it
+    assert not caught, [str(w.message) for w in caught]
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", list(_EXTREME_SCALES.values()), ids=list(_EXTREME_SCALES))
+def test_extreme_scales_name_the_supported_range(runner, tmp_path, args):
+    files = _arg_files(tmp_path)
+    result = runner.invoke(main, [files.get(a, a) for a in args])
+    assert result.stderr.endswith(" is outside the supported range [1e-150, 1e+150]\n"), result.stderr
+
+
+def _arg_files(tmp_path):
+    """The files the argument lists above name, by their placeholder."""
     files = {
         "HEX": _write(tmp_path, "hex.json", _hexagon_json()),
+        "HEX_1E200": _write(tmp_path, "hex_1e200.json", _hexagon_json(1e200)),
+        "HEX_1E-170": _write(tmp_path, "hex_1e-170.json", _hexagon_json(1e-170)),
         "INTRINSIC": _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC)),
         "MISSING": str(tmp_path / "missing" / "out"),
         "DIR": str(tmp_path),
@@ -263,15 +300,7 @@ def test_bad_arguments_exit_2(runner, tmp_path, args, env):
     }
     for key, params in _BAD_CLOTHOIDS.items():
         files[key] = _write(tmp_path, f"{key.lower()}.json", _clothoid_spline_json(**params))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = runner.invoke(main, [files.get(a, a) for a in args], env=env)
-    assert result.exit_code == 2, result.output
-    # exactly one error line: no warning or traceback before it
-    assert not caught, [str(w.message) for w in caught]
-    assert result.stderr.startswith("error: ")
-    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), result.stderr
-    assert "Traceback" not in result.stderr
+    return files
 
 
 def test_bad_curve_parameter_is_named(runner):
@@ -312,16 +341,63 @@ def _discretize_argv(draw):
     return argv
 
 
-@given(_discretize_argv())
-@settings(max_examples=150, deadline=None)
-def test_discretize_fuzz_exits_without_traceback(argv):
-    result = CliRunner().invoke(main, argv)
+def _assert_clean_exit(argv, result):
     assert result.exit_code in (0, 1, 2), (argv, result.output)
     # CliRunner catches an escaping exception instead of printing its traceback
     assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
     assert "Traceback" not in result.stderr
     if result.exit_code:  # one error line, and no numpy warning before it
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, (argv, result.stderr)
+
+
+@given(_discretize_argv())
+@settings(max_examples=150, deadline=None)
+def test_discretize_fuzz_exits_without_traceback(argv):
+    _assert_clean_exit(argv, CliRunner().invoke(main, argv))
+
+
+_CURVE_COMMANDS = [
+    ["analyze"],
+    ["roundtrip"],
+    *(["spline", "--method", method] for method in ("inscribed", "circumscribed", "centered")),
+    ["render"],
+    ["render", "--with-circles"],
+]
+
+
+@st.composite
+def _curve_file(draw):
+    """The text of a curve file: a regular polygon scaled by 1e-200, 1 or 1e200, maybe
+    broken by truncation, a NaN or infinite coordinate, a ragged row, a repeated point
+    or by keeping a single point."""
+    n, dim = draw(st.integers(3, 7)), draw(st.sampled_from([2, 3]))
+    ang = np.arange(n) * math.tau / n
+    pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])[:, :dim]
+    points = (draw(st.sampled_from([1e-200, 1.0, 1e200])) * pts).tolist()
+    k = draw(st.integers(0, n - 1))
+    flaw = draw(st.sampled_from(["none", "truncated", "nan", "inf", "ragged", "repeated", "single"]))
+    if flaw in ("nan", "inf"):
+        points[k][0] = math.nan if flaw == "nan" else -math.inf
+    elif flaw == "ragged":
+        points[k] = points[k][:-1]
+    elif flaw == "repeated":
+        points.insert(k, points[k])
+    elif flaw == "single":
+        points = points[:1]
+    text = json.dumps({"dim": dim, "closed": draw(st.booleans()), "points": points})
+    return text[: draw(st.integers(1, len(text) - 1))] if flaw == "truncated" else text
+
+
+@given(_curve_file(), st.sampled_from(_CURVE_COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_curve_file_fuzz_exits_without_traceback(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command[0], _write(Path(tmp), "curve.json", text), *command[1:]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, argv)
+    _assert_clean_exit((argv, text), result)
+    assert not caught, (argv, text, [str(w.message) for w in caught])
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):
@@ -473,11 +549,27 @@ def test_overflowing_curve_length_prints_only_the_error(runner):
 
 @pytest.mark.filterwarnings("error")
 def test_sine_with_an_overflowing_cubed_speed_prints_only_the_error(runner):
-    # the curvature no longer overflows: the samples' tangents are what is wrong
-    argv = ["discretize", "sine", "--method", "circumscribed", "--samples", "5", "--param", "amplitude=1e150"]
-    result = runner.invoke(main, argv)
+    # the curvature no longer overflows: the samples' computed tangents are what is wrong
+    _assert_vertical_sample_tangents(runner, "1e150")
+
+
+@pytest.mark.filterwarnings("error")
+def test_parallel_tangents_message_reports_the_computed_tangents(runner):
+    # the crest at s = L/4 turns within one ulp of t = pi/2, so its tangent comes out
+    # vertical, like the one at s = 0; the curve's own tangents there are perpendicular
+    _assert_vertical_sample_tangents(runner, "1e200")
+
+
+def _assert_vertical_sample_tangents(runner, amplitude):
+    argv = ["discretize", "sine", "--method", "circumscribed", "--samples", "5"]
+    result = runner.invoke(main, argv + ["--param", f"amplitude={amplitude}"])
     assert result.exit_code == 1
-    assert result.stderr == "error: tangents at samples 0 and 1 are parallel\n"
+    exponent = amplitude[2:]
+    want = (
+        rf"error: computed tangents at samples 0 \(s = 0, direction \(1e-{exponent}, 1\)\) and "
+        rf"1 \(s = 1e\+{exponent}, direction \([-+.e0-9]+, -?1\)\) are parallel to within 1e-12\n"
+    )
+    assert re.fullmatch(want, result.stderr), result.stderr
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -632,7 +724,7 @@ def _old_analyze_report(path, conventions):
             ],
         }
     report["max_frenet_residual"] = worst
-    report["residual_ok"] = bool(worst <= cli_tolerance())
+    report["residual_ok"] = bool(worst <= CLI_RESIDUAL)
     return report
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,11 @@ def test_circumscribed_missing_inflection():
 def test_circumscribed_parallel_tangents():
     c = circle(1.0)
     # antipodal samples have antiparallel tangents
-    with pytest.raises(ParallelTangents):
+    want = (
+        "computed tangents at samples 0 (s = 0, direction (-0, 1)) and "
+        "1 (s = 3.14159, direction (-1.22465e-16, -1)) are parallel to within 1e-12"
+    )
+    with pytest.raises(ParallelTangents, match=f"^{re.escape(want)}$"):
         discretize_circumscribed(c, [0.0, math.pi])
 
 

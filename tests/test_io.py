@@ -204,13 +204,14 @@ def test_svg_arc_native_and_deterministic():
 
 
 def test_svg_template_speller_matches_fmt():
-    # x as _fmt(x), y as _fmt(-y): a y of 0.0 spells -0 and a y of -0.0 spells 0
+    # x as the format spec .10g spells it, y as it spells -y: a y of 0.0 spells -0 and a y of -0.0 spells 0
     values = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, math.pi, 123456.789012345]
     pts = np.column_stack([values, values[::-1]])
-    want = " ".join(f"{svg._fmt(x)} {svg._fmt(-y)}" for x, y in pts.tolist())
-    assert svg._fill(" ".join(["%.10g %.10g"] * len(pts)), pts) == want
-    assert svg._fill("%.10g %.10g", np.array([[0.0, 0.0]])) == "0 -0"
-    assert svg._fill("%.10g %.10g", np.array([[-0.0, -0.0]])) == "-0 0"
+    want = " ".join(f"{x:.10g} {-y:.10g}" for x, y in pts.tolist())
+    assert svg._fill(" ".join(["%.10g %.10g"] * len(pts)), svg._xy(pts)) == want
+    assert svg._fill("%.10g %.10g", svg._xy(np.array([[0.0, 0.0]]))) == "0 -0"
+    assert svg._fill("%.10g %.10g", svg._xy(np.array([[-0.0, -0.0]]))) == "-0 0"
+    assert svg._fill("%.10g", np.float64(-0.0)) == f"{-0.0:.10g}" == "-0"
 
 
 def test_svg_polyline_chordal_deviation():
