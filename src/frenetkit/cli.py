@@ -75,7 +75,7 @@ def main():
 
 
 @main.command("analyze")
-@click.argument("curve_file", type=click.Path(exists=True))
+@click.argument("curve_file", type=click.Path())
 @click.option("--convention", type=click.Choice(CONVENTIONS), default=None)
 @click.option("--tol", type=float, default=CLI_RESIDUAL, help="residual threshold for success")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -133,15 +133,14 @@ def _parse_vec(option, text, default):
 
 
 @main.command("reconstruct")
-@click.argument("intrinsic_file", type=click.Path(exists=True))
+@click.argument("intrinsic_file", type=click.Path())
 @click.option("--origin", default=None, help="comma-separated start point")
 @click.option("--tangent", default=None, help="comma-separated start tangent")
 @click.option("--normal", default=None, help="comma-separated start normal")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
     """Rebuild a curve from intrinsic data (ell, theta, phi)."""
-    with open(intrinsic_file) as fh:
-        data = io.intrinsic_from_json(fh.read())
+    data = io.load_intrinsic(intrinsic_file)
     t = _parse_vec("--tangent", tangent, [1.0, 0.0, 0.0])
     nrm = _parse_vec("--normal", normal, [0.0, 1.0, 0.0])
     pose = InitialPose(
@@ -214,7 +213,7 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
 
 
 @main.command("spline")
-@click.argument("curve_file", type=click.Path(exists=True))
+@click.argument("curve_file", type=click.Path())
 @click.option("--method", type=click.Choice(["inscribed", "circumscribed", "centered"]), required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -248,7 +247,7 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
 
 
 @main.command("roundtrip")
-@click.argument("curve_file", type=click.Path(exists=True))
+@click.argument("curve_file", type=click.Path())
 @click.option("--tol", type=float, default=CONGRUENCE_RMS, help="congruence rms threshold")
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check."""
@@ -272,8 +271,8 @@ def cmd_roundtrip(curve_file, tol):
 
 
 @main.command("render")
-@click.argument("curve_file", type=click.Path(exists=True))
-@click.option("--spline", "spline_path", type=click.Path(exists=True), default=None)
+@click.argument("curve_file", type=click.Path())
+@click.option("--spline", "spline_path", type=click.Path(), default=None)
 @click.option("--with-circles", is_flag=True, help="draw the three convention circles of a regular polygon")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_render(curve_file, spline_path, with_circles, out_path):
@@ -281,8 +280,7 @@ def cmd_render(curve_file, spline_path, with_circles, out_path):
     curve = io.load_curve(curve_file)
     splines = []
     if spline_path:
-        with open(spline_path) as fh:
-            splines.append(io.spline_from_json(fh.read()))
+        splines.append(io.load_spline(spline_path))
     circles = []
     if with_circles:
         if not curve.closed:

@@ -22,6 +22,11 @@ ELASTICA_KKT = 1e-8
 CLI_RESIDUAL = 1e-10
 # supported edge lengths: their squares stay normal doubles
 EDGE_RANGE = (1e-150, 1e150)
-# largest sample count a discretization or a drawn spline may ask for
+# supported lengths and radii of spline file segments, and the bound on an elastica's
+# turning angles: wider than EDGE_RANGE, as the inscribed arcs of curves in that range
+# reach radii of ~3e-167 and ~1e162, and small enough that a point moved by a length,
+# or the sum of two angles, stays finite
+SPLINE_RANGE = (1e-200, 1e200)
+# largest sample count a discretization, or the arcs and clothoids of a drawn spline, may ask for
 MAX_SAMPLES = 1_000_000
 

@@ -61,8 +61,8 @@ class DiscreteCurve:
         return diff(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
-        edges = self.edges()
         with np.errstate(over="ignore"):
+            edges = self.edges()
             lengths = np.linalg.norm(edges, axis=1)
             # a finite nonzero edge whose squared norm overflowed or underflowed: scale it first
             if not 0.0 < lengths.min() <= lengths.max() < np.inf:

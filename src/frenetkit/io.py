@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ORTHONORMAL
-from .curve_core import DiscreteCurve
+from .config import ORTHONORMAL, SPLINE_RANGE
+from .curve_core import DiscreteCurve, check_edge_lengths
 from .errors import ParseError
 from .frames import IntrinsicData, curvature_torsion
 from .ngon_circle import Convention
-from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, check_clothoid_size
+from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, clothoid_turning
 
 PIECE_ROWS = 4096  # the most table rows one piece of json_pieces or csv_pieces holds
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
@@ -159,10 +159,17 @@ def curve_from_csv(text: str, closed: bool = False) -> DiscreteCurve:
         raise ParseError(f"invalid curve: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at path; ParseError if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_curve(path) -> DiscreteCurve:
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
+    text = _read_text(path)
+    if Path(path).suffix.lower() == ".csv":
         return curve_from_csv(text)
     return curve_from_json(text)
 
@@ -181,23 +188,32 @@ def intrinsic_from_json(text: str) -> IntrinsicData:
         phi = np.asarray(obj["phi"], dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad intrinsic JSON: {exc}") from exc
+    if np.ndim(ell):
+        raise ParseError(f"intrinsic ell must be a number, got {json.dumps(obj['ell'])}")
+    check_edge_lengths([2.0 * ell], "intrinsic edge 2*ell")  # as analyze checks the edges it reads
     try:
         return curvature_torsion(theta, phi, ell, convention)
     except Exception as exc:
         raise ParseError(f"invalid intrinsic data: {exc}") from exc
 
 
-# each segment kind's class and fields, in the order its JSON object lists them
+def load_intrinsic(path) -> IntrinsicData:
+    return intrinsic_from_json(_read_text(path))
+
+
+# each segment kind's class and fields, in the order its JSON object lists them, with
+# each field's shape: () a number, (2,) a point or a vector, (-1,) a list of numbers
 _SEGMENTS = {
-    "line": (LineSegment, "start", "direction", "length"),
-    "arc": (ArcSegment, "center", "radius", "start_angle", "sweep"),
-    "clothoid": (ClothoidSegment, "start", "start_angle", "kappa0", "sharpness", "length"),
-    "elastica": (ElasticaSegment, "start", "thetas", "length", "c_const"),
+    "line": (LineSegment, {"start": (2,), "direction": (2,), "length": ()}),
+    "arc": (ArcSegment, {"center": (2,), "radius": (), "start_angle": (), "sweep": ()}),
+    "clothoid": (ClothoidSegment, {"start": (2,), "start_angle": (), "kappa0": (), "sharpness": (), "length": ()}),
+    "elastica": (ElasticaSegment, {"start": (2,), "thetas": (-1,), "length": (), "c_const": ()}),
 }
+_SHAPES = {(): "a number", (2,): "a list of 2 numbers", (-1,): "a list of numbers"}
 
 
 def _segment_to_obj(seg) -> dict:
-    for kind, (cls, *fields) in _SEGMENTS.items():
+    for kind, (cls, fields) in _SEGMENTS.items():
         if isinstance(seg, cls):
             return {"type": kind, **{name: getattr(seg, name) for name in fields}}
     raise ParseError(f"unknown segment type {type(seg)!r}")
@@ -210,30 +226,41 @@ def _number(raw, what: str):
     return np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
 
 
-def _finite(obj: dict, key: str, positive: bool = False):
-    """obj[key] as a float (a float array for a list); finite, and > 0 if positive."""
+def _finite(obj: dict, key: str, shape: tuple):
+    """obj[key] as a float (a float array for a list) of the given shape; finite."""
     raw = obj[key]
     v = _number(raw, f"{obj['type']} segment {key}")
-    if not np.all(np.isfinite(v)) or (positive and not np.all(v > 0.0)):
-        kind = "positive and finite" if positive else "finite"
-        raise ParseError(f"{obj['type']} segment {key} must be {kind}, got {raw!r}")
+    if np.ndim(v) != len(shape) or shape and shape[0] not in (-1, len(v)):
+        raise ParseError(f"{obj['type']} segment {key} must be {_SHAPES[shape]}, got {json.dumps(raw)}")
+    if not np.all(np.isfinite(v)):
+        raise ParseError(f"{obj['type']} segment {key} must be finite, got {raw!r}")
     return v
 
 
 def _segment_from_obj(obj: dict):
     if obj["type"] not in _SEGMENTS:
         raise ParseError(f"unknown segment type {obj['type']!r}")
-    cls, *fields = _SEGMENTS[obj["type"]]
+    cls, fields = _SEGMENTS[obj["type"]]
     obj = {"c_const": 0.0, **obj}  # files may leave out an elastica's c_const
-    v = {name: _finite(obj, name, positive=name in ("radius", "length")) for name in fields}
+    v = {name: _finite(obj, name, shape) for name, shape in fields.items()}
     if cls is LineSegment and not abs(math.hypot(*v["direction"]) - 1.0) <= ORTHONORMAL:
         raise ParseError(f"line segment direction must be a unit vector, got {obj['direction']!r}")
     if cls is ArcSegment and not 0.0 < abs(v["sweep"]) <= 2.0 * math.pi:
         # no spline arc turns more than once
         raise ParseError(f"arc segment sweep must be nonzero with |sweep| <= 2*pi, got {v['sweep']!r}")
-    if cls is ClothoidSegment:
-        check_clothoid_size(v["kappa0"], v["sharpness"], v["length"])
-    return cls(**v)
+    if cls is ClothoidSegment:  # spline --out writes clothoids as long as the edges: cap only the turning
+        turning = clothoid_turning(v["kappa0"], v["sharpness"], v["length"])
+        if not turning <= 1e3:
+            raise ParseError(f"clothoid segment turning {turning:.6g} rad must be at most 1e3")
+    seg = cls(**v)
+    lo, hi = SPLINE_RANGE
+    for name in ("radius", "length"):  # an arc's length is |sweep| * radius; only arcs have a radius
+        if not lo <= (size := getattr(seg, name, lo)) <= hi:
+            bounds = f"[{lo:.0e}, {hi:.0e}]"
+            raise ParseError(f"{obj['type']} segment {name} {size!r} is outside the supported range {bounds}")
+    if cls is ElasticaSegment and not np.all(np.abs(seg.thetas) <= hi):
+        raise ParseError(f"elastica segment thetas must lie in [{-hi:.0e}, {hi:.0e}]")
+    return seg
 
 
 def spline_record(spline: Spline) -> dict:
@@ -254,3 +281,7 @@ def spline_from_json(text: str) -> Spline:
         raise ParseError(f"bad spline JSON: {exc}") from exc
     _check_bool("spline", closed)
     return Spline(tuple(segs), closed=closed)
+
+
+def load_spline(path) -> Spline:
+    return spline_from_json(_read_text(path))

@@ -108,13 +108,15 @@ def clothoid_xy(kappa0: float, a: float, theta0: float, s):
 def _clothoid_runs(theta0, kappa0, a, s, first):
     """Displacements along clothoids at the arc lengths s: one clothoid per run of
     sorted samples, each run starting at an index in first; theta0, kappa0 and a
-    are floats or given per sample.  The phase integral is taken over each gap
-    between samples, all in one _phase_integrals call, and summed in order."""
+    are floats or given per sample.  The phase integral is taken over each nonzero
+    gap between samples, all in one _phase_integrals call, and summed in order."""
     t = np.concatenate([[0.0], s[:-1]])  # each row integrates from t over the gap h
     t[first] = 0.0
     h = s - t
-    gaps = _phase_integrals(theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h)
-    return [np.cumsum(run, axis=0) for run in np.split(h[:, None] * gaps[:, :2], first[1:])]
+    c, gap = (theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h), h != 0.0
+    steps = np.zeros((len(s), 2))
+    steps[gap] = h[gap, None] * _phase_integrals(*(v[gap] for v in c))[:, :2]
+    return [np.cumsum(run, axis=0) for run in np.split(steps, first[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +165,16 @@ class ArcSegment:
         return self.length / self.radius**2
 
 
+def clothoid_turning(kappa0: float, sharpness: float, length: float) -> float:
+    """A bound on a clothoid's total turning (rad): the phase span whose panels
+    _phase_integrals takes from its start to its end."""
+    return abs(kappa0) * length + 0.5 * abs(sharpness) * length * length
+
+
 def check_clothoid_size(kappa0: float, sharpness: float, length: float):
     """Raise InputError unless a clothoid's length and total turning (rad) are at
     most 1e3: its quadrature panels and polyline samples grow with both."""
-    turning = abs(kappa0) * length + 0.5 * abs(sharpness) * length * length
+    turning = clothoid_turning(kappa0, sharpness, length)
     if not max(length, turning) <= 1e3:
         raise InputError(f"clothoid length {length} and turning {turning:.6g} rad must be at most 1e3")
 
@@ -211,9 +219,7 @@ class ElasticaSegment:
         return self.length / (len(self.thetas) - 1)
 
     def node_points(self) -> np.ndarray:
-        cm, sm, _, s, _, _ = _cell_arrays(self.thetas)
-        steps = self.ds * np.cumsum(np.column_stack([cm * s, sm * s]), axis=0)
-        return self.start + np.vstack([np.zeros(2), steps])
+        return _elastica_nodes(self.start, self.thetas, self.length)
 
     def point_at(self, s: float) -> np.ndarray:
         ds = self.ds
@@ -264,28 +270,13 @@ def _groups(segs):
         yield kind, rows, lambda name, rows=rows: np.array([getattr(segs[i], name) for i in rows], dtype=float)
 
 
-def _end_points(segs) -> np.ndarray:
-    """Start and end point of every segment, (2, len(segs), 2), with one array
-    evaluation per segment type (and elastica grid size)."""
-    out = np.empty((2, len(segs), 2))
-    for kind, rows, col in _groups(segs):
-        length = col("length")[:, None]
-        if kind is ArcSegment:
-            a = col("start_angle")[:, None] + col("sweep")[:, None] * np.hstack([0.0 * length, length]) / length
-            pts = col("center")[:, None] + col("radius")[:, None, None] * np.stack([np.cos(a), np.sin(a)], -1)
-            out[:, rows] = pts.swapaxes(0, 1)
-            continue
-        out[0, rows] = col("start")
-        if kind is LineSegment:
-            step = col("direction")
-        elif kind is ClothoidSegment:
-            c1, c2 = col("kappa0") * length[:, 0], 0.5 * col("sharpness") * length[:, 0] * length[:, 0]
-            step = _phase_integrals(col("start_angle"), c1, c2)[:, :2]
-        else:
-            cm, sm, _, sinc, _, _ = _cell_arrays(thetas := col("thetas"))
-            step = np.cumsum(np.stack([cm * sinc, sm * sinc], -1), axis=1)[:, -1] / (thetas.shape[1] - 1)
-        out[1, rows] = out[0, rows] + length * step
-    return out
+def _elastica_nodes(start, thetas, length) -> np.ndarray:
+    """Grid nodes (..., n+1, 2) of the elastica rows with start points (..., 2),
+    turning angles (..., n+1) and lengths (...)."""
+    cm, sm, _, s, _, _ = _cell_arrays(thetas)
+    steps = np.zeros(thetas.shape + (2,))
+    steps[..., 1:, :] = np.cumsum(np.stack([cm * s, sm * s], -1), axis=-2) / (thetas.shape[-1] - 1)
+    return start[..., None, :] + np.asarray(length)[..., None, None] * steps
 
 
 def _grid(lengths, counts):
@@ -302,30 +293,36 @@ def _grid(lengths, counts):
 def polyline_sampler(segs):
     """A function of a chord tolerance tol that returns every segment's polyline,
     from its start to its end point.  Arc and clothoid chords stray at most tol
-    from the curve, and an elastica gives its grid nodes at any tol.  All arcs
-    are sampled as one angle array and all clothoids with one _phase_integrals
-    call.  InputError if the polylines would hold over MAX_SAMPLES points."""
+    from the curve, and are the chords themselves at an infinite tol; lines and
+    elastica give fixed polylines, no larger than their segments.  All arcs are
+    sampled as one angle array and all clothoids with one _phase_integrals call.
+    InputError if the arcs and clothoids would take over MAX_SAMPLES points
+    between their end points."""
     fixed, arcs, clothoids = {}, (), ()  # fixed: the polylines that do not depend on tol
     for kind, rows, col in _groups(segs):
         if kind is ArcSegment:
             arcs = rows, col("length"), col("center"), col("radius"), col("start_angle"), col("sweep")
         elif kind is ClothoidSegment:
             clothoids = rows, col("length"), col("start"), col("start_angle"), col("kappa0"), col("sharpness")
+        elif kind is ElasticaSegment:
+            fixed.update(zip(rows, _elastica_nodes(col("start"), col("thetas"), col("length"))))
         else:
-            fixed.update((i, segs[i].node_points() if kind is ElasticaSegment else
-                          np.array([segs[i].start, segs[i].point_at(segs[i].length)])) for i in rows)
+            fixed.update((i, np.array([segs[i].start, segs[i].point_at(segs[i].length)])) for i in rows)
 
     def sample(tol: float) -> list:
         n_arc = n_clothoid = np.zeros(0)  # chords per arc and per clothoid
-        if arcs:
-            rows, length, center, radius, a0, sweep = arcs
-            n_arc = np.abs(sweep) / np.maximum(2.0 * np.sqrt(2.0 * tol / radius), 1e-6)
-        if clothoids:
-            rows, length, start, theta0, k0, a = clothoids
-            n_clothoid = length / np.sqrt(8.0 * tol / np.maximum(np.maximum(np.abs(k0), np.abs(k0 + a * length)), 1e-9))
+        with np.errstate(over="ignore"):  # a tol that overflows against a curvature needs one chord
+            if arcs:
+                rows, length, center, radius, a0, sweep = arcs
+                n_arc = np.abs(sweep) / np.maximum(2.0 * np.sqrt(2.0 * tol / radius), 1e-6)
+            if clothoids:
+                rows, length, start, theta0, k0, a = clothoids
+                kmax = np.maximum(np.maximum(np.abs(k0), np.abs(k0 + a * length)), 1e-9)
+                n_clothoid = length / np.sqrt(8.0 * tol / kmax)
         n_arc, n_clothoid = (np.maximum(np.ceil(n) + 1.0, 2.0) for n in (n_arc, n_clothoid))
-        total = sum(map(len, fixed.values())) + n_arc.sum() + n_clothoid.sum()
-        if not total <= MAX_SAMPLES:
+        total = n_arc.sum() + n_clothoid.sum()
+        # two end points per segment are no more than the segments hold: only the samples between them count
+        if not total - 2.0 * (len(n_arc) + len(n_clothoid)) <= MAX_SAMPLES:
             raise InputError(f"drawing the spline needs {total:.6g} points, over the limit of {MAX_SAMPLES}")
         out = dict(fixed)
         if arcs:
@@ -344,12 +341,13 @@ def polyline_sampler(segs):
 
 
 def g1_defects(spline: Spline):
-    """(max position gap, max tangent-angle gap in radians) at the joints."""
+    """(max position gap, max tangent-angle gap in radians) at the joints, read from polyline_sampler at tol inf."""
     segs = spline.segments
     joints = len(segs) if spline.closed and len(segs) > 1 else len(segs) - 1
     if joints < 1:
         return 0.0, 0.0
-    start, end = _end_points(segs)
+    polylines = polyline_sampler(segs)(math.inf)
+    start, end = (np.array([pts[k] for pts in polylines]) for k in (0, -1))
     pos = float(np.max(np.linalg.norm(end[:joints] - np.roll(start, -1, axis=0)[:joints], axis=1)))
     pairs = zip(segs[:joints], segs[1:] + segs[:1])
     return pos, max(abs(_wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))) for a, b in pairs)

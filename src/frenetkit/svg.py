@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonPlanarData
+from .errors import InputError, NonPlanarData
 from .spline2d import ArcSegment, polyline_sampler
 
 
@@ -74,8 +74,9 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
 
     ``curves``: DiscreteCurve/RefinedCurve instances drawn as polylines with
     point markers; ``splines``: Spline instances; ``circles``: (center,
-    radius) pairs.  3D input raises NonPlanarData; a spline that would need
-    more than config.MAX_SAMPLES polyline points raises InputError.
+    radius) pairs.  3D input raises NonPlanarData; a drawing whose extent
+    overflows, or a spline whose arcs and clothoids would need more than
+    config.MAX_SAMPLES polyline points, raises InputError.
     """
     curve_pts = [(_require_planar(c.points), getattr(c, "closed", False)) for c in curves]
     chunks = [pts for pts, _ in curve_pts]
@@ -88,9 +89,13 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
 
     drawn = np.vstack(chunks or [np.zeros((1, 2))])
     lo, hi = drawn.min(axis=0), drawn.max(axis=0)
-    span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an input error below
+        span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
+        height = _WIDTH * span[1] / span[0]
+    if not np.isfinite([*span, height]).all():
+        raise InputError(f"the drawing from {lo.tolist()} to {hi.tolist()} is too large to lay out")
     scale = float(np.max(span))
-    height = int(round(_WIDTH * span[1] / span[0]))
+    height = int(round(height))
     sw, marker_r = _fill("%.10g", _STROKE_WIDTH * scale), _fill("%.10g", _MARKER_RADIUS * scale)
     marker = f'<circle cx="%.10g" cy="%.10g" r="{marker_r}" fill="{_MARKER_COLOR}"/>'
     out = [

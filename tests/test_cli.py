@@ -30,7 +30,7 @@ from frenetkit import (
 from frenetkit import io as fio
 from frenetkit import spline2d
 from frenetkit.cli import CONVENTIONS, main
-from frenetkit.config import CLI_RESIDUAL
+from frenetkit.config import CLI_RESIDUAL, EDGE_RANGE
 from frenetkit.discretize2d import BUILTIN_CURVES
 from frenetkit.figures import _unit_step_polyline
 from frenetkit.spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
@@ -104,6 +104,31 @@ _EXTREME_SCALES = {
         "--param", "a=1e200", "--param", "b=1e200",
     ],
 }
+
+# input files that cannot be read, spline vectors of the wrong shape, and values that overflow
+_UNREADABLE_AND_OVERFLOWING = {
+    "analyze-directory": ["analyze", "DIR"],
+    "reconstruct-directory": ["reconstruct", "DIR"],
+    "render-spline-directory": ["render", "HEX", "--spline", "DIR"],
+    "analyze-non-utf8-json": ["analyze", "FF_JSON"],
+    "analyze-non-utf8-csv": ["analyze", "FF_CSV"],
+    "render-non-utf8-json": ["render", "FF_JSON"],
+    "render-non-utf8-csv": ["render", "FF_CSV"],
+    "analyze-missing-file": ["analyze", "MISSING"],
+    "reconstruct-missing-file": ["reconstruct", "MISSING"],
+    "render-spline-missing-file": ["render", "HEX", "--spline", "MISSING"],
+    "render-line-start-3-components": ["render", "HEX", "--spline", "START_3"],
+    "render-line-start-1-component": ["render", "HEX", "--spline", "START_1"],
+    "render-arc-radius-1e-320": ["render", "HEX", "--spline", "SUBNORMAL_RADIUS"],
+    "render-line-ending-at-2e308": ["render", "HEX", "--spline", "FAR_LINE"],
+    "reconstruct-ell-5e-324": ["reconstruct", "SUBNORMAL_ELL"],
+    "reconstruct-empty-list-ell": ["reconstruct", "EMPTY_ELL"],
+    "reconstruct-nested-list-ell": ["reconstruct", "NESTED_ELL"],
+    "render-curve-spanning-2e308": ["render", "WIDE"],
+    "analyze-curve-spanning-2e308": ["analyze", "WIDE"],
+    "spline-curve-spanning-2e308": ["spline", "WIDE", "--method", "inscribed"],
+}
+_LINE_SEGMENT = {"type": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0], "length": 1.0}
 
 # a well-formed angle record with 2-D theta and phi
 _TWO_D_INTRINSIC = {
@@ -216,6 +241,7 @@ def test_analyze_tol_override(runner, tmp_path):
         ["reconstruct", "INTRINSIC", "--origin", "nan,0,0"],
         ["reconstruct", "INTRINSIC", "--normal", "0,1e400,0"],
         *_EXTREME_SCALES.values(),
+        *_UNREADABLE_AND_OVERFLOWING.values(),
     ],
     ids=[
         "unknown-param",
@@ -261,6 +287,7 @@ def test_analyze_tol_override(runner, tmp_path):
         "reconstruct-nan-origin",
         "reconstruct-overflowing-normal",
         *_EXTREME_SCALES,
+        *_UNREADABLE_AND_OVERFLOWING,
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args):
@@ -300,7 +327,46 @@ def _arg_files(tmp_path):
     }
     for key, params in _BAD_CLOTHOIDS.items():
         files[key] = _write(tmp_path, f"{key.lower()}.json", _clothoid_spline_json(**params))
+    for key, seg in {
+        "START_3": {**_LINE_SEGMENT, "start": [0.0, 0.0, 0.0]},
+        "START_1": {**_LINE_SEGMENT, "start": [0.0]},
+        "SUBNORMAL_RADIUS": {"type": "arc", "center": [0.0, 0.0], "radius": 1e-320, "start_angle": 0.0, "sweep": 1.0},
+        "FAR_LINE": {**_LINE_SEGMENT, "start": [1e308, 0.0], "length": 1e308},
+    }.items():
+        files[key] = _write(tmp_path, f"{key.lower()}.json", json.dumps({"closed": False, "segments": [seg]}))
+    for name in ("ff.json", "ff.csv"):
+        (tmp_path / name).write_bytes(b"\xff0,0\n1,0\n")
+        files[name.upper().replace(".", "_")] = str(tmp_path / name)
+    for key, ell in {"SUBNORMAL_ELL": 5e-324, "EMPTY_ELL": [], "NESTED_ELL": [[]]}.items():
+        files[key] = _write(tmp_path, f"{key.lower()}.json", json.dumps({**_HEX_INTRINSIC, "ell": ell}))
+    files["WIDE"] = _write(tmp_path, "wide.json", json.dumps({"dim": 2, "closed": False, "points": [[-1e308, 0], [1e308, 0]]}))
     return files
+
+
+def test_files_written_for_curves_in_the_edge_range_load(runner, tmp_path):
+    lo, hi = EDGE_RANGE[0] * (1.0 + 1e-9), EDGE_RANGE[1] * (1.0 - 1e-9)
+    curves = [
+        DiscreteCurve(np.array([[0.0, 0.0], [lo, 0.0], [0.0, 0.0]])),  # an inscribed arc of radius ~3e-167
+        DiscreteCurve(np.array([[0.0, 0.0], [hi, 0.0], [hi * (1.0 + math.cos(1e-12)), hi * math.sin(1e-12)]])),
+        DiscreteCurve(np.array(json.loads(_hexagon_json(lo))["points"]), closed=True),
+        DiscreteCurve(np.array(json.loads(_hexagon_json(hi))["points"]), closed=True),
+    ]
+    # and uneven edges, whose circumscribed spans are clothoids as long as the edges
+    uneven = [DiscreteCurve(np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0]]) * scale) for scale in (lo, 0.5 * hi)]
+    splines = [spline2d.spline_inscribed(refine(c)) for c in curves]
+    splines += [spline2d.spline_circumscribed(c) for c in curves[1:] + uneven]
+    radii, clothoid_lengths = [], []
+    for sp in splines:  # the file spline --out writes, read back
+        for seg in spline_from_json(fio.spline_to_json(sp)).segments:
+            if isinstance(seg, ArcSegment):
+                radii.append(seg.radius)
+            elif isinstance(seg, ClothoidSegment):
+                clothoid_lengths.append(seg.length)
+    assert min(radii) < 1e-166 and max(radii) > 1e161
+    assert min(clothoid_lengths) < 1e-149 and max(clothoid_lengths) > 1e149
+    for ell in (0.5 * EDGE_RANGE[0], 0.5 * EDGE_RANGE[1]):
+        path = _write(tmp_path, "intrinsic.json", json.dumps({**_HEX_INTRINSIC, "ell": ell}))
+        assert runner.invoke(main, ["reconstruct", path]).exit_code == 0
 
 
 def test_bad_curve_parameter_is_named(runner):
@@ -365,39 +431,95 @@ _CURVE_COMMANDS = [
 ]
 
 
+# a valid spline file with one segment of each kind, for render --spline
+_SPLINE_RECORD = {
+    "closed": False,
+    "segments": [
+        {"type": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0], "length": 1.0},
+        {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": -math.pi / 2.0, "sweep": 1.0},
+        {"type": "clothoid", "start": [2.0, 1.0], "start_angle": 0.5, "kappa0": 0.5, "sharpness": 0.1, "length": 2.0},
+        {"type": "elastica", "start": [3.0, 2.0], "thetas": [0.1 * k for k in range(17)], "length": 2.0, "c_const": 0.5},
+    ],
+}
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def _lists(obj):
+    """Every list in a JSON object, the object's own list included."""
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return ([obj] if isinstance(obj, list) else []) + [lst for child in children for lst in _lists(child)]
+
+
+def _numbers(obj):
+    """(container, key) of every number in a JSON object."""
+    items = list(obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ())
+    return [(obj, k) for k, v in items if isinstance(v, (int, float)) and not isinstance(v, bool)] + [
+        spot for _, v in items for spot in _numbers(v)
+    ]
+
+
 @st.composite
-def _curve_file(draw):
-    """The text of a curve file: a regular polygon scaled by 1e-200, 1 or 1e200, maybe
-    broken by truncation, a NaN or infinite coordinate, a ragged row, a repeated point
-    or by keeping a single point."""
+def _input_file(draw):
+    """(argv with FILE for the input file's path, file name, file bytes or None for a
+    directory): a curve file (JSON or CSV), an intrinsic file or a spline file that
+    may be broken by truncation, a NaN, infinite, boolean, subnormal or 1e308 number,
+    a list where a field's number belongs, a list one item short or long or cut to one item, non-UTF-8 bytes, or by being a
+    directory.  Curves are regular polygons scaled by 1e-200, 1 or 1e200."""
+    kind = draw(st.sampled_from(["curve", "csv", "intrinsic", "spline"]))
     n, dim = draw(st.integers(3, 7)), draw(st.sampled_from([2, 3]))
     ang = np.arange(n) * math.tau / n
-    pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])[:, :dim]
-    points = (draw(st.sampled_from([1e-200, 1.0, 1e200])) * pts).tolist()
-    k = draw(st.integers(0, n - 1))
-    flaw = draw(st.sampled_from(["none", "truncated", "nan", "inf", "ragged", "repeated", "single"]))
-    if flaw in ("nan", "inf"):
-        points[k][0] = math.nan if flaw == "nan" else -math.inf
-    elif flaw == "ragged":
-        points[k] = points[k][:-1]
-    elif flaw == "repeated":
-        points.insert(k, points[k])
-    elif flaw == "single":
-        points = points[:1]
-    text = json.dumps({"dim": dim, "closed": draw(st.booleans()), "points": points})
-    return text[: draw(st.integers(1, len(text) - 1))] if flaw == "truncated" else text
+    points = (draw(st.sampled_from([1e-200, 1.0, 1e200])) * np.column_stack([np.cos(ang), np.sin(ang), 0 * ang]))
+    obj = {
+        "curve": {"dim": dim, "closed": draw(st.booleans()), "points": points[:, :dim].tolist()},
+        "csv": points[:, :dim].tolist(),
+        "intrinsic": {**json.loads(json.dumps(_HEX_INTRINSIC)), "convention": draw(st.sampled_from(CONVENTIONS))},
+        "spline": json.loads(json.dumps(_SPLINE_RECORD)),
+    }[kind]
+    flaw = draw(st.sampled_from(["none", "truncated", "number", "list", "length", "directory", "bytes"]))
+    if flaw == "number":
+        container, key = draw(st.sampled_from(_numbers(obj)))
+        container[key] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif flaw == "list":  # a field such as ell or radius, or a CSV coordinate
+        fields = [(container, key) for container, key in _numbers(obj) if isinstance(container, dict)]
+        container, key = draw(st.sampled_from(fields or _numbers(obj)))
+        container[key] = draw(st.sampled_from([[], [[]], [1.0]]))
+    elif flaw == "length":
+        lst, change = draw(st.sampled_from(_lists(obj))), draw(st.sampled_from(["short", "long", "single"]))
+        k = draw(st.integers(0, len(lst) - 1))
+        if change == "long":
+            lst.insert(k, lst[k])
+        elif change == "short":
+            lst.pop(k)
+        else:
+            del lst[1:]
+    text = "".join(",".join(map(str, row)) + "\n" for row in obj) if kind == "csv" else json.dumps(obj)
+    if flaw == "truncated":
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    data = (b"\xff" if flaw == "bytes" else b"") + text.encode()
+    argv = {
+        "curve": draw(st.sampled_from(_CURVE_COMMANDS)),
+        "csv": draw(st.sampled_from([["analyze"], ["render"]])),
+        "intrinsic": ["reconstruct"],
+        "spline": ["render", "HEX", "--spline"],
+    }[kind]
+    argv = [argv[0], "FILE", *argv[1:]] if kind != "spline" else [*argv, "FILE"]
+    return argv, "input.csv" if kind == "csv" else "input.json", None if flaw == "directory" else data
 
 
-@given(_curve_file(), st.sampled_from(_CURVE_COMMANDS))
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_curve_file_fuzz_exits_without_traceback(text, command):
+@given(_input_file())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_curve_file_fuzz_exits_without_traceback(case):
+    argv, name, data = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command[0], _write(Path(tmp), "curve.json", text), *command[1:]]
+        path = Path(tmp) / name
+        path.mkdir() if data is None else path.write_bytes(data)
+        files = {"FILE": str(path), "HEX": _write(Path(tmp), "hex.json", _hexagon_json())}
+        argv = [files.get(a, a) for a in argv]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = CliRunner().invoke(main, argv)
-    _assert_clean_exit((argv, text), result)
-    assert not caught, (argv, text, [str(w.message) for w in caught])
+    _assert_clean_exit((argv, data), result)
+    assert not caught, (argv, data, [str(w.message) for w in caught])
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import null_space
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
-from frenetkit.config import ELASTICA_KKT
+from frenetkit.config import ELASTICA_KKT, MAX_SAMPLES
 from frenetkit.errors import Infeasible, InputError, MultipleSolutionsWarning, NoConvergence
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.spline2d import (
@@ -432,6 +432,27 @@ def test_g1_defects_match_pointwise_joints():
         assert abs(pos - old_pos) <= 1e-14 * max(1.0, old_pos)
         assert abs(ang - old_ang) <= 1e-14
     assert g1_defects(spline2d.Spline(mixed[:1])) == (0.0, 0.0)
+
+
+def test_g1_defects_of_more_elastica_nodes_than_a_drawing_may_hold():
+    # the drawing limit counts arc and clothoid samples only, so the joints of
+    # 16 000 spans of 65 nodes each (1.04e6 nodes) are still read from the sampler
+    segs = [ElasticaSegment(np.array([float(k), 0.0]), np.zeros(65), 1.0) for k in range(16_000)]
+    assert 65 * len(segs) > MAX_SAMPLES
+    assert g1_defects(spline2d.Spline(segs)) == (0.0, 0.0)
+
+
+def test_g1_defects_of_more_arcs_and_clothoids_than_a_drawing_may_hold(monkeypatch):
+    # an arc or clothoid is its chord at tol inf: its two end points count
+    # against the drawing limit no more than the two of a line do
+    arcs = [ArcSegment(np.array([float(k), 0.0]), 1.0, 0.0, 1.0) for k in range(12)]
+    clothoids = [ClothoidSegment(np.array([0.0, float(k)]), 0.0, 0.5, 0.1, 2.0) for k in range(12)]
+    spline = spline2d.Spline(arcs + clothoids, closed=True)
+    gaps = g1_defects(spline)
+    monkeypatch.setattr(spline2d, "MAX_SAMPLES", 10)
+    assert g1_defects(spline) == gaps
+    with pytest.raises(InputError, match="over the limit of 10$"):
+        polyline_sampler(spline.segments)(1e-3)
 
 
 # ---------------------------------------------------------------------------
