@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import MAX_SAMPLES
 from .curve_core import DiscreteCurve, RefinedCurve, check_edge_lengths
@@ -231,14 +230,17 @@ def find_inflections(c: SmoothCurve) -> np.ndarray:
     hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
     if len(hits) > MAX_INFLECTIONS:
         raise InfinitelyManyInflections(f"more than {MAX_INFLECTIONS} inflections detected")
-    roots = [
-        grid[j] if sign[j] == 0.0
-        else brentq(lambda v: float(numerator(v)), grid[j], grid[j + 1], xtol=1e-13)
-        for j in hits
-    ]
+    roots = grid[hits]
+    change = sign[hits] != 0.0
+    if change.any():  # scipy.optimize loads only for a curve that has a root to bracket
+        from scipy.optimize import brentq
+
+        roots[change] = [
+            brentq(lambda v: float(numerator(v)), grid[j], grid[j + 1], xtol=1e-13) for j in hits[change]
+        ]
     if sign[-1] == 0.0:
-        roots.append(grid[-1])
-    return s_of_t(np.asarray(roots))
+        roots = np.append(roots, grid[-1])
+    return s_of_t(roots)
 
 
 def discretize_circumscribed(c: SmoothCurve, samples) -> DiscreteCurve:

@@ -1,6 +1,7 @@
 """Special functions for splining: Fresnel integrals, complete elliptic
 integral of the first kind, Jacobi sn/cn, as checked wrappers over
-``scipy.special``.
+``scipy.special``, which each function imports on its first call so that
+importing the package does not load scipy.
 
 Fresnel integrals use the pi*t^2/2 normalization:
     C(s) = int_0^s cos(pi t^2 / 2) dt,   S(s) = int_0^s sin(pi t^2 / 2) dt.
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ModulusOutOfRange
 
@@ -32,6 +32,8 @@ def _finite(x, name: str) -> np.ndarray:
 
 def fresnel(s) -> FresnelPair:
     """Fresnel integrals (C(s), S(s)); odd in s."""
+    from scipy import special
+
     sv, cv = special.fresnel(_finite(s, "fresnel"))
     return FresnelPair(cv, sv)
 
@@ -49,11 +51,15 @@ def elliptic_K(k: float) -> float:
 
     K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t).
     """
+    from scipy import special
+
     return float(special.ellipk(_parameter(k)))
 
 
 def jacobi_sn_cn(u, k: float):
     """(sn(u, k), cn(u, k)), modulus convention."""
+    from scipy import special
+
     sn, cn, _, _ = special.ellipj(_finite(u, "jacobi_sn"), _parameter(k))
     return sn, cn
 

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import CLOTHOID_FIT, ELASTICA_KKT, MAX_SAMPLES
 from .curve_core import DiscreteCurve, RefinedCurve, check_edge_lengths, validate_refined
@@ -162,7 +161,9 @@ class ArcSegment:
         return a + math.copysign(math.pi / 2.0, self.sweep)
 
     def energy(self) -> float:
-        return self.length / self.radius**2
+        if 2.0**-511 <= self.radius < 2.0**512:  # exactly where radius**2 is a normal double
+            return self.length / self.radius**2
+        return self.length / self.radius / self.radius
 
 
 def clothoid_turning(kappa0: float, sharpness: float, length: float) -> float:
@@ -195,8 +196,13 @@ class ClothoidSegment:
 
     def energy(self) -> float:
         # int (kappa0 + a s)^2 ds
-        k0, a, L = self.kappa0, self.sharpness, self.length
-        return k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0
+        k0, a, L = map(np.float64, (self.kappa0, self.sharpness, self.length))
+        try:
+            with np.errstate(over="raise", under="raise"):
+                return float(k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0)
+        except FloatingPointError:  # a term is not a normal double: the scale-free form
+            v, u = k0 * L, a * L * L
+            return float((v * v + v * u + u * u / 3.0) / L)
 
 
 @dataclass(frozen=True)
@@ -419,6 +425,8 @@ def _bracket_root(phi0: float, delta: float, center: float):
     hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)  # a sign change or a zero
     if not hits.size:
         return math.nan, math.nan
+    from scipy.optimize import brentq
+
     k = hits[np.argmin(np.abs(span[hits] + 0.25 - center))]
     a = brentq(lambda v: _phase_integrals(phi0, delta - v, v)[1], span[k], span[k + 1], xtol=1e-14)
     return a, _phase_integrals(phi0, delta - a, a)[0]

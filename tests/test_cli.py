@@ -785,6 +785,57 @@ def test_spline_circumscribed(runner, tmp_path):
     assert report["total_length"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+def _spline_energy(runner, tmp_path, points, method):
+    """The bending energy that spline reports for an open polyline; it must exit 0 without a warning."""
+    path = _write(tmp_path, "curve.json", curve_to_json(DiscreteCurve(np.asarray(points, dtype=float))))
+    result = runner.invoke(main, ["spline", path, "--method", method])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    energy = json.loads(result.stdout)["bending_energy"]
+    assert math.isfinite(energy)
+    return energy
+
+
+# polylines at the ends of EDGE_RANGE whose arcs and clothoids have a radius**2,
+# sharpness**2 or length**3 outside the normal doubles, and their scale
+_EXTREME_ENERGIES = {
+    "inscribed-arc-radius-squared-overflows": (
+        "inscribed", 1e150, [[0, 0], [1e150, 0], [1e150 + 1e150 * math.cos(1e-5), 1e150 * math.sin(1e-5)]],
+    ),
+    "inscribed-arc-radius-squared-underflows": ("inscribed", 1e-150, [[0, 0], [1.000000001e-150, 0], [0, 0]]),
+    "circumscribed-clothoid-length-cubed-overflows": (
+        "circumscribed", 1e150, [[0, 0], [1e150, 0], [1e150, 1e150], [2e150, 1e150]],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_EXTREME_ENERGIES))
+def test_spline_energies_at_the_ends_of_the_edge_range(runner, tmp_path, case):
+    method, scale, points = _EXTREME_ENERGIES[case]
+    energy = _spline_energy(runner, tmp_path, points, method)
+    unit = _spline_energy(runner, tmp_path, np.asarray(points, dtype=float) / scale, method)
+    assert energy * scale == pytest.approx(unit, rel=1e-9)
+
+
+# uneven turns, one so slight that its inscribed arc's radius**2 overflows at the top of the range
+_SWEEP_TURNS = (0.3, -0.7, 1e-5, 1.2, -2.9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed"])
+def test_spline_energies_scale_across_the_edge_range(runner, tmp_path, method):
+    # unit edges times 2**k lie in EDGE_RANGE for |k| <= 498, and a spline scales with its
+    # polyline, so energy * 2**k is the unit polyline's; centered is not scale-free yet
+    top = math.floor(math.log2(EDGE_RANGE[1]))
+    assert 2.0**-top >= EDGE_RANGE[0]
+    unit = _unit_step_polyline(_SWEEP_TURNS).points
+    want = _spline_energy(runner, tmp_path, unit, method)
+    for k in range(-top, top + 1, 6):
+        got = _spline_energy(runner, tmp_path, unit * 2.0**k, method)
+        assert got * 2.0**k == pytest.approx(want, rel=1e-14), k
+
+
 def test_render_with_circles(runner, tmp_path):
     curve = _write(tmp_path, "hex.json", _hexagon_json())
     out = tmp_path / "hex.svg"

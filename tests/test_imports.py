@@ -1,10 +1,25 @@
-"""The package's own imports: all at module level, and without a cycle."""
+"""The package's imports: its own all at module level and without a cycle, and
+scipy's only inside the functions that call it, so that importing the package
+and running the subcommands that need no scipy never load scipy."""
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+from click.testing import CliRunner
+
+from frenetkit import DiscreteCurve, curve_to_json, elliptic_K, fresnel, jacobi_sn, sogo_turning_angles
+from frenetkit.cli import main
+from frenetkit.spline2d import _bracket_root
+
 # read from the source tree, not imported: a cycle can make the import itself fail
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frenetkit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "frenetkit"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -51,3 +66,95 @@ def test_module_level_imports_form_no_cycle():
     for name in sorted(graph):
         if name not in state:
             visit(name, [])
+
+
+def _run_at_import(tree):
+    """Every node of a module that runs when it is imported: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "scipy"
+
+
+def test_no_scipy_import_at_module_level():
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in _run_at_import(tree)
+        if _imports_scipy(node)
+    ]
+    assert not found, found
+
+
+def _fresh_python(*args):
+    """Run python with the source tree first on its path, in a new interpreter: this
+    one has loaded scipy already."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
+def test_cli_starts_and_runs_scipy_free_subcommands_without_scipy():
+    result = _fresh_python(str(ROOT / "scripts" / "scipy_free_start.py"))
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+# each function that imports a scipy subpackage, called first in a new interpreter;
+# its value printed as JSON for this process to compare with its own
+_FIRST_CALLS = """
+import contextlib, io, json, sys
+assert not any(name.partition(".")[0] == "scipy" for name in sys.modules)
+from frenetkit import elliptic_K, fresnel, jacobi_sn, sogo_turning_angles
+from frenetkit.cli import main
+from frenetkit.spline2d import _bracket_root
+
+def cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(args=argv, prog_name="frenetkit", standalone_mode=False)
+    return out.getvalue()
+
+print(json.dumps({
+    "sine": cli(%(sine)r),
+    "centered": cli(%(centered)r),
+    "fresnel": [float(v) for v in fresnel(0.7)],
+    "elliptic_K": elliptic_K(0.6),
+    "jacobi_sn": float(jacobi_sn(0.9, 0.6)),
+    "sogo": sogo_turning_angles(0.8, 0.5, 6).tolist(),
+    "bracket": [float(v) for v in _bracket_root(0.3, -0.5, 0.2)],
+}))
+"""
+
+
+def test_scipy_users_called_first_in_a_new_interpreter_give_this_process_values(tmp_path):
+    ang = np.arange(6) * math.pi / 3.0
+    curve = tmp_path / "hex.json"
+    curve.write_text(curve_to_json(DiscreteCurve(np.column_stack([np.cos(ang), np.sin(ang)]), closed=True)))
+    argv = {
+        "sine": ["discretize", "sine", "--method", "circumscribed", "--samples", "17"],
+        "centered": ["spline", str(curve), "--method", "centered"],
+    }
+    result = _fresh_python("-c", _FIRST_CALLS % argv)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    runner = CliRunner()
+    for key, args in argv.items():
+        mine = runner.invoke(main, args)
+        assert mine.exit_code == 0, mine.output
+        assert got[key] == mine.stdout, key
+    assert got["fresnel"] == [float(v) for v in fresnel(0.7)]
+    assert got["elliptic_K"] == elliptic_K(0.6)
+    assert got["jacobi_sn"] == float(jacobi_sn(0.9, 0.6))
+    assert got["sogo"] == sogo_turning_angles(0.8, 0.5, 6).tolist()
+    assert got["bracket"] == [float(v) for v in _bracket_root(0.3, -0.5, 0.2)]
