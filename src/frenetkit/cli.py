@@ -17,7 +17,7 @@ from . import discretize2d, io, spline2d, svg
 from .config import CLI_RESIDUAL, CONGRUENCE_RMS
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
-from .frames import analyze, curvature_torsion, frenet_residual
+from .frames import analyze, convention_table
 from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
@@ -90,16 +90,14 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     rc = refine(io.load_curve(curve_file))
     wanted = [Convention(convention)] if convention else list(Convention)
     ff, data = analyze(rc)
-    angles = [io.spell_floats(a, fmt == "csv") for a in (data.theta, data.phi)]
-    residuals, columns = {}, {}
-    for conv in wanted:
-        at_ell = curvature_torsion(data.theta, data.phi, rc.ell, conv, data.turn_parity)
-        residuals[conv.value] = frenet_residual(ff, at_ell)
-        edge = curvature_torsion(data.theta, data.phi, 2.0 * rc.ell, conv, data.turn_parity)
-        columns[conv.value] = angles + [io.spell_floats(c, fmt == "csv") for c in (edge.kappa, edge.tau)]
-    worst = max(0.0, *residuals.values())
+    residuals, at_edge = convention_table(ff, data, wanted)
+    n = len(data.theta)
+    cells = io.spell_floats(np.vstack([data.theta, data.phi, *at_edge]), fmt == "csv")
+    theta, phi, *kappa_tau = (cells[i : i + n] for i in range(0, len(cells), n))
+    columns = {conv.value: [theta, phi, *kappa_tau[2 * c : 2 * c + 2]] for c, conv in enumerate(wanted)}
+    worst = max(0.0, *residuals)
     if fmt == "csv":
-        index = list(map(str, range(len(data.theta))))
+        index = list(map(str, range(n)))
         tables = [io.csv_pieces([[name] * len(index), index, *cols]) for name, cols in columns.items()]
         _write(chain(["convention,index,theta,phi,kappa,tau\n"], *tables), out_path)
     else:
@@ -108,8 +106,8 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
             "edge_length": 2.0 * rc.ell,
             "half_edge_length": rc.ell,
             "conventions": {
-                name: {"frenet_residual": residuals[name], "per_index": io.Rows(zip(_ROW_KEYS, cols))}
-                for name, cols in columns.items()
+                name: {"frenet_residual": res, "per_index": io.Rows(zip(_ROW_KEYS, cols))}
+                for (name, cols), res in zip(columns.items(), residuals)
             },
             "max_frenet_residual": worst,
             "residual_ok": bool(worst <= tol),
@@ -248,9 +246,9 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
 
 @main.command("roundtrip")
 @click.argument("curve_file", type=click.Path())
-@click.option("--tol", type=float, default=CONGRUENCE_RMS, help="congruence rms threshold")
+@click.option("--tol", type=float, default=CONGRUENCE_RMS, help="congruence rms threshold, in edge lengths")
 def cmd_roundtrip(curve_file, tol):
-    """analyze -> reconstruct -> congruence check."""
+    """analyze -> reconstruct -> congruence check, with the rms judged in units of the mean edge length."""
     tol = _nonnegative("--tol", tol)
     curve = io.load_curve(curve_file)
     rc = refine(curve)
@@ -265,7 +263,7 @@ def cmd_roundtrip(curve_file, tol):
     rebuilt = reconstruct(data, pose, n_steps=n_steps)
     pts_orig = np.pad(rc.points, ((0, 0), (0, 3 - rc.dim)))
     n_cmp = len(pts_orig)
-    ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol)
+    ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol * 2.0 * rc.ell)
     _write_json({"rms": rms, "congruent": bool(ok), "tol": tol}, None)
     sys.exit(0 if ok else 1)
 

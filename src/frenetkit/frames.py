@@ -14,6 +14,12 @@ a curve.
 Planar (2D) input gets the plane normal as a global binormal, which makes
 theta, and hence kappa, signed.  In 3D the binormal comes from cross
 products of consecutive tangents, so theta >= 0 while phi stays signed.
+
+The residual has one implementation, evaluated for a stack of conventions
+with one set of frame differences: frenet_residual is its one-convention
+case, and convention_table gives every convention's residual and
+curvature/torsion in one pass over a validated angle record.  Curvatures
+come only from ngon_circle.kappa_from_angle.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import (
     InvalidAngles,
     UndefinedBinormal,
 )
-from .ngon_circle import Convention, kappa_from_angle, tau_from_angle
+from .ngon_circle import Convention, kappa_from_angle
 
 _EZ = np.array([0.0, 0.0, 1.0])
 
@@ -223,6 +229,11 @@ def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) 
         raise AngleOutOfRange("angles must lie in [-pi/2, pi/2]")
 
 
+def _signed_kernel(signs: np.ndarray, ell: float, convention: Convention) -> np.ndarray:
+    """kappa_from_angle of |signs|, signed as signs (+0.0, not -0.0, for a -0.0 angle)."""
+    return np.copysign(kappa_from_angle(np.abs(signs), ell, convention), signs) + 0.0
+
+
 def curvature_torsion(
     theta: np.ndarray,
     phi: np.ndarray,
@@ -238,10 +249,29 @@ def curvature_torsion(
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     validate_angle_record(theta, phi, turn_parity)
-    # + 0.0 keeps the value of a zero angle at +0.0 when the angle is -0.0
-    kappa = np.copysign(kappa_from_angle(np.abs(theta), ell, convention), theta) + 0.0
-    tau = np.copysign(tau_from_angle(np.abs(phi), ell, convention), phi) + 0.0
+    kappa, tau = _signed_kernel(np.stack([theta, phi]), ell, convention)
     return IntrinsicData(ell, theta, phi, convention, kappa, tau, turn_parity)
+
+
+def _residuals(ff: FrameField, data: IntrinsicData, scaled: np.ndarray) -> list[float]:
+    """frenet_residual of data's angles for each (ell kappa; ell tau) in the stack scaled."""
+    if ff.Tv is None:
+        ff = vertex_frames(ff)
+    if len(data.theta) != ff.n_transitions:
+        raise InputError(f"angle arrays have length {len(data.theta)}, expected {ff.n_transitions}")
+    DTe, DNe, DBe = (diff(arr, ff.closed) for arr in (ff.Te, ff.Ne, ff.Be))
+    lk, lt = scaled[:, 0], scaled[:, 1]
+    # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero angle of each
+    # transition, 1 where both angles vanish; 2 sin(|angle|/2) is the inscribed kernel at ell = 1
+    turning = data.theta != 0.0
+    angle = np.abs(np.where(turning, data.theta, data.phi))
+    chord = kappa_from_angle(angle, 1.0, Convention.INSCRIBED)
+    nu = np.divide(np.abs(np.where(turning, lk, lt)), chord, out=np.ones(lk.shape), where=angle != 0.0)
+    nu, lk, lt = nu[..., None], lk[..., None], lt[..., None]
+    r1 = np.linalg.norm(nu * DTe - lk * ff.Nv, axis=-1)
+    r2 = np.linalg.norm(nu * DNe + lk * ff.Tv - lt * ff.Bv, axis=-1)
+    r3 = np.linalg.norm(nu * DBe + lt * ff.Nv, axis=-1)
+    return [float(max(*worst)) for worst in zip(*(r.max(axis=-1, initial=0.0) for r in (r1, r2, r3)))]
 
 
 def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
@@ -255,25 +285,16 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
     chord form (nu = 1 for the inscribed convention).  For frames built by
     edge_frames/vertex_frames the result is at machine-precision level.
     """
-    if ff.Tv is None:
-        ff = vertex_frames(ff)
-    n_t = ff.n_transitions
-    if len(data.theta) != n_t:
-        raise InputError(f"angle arrays have length {len(data.theta)}, expected {n_t}")
-    DTe, DNe, DBe = (diff(arr, ff.closed) for arr in (ff.Te, ff.Ne, ff.Be))
-    lk = data.ell * data.kappa
-    lt = data.ell * data.tau
-    # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero
-    # angle of each transition; 1 where both angles vanish
-    turning = data.theta != 0.0
-    angle = np.abs(np.where(turning, data.theta, data.phi))
-    scaled = np.abs(np.where(turning, lk, lt))
-    nu = np.divide(scaled, 2.0 * np.sin(angle / 2.0), out=np.ones(n_t), where=angle != 0.0)
-    nu, lk, lt = nu[:, None], lk[:, None], lt[:, None]
-    r1 = np.linalg.norm(nu * DTe - lk * ff.Nv, axis=1)
-    r2 = np.linalg.norm(nu * DNe + lk * ff.Tv - lt * ff.Bv, axis=1)
-    r3 = np.linalg.norm(nu * DBe + lt * ff.Nv, axis=1)
-    return float(max(r1.max(initial=0.0), r2.max(initial=0.0), r3.max(initial=0.0)))
+    return _residuals(ff, data, data.ell * np.stack([data.kappa, data.tau])[None])[0]
+
+
+def convention_table(ff: FrameField, data: IntrinsicData, conventions) -> tuple[list[float], np.ndarray]:
+    """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, 2, n),
+    curvature_torsion's (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it."""
+    signs = np.stack([data.theta, data.phi])
+    at_ell, at_edge = (np.stack([_signed_kernel(signs, ell, conv) for conv in conventions])
+                       for ell in (data.ell, 2.0 * data.ell))
+    return _residuals(ff, data, data.ell * at_ell), at_edge
 
 
 def analyze(rc: RefinedCurve, convention: Convention = Convention.INSCRIBED):

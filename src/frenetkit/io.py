@@ -31,9 +31,13 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dump
 
 def spell_floats(values, csv: bool = False) -> list[str]:
     """The values, flattened, spelled as json.dumps spells floats, or with csv as repr does."""
-    values = np.asarray(values, dtype=float).ravel().tolist()
-    out = list(map(float.__repr__, values))
-    if not csv and not all(map(math.isfinite, values)):
+    values = np.asarray(values, dtype=float).ravel()
+    nonzero = values.view(np.int64).astype(bool)  # a +0.0 has all bits zero and is spelled "0.0"
+    out = np.empty(len(values), dtype=object)
+    out.fill("0.0")
+    out[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
+    out = out.tolist()
+    if not csv and not np.isfinite(values).all():
         out = [_NONFINITE.get(text, text) for text in out]
     return out
 

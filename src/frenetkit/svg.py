@@ -81,8 +81,12 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     curve_pts = [(_require_planar(c.points), getattr(c, "closed", False)) for c in curves]
     chunks = [pts for pts, _ in curve_pts]
     samplers = [(sp.segments, polyline_sampler(sp.segments)) for sp in splines if sp.segments]
-    for _, sample in samplers:
-        chunks += sample(1e-3)
+    if samplers:
+        # bounds from a sample within 1e-3, or within 1e-6 of the chords' extent if that is larger
+        chords = np.vstack([pts for _, sample in samplers for pts in sample(math.inf)])
+        with np.errstate(over="ignore"):  # an extent that overflows samples at the chords
+            tol = max(1e-3, 1e-6 * float(np.max(chords.max(axis=0) - chords.min(axis=0))))
+        chunks += [pts for _, sample in samplers for pts in sample(tol)]
     for center, radius in circles:
         center = np.asarray(center, dtype=float)
         chunks.append(center + np.array([[radius, 0], [-radius, 0], [0, radius], [0, -radius]]))

@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from frenetkit import (
     validate_refined,
     vertex_frames,
 )
+from frenetkit import cli, frames
+from frenetkit.frames import convention_table
 from frenetkit.errors import (
     AngleOutOfRange,
     DegenerateVertexFrame,
@@ -295,3 +300,60 @@ def test_analyze_recovers_angles_with_straight_vertices(seed, half_vertices, n_l
     assert np.max(np.abs(out.theta - want_t)[known]) <= 1e-12
     assert np.max(np.abs(out.phi - want_p)[known]) <= 1e-12
     assert frenet_residual(ff, out) <= 1e-12
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half_vertices=st.integers(2, 24),
+    n_lead=st.integers(0, 3),
+    planar=st.booleans(),
+    closed=st.booleans(),
+    conventions=st.lists(st.sampled_from(list(Convention)), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=80, deadline=None)
+def test_convention_table_is_bit_for_bit_the_one_convention_path(
+    seed, half_vertices, n_lead, planar, closed, conventions
+):
+    """One pass over the record gives, bit for bit, frenet_residual at ell and
+    curvature_torsion at 2 ell of each convention, on curves with straight runs."""
+    rng = np.random.default_rng(seed)
+    n_lead = min(n_lead, half_vertices - 1)
+    record = _record_with_straight_vertices(rng, 2 * half_vertices + 3, planar, n_lead)
+    rc = curve_from_intrinsic(rng, record, planar=planar)
+    ff, data = _closed_analysis(rng, rc, record, planar)[:2] if closed else analyze(rc)
+    residuals, at_edge = convention_table(ff, data, conventions)
+    assert at_edge.shape == (len(conventions), 2, len(data.theta))
+    for conv, res, (kappa, tau) in zip(conventions, residuals, at_edge):
+        at_ell = curvature_torsion(data.theta, data.phi, data.ell, conv, data.turn_parity)
+        assert res.hex() == frenet_residual(ff, at_ell).hex()
+        edge = curvature_torsion(data.theta, data.phi, 2.0 * data.ell, conv, data.turn_parity)
+        assert _bits(kappa) == _bits(edge.kappa) and _bits(tau) == _bits(edge.tau)
+
+
+def test_frenet_residual_rejects_a_record_of_another_length():
+    ff, data = analyze(_hexagon_refined())
+    short = curvature_torsion(data.theta[:-2], data.phi[:-2], data.ell, Convention.CENTERED)
+    with pytest.raises(InputError, match=r"angle arrays have length 10, expected 12"):
+        frenet_residual(ff, short)
+
+
+@pytest.mark.parametrize("field", ["Tv", "Nv", "Bv"])
+def test_frenet_residual_checks_every_vertex_frame_vector(field):
+    """Each of Tv, Nv and Bv enters an equation the residual checks, for one
+    convention and for the stacked table: flipping it leaves a large residual."""
+    rc, _ = make_random_refined(np.random.default_rng(7), 41)
+    ff, data = analyze(rc)
+    flipped = replace(ff, **{field: -getattr(ff, field)})
+    assert frenet_residual(ff, data) <= 1e-12 < 1e-3 < frenet_residual(flipped, data)
+    assert min(convention_table(flipped, data, list(Convention))[0]) > 1e-3
+
+
+def test_kernel_formulas_live_only_in_ngon_circle():
+    # frames and the CLI reach sin(theta/2), tan(theta/2) and theta through kappa_from_angle
+    for module in (frames, cli):
+        source = inspect.getsource(module)
+        assert not re.search(r"np\.(sin|tan)\(", source), module.__name__

@@ -167,6 +167,20 @@ def test_json_pieces_are_what_json_dumps_encodes(obj):
     assert "".join(json_pieces(obj)) == json.dumps(_plain(obj), indent=2)
 
 
+_ZEROS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+
+
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+                  elements=st.one_of(_ZEROS, st.floats())))
+@settings(max_examples=300, deadline=None)
+def test_spell_floats_is_repr_with_json_nonfinite_names(values):
+    """+0.0 takes the constant "0.0"; every other value, -0.0 and 5e-324 among
+    them, is spelled by repr, and in JSON NaN and +-inf as json.dumps spells them."""
+    flat = values.ravel().tolist()
+    assert spell_floats(values, csv=True) == list(map(float.__repr__, flat))
+    assert spell_floats(values) == [json.dumps(v) for v in flat]
+
+
 def test_no_piece_holds_more_than_piece_rows():
     n = 2 * PIECE_ROWS + 5
     values = np.linspace(-1.0, 1.0, n)
