@@ -30,7 +30,7 @@ from .errors import (
     ParallelTangents,
 )
 from .ngon_circle import centered_offset, centered_offset_exact
-from .spline2d import _rot90, check_clothoid_size, clothoid_xy
+from .spline2d import _rot90, check_clothoid_size, clothoid_xy, refine_roots
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # cells per quadrature block: the (block, 16) temporaries stay ~32 KB
@@ -222,22 +222,22 @@ def discretize_inscribed(c: SmoothCurve, samples) -> DiscreteCurve:
 
 
 def find_inflections(c: SmoothCurve) -> np.ndarray:
-    """Arc-length parameters where the signed curvature changes sign, read on the curve's parameter."""
+    """Arc-length parameters where the signed curvature changes sign, read on the curve's parameter.
+
+    A zero of the curvature's numerator on a 4096-point grid of the parameter is a
+    root; every grid cell whose ends change sign is refined to 1e-13 in the
+    parameter, all cells in one refine_roots call.
+    """
     t0, t1, numerator, s_of_t = c.parametric or (0.0, c.length, c.curvature, np.asarray)
     grid = np.linspace(t0, t1, 4096)
     sign = np.sign(numerator(grid))
-    # a zero on the grid is a root; a sign change brackets one
     hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
     if len(hits) > MAX_INFLECTIONS:
         raise InfinitelyManyInflections(f"more than {MAX_INFLECTIONS} inflections detected")
     roots = grid[hits]
     change = sign[hits] != 0.0
-    if change.any():  # scipy.optimize loads only for a curve that has a root to bracket
-        from scipy.optimize import brentq
-
-        roots[change] = [
-            brentq(lambda v: float(numerator(v)), grid[j], grid[j + 1], xtol=1e-13) for j in hits[change]
-        ]
+    if change.any():
+        roots[change] = refine_roots(numerator, grid[hits[change]], grid[hits[change] + 1], 1e-13)
     if sign[-1] == 0.0:
         roots = np.append(roots, grid[-1])
     return s_of_t(roots)

@@ -9,6 +9,7 @@ product of rotations, taken as one array scan over the steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +111,14 @@ def rigid_align(a: np.ndarray, b: np.ndarray):
     corr[-1, -1] = d
     rot = vt.T @ corr @ u.T
     trans = cb - rot @ ca
-    moved = a @ rot.T + trans
-    rms = float(np.sqrt(np.mean(np.sum((moved - b) ** 2, axis=1))))
-    return rot, trans, rms
+    dev = a @ rot.T + trans - b
+    with np.errstate(over="ignore"):
+        mean_sq = float(np.mean(np.sum(dev**2, axis=1)))
+    if mean_sq < np.finfo(float).tiny or mean_sq == math.inf:
+        # the squares under- or overflowed: the rms of dev / max|dev|, scaled back
+        top = float(np.max(np.abs(dev)))
+        return rot, trans, top * math.sqrt(np.mean(np.sum((dev / top) ** 2, axis=1))) if top else 0.0
+    return rot, trans, math.sqrt(mean_sq)
 
 
 def congruent(a, b, tol: float = CONGRUENCE_RMS):

@@ -417,18 +417,49 @@ def spline_inscribed(rc: RefinedCurve) -> Spline:
 # ---------------------------------------------------------------------------
 # clothoid G1 fitting (circumscribed splining)
 
+_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
+_CELL_NODES = np.linspace(0.0, 1.0, 65)  # each round splits a bracket into 64 equal cells
+
+
+def refine_roots(f, lo, hi, xtol: float) -> np.ndarray:
+    """A root of f in each bracket [lo[i], hi[i]] whose ends change sign or hold a
+    zero, for arrays lo <= hi and f mapping a 1-D array to its values.
+
+    Each round evaluates f once, on 65 equally spaced nodes of every bracket still
+    wider than xtol + 4 eps |x| (brentq's tolerance), and keeps the first of its
+    64 cells whose ends change sign; a node where f is exactly 0 is the root.
+    Returns the middle of each final bracket.  A bracket's root does not depend
+    on the other brackets; it is nan where f shows no sign change.
+    """
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    for _ in range(100):  # 64x narrower per round: a unit bracket meets 1e-14 in 8
+        live = np.flatnonzero(hi - lo > xtol + _RTOL * np.maximum(np.abs(lo), np.abs(hi)))
+        if not live.size:
+            break
+        a, b = lo[live], hi[live]
+        x = a[:, None] + (b - a)[:, None] * _CELL_NODES
+        x[:, -1] = b
+        s = np.sign(f(x.ravel())).reshape(x.shape)
+        # j is each bracket's first node whose sign is 0 or differs from its start's:
+        # the root is x[j] if f is 0 there, else in [x[j - 1], x[j]]
+        changed = s * s[:, :1] <= 0.0
+        j = np.argmax(changed, axis=1) + np.arange(0, x.size, x.shape[1])
+        x, s, found = x.ravel(), s.ravel(), changed.ravel()[j]
+        lo[live] = np.where(found, np.where(s[j] == 0.0, x[j], x[j - 1]), math.nan)
+        hi[live] = np.where(found, x[j], math.nan)
+    return lo + 0.5 * (hi - lo)
+
+
 def _bracket_root(phi0: float, delta: float, center: float):
-    """(A, X(A)) at the root of Y that brentq finds in the sign change nearest
-    center of a scan over center +- 40; (nan, nan) if there is none."""
+    """(A, X(A)) at the root of Y, refined by refine_roots to 1e-14, in the sign
+    change nearest center of a scan over center +- 40; (nan, nan) if there is none."""
     span = np.linspace(center - 40.0, center + 40.0, 161)
     vals = _phase_integrals(phi0, delta - span, span)[:, 1]
     hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)  # a sign change or a zero
     if not hits.size:
         return math.nan, math.nan
-    from scipy.optimize import brentq
-
     k = hits[np.argmin(np.abs(span[hits] + 0.25 - center))]
-    a = brentq(lambda v: _phase_integrals(phi0, delta - v, v)[1], span[k], span[k + 1], xtol=1e-14)
+    a = float(refine_roots(lambda v: _phase_integrals(phi0, delta - v, v)[:, 1], span[k], span[k + 1], 1e-14)[0])
     return a, _phase_integrals(phi0, delta - a, a)[0]
 
 

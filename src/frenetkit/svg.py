@@ -17,7 +17,7 @@ from .spline2d import ArcSegment, polyline_sampler
 
 
 _WIDTH = 480  # pixels; the height follows the aspect ratio of the viewport
-_PADDING = 0.6  # margin around the drawing, in user units
+_PADDING = 0.6  # margin around the drawing, in user units times min(1, its extent)
 # stroke width, marker radius and the chordal deviation budget for sampled
 # segments, as fractions of the larger viewport side
 _STROKE_WIDTH = 0.02
@@ -94,7 +94,10 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     drawn = np.vstack(chunks or [np.zeros((1, 2))])
     lo, hi = drawn.min(axis=0), drawn.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an input error below
-        span = np.maximum(hi - lo + 2 * _PADDING, 1e-9)
+        extent = float(np.max(hi - lo))
+        unit = min(1.0, extent) if extent > 0.0 else 1.0  # a drawing of one point keeps unit margins
+        pad = _PADDING * unit
+        span = np.maximum(hi - lo + 2 * pad, 1e-9 * unit)
         height = _WIDTH * span[1] / span[0]
     if not np.isfinite([*span, height]).all():
         raise InputError(f"the drawing from {lo.tolist()} to {hi.tolist()} is too large to lay out")
@@ -107,7 +110,7 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
         _fill(
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{_WIDTH}" height="{height}" viewBox="%.10g %.10g %.10g %.10g">',
-            [lo[0] - _PADDING, -(hi[1] + _PADDING), *span],
+            [lo[0] - pad, -(hi[1] + pad), *span],
         ),
     ]
     circle = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="{sw}"/>'

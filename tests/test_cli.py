@@ -583,14 +583,22 @@ def test_roundtrip_hexagon(runner, tmp_path):
 
 def test_roundtrip_is_congruent_at_every_power_of_two_scale(runner, tmp_path):
     """The verdict is in units of the edge: an open 3D curve scaled by 2^k, for
-    edges across EDGE_RANGE, is congruent to its reconstruction at every k."""
+    edges across EDGE_RANGE, is congruent to its reconstruction at every k, and
+    its rms over 2^k is within 10x of the unit curve's (its squares underflow at
+    the small end of the range)."""
     path = tmp_path / "bent.json"
-    failed = []
-    for k in range(-498, 499):
+
+    def roundtrip(k):
         pts = 2.0**k * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         path.write_text(curve_to_json(DiscreteCurve(pts)))
         result = runner.invoke(main, ["roundtrip", str(path)])
-        if result.exit_code != 0 or json.loads(result.stdout)["congruent"] is not True:
+        return result, json.loads(result.stdout) if result.exit_code == 0 else {}
+
+    unit_rms = roundtrip(0)[1]["rms"]
+    failed = []
+    for k in range(-498, 499):
+        result, report = roundtrip(k)
+        if report.get("congruent") is not True or not 0.1 <= report["rms"] / 2.0**k / unit_rms <= 10.0:
             failed.append((k, result.output))
     assert not failed, failed[:3]
 
@@ -615,6 +623,19 @@ def test_spline_svg_of_a_large_hexagon(runner, tmp_path, radius, method):
     assert result.exit_code == 0, result.output
     view_box = [float(v) for v in re.search(r'viewBox="([^"]*)"', out.read_text()).group(1).split()]
     assert view_box[2] == pytest.approx(2.0 * radius, rel=0.1)
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1e-3])
+def test_render_margin_follows_a_small_drawing(runner, tmp_path, radius):
+    """The margin, stroke and markers scale with a drawing under 1 across."""
+    path = _write(tmp_path, "hex.json", _hexagon_json(radius))
+    out = tmp_path / "hex.svg"
+    result = runner.invoke(main, ["render", path, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = out.read_text()
+    width = float(re.search(r'viewBox="([^"]*)"', doc).group(1).split()[2])
+    assert 1.0 <= width / (2.0 * radius) <= 2.2 + 1e-9
+    assert 0.0 < float(re.search(r' r="([^"]*)"', doc).group(1)) < 0.2 * radius
 
 
 def test_analyze_validates_the_angle_record_once(runner, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The package's imports: its own all at module level and without a cycle, and
 scipy's only inside the functions that call it, so that importing the package
-and running the subcommands that need no scipy never load scipy."""
+and running the subcommands that need no scipy never load scipy.  No module
+imports scipy.optimize: the package finds its roots with spline2d.refine_roots."""
 
 import ast
 import json
@@ -92,6 +93,29 @@ def test_no_scipy_import_at_module_level():
         for name, tree in MODULES.items()
         for node in _run_at_import(tree)
         if _imports_scipy(node)
+    ]
+    assert not found, found
+
+
+def _imports_scipy_optimize(node):
+    """An import of scipy.optimize or a module under it, in any form, or its name
+    in a string (for importlib)."""
+    names = []
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    return any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names)
+
+
+def test_no_module_imports_scipy_optimize():
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if _imports_scipy_optimize(node)
     ]
     assert not found, found
 

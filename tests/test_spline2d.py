@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import null_space
+from scipy.optimize import brentq  # the oracle of refine_roots
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
 from frenetkit.config import ELASTICA_KKT, MAX_SAMPLES
@@ -26,6 +27,7 @@ from frenetkit.spline2d import (
     elastica_energy,
     g1_defects,
     polyline_sampler,
+    refine_roots,
     sogo_turning_angles,
     spline_centered,
     spline_circumscribed,
@@ -387,6 +389,44 @@ def test_bracket_fallback_runs_on_no_criterion_08_fit(monkeypatch):
     for pose in _criterion_08_poses():
         clothoid_g1_fit(*pose)
     assert calls == []
+
+
+@st.composite
+def _bracketed_roots(draw):
+    """(f, lo, hi, roots): sin(w (t - r)) with brackets about its roots r + k pi / w,
+    or (t - r) ((t - c)^2 + d) with brackets about r; each holds one simple root."""
+    r = draw(st.floats(-10.0, 10.0))
+    fraction = st.floats(0.01, 0.99)
+    if draw(st.booleans()):
+        w = draw(st.floats(1.0, 20.0))
+        rows = draw(st.lists(st.tuples(st.integers(-3, 3), fraction, fraction), min_size=1, max_size=12))
+        roots = np.array([r + k * math.pi / w for k, _, _ in rows])
+        lo = roots - np.array([a for _, a, _ in rows]) * math.pi / w
+        hi = roots + np.array([b for _, _, b in rows]) * math.pi / w
+        return (lambda t: np.sin(w * (t - r))), lo, hi, roots
+    c, d = draw(st.floats(-10.0, 10.0)), draw(st.floats(0.01, 10.0))
+    width = st.floats(1e-6, 10.0)
+    rows = draw(st.lists(st.tuples(width, width), min_size=1, max_size=12))
+    lo, hi = (r + np.array(v) for v in ([-a for a, _ in rows], [b for _, b in rows]))
+    return (lambda t: (t - r) * ((t - c) ** 2 + d)), lo, hi, np.full(len(rows), r)
+
+
+@given(_bracketed_roots(), st.sampled_from([1e-13, 1e-10, 1e-6]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_refine_roots_meets_brentq(case, xtol):
+    f, lo, hi, roots = case
+    got = refine_roots(f, lo, hi, xtol)
+    assert np.all(np.abs(got - roots) <= xtol), np.abs(got - roots).max()
+    oracle = np.array([brentq(lambda t: float(f(t)), a, b, xtol=xtol) for a, b in zip(lo, hi)])
+    assert np.all(np.abs(got - oracle) <= 2.0 * xtol), np.abs(got - oracle).max()
+    assert got.tolist() == [refine_roots(f, a, b, xtol)[0] for a, b in zip(lo, hi)]
+
+
+def test_refine_roots_at_a_zero_end_and_without_a_sign_change():
+    # a zero at either end of a bracket is its root, exactly
+    assert refine_roots(lambda t: t - 1.0, [1.0, 0.0], [2.0, 1.0], 1e-13).tolist() == [1.0, 1.0]
+    got = refine_roots(lambda t: (t - 3.0) ** 2 + 1.0, [0.0, 2.0], [1.0, 4.0], 1e-13)
+    assert np.isnan(got).all()
 
 
 def test_bracket_fallback_returns_the_newton_root(monkeypatch):
