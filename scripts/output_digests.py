@@ -11,7 +11,11 @@ sha256 of its stdout and of each file it writes (``--out``, ``--svg``).
 The work directory is fixed, so that reports naming a file are equal from
 one checkout to the next: run this on two checkouts one after the other and
 ``diff`` the outputs to see whether a change alters any byte the program
-writes.  Exits 1 if any op exits non-zero.
+writes.  Then appends 4096 bytes of junk to every file the ops wrote and
+runs them again in the same directory, to check that rewriting an existing,
+longer file gives the same bytes as the first write; the rerun prints
+nothing on stdout.  Exits 1 if any op exits non-zero or if the rerun of any
+op (named on stderr) gives other digests.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from frenetkit.cli import main as cli  # noqa: E402
 
 WORK = Path(tempfile.gettempdir()) / "frenetkit-output-digests"
 OUTPUT_OPTIONS = ("--out", "--svg")
+JUNK = bytes(range(256)) * 16  # 4096 bytes appended to each output before the rerun
 
 
 def _sha(data: bytes) -> str:
@@ -53,23 +58,45 @@ def run_op(argv):
     return code, out.getvalue()
 
 
-def digest_lines(seed):
-    """Yield one digest line per op of every workload, and whether the op exited 0."""
+def _outputs(op):
+    """The files an op writes, as (option name, path) pairs of its --out and --svg options."""
+    return [(flag[2:], Path(path)) for flag, path in zip(op.argv, op.argv[1:]) if flag in OUTPUT_OPTIONS]
+
+
+def digest_fields(op):
+    """Run one op; return its exit code and the digests of its stdout and of each file it writes."""
+    code, stdout = run_op(op.argv)
+    fields = [f"exit={code}", f"stdout={_sha(stdout.encode())}"]
+    fields += [f"{kind}={_sha(path.read_bytes()) if path.is_file() else 'missing'}" for kind, path in _outputs(op)]
+    return code, fields
+
+
+def digest_lines(seed, rewrites):
+    """Yield one digest line per op of every workload, and whether the op exited 0.
+
+    After the first run of a workload's ops, JUNK is appended to every file they
+    wrote and the ops run again in the same work directory; the name of each op
+    whose digests differ on this rerun is appended to rewrites.
+    """
     for name in workloads.NAMES:
         work = WORK / name
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir(parents=True)
         wl = workloads.build(name, seed, work)
         wl.write(work)
-        for i, op in enumerate(wl.ops):
-            code, stdout = run_op(op.argv)
-            fields = [f"{name}:{i:03d}", f"exit={code}", f"stdout={_sha(stdout.encode())}"]
-            for flag, path in zip(op.argv, op.argv[1:]):
-                if flag in OUTPUT_OPTIONS:
-                    path = Path(path)
-                    fields.append(f"{flag[2:]}={_sha(path.read_bytes()) if path.is_file() else 'missing'}")
-            fields.append(" ".join(op.argv).replace(f"{work}/", ""))
-            yield " ".join(fields), code == 0
+        labels = [f"{name}:{i:03d}" for i in range(len(wl.ops))]
+        argvs = [" ".join(op.argv).replace(f"{work}/", "") for op in wl.ops]
+        first = []
+        for op, label, argv in zip(wl.ops, labels, argvs):
+            code, fields = digest_fields(op)
+            first.append(fields)
+            yield " ".join([label, *fields, argv]), code == 0
+        for path in {path for op in wl.ops for _, path in _outputs(op) if path.is_file()}:
+            with path.open("ab") as fh:
+                fh.write(JUNK)
+        for op, label, argv, fields in zip(wl.ops, labels, argvs, first):
+            if digest_fields(op)[1] != fields:
+                rewrites.append(f"{label} {argv}")
     shutil.rmtree(WORK, ignore_errors=True)
 
 
@@ -77,11 +104,13 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
-    ok = True
-    for line, passed in digest_lines(args.seed):
+    ok, rewrites = True, []
+    for line, passed in digest_lines(args.seed, rewrites):
         print(line)
         ok = ok and passed
-    return 0 if ok else 1
+    for op in rewrites:
+        print(f"rewriting over a longer file changed the output of {op}", file=sys.stderr)
+    return 0 if ok and not rewrites else 1
 
 
 if __name__ == "__main__":

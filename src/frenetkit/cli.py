@@ -7,6 +7,8 @@ All subcommands print structured JSON on stdout; errors go to stderr.
 from __future__ import annotations
 
 import inspect
+import os
+import stat
 import sys
 from itertools import chain
 
@@ -26,17 +28,30 @@ _ROW_KEYS = ("theta", "phi", "kappa", "tau")  # of the analyze report's per-inde
 
 
 def _write(pieces, out_path):
-    """Write the pieces of a text to out_path, or to stdout."""
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
+    """Write the pieces of a text to out_path or stdout; an OSError is an InputError.  An existing
+    file is overwritten in place (same inode, mode and links) and cut to the bytes written, also
+    when the write stops partway; a FIFO or device is not cut.  No fsync and no atomicity."""
+    try:
+        if not out_path:
+            # sys.stdout itself: click.echo would cache, and so keep alive, each redirected stdout
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+            return
+        with open(out_path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+            try:
                 fh.writelines(pieces)
-        except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    else:
-        # sys.stdout itself: click.echo would cache, and so keep alive, each redirected stdout
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
+                fh.flush()
+            finally:  # cut where the bytes written end; what a raising piece left buffered follows on close
+                if stat.S_ISREG(os.fstat(fd := fh.fileno()).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        if not out_path and isinstance(exc, BrokenPipeError):
+            raise  # a closed stdout pipe: click's own silent exit 1
+        if not out_path and sys.stdout is sys.__stdout__:
+            # the bytes it still holds are flushed at exit: into the null device, not into a second error
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _write_json(obj, out_path):

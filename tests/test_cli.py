@@ -4,8 +4,13 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import stat
+import subprocess
+import sys
 import tempfile
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -28,7 +33,7 @@ from frenetkit import (
     unrefine,
 )
 from frenetkit import io as fio
-from frenetkit import frames, spline2d
+from frenetkit import cli, frames, spline2d
 from frenetkit.cli import CONVENTIONS, main
 from frenetkit.config import CLI_RESIDUAL, EDGE_RANGE
 from frenetkit.discretize2d import BUILTIN_CURVES
@@ -1048,3 +1053,183 @@ def test_float_strings_spell_like_json_and_repr():
     for col in (np.array(values), np.array(values[:10]).reshape(2, 5)):
         assert fio.spell_floats(col) == [json.dumps(v) for v in col.ravel().tolist()]
         assert fio.spell_floats(col, csv=True) == [repr(v) for v in col.ravel().tolist()]
+
+
+# --out and --svg overwrite an existing file in place and cut it to the new length;
+# every target gives the bytes and the exit code of a write to a new file
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_WRITERS = {
+    "analyze": ["analyze", "CURVE", "--out"],
+    "analyze-csv": ["analyze", "CURVE", "--format", "csv", "--out"],
+    "spline-svg": ["spline", "CURVE", "--method", "inscribed", "--svg"],
+}
+
+
+def _run_to(runner, argv, curve, target):
+    result = runner.invoke(main, [curve if a == "CURVE" else a for a in argv] + [str(target)])
+    assert "Traceback" not in result.output, result.output
+    return result
+
+
+def _fresh_write(runner, tmp_path, argv, curve):
+    """The exit code and bytes of a write to a file that does not exist yet."""
+    target = tmp_path / "fresh.out"
+    result = _run_to(runner, argv, curve, target)
+    data = target.read_bytes()
+    target.unlink()
+    return result.exit_code, data
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("old_size", ["longer", "shorter", "equal", "missing"])
+def test_out_overwrites_in_place_with_the_bytes_of_a_fresh_write(runner, tmp_path, writer, old_size):
+    argv, curve = _WRITERS[writer], _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, argv, curve)
+    assert code == 0 and data
+    target = tmp_path / "target.out"
+    old = {"longer": len(data) + 5000, "shorter": 10, "equal": len(data)}.get(old_size)
+    if old is not None:
+        target.write_bytes(b"x" * old)
+        inode = target.stat().st_ino
+    assert _run_to(runner, argv, curve, target).exit_code == code
+    assert target.read_bytes() == data
+    assert old is None or target.stat().st_ino == inode
+
+
+def test_out_to_dev_null_exits_0(runner, tmp_path):
+    if not os.path.exists(os.devnull):
+        pytest.skip("no null device")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    for argv in _WRITERS.values():
+        assert _run_to(runner, argv, curve, os.devnull).exit_code == 0
+
+
+def _frenetkit(*args, **kwargs):
+    """Run the CLI in a new interpreter with the source tree on its path."""
+    kwargs.setdefault("env", {**os.environ, "PYTHONPATH": _SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+    return subprocess.run([sys.executable, "-c", "from frenetkit.cli import main; main()", *args], timeout=120, **kwargs)
+
+
+def test_out_to_dev_stdout_into_a_pipe(runner, tmp_path):
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    result = _frenetkit("analyze", curve, "--out", "/dev/stdout", capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, data, b"")
+
+
+def test_out_to_a_fifo_read_by_a_thread(runner, tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _run_to(runner, _WRITERS["analyze"], curve, fifo).exit_code == code
+    reader.join(timeout=60)
+    assert got == [data]
+
+
+def test_out_through_a_symlink_rewrites_its_target(runner, tmp_path):
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * (len(data) + 100))
+    link.symlink_to(target)
+    assert _run_to(runner, _WRITERS["analyze"], curve, link).exit_code == code
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == data
+
+
+def test_out_through_a_hard_link_keeps_the_inode(runner, tmp_path):
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_bytes(b"x" * (len(data) + 100))
+    os.link(first, second)
+    inode = first.stat().st_ino
+    assert _run_to(runner, _WRITERS["analyze"], curve, second).exit_code == code
+    assert first.read_bytes() == second.read_bytes() == data
+    assert first.stat().st_ino == second.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("mode", [0o200, 0o640, 0o755], ids=oct)
+def test_out_keeps_the_mode_of_an_existing_file(runner, tmp_path, mode):
+    """Mode 0o200 is write-only: the writer opens the file for writing alone."""
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * (len(data) + 100))
+    target.chmod(mode)
+    assert _run_to(runner, _WRITERS["analyze"], curve, target).exit_code == code
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    target.chmod(0o600)
+    assert target.read_bytes() == data
+
+
+def test_input_file_as_its_own_out(runner, tmp_path):
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    code, data = _fresh_write(runner, tmp_path, _WRITERS["analyze"], curve)
+    assert _run_to(runner, _WRITERS["analyze"], curve, curve).exit_code == code
+    assert Path(curve).read_bytes() == data
+
+
+def test_a_write_that_stops_partway_leaves_only_the_new_bytes(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old text, longer than the first piece\n" * 100)
+
+    def pieces():
+        yield "first piece\n"
+        raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        cli._write(pieces(), str(target))
+    assert target.read_text() == "first piece\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing-parent", "dev-full"])
+def test_unwritable_out_names_the_path(runner, tmp_path, kind):
+    if kind == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    target = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "out.json", "dev-full": "/dev/full"}[kind]
+    reason = {"directory": "Is a directory", "missing-parent": "No such file or directory", "dev-full": "No space left on device"}[kind]
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    result = _run_to(runner, _WRITERS["analyze"], curve, target)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: cannot write {target}: {reason}\n"
+
+
+def test_a_write_that_fails_partway_leaves_only_the_new_bytes(tmp_path):
+    """A file size limit makes the write fail with EFBIG after its first 4096 bytes."""
+    resource = pytest.importorskip("resource")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    target = tmp_path / "target.json"
+    data = _frenetkit("analyze", curve, capture_output=True).stdout
+    assert len(data) > 4096
+    target.write_bytes(b"x" * 3 * len(data))
+    result = _frenetkit(
+        "analyze", curve, "--out", str(target), capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)),
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write {target}: File too large\n"
+    assert target.read_bytes() == data[:4096]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["analyze", "CURVE"], ["spline", "CURVE", "--method", "inscribed"]])
+def test_stdout_on_a_full_device_exits_2_without_traceback(tmp_path, argv, buffered):
+    """Buffered, the bytes stdout could not write must not fail again at exit (which exits 120)."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONUNBUFFERED": "" if buffered else "1"}  # "" is unset
+    with open("/dev/full", "w") as full:
+        argv = [curve if a == "CURVE" else a for a in argv]
+        result = _frenetkit(*argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write stdout: No space left on device\n"

@@ -1,7 +1,8 @@
 """The package's imports: its own all at module level and without a cycle, and
 scipy's only inside the functions that call it, so that importing the package
 and running the subcommands that need no scipy never load scipy.  No module
-imports scipy.optimize: the package finds its roots with spline2d.refine_roots."""
+imports scipy.optimize: the package finds its roots with spline2d.refine_roots.
+Only cli._write opens a file for writing."""
 
 import ast
 import json
@@ -118,6 +119,55 @@ def test_no_module_imports_scipy_optimize():
         if _imports_scipy_optimize(node)
     ]
     assert not found, found
+
+
+def _opens_for_writing(node):
+    """A call that may open a file for writing: open(), io.open() or path.open() with a
+    mode holding w, a, x or + (or a mode that is not a literal), os.open, .write_text
+    and .write_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    module = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if module == "os":
+        return True
+    # the mode follows the path in open(path, mode) and io.open(...), and comes first in path.open(mode)
+    at = 1 if isinstance(func, ast.Name) or module in ("io", "builtins", "codecs", "gzip", "bz2", "lzma") else 0
+    mode = [kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[at : at + 1]
+    if not mode:
+        return False
+    if not (isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)):
+        return True
+    return any(c in mode[0].value for c in "wax+")
+
+
+def _nodes_with_enclosing_def(tree):
+    """Yield (dotted name of the innermost enclosing def or class, or None, node) for every node."""
+    stack = [(tree, None)]
+    while stack:
+        node, where = stack.pop()
+        yield where, node
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            stack.append((child, inner))
+
+
+def test_only_cli_write_opens_a_file_for_writing():
+    found = {
+        (name, where)
+        for name, tree in MODULES.items()
+        for where, node in _nodes_with_enclosing_def(tree)
+        if _opens_for_writing(node)
+    }
+    # cli._write's own open() and os.open are seen, so the check can see a writer
+    assert found == {("cli", "_write")}, sorted(found, key=str)
 
 
 def _fresh_python(*args):
