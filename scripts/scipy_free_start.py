@@ -13,8 +13,10 @@ inscribed|circumscribed`` (the sine has an inflection to bracket) and ``spline
 --method inscribed|circumscribed --svg``, on a regular hexagon and an open
 polyline; after the imports and after each of these ops it looks for ``scipy``
 in ``sys.modules``.  Last it runs ``spline --method centered`` on both
-polylines, which may load ``scipy.linalg`` (for LAPACK's tridiagonal solver)
-and no other scipy subpackage.  Prints one line per step; exits 1 if an op
+polylines, on a hairpin polyline whose span 3 needs the clothoid start and on
+a polyline whose span 1 needs that start continued, which may load
+``scipy.linalg`` (for LAPACK's tridiagonal solver) and no other scipy
+subpackage.  Prints one line per step; exits 1 if an op
 fails or a step loaded scipy, or a subpackage other than ``scipy.linalg`` for
 the centered ops, naming the step.
 """
@@ -51,18 +53,26 @@ def scipy_subpackages() -> set[str]:
     }
 
 
+def unit_step_polyline(turns):
+    """The open polyline of unit edges with these turning angles, from the origin along x."""
+    heading = np.cumsum([0.0, *turns])
+    steps = np.column_stack([np.cos(heading), np.sin(heading)])
+    return frenetkit.DiscreteCurve(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+
+
 def write_inputs(work: Path) -> dict:
-    """A closed regular hexagon, an open polyline and the hexagon's angle record."""
+    """A closed regular hexagon, three open polylines and the hexagon's angle record."""
     ang = np.arange(6) * math.pi / 3.0
     hexagon = frenetkit.DiscreteCurve(np.column_stack([np.cos(ang), np.sin(ang)]), closed=True)
-    heading = np.cumsum([0.0, 0.3, -0.2, 0.5, -0.4])
-    steps = np.column_stack([np.cos(heading), np.sin(heading)])
-    open_curve = frenetkit.DiscreteCurve(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+    open_curve = unit_step_polyline((0.3, -0.2, 0.5, -0.4))
+    hairpin = unit_step_polyline((-0.28, -2.89, -2.43, 1.71, -1.31))
+    continued = unit_step_polyline((1.13, -0.94, -0.96))
     intrinsic = {"ell": 0.5, "convention": "inscribed", "theta": [math.pi / 3.0, 0.0] * 5 + [math.pi / 3.0],
                  "phi": [0.0] * 11}
-    paths = {"hex": work / "hex.json", "open": work / "open.json", "angles": work / "angles.json"}
-    paths["hex"].write_text(frenetkit.curve_to_json(hexagon))
-    paths["open"].write_text(frenetkit.curve_to_json(open_curve))
+    curves = {"hex": hexagon, "open": open_curve, "hairpin": hairpin, "continued": continued}
+    paths = {key: work / f"{key}.json" for key in (*curves, "angles")}
+    for key, curve in curves.items():
+        paths[key].write_text(frenetkit.curve_to_json(curve))
     paths["angles"].write_text(json.dumps(intrinsic))
     return {key: str(path) for key, path in paths.items()}
 
@@ -82,7 +92,7 @@ def ops(files: dict, work: Path):
     for method in ("inscribed", "circumscribed"):
         for name in ("hex", "open"):
             yield ["spline", files[name], "--method", method, "--svg", str(work / f"{name}-{method}.svg")], ()
-    for name in ("hex", "open"):
+    for name in ("hex", "open", "hairpin", "continued"):
         yield ["spline", files[name], "--method", "centered"], ("scipy.linalg",)
 
 

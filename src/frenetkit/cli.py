@@ -6,6 +6,7 @@ All subcommands print structured JSON on stdout; errors go to stderr.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import os
 import stat
@@ -27,15 +28,17 @@ CONVENTIONS = [c.value for c in Convention]
 _ROW_KEYS = ("theta", "phi", "kappa", "tau")  # of the analyze report's per-index rows
 
 
-def _write(pieces, out_path):
-    """Write the pieces of a text to out_path or stdout; an OSError is an InputError.  An existing
-    file is overwritten in place (same inode, mode and links) and cut to the bytes written, also
-    when the write stops partway; a FIFO or device is not cut.  No fsync and no atomicity."""
+def _write(pieces, out_path, std="stdout"):
+    """Write the pieces of a text to out_path, or else to sys.stdout or sys.stderr as std names; an
+    OSError is an InputError.  An existing file is overwritten in place (same inode, mode and links)
+    and cut to the bytes written, also when the write stops partway; a FIFO or device is not cut.
+    No fsync and no atomicity."""
     try:
         if not out_path:
-            # sys.stdout itself: click.echo would cache, and so keep alive, each redirected stdout
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
+            # the stream itself: click.echo would cache, and so keep alive, each redirected stdout
+            stream = getattr(sys, std)
+            stream.writelines(pieces)
+            stream.flush()
             return
         with open(out_path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
             try:
@@ -46,12 +49,12 @@ def _write(pieces, out_path):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         if not out_path and isinstance(exc, BrokenPipeError):
-            raise  # a closed stdout pipe: click's own silent exit 1
-        if not out_path and sys.stdout is sys.__stdout__:
+            raise  # a closed pipe: click's own silent exit 1
+        if not out_path and stream is getattr(sys, f"__{std}__"):
             # the bytes it still holds are flushed at exit: into the null device, not into a second error
             with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        raise InputError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from None
+                os.dup2(null.fileno(), stream.fileno())
+        raise InputError(f"cannot write {out_path or std}: {exc.strerror or exc}") from None
 
 
 def _write_json(obj, out_path):
@@ -80,7 +83,8 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except FrenetError as exc:
-            click.echo(f"error: {exc}", file=sys.stderr)
+            with contextlib.suppress(InputError):  # an unwritable stderr: the exit code still tells
+                _write([f"error: {exc}\n"], None, "stderr")
             sys.exit(2 if isinstance(exc, InputError) else 1)
 
 
@@ -228,10 +232,9 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
 @main.command("spline")
 @click.argument("curve_file", type=click.Path())
 @click.option("--method", type=click.Choice(["inscribed", "circumscribed", "centered"]), required=True)
-@click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
-def cmd_spline(curve_file, method, seed, out_path, svg_path):
+def cmd_spline(curve_file, method, out_path, svg_path):
     """Spline a discrete curve with arcs, clothoids or elastica."""
     curve = io.load_curve(curve_file)
     if method == "circumscribed":
@@ -241,7 +244,7 @@ def cmd_spline(curve_file, method, seed, out_path, svg_path):
         if method == "inscribed":
             sp = spline2d.spline_inscribed(rc)
         else:
-            sp = spline2d.spline_centered(rc, seed=seed)
+            sp = spline2d.spline_centered(rc)
     pos_gap, ang_gap = spline2d.g1_defects(sp)
     report = {
         "method": method,

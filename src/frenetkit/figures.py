@@ -79,7 +79,7 @@ def fig_centered_spline() -> str:
     dc = _unit_step_polyline(_SPLINE_DEMO_ANGLES)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleSolutionsWarning)
-        sp = spline_centered(refine(dc), n=48, restarts=2, seed=0)
+        sp = spline_centered(refine(dc), n=48)
     return render_svg(curves=[dc], splines=[sp])
 
 

@@ -429,10 +429,12 @@ def refine_roots(f, lo, hi, xtol: float) -> np.ndarray:
     wider than xtol + 4 eps |x| (brentq's tolerance), and keeps the first of its
     64 cells whose ends change sign; a node where f is exactly 0 is the root.
     Returns the middle of each final bracket.  A bracket's root does not depend
-    on the other brackets; it is nan where f shows no sign change.
+    on the other brackets; it is nan where f shows no sign change in the first
+    round.  A later round that finds none (f's rounding can depend on how many
+    points it gets) ends its bracket at its middle.
     """
     lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-    for _ in range(100):  # 64x narrower per round: a unit bracket meets 1e-14 in 8
+    for k in range(100):  # 64x narrower per round: a unit bracket meets 1e-14 in 8
         live = np.flatnonzero(hi - lo > xtol + _RTOL * np.maximum(np.abs(lo), np.abs(hi)))
         if not live.size:
             break
@@ -444,9 +446,10 @@ def refine_roots(f, lo, hi, xtol: float) -> np.ndarray:
         # the root is x[j] if f is 0 there, else in [x[j - 1], x[j]]
         changed = s * s[:, :1] <= 0.0
         j = np.argmax(changed, axis=1) + np.arange(0, x.size, x.shape[1])
+        lost = a + 0.5 * (b - a) if k else math.nan
         x, s, found = x.ravel(), s.ravel(), changed.ravel()[j]
-        lo[live] = np.where(found, np.where(s[j] == 0.0, x[j], x[j - 1]), math.nan)
-        hi[live] = np.where(found, x[j], math.nan)
+        lo[live] = np.where(found, np.where(s[j] == 0.0, x[j], x[j - 1]), lost)
+        hi[live] = np.where(found, x[j], lost)
     return lo + 0.5 * (hi - lo)
 
 
@@ -782,26 +785,26 @@ def _fit_c_const(th: np.ndarray, ds: float) -> float:
     return num / den if den > 0.0 else 0.0
 
 
-def _span_starts(t0, t1, n, restarts, seed):
-    """The 3 + restarts start rows (n + 1 nodes each) of a span with unit end
-    tangents t0, t1.
-
-    The first three are the linear turning-angle ramp and its two 2 pi
-    windings; each further row adds smooth random interior bumps, drawn from
-    default_rng(seed), to one of the three in turn.
-    """
+def _span_starts(t0, t1, n):
+    """The three start rows (n + 1 nodes each) of a span with unit end tangents
+    t0, t1: the linear turning-angle ramp and its two 2 pi windings."""
     grid = np.linspace(0.0, 1.0, n + 1)
     th0 = math.atan2(t0[1], t0[0])
     th1 = th0 + _wrap_angle(math.atan2(t1[1], t1[0]) - th0)
-    own = [th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)]
-    rng = np.random.default_rng(seed) if restarts else None
-    while len(own) < 3 + restarts:
-        base = own[len(own) % 3].copy()
-        for mode in range(1, 4):
-            # interior perturbation only; sin windows vanish at both ends
-            base += rng.normal(0.0, 0.6 / mode) * np.sin(math.pi * mode * grid)
-        own.append(base)
-    return np.array(own)
+    return np.array([th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)])
+
+
+def _clothoid_start(windings, chord):
+    """The branch-0 clothoid between a span's end poses as a start row, and the
+    index of the winding it turns on: theta0 + delta u + A (u^2 - u) for u on
+    the grid, with the end angles phi0, phi1 wrapped against the chord, delta =
+    phi1 - phi0 and A one _clothoid_roots row; nan if it finds no root."""
+    psi = math.atan2(chord[1], chord[0])
+    phi0, phi1 = (_wrap_angle(windings[0, e] - psi) for e in (0, -1))
+    a = _clothoid_roots(np.array([phi0]), np.array([phi1 - phi0]))[0][0]
+    b = int(np.argmin(np.abs(windings[:, -1] - windings[:, 0] - (phi1 - phi0))))
+    grid = np.linspace(0.0, 1.0, windings.shape[1])
+    return windings[b] + a * (grid * grid - grid), b
 
 
 # rows per _newton_batch call: a batch holds about 30 temporaries of its size;
@@ -839,19 +842,18 @@ def _distinct_minima(thetas, residuals, ds):
     return distinct
 
 
-def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
+def _elastica_spans(spans, length, n, name_spans=False):
     """The elastica of the given length for each span (p0, t0, p1, t1).
 
     No row of a winding branch goes below the branch's _energy_bound, so a
     branch is open only while its bound is below the span's lowest converged
     energy.  Phase 1 solves the ramp start of every span, then its open +-2
-    pi windings.  Phase 2 solves the random restarts on open branches, drawn
-    from default_rng(seed + i) for span i, only for the spans whose winding
-    starts are inconclusive: none converged, they reached distinct minima,
-    or the reduced Hessian at their minimum is not positive definite.  Phase
-    3 continues the best row of each span with no converged row, up to 3
-    times.  Each phase solves the rows of all its spans together.  With
-    name_spans, NoConvergence names the span.
+    pi windings.  Phase 2 solves the _clothoid_start of each span whose
+    winding starts are inconclusive (none converged, they reached distinct
+    minima, or the reduced Hessian at their minimum is not positive
+    definite) if its branch is open.  Phase 3 continues the best row of each
+    span with no converged row, up to 3 times.  Each phase solves the rows
+    of all its spans together.  With name_spans, NoConvergence names the span.
     """
     ds = length / n
     segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
@@ -863,18 +865,22 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
         d = float(np.linalg.norm(chord))
         if length < d * (1.0 - 1e-12):
             raise Infeasible(f"length {length} shorter than chord {d}")
-        if length <= d * (1.0 + 1e-12):
+        if length <= d * (1.0 + 1e-12):  # taut, to rounding
             psi = math.atan2(chord[1], chord[0])
-            if max(abs(_wrap_angle(math.atan2(t[1], t[0]) - psi)) for t in (t0, t1)) > 1e-9:
+            phi0, phi1 = (_wrap_angle(math.atan2(t[1], t[0]) - psi) for t in (t0, t1))
+            if max(abs(phi0), abs(phi1)) <= 1e-9:
+                segments.append(ElasticaSegment(p0, np.full(n + 1, psi), length, 0.0))
+                continue
+            # a grid row from phi0 to phi1 is longer than its chord by about (phi0^2 + phi1^2) ds / 8
+            # or more: end angles that need more than this 1e-12 d band holds are infeasible
+            if (phi0 * phi0 + phi1 * phi1) * length / (8 * n) > 2e-12 * d:
                 raise Infeasible("length equals chord but tangents are not aligned")
-            segments.append(ElasticaSegment(p0, np.full(n + 1, psi), length, 0.0))
-            continue
         segments.append(None)
         curved.append((i, p0, chord, t0, t1))
     if not curved:
         return segments
     chords = np.array([c[2] for c in curved])
-    windings = np.array([_span_starts(t0, t1, n, 0, seed + i) for i, _, _, t0, t1 in curved])
+    windings = np.array([_span_starts(t0, t1, n) for *_, t0, t1 in curved])
     bounds = _energy_bound(windings, ds)
     rows = [[] for _ in curved]  # per span: (theta, residual, multipliers) of each row solved
     minima = [[] for _ in curved]
@@ -900,10 +906,10 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     th, lam = (np.array([rows[k][minima[k][0]][v] for k in single]) for v in (0, 2))
     sure = dict(zip(single, _second_order_ok(th, lam, ds))) if single else {}
     retry = [k for k in range(len(curved)) if not sure.get(k, False)]
-    if restarts and retry:
+    if retry:
         keep = open_branches()
-        draws = {k: _span_starts(*curved[k][3:], n, restarts, seed + curved[k][0]) for k in retry}
-        solve([(k, draws[k][j]) for k in retry for j in range(3, 3 + restarts) if keep[k, j % 3]])
+        starts = ((k, *_clothoid_start(windings[k], chords[k])) for k in retry)
+        solve([(k, start) for k, start, b in starts if keep[k, b] and np.isfinite(start).all()])
     for _ in range(3):  # the slow-step rule can retire a row that would still converge
         stalled = [k for k, m in enumerate(minima) if not m]
         solve([(k, rows[k].pop(int(np.argmin([r[1] for r in rows[k]])))[0]) for k in stalled])
@@ -926,27 +932,18 @@ def _elastica_spans(spans, length, n, restarts, seed, name_spans=False):
     return segments
 
 
-def elastica_bvp(
-    p0,
-    t0,
-    p1,
-    t1,
-    length: float,
-    n: int = 64,
-    restarts: int = 8,
-    seed: int = 0,
-) -> ElasticaSegment:
+def elastica_bvp(p0, t0, p1, t1, length: float, n: int = 64) -> ElasticaSegment:
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
     Solves the KKT system of the turning-angle discretization by damped
     Newton from the linear turning-angle ramp and from those of its +-2 pi
-    windings whose energy bound is below the ramp's energy; random smooth
-    perturbations of the three run only when these starts are inconclusive,
-    and a start that stalls is continued (see _elastica_spans).  Distinct
+    windings whose energy bound is below the ramp's energy; the clothoid
+    between the two poses runs only when these starts are inconclusive, and
+    a start that stalls is continued (see _elastica_spans).  Distinct
     local minima on the windings that could hold the lowest energy trigger
     MultipleSolutionsWarning; the lowest-energy one is returned.
     """
-    return _elastica_spans([(p0, t0, p1, t1)], length, n, restarts, seed)[0]
+    return _elastica_spans([(p0, t0, p1, t1)], length, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -975,12 +972,7 @@ def centered_nodes(rc: RefinedCurve):
     return np.vstack([pts[:1], points, pts[-1:]]), np.vstack([ends[:1], tv, ends[1:]])
 
 
-def spline_centered(
-    rc: RefinedCurve,
-    n: int = 64,
-    restarts: int = 8,
-    seed: int = 0,
-) -> Spline:
+def spline_centered(rc: RefinedCurve, n: int = 64) -> Spline:
     """Length-preserving elastica spline through centered offset points.
 
     The spline passes through centered_nodes(rc) along their directions,
@@ -992,7 +984,7 @@ def spline_centered(
     points, dirs = centered_nodes(rc)
     spans = list(zip(points, dirs, np.roll(points, -1, axis=0), np.roll(dirs, -1, axis=0)))
     spans = spans if rc.closed else spans[:-1]
-    segments = _elastica_spans(spans, 2.0 * rc.ell, n, restarts, seed, name_spans=True)
+    segments = _elastica_spans(spans, 2.0 * rc.ell, n, name_spans=True)
     return Spline(tuple(segments), closed=rc.closed)
 
 

@@ -13,9 +13,17 @@ from frenetkit.spline2d import _constraint_grad, elastica_constraints
 
 
 # turning angles of a zig-zag polyline (either sign, up to 0.6 rad) for which
-# span 3 of the centered elastica spline converges from no start: its best
-# one stalls at 7.8e-5 and converges only when continued
+# span 3 of the centered elastica spline converges from no ramp or winding
+# start: its best one stalls at 7.8e-5; the clothoid start converges
 ZIGZAG_ANGLES = (-0.3, 0.2, 0.2, -0.2, 0.6, 0.4)
+
+# turning angles of a hairpin polyline whose span 3 converges from no ramp or
+# winding start, nor from random bumps on them; the clothoid start converges
+HAIRPIN_ANGLES = (-0.28, -2.89, -2.43, 1.71, -1.31)
+
+# turning angles of a polyline whose span 1 converges from no start: its
+# clothoid start converges only when continued
+CONTINUED_ANGLES = (1.13, -0.94, -0.96)
 
 
 def random_rotation(rng):

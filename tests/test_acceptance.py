@@ -290,7 +290,7 @@ def test_criterion_09_elastica_and_sogo():
     energy_err = max(abs(straight.energy()), abs(arc.energy() - math.pi / 2.0))
 
     generic = elastica_bvp(
-        [0.0, 0.0], [1.0, 0.0], [0.9, 0.35], [0.0, 1.0], 1.3, n=2048, restarts=2
+        [0.0, 0.0], [1.0, 0.0], [0.9, 0.35], [0.0, 1.0], 1.3, n=2048
     )
     th, ds = generic.thetas, generic.ds
     d1 = (th[3:-1] - th[1:-3]) / (2.0 * ds)
@@ -386,7 +386,7 @@ def test_criterion_10_splines_g1_and_congruent_arcs():
             for sp in (
                 spline_inscribed(rc),
                 spline_circumscribed(dc),
-                spline_centered(rc, n=32, restarts=2),
+                spline_centered(rc, n=32),
             ):
                 pos, angle = g1_defects(sp)
                 worst_pos = max(worst_pos, pos)

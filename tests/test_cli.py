@@ -41,7 +41,7 @@ from frenetkit.figures import _unit_step_polyline
 from frenetkit.spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline
 from frenetkit.frames import analyze, frenet_residual
 
-from conftest import ZIGZAG_ANGLES, make_random_refined, random_rotation
+from conftest import HAIRPIN_ANGLES, ZIGZAG_ANGLES, make_random_refined, random_rotation
 
 
 @pytest.fixture
@@ -558,20 +558,47 @@ def test_tolerance_zero_is_accepted(runner, tmp_path):
 
 def test_spline_centered_failure_names_the_span(runner, tmp_path, monkeypatch):
     solve = spline2d._newton_batch
-    # two Newton steps per row are enough for span 0 only
-    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 2))
+    # one Newton step per row is enough for no span
+    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 1))
     path = _write(tmp_path, "zigzag.json", curve_to_json(_unit_step_polyline(ZIGZAG_ANGLES)))
     result = runner.invoke(main, ["spline", path, "--method", "centered"])
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: span 1: ")
-    assert "best residual 5.361e-06 over 11 starts" in result.stderr
+    assert result.stderr.startswith("error: span 0: ")
+    assert "best residual 7.755e-07 over 4 starts" in result.stderr
     assert "Traceback" not in result.stderr
 
 
 def test_spline_centered_zigzag_converges(runner, tmp_path):
-    # span 3 has no converged start until its best one is continued
+    # span 3 converges from no ramp or winding start
     path = _write(tmp_path, "zigzag.json", curve_to_json(_unit_step_polyline(ZIGZAG_ANGLES)))
     result = runner.invoke(main, ["spline", path, "--method", "centered"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert max(report["g1_position_gap"], report["g1_tangent_gap"]) <= 1e-8
+
+
+def test_spline_centered_hairpin_converges(runner, tmp_path):
+    # span 3 converges from no ramp or winding start, only from the clothoid start
+    path = _write(tmp_path, "hairpin.json", curve_to_json(_unit_step_polyline(HAIRPIN_ANGLES)))
+    result = runner.invoke(main, ["spline", path, "--method", "centered"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert max(report["g1_position_gap"], report["g1_tangent_gap"]) <= 1e-8
+
+
+def test_spline_has_no_seed_option(runner, tmp_path):
+    path = _write(tmp_path, "hairpin.json", curve_to_json(_unit_step_polyline(HAIRPIN_ANGLES)))
+    result = runner.invoke(main, ["spline", path, "--method", "centered", "--seed", "0"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--seed" in result.stderr
+
+
+def test_spline_circumscribed_hairpin_whose_bracket_loses_its_sign_change(runner, tmp_path):
+    # a later round of refine_roots sees no sign change in a bracket the first round
+    # found one in: its root is the bracket's middle, not nan (a traceback, exit 1)
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.00023876392503785482, 0.02185110619313812], [0.9962922398000965, 0.11060623673337219]]
+    path = _write(tmp_path, "hairpin.json", json.dumps({"dim": 2, "closed": False, "points": pts}))
+    result = runner.invoke(main, ["spline", path, "--method", "circumscribed"])
     assert result.exit_code == 0, result.stderr
     report = json.loads(result.stdout)
     assert max(report["g1_position_gap"], report["g1_tangent_gap"]) <= 1e-8
@@ -1233,3 +1260,18 @@ def test_stdout_on_a_full_device_exits_2_without_traceback(tmp_path, argv, buffe
         result = _frenetkit(*argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert result.returncode == 2
     assert result.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["analyze", "MISSING"], ["analyze", "CURVE", "--tol", "nan"]], ids=["missing", "nan-tol"])
+def test_stderr_on_a_full_device_keeps_exit_2(tmp_path, argv, buffered):
+    """The error line cannot be written; the exit code still says input error."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    curve = _write(tmp_path, "hex.json", _hexagon_json())
+    argv = [{"CURVE": curve, "MISSING": str(tmp_path / "missing.json")}.get(a, a) for a in argv]
+    env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONUNBUFFERED": "" if buffered else "1"}  # "" is unset
+    with open("/dev/full", "w") as full:
+        result = _frenetkit(*argv, stdout=subprocess.PIPE, stderr=full, env=env)
+    assert result.returncode == 2
+    assert result.stdout == b""

@@ -34,7 +34,11 @@ from frenetkit.spline2d import (
     spline_inscribed,
 )
 
-from conftest import ZIGZAG_ANGLES, project_to_constraints
+from conftest import CONTINUED_ANGLES, HAIRPIN_ANGLES, ZIGZAG_ANGLES, project_to_constraints
+
+
+def _wrap(a):
+    return math.remainder(a, 2.0 * math.pi)
 
 
 def _hexagon(closed=True):
@@ -429,6 +433,24 @@ def test_refine_roots_at_a_zero_end_and_without_a_sign_change():
     assert np.isnan(got).all()
 
 
+def test_refine_roots_keeps_a_bracket_whose_sign_change_rounds_away():
+    # f sees the root at 0.3 in the first round only, as rounding can hide a
+    # sign change once a bracket is narrow: the root is the middle of that
+    # round's cell [0.296875, 0.3125], not nan
+    calls = []
+    f = lambda t: (t - 0.3) if not calls.append(len(t)) and len(calls) == 1 else np.ones_like(t)  # noqa: E731
+    assert refine_roots(f, [0.0], [1.0], 1e-14).tolist() == [0.3046875]
+    assert calls == [65, 65]
+
+
+def test_bracket_root_of_a_hairpin_whose_sign_change_rounds_away():
+    # f(hi) is -2.5e-17 among the 65 nodes of a round and +1.4e-17 alone
+    phi0, delta = -1.5598699040726263, -6.238749270551619
+    a, x = spline2d._bracket_root(phi0, delta, -38.07546723609062)
+    assert math.isfinite(a) and math.isfinite(x)
+    assert abs(spline2d._phase_integrals(phi0, delta - a, a)[1]) <= 1e-14
+
+
 def test_bracket_fallback_returns_the_newton_root(monkeypatch):
     # chord-frame end angles up to pi/4, as in criterion 08, on all three winding branches
     phi0, phi1 = (a.ravel() for a in np.meshgrid(np.linspace(-0.78, 0.78, 5), np.linspace(-0.77, 0.77, 4)))
@@ -465,7 +487,7 @@ def test_g1_defects_match_pointwise_joints():
     splines = [spline2d.Spline(mixed, closed=closed) for closed in (False, True)]
     for dc in (_hexagon(), _unit_step_polyline(_SPLINE_DEMO_ANGLES)):
         rc = refine(dc)
-        splines += [spline_inscribed(rc), spline_circumscribed(dc), spline_centered(rc, n=16, restarts=0)]
+        splines += [spline_inscribed(rc), spline_circumscribed(dc), spline_centered(rc, n=16)]
     for sp in splines:
         pos, ang = g1_defects(sp)
         old_pos, old_ang = _joint_gaps(sp)
@@ -537,7 +559,7 @@ def test_elastica_buckled_multiple_solutions():
 def test_elastica_euler_lagrange_residual():
     # second-order scheme: n = 2048 puts the residual under 1e-4
     seg = elastica_bvp(
-        [0.0, 0.0], [1.0, 0.0], [0.9, 0.35], [0.0, 1.0], 1.3, n=2048, restarts=2
+        [0.0, 0.0], [1.0, 0.0], [0.9, 0.35], [0.0, 1.0], 1.3, n=2048
     )
     th = seg.thetas
     ds = seg.ds
@@ -575,7 +597,7 @@ def test_centered_spline_hexagon_arcs():
     rc = refine(hexa)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleSolutionsWarning)
-        sp = spline_centered(rc, n=32, restarts=2)
+        sp = spline_centered(rc, n=32)
     assert len(sp.segments) == 6
     assert sp.total_length() == pytest.approx(2.0 * math.pi, abs=1e-9)
     pos, ang = g1_defects(sp)
@@ -591,7 +613,7 @@ def test_centered_spline_open_polyline():
     rc = refine(DiscreteCurve(pts))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MultipleSolutionsWarning)
-        sp = spline_centered(rc, n=32, restarts=2)
+        sp = spline_centered(rc, n=32)
     assert len(sp.segments) == 2
     # each span has length exactly 2*ell, so total length is preserved
     assert sp.total_length() == pytest.approx(2.0, abs=1e-12)
@@ -658,16 +680,16 @@ def test_several_minima_warn_once_per_span(monkeypatch):
     # a rod four times longer than its chord buckles to either side
     p0, p1, t = [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]
     assert _count_multiple_solution_warnings(lambda: elastica_bvp(p0, t, p1, t, 2.0)) == 1
-    # the ramp (no converged row), both windings, then the restarts
-    assert calls == [1, 2, 8]
+    # the ramp (no converged row), both windings, then the clothoid start
+    assert calls == [1, 2, 1]
     # spans solved together warn one by one: two buckled rods around a gentle
-    # arc, whose windings are bounded above its energy and which never restarts
+    # arc, whose windings are bounded above its energy and which is conclusive
     calls.clear()
     bent = [(math.cos(a), math.sin(a)) for a in (0.3, -0.3)]
     spans = [(p0, t, p1, t), ([0.0, 0.0], bent[0], [1.9, 0.0], bent[1]), (p0, t, p1, t)]
-    warned = _count_multiple_solution_warnings(lambda: spline2d._elastica_spans(spans, 2.0, 64, 8, 0))
+    warned = _count_multiple_solution_warnings(lambda: spline2d._elastica_spans(spans, 2.0, 64))
     assert warned == 2
-    assert calls == [3, 2 * 2, 2 * 8]
+    assert calls == [3, 2 * 2, 2]
     # a U-turn of two 3 rad hairpins: the middle span's ramp converges to an
     # arc of energy 9; its other minimum (energy 153.6) winds the other way,
     # bounded by (3 - 2 pi)^2 = 10.8 > 9, so it is neither solved nor counted
@@ -677,9 +699,9 @@ def test_several_minima_warn_once_per_span(monkeypatch):
     assert calls == [3]
 
 
-def test_a_saddle_from_the_winding_starts_runs_the_restarts(monkeypatch):
+def test_a_saddle_from_the_winding_starts_runs_the_clothoid_start(monkeypatch):
     # the ramp start converges to a KKT point of energy 20.76 whose reduced
-    # Hessian is not positive definite; the restarts find two minima below it
+    # Hessian is not positive definite; the clothoid start finds a minimum below it
     calls = _count_newton_rows(monkeypatch)
     t0, t1 = [math.cos(0.5), math.sin(0.5)], [math.cos(0.3), math.sin(0.3)]
     with warnings.catch_warnings(record=True) as caught:
@@ -687,9 +709,83 @@ def test_a_saddle_from_the_winding_starts_runs_the_restarts(monkeypatch):
         seg = elastica_bvp([0.0, 0.0], t0, [1.0, 0.0], t1, 1.3)
     assert [w.category for w in caught] == [MultipleSolutionsWarning]
     # both windings are bounded above 20.76 (by 28.4 and 32.3): only the ramp
-    # and the three restarts built on it run
-    assert calls == [1, 3]
+    # and the clothoid start on its branch run
+    assert calls == [1, 1]
     assert seg.energy() == pytest.approx(13.187126, abs=1e-6)
+
+
+@pytest.mark.parametrize("th0, th1, chord, branch", [(0.4, -0.5, (1.0, 0.2), 0), (0.4, -2.9, (0.3, -1.1), 2)])
+def test_clothoid_start_is_the_branch_0_clothoid(th0, th1, chord, branch):
+    # its turning angle at the nodes of the grid, on the winding that turns as
+    # it does (the ramp; or the -2 pi winding of a ramp turning by 2.98 rad,
+    # where the clothoid turns by phi1 - phi0 = -3.30), with that winding's end
+    # nodes to the bit
+    t0, t1 = [math.cos(th0), math.sin(th0)], [math.cos(th1), math.sin(th1)]
+    windings = spline2d._span_starts(t0, t1, 16)
+    start, b = spline2d._clothoid_start(windings, np.array(chord))
+    assert b == branch
+    np.testing.assert_array_equal(start[[0, -1]], windings[b, [0, -1]])
+    a0, a1 = (_wrap(t - math.atan2(chord[1], chord[0])) for t in (th0, th1))
+    a, x = spline2d._clothoid_roots(np.array([a0]), np.array([a1 - a0]))
+    u = np.linspace(0.0, 1.0, 17)
+    np.testing.assert_allclose(start, th0 + (a1 - a0 - a[0]) * u + a[0] * u * u, rtol=0.0, atol=1e-12)
+    if x[0] > 0.0:  # an admissible clothoid: the one clothoid_g1_fit takes, sampled at the nodes
+        seg = clothoid_g1_fit([0.0, 0.0], t0, chord, t1)
+        np.testing.assert_allclose(start, [seg.angle_at(v * seg.length) for v in u], rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _hairpin_or_closed_curves(draw):
+    """Open unit-step polylines of 2-6 turns, each a hairpin of 2.6-3.13 rad
+    either way or any turn up to 3.14; or closed equilateral polygons of 5-12
+    edges, regular ones folded by reflecting runs of their edges across the
+    chord of the run."""
+    if draw(st.booleans()):
+        hairpin = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(2.6, 3.13)).map(lambda v: v[0] * v[1])
+        turns = st.lists(st.one_of(hairpin, st.floats(-3.14, 3.14)), min_size=2, max_size=6)
+        return _unit_step_polyline(draw(turns))
+    n = draw(st.integers(5, 12))
+    heading = np.arange(n) * 2.0 * math.pi / n
+    for i, size in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, n - 2)), max_size=3 * n)):
+        run = (i + np.arange(size)) % n
+        heading[run] = 2.0 * math.atan2(np.sin(heading[run]).sum(), np.cos(heading[run]).sum()) - heading[run]
+    turns = np.remainder(np.diff(heading, append=heading[0]) + math.pi, 2.0 * math.pi) - math.pi
+    assume(np.abs(turns).max() < 3.14)  # a fold can reverse an edge: a turn of pi is an input error
+    steps = np.column_stack([np.cos(heading), np.sin(heading)])
+    return DiscreteCurve(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)[:-1]]), closed=True)
+
+
+@given(_hairpin_or_closed_curves())
+@example(_unit_step_polyline(ZIGZAG_ANGLES))  # span 3 converges from no ramp or winding start
+@example(_unit_step_polyline((3.0, 3.0)))  # the U-turn's middle span has a second minimum on a winding bounded above the first
+# span 2 converges from no winding start; the clothoid start on the ramp's winding does
+@example(_unit_step_polyline((1.0, 2.8, -2.8)))
+@example(_unit_step_polyline(HAIRPIN_ANGLES))  # span 3 converges from no winding start
+@example(_unit_step_polyline(CONTINUED_ANGLES))  # span 1 converges from no start; its clothoid start does when continued
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_centered_spans_converge_and_match_their_one_span_solves(dc):
+    rc = refine(dc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleSolutionsWarning)
+        sp = spline_centered(rc)
+        points, dirs = centered_nodes(rc)
+        ends = np.roll(np.arange(len(points)), -1)
+        for i, seg in enumerate(sp.segments):
+            alone = elastica_bvp(points[i], dirs[i], points[ends[i]], dirs[ends[i]], 2.0 * rc.ell)
+            np.testing.assert_array_equal(seg.thetas, alone.thetas)
+            # Newton keeps each start's end angles: no row goes below its winding's bound
+            assert seg.energy() >= (seg.thetas[-1] - seg.thetas[0]) ** 2 / seg.length * (1.0 - 1e-12)
+    assert max(g1_defects(sp)) <= 1e-8
+
+
+def test_hairpin_spans_are_pinned():
+    # span 3 converges from no ramp or winding start; the clothoid start reaches 13.21
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleSolutionsWarning)
+        sp = spline_centered(refine(_unit_step_polyline(HAIRPIN_ANGLES)))
+    got = [seg.energy() for seg in sp.segments]
+    np.testing.assert_allclose(got, [0.064599, 7.135766, 7.27044, 13.209711, 6.88504, 1.441388], rtol=0.0, atol=1e-6)
+    assert max(g1_defects(sp)) <= 1e-8
 
 
 @st.composite
@@ -700,23 +796,27 @@ def _convex_or_zigzag_turns(draw):
     return tuple(turns)
 
 
-def _full_restart_solve(rc, n=64, restarts=8, seed=0):
-    """Every start row of every span of an open centered spline, solved
-    together: per span the starts, the rows, their residuals and the indices
-    of the distinct converged minima, lowest energy first, by the 1e-6 rule
-    alone."""
+def _full_start_solve(rc, n=64):
+    """Every start row of every span of an open centered spline (the ramp, its
+    two windings and the clothoid start), solved together: per span the
+    starts, the rows, their residuals and the indices of the distinct
+    converged minima, lowest energy first, by the 1e-6 rule alone."""
     points, dirs = centered_nodes(rc)
     t = [d / np.linalg.norm(d) for d in dirs]  # as _elastica_spans normalizes them, to the bit
-    starts = [spline2d._span_starts(t[i], t[i + 1], n, restarts, seed + i) for i in range(len(points) - 1)]
-    chords = np.repeat(np.diff(points, axis=0), 3 + restarts, axis=0)
+    chords = np.diff(points, axis=0)
+    starts = []
+    for i, chord in enumerate(chords):
+        windings = spline2d._span_starts(t[i], t[i + 1], n)
+        clothoid, _ = spline2d._clothoid_start(windings, chord)
+        starts.append(np.vstack([windings, clothoid[None]]) if np.isfinite(clothoid).all() else windings)
     ds = 2.0 * rc.ell / n
-    thetas, res, _ = spline2d._newton_batch(np.concatenate(starts), ds, chords)
+    owner = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
+    thetas, res, _ = spline2d._newton_batch(np.concatenate(starts), ds, chords[owner])
     spans = []
-    for start, i in zip(starts, range(0, len(thetas), 3 + restarts)):
-        th, r = thetas[i : i + 3 + restarts], res[i : i + 3 + restarts]
-        ok = np.flatnonzero(r < ELASTICA_KKT)
+    for i, start in enumerate(starts):
+        th, r = thetas[owner == i], res[owner == i]
         minima = []
-        for j in sorted(ok, key=lambda j: elastica_energy(th[j], ds)):
+        for j in sorted(np.flatnonzero(r < ELASTICA_KKT), key=lambda j: elastica_energy(th[j], ds)):
             if all(np.max(np.abs(th[j] - th[k])) > 1e-6 for k in minima):
                 minima.append(j)
         spans.append((start, th, r, minima))
@@ -728,7 +828,7 @@ def _full_restart_solve(rc, n=64, restarts=8, seed=0):
 def test_converged_rows_keep_the_winding_energy_bound(turns):
     rc = refine(_unit_step_polyline(turns))
     length = 2.0 * rc.ell
-    for start, th, r, _ in _full_restart_solve(rc):
+    for start, th, r, _ in _full_start_solve(rc):
         # Newton moves only the interior nodes: each row keeps its start's winding
         np.testing.assert_array_equal(th[:, [0, -1]], start[:, [0, -1]])
         for row in th[r < ELASTICA_KKT]:
@@ -739,13 +839,14 @@ def test_converged_rows_keep_the_winding_energy_bound(turns):
 @given(_convex_or_zigzag_turns())
 @example(ZIGZAG_ANGLES)  # no start of span 3 converges; its best one does when continued
 @example((3.0, 3.0))  # the U-turn's middle span has a second minimum on a winding bounded above the first
-# span 2 converges from no winding start; a restart on the +2 pi winding finds
-# a minimum (108.9) that counts no more once one below its bound (39.5) is found
+# span 2 converges from no winding start; the clothoid start on the ramp's winding does
 @example((1.0, 2.8, -2.8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_restarts_on_inconclusive_spans_agree_with_the_full_solve(turns):
+    # the one restart of an inconclusive span is its clothoid start: a span
+    # returns the lowest minimum that all its starts, solved at once, reach
     rc = refine(_unit_step_polyline(turns))
-    full = _full_restart_solve(rc)
+    full = _full_start_solve(rc)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -846,10 +947,10 @@ def test_kkt_step_retires_singular_rows(rng, monkeypatch):
 
 def test_centered_spline_names_the_failing_span(monkeypatch):
     solve = spline2d._newton_batch
-    # two Newton steps per row are enough for span 0 only
-    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 2))
+    # one Newton step per row is enough for no span
+    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 1))
     rc = refine(_unit_step_polyline(ZIGZAG_ANGLES))
-    with pytest.raises(NoConvergence, match=r"^span 1: .*best residual 5\.361e-06 over 11 starts\)$") as info:
+    with pytest.raises(NoConvergence, match=r"^span 0: .*best residual 7\.755e-07 over 4 starts\)$") as info:
         spline_centered(rc)
     assert info.value.residual > ELASTICA_KKT
 
@@ -866,6 +967,27 @@ def test_centered_spline_continues_a_stalled_span(monkeypatch):
         warnings.simplefilter("error", MultipleSolutionsWarning)
         sp = spline_centered(rc)
     assert len(sp.segments) == 1000
+    assert max(g1_defects(sp)) <= 1e-8
+
+
+@pytest.mark.parametrize("turns", [(0.0, 5.3e-7), (1e-6,), (3e-7, -2e-8, 1e-9), (4e-10, -6.3e-8, 3e-10, 8.4e-4)])
+def test_centered_spline_of_a_nearly_straight_polyline(turns):
+    # a span bent by a turn under about 1e-6 rad is as long as its chord to
+    # 1e-12 but its end tangents differ by more than 1e-9: Newton solves it,
+    # with an energy that falls as the square of the turn
+    sp = spline_centered(refine(_unit_step_polyline(turns)))
+    assert max(g1_defects(sp)) <= 1e-8
+    assert sp.energy() <= 4.0 * max(np.abs(turns)) ** 2
+
+
+def test_centered_spline_continues_the_clothoid_start(monkeypatch):
+    # span 1 converges from no ramp, winding or clothoid start; its best row,
+    # the clothoid start, converges when continued
+    calls = _count_newton_rows(monkeypatch)
+    sp = spline_centered(refine(_unit_step_polyline(CONTINUED_ANGLES)))
+    assert calls == [4, 2, 1, 1]
+    got = [seg.energy() for seg in sp.segments]
+    np.testing.assert_allclose(got, [1.066839, 3.2213, 0.902721, 0.766764], rtol=0.0, atol=1e-6)
     assert max(g1_defects(sp)) <= 1e-8
 
 
