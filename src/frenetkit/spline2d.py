@@ -491,9 +491,38 @@ def _clothoid_roots(phi0, delta, max_iter: int = 200):
 
 def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
     """clothoid_g1_fit of each row of the (m, 2) arrays p0, t0, p1, t1, with the
-    fitting equations of all rows and winding branches solved together and one
-    quadrature checking every end pose.  With name_spans, NoConvergence names
-    the first row that fails."""
+    fitting equations of all rows solved together and one quadrature checking
+    every end pose.  With name_spans, NoConvergence names the first row that fails.
+
+    A row whose chord-frame end angles phi0, phi1 are both below pi/2 in size is
+    solved on the winding branch k = 0 alone, any other row on k = 0, -1, 1, of
+    which the shortest admissible wins (the first in that order on a tie).  Both
+    give the same clothoid, by this lemma: on the closed square |phi0|, |phi1| <=
+    pi/2, Newton converges on k = 0 to a clothoid with L/d <= 1.61 (d the chord),
+    and every k = +-1 clothoid has L/d >= 1.73.
+
+    Proof.  At u = s/L the tangent makes the angle
+    theta = phi0 (1 - u) + phi1 u + 2 pi k u - A u (1 - u) with the chord; the fit
+    needs Y(A) = int_0^1 sin theta du = 0 and has L/d = 1/X, X = int_0^1 cos theta du.
+    As sin and cos have slope at most 1, a change d theta moves X and Y by at most
+    int_0^1 |d theta| du; and |Y''| <= int_0^1 (u - u^2)^2 du = 1/30.
+    (i) k = 0.  Newton starts at A0 = 3 (phi0 + phi1), where
+    d theta = dphi0 (1 - u)(1 - 3u) + dphi1 u (3u - 2): X(A0) and Y(A0) move by at
+    most 8/27 (|dphi0| + |dphi1|), and Y'(A0) by 1/4 of that.  On a 159 x 159 grid
+    of the square, with these moves to the worst point of each node's cell,
+    |Y'(A0)| >= 0.127 and Kantorovich's h = |Y(A0)| / (30 Y'(A0)^2) <= 0.069 < 1/2.
+    So Newton stays within r <= 0.30 of A0, never clipping a step, and converges to
+    a root there, where X >= X(A0) - r/6 >= 0.622.
+    (ii) k = +-1.  theta -> -theta maps k = -1 to k = 1 and the square to itself, so
+    take k = 1 and bound X at every A, root or not.  Completing the square,
+    |X + iY| = |int_s0^s1 exp(+-i s^2) ds| / sqrt|A| <= 4 / sqrt|A|: the part of
+    the integral where |s| <= 1 is at most 2, and integrating by parts bounds each
+    part where |s| > 1 by 1.  So X <= 0.578 where |A| >= 48.  On a 17 x 17 x 97 grid
+    of the square times [-48, 48], Taylor's theorem at each node (the gradient over
+    half a spacing, and half of int_0^1 d theta^2 du for the second order) bounds
+    X by 0.551.  test_winding_branches_lose_on_the_quarter_turn_square runs both
+    grids.
+    """
     p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
     norms = np.linalg.norm([t0, t1], axis=2)
     if not ((0.0 < norms) & (norms < math.inf)).all():
@@ -508,7 +537,11 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
     arc = ~line & (np.abs(phi0 + phi1) < 1e-12)  # symmetric data: constant curvature
     rows = np.flatnonzero(~line & ~arc)
     delta = ((phi1 - phi0)[rows, None] + _TWO_PI * np.array([0.0, -1.0, 1.0])).ravel()
-    a_param, x = _clothoid_roots(np.repeat(phi0[rows], 3), delta)
+    # k = 0 on every row; k = -1, 1 only where an end angle reaches pi/2, as by the lemma they lose elsewhere
+    solve = np.repeat(np.maximum(np.abs(phi0), np.abs(phi1))[rows] >= 0.5 * math.pi, 3)
+    solve[::3] = True
+    a_param, x = np.full((2, delta.size), math.nan)
+    a_param[solve], x[solve] = _clothoid_roots(np.repeat(phi0[rows], 3)[solve], delta[solve])
     lengths = np.divide(np.repeat(d[rows], 3), x, out=np.full(x.shape, math.inf), where=x > 1e-9)
     # the shortest admissible branch; argmin keeps the first of equal lengths in the order k = 0, -1, 1
     pick = 3 * np.arange(len(rows)) + np.argmin(lengths.reshape(-1, 3), axis=1)
@@ -538,7 +571,10 @@ def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
 
     Exactly collinear data yields a Line, symmetric data an Arc, anything
     else a first-order clothoid solved by Newton iteration on the normalized
-    fitting equation.  NoConvergence carries the best endpoint residual;
+    fitting equation: on the winding branch k = 0 alone when both tangents are
+    less than a quarter turn off the chord, as in every circumscribed span, else
+    on k = 0 and the branches of +-2 pi more turning, keeping the shortest (see
+    _fit_spans for why).  NoConvergence carries the best endpoint residual;
     a chord or tangent that is zero, not finite or overflows raises InputError.
     """
     return _fit_spans(p0, t0, p1, t1)[0]

@@ -375,6 +375,130 @@ def test_batched_fit_equals_the_one_span_fits(rows):
         _assert_same_segment(seg, clothoid_g1_fit(*row))
 
 
+def test_winding_branches_lose_on_the_quarter_turn_square():
+    # the computed half of the lemma in _fit_spans' docstring, with its constants
+    k_bound = 1.0 / 30.0  # |Y''(A)| <= int_0^1 (u - u^2)^2 du
+    # (i) k = 0: Kantorovich at Newton's start A0 = 3 (phi0 + phi1), each node's values
+    # moved to the worst the proof allows in its cell, where |dphi0| + |dphi1| <= spread
+    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 159)
+    spread = grid[1] - grid[0]
+    phi0, phi1 = (v.ravel() for v in np.meshgrid(grid, grid))
+    a0 = 3.0 * (phi0 + phi1)
+    x, y, dy = spline2d._phase_integrals(phi0, phi1 - phi0 - a0, a0).T
+    y_max, dy_min = np.abs(y) + 8.0 / 27.0 * spread, np.abs(dy) - 2.0 / 27.0 * spread
+    assert dy_min.min() >= 0.127 and (k_bound * y_max / dy_min**2).max() <= 0.069
+    r = 2.0 * y_max / (dy_min + np.sqrt(dy_min**2 - 2.0 * k_bound * y_max))
+    assert r.max() <= 0.30
+    x0 = (x - 8.0 / 27.0 * spread - r / 6.0).min()
+    assert x0 >= 0.622  # L / d <= 1.61 on k = 0
+    # the solver's roots are the ones the proof finds
+    a, x_root = spline2d._clothoid_roots(phi0, phi1 - phi0)
+    assert (np.abs(a - a0) <= r).all() and x_root.min() >= x0
+
+    # (ii) k = 1 at every A, by Taylor at the nodes of the square times [-48, 48]; X is
+    # int_0^1 cos theta du and its gradient in (phi0, phi1, A), by 12-point Gauss-Legendre
+    # on 48 panels, exact to rounding: theta turns by at most 3 pi + 48 rad, 1.2 rad a panel
+    u, w = np.polynomial.legendre.leggauss(12)
+    u, w = ((np.arange(48)[:, None] + 0.5 * (u + 1.0)) / 48.0).ravel(), np.tile(w, 48) / 96.0
+    grid, slopes = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 17), np.linspace(-48.0, 48.0, 97)
+    h_phi, h_a = grid[1] - grid[0], slopes[1] - slopes[0]
+    phi0, phi1 = (v.ravel()[:, None] for v in np.meshgrid(grid, grid))
+    second_order = 0.5 * (h_phi**2 / 4.0 + h_phi * h_a / 12.0 + h_a**2 / 120.0)  # half of max int (dtheta)^2
+    x1 = 0.0
+    for a in slopes:
+        theta = phi0 * (1.0 - u) + phi1 * u + 2.0 * math.pi * u - a * u * (1.0 - u)
+        sin = np.sin(theta)
+        gradient = (np.abs(sin @ (w * (1.0 - u))) + np.abs(sin @ (w * u))) * h_phi / 2.0
+        gradient += np.abs(sin @ (w * u * (1.0 - u))) * h_a / 2.0
+        x1 = max(x1, (np.cos(theta) @ w + gradient).max() + second_order)
+    assert x1 <= 0.551
+    tail = 4.0 / math.sqrt(48.0)  # X <= 4 / sqrt|A| beyond the grid
+    assert 1.0 / max(x1, tail) - 1.0 / x0 >= 0.12  # L / d on k = +-1 less L / d on k = 0
+
+
+def _three_branch_fit(p0, t0, p1, t1):
+    """(start angle, kappa0 d, sharpness d^2, length / d) per row, d the chord, from
+    _clothoid_roots on all three winding branches k = 0, -1, 1 of every row and the
+    shortest admissible one, the first in that order on a tie."""
+    chord = p1 - p0
+    d, psi = np.linalg.norm(chord, axis=1), np.arctan2(chord[:, 1], chord[:, 0])
+    phi0, phi1 = (spline2d._wrap_angle(np.arctan2(t[:, 1], t[:, 0]) - psi) for t in (t0, t1))
+    delta = ((phi1 - phi0)[:, None] + 2.0 * math.pi * np.array([0.0, -1.0, 1.0])).ravel()
+    a, x = spline2d._clothoid_roots(np.repeat(phi0, 3), delta)
+    lengths = np.where(x > 1e-9, 1.0 / np.where(x > 1e-9, x, 1.0), math.inf)
+    pick = 3 * np.arange(len(d)) + np.argmin(lengths.reshape(-1, 3), axis=1)
+    length, a = lengths[pick], a[pick]
+    return np.column_stack([psi + phi0, (delta[pick] - a) / length, 2.0 * a / length**2, length])
+
+
+@st.composite
+def _quarter_turn_rows(draw):
+    """Pose rows with chords of 1e-3 to 1e3 whose chord-frame end angles are
+    below pi/2 in size, some by a factor 1 - 10^-k of it, and, in some batches,
+    rows with an end angle of pi/2 to 3, arcs and lines."""
+    kinds = st.sampled_from(["quarter", "quarter", "wide", "arc", "line"] if draw(st.booleans()) else ["quarter"])
+    sign = st.sampled_from((-1.0, 1.0))
+    edge = st.integers(1, 12).map(lambda k: 0.5 * math.pi * (1.0 - 10.0**-k))
+    below = st.one_of(st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True, exclude_max=True), edge)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(kinds)
+        a0, a1 = (draw(below) * draw(sign) for _ in range(2))
+        if kind == "wide":
+            a0 = draw(st.floats(0.5 * math.pi, 3.0)) * draw(sign)
+            a0, a1 = (a0, a1) if draw(st.booleans()) else (a1, a0)
+        a0 = 0.0 if kind == "line" else a0
+        a1 = -a0 if kind in ("arc", "line") else a1
+        assume(kind == "line" or abs(a0 if kind == "arc" else a0 + a1) > 1e-9)  # else a line or an arc
+        p0 = np.array(draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))))
+        psi, d = draw(st.floats(-math.pi, math.pi)), 10.0 ** draw(st.floats(-3.0, 3.0))
+        unit = lambda a: np.array([math.cos(psi + a), math.sin(psi + a)])  # noqa: E731
+        rows.append((kind, (p0, unit(a0), p0 + d * unit(0.0), unit(a1))))
+    return rows
+
+
+@given(_quarter_turn_rows())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_quarter_turn_fits_equal_the_three_branch_fits(rows):
+    kinds, poses = zip(*rows)
+    poses = [np.array(v) for v in zip(*poses)]
+    segments = spline2d._fit_spans(*poses)
+    oracle = _three_branch_fit(*poses)
+    expected = {"line": LineSegment, "arc": ArcSegment, "quarter": ClothoidSegment, "wide": ClothoidSegment}
+    assert [type(seg) for seg in segments] == [expected[kind] for kind in kinds]
+    for seg, want, d in zip(segments, oracle, np.linalg.norm(poses[2] - poses[0], axis=1)):
+        if isinstance(seg, ClothoidSegment):
+            got = np.array([seg.start_angle, seg.kappa0 * d, seg.sharpness * d * d, seg.length / d])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+def test_quarter_turn_spans_solve_one_root_row_each(monkeypatch):
+    solved, bracketed = [], []
+    roots, bracket = spline2d._clothoid_roots, spline2d._bracket_root
+    monkeypatch.setattr(spline2d, "_clothoid_roots", lambda phi0, delta: solved.append(len(phi0)) or roots(phi0, delta))
+    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: bracketed.append(args) or bracket(*args))
+    # a vertex tangent bisects its edges: every span's end angles are half a turn, below pi/2
+    rng, edge = np.random.default_rng(21), math.pi - 1e-6
+    uniform = [rng.uniform(-edge, edge, n) for n in range(2, 9)]
+    hairpins = [rng.choice([-1.0, 1.0], n) * rng.uniform(2.6, edge, n) for n in range(2, 9)]
+    for turns in [*uniform, *hairpins, [edge, -edge, edge, edge], [-edge, 0.3, edge]]:
+        points = _unit_step_polyline(turns).points
+        # closed through one more point off to the side, where no edges are antiparallel
+        closed = DiscreteCurve(np.vstack([points, points.mean(axis=0) + [0.0, 20.0]]), closed=True)
+        for dc in (DiscreteCurve(points), closed):
+            solved.clear()
+            sp = spline_circumscribed(dc)
+            assert solved == [sum(isinstance(seg, ClothoidSegment) for seg in sp.segments)]
+    assert bracketed == []
+    # an end angle of pi/2 or more keeps all three winding branches
+    solved.clear()
+    clothoid_g1_fit([0.0, 0.0], [math.cos(-3.1), math.sin(-3.1)], [1.0, 0.0], [math.cos(2.0), math.sin(2.0)])
+    assert solved == [3]
+    solved.clear()
+    clothoid_g1_fit([0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [math.cos(0.3), math.sin(0.3)])
+    assert solved == [3]
+
+
 def _criterion_08_poses():
     """The pose pairs of acceptance criterion 08, drawn in the same order."""
     rng = np.random.default_rng(808)
