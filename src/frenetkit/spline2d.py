@@ -67,7 +67,9 @@ def _phase_integrals(c0, c1, c2) -> np.ndarray:
     X = int_0^1 cos theta du, Y = int_0^1 sin theta du and
     G' = int_0^1 (u^2 - u) cos theta du, for c0, c1, c2 floats or arrays.
 
-    Each entry gets as many panels as keep its phase change within _MAX_PHASE.
+    Each entry gets as many panels as keep its phase change within _MAX_PHASE,
+    and does not depend on the other entries: einsum sums each row on its own,
+    where BLAS's @ rounds a row by how many rows share the call.
     """
     shape = np.broadcast(c0, c1, c2).shape
     c = np.empty((3,) + shape)
@@ -86,8 +88,8 @@ def _phase_integrals(c0, c1, c2) -> np.ndarray:
             r = rows[i : i + step]
             c0, c1, c2 = c[:, r, None]
             theta = c0 + u * (c1 + u * c2)
-            cos = np.cos(theta)
-            out[r, 0], out[r, 1], out[r, 2] = cos @ w, np.sin(theta) @ w, cos @ wm
+            cos, sin = np.cos(theta), np.sin(theta)
+            out[r, 0], out[r, 1], out[r, 2] = (np.einsum("ij,j->i", v, q) for v, q in ((cos, w), (sin, w), (cos, wm)))
     return out.reshape(shape + (3,))
 
 
@@ -421,72 +423,72 @@ _RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
 _CELL_NODES = np.linspace(0.0, 1.0, 65)  # each round splits a bracket into 64 equal cells
 
 
-def refine_roots(f, lo, hi, xtol: float) -> np.ndarray:
+def refine_roots(f, lo, hi, xtol: float, *args) -> np.ndarray:
     """A root of f in each bracket [lo[i], hi[i]] whose ends change sign or hold a
-    zero, for arrays lo <= hi and f mapping a 1-D array to its values.
+    zero, for arrays lo <= hi and f(x, *args) the values at a 1-D array x, where
+    args are arrays of one entry per bracket, repeated per point of x.
 
     Each round evaluates f once, on 65 equally spaced nodes of every bracket still
     wider than xtol + 4 eps |x| (brentq's tolerance), and keeps the first of its
     64 cells whose ends change sign; a node where f is exactly 0 is the root.
-    Returns the middle of each final bracket.  A bracket's root does not depend
-    on the other brackets; it is nan where f shows no sign change in the first
-    round.  A later round that finds none (f's rounding can depend on how many
-    points it gets) ends its bracket at its middle.
+    Returns the middle of each final bracket, nan where a round finds no sign
+    change; it does not depend on the other brackets if f's values do not.
     """
     lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-    for k in range(100):  # 64x narrower per round: a unit bracket meets 1e-14 in 8
+    for _ in range(100):  # 64x narrower per round: a unit bracket meets 1e-14 in 8
         live = np.flatnonzero(hi - lo > xtol + _RTOL * np.maximum(np.abs(lo), np.abs(hi)))
         if not live.size:
             break
         a, b = lo[live], hi[live]
         x = a[:, None] + (b - a)[:, None] * _CELL_NODES
         x[:, -1] = b
-        s = np.sign(f(x.ravel())).reshape(x.shape)
+        s = np.sign(f(x.ravel(), *(np.repeat(v[live], x.shape[1]) for v in args))).reshape(x.shape)
         # j is each bracket's first node whose sign is 0 or differs from its start's:
         # the root is x[j] if f is 0 there, else in [x[j - 1], x[j]]
         changed = s * s[:, :1] <= 0.0
         j = np.argmax(changed, axis=1) + np.arange(0, x.size, x.shape[1])
-        lost = a + 0.5 * (b - a) if k else math.nan
         x, s, found = x.ravel(), s.ravel(), changed.ravel()[j]
-        lo[live] = np.where(found, np.where(s[j] == 0.0, x[j], x[j - 1]), lost)
-        hi[live] = np.where(found, x[j], lost)
+        lo[live] = np.where(found, np.where(s[j] == 0.0, x[j], x[j - 1]), math.nan)
+        hi[live] = np.where(found, x[j], math.nan)
     return lo + 0.5 * (hi - lo)
 
 
-def _bracket_root(phi0: float, delta: float, center: float):
-    """(A, X(A)) at the root of Y, refined by refine_roots to 1e-14, in the sign
-    change nearest center of a scan over center +- 40; (nan, nan) if there is none."""
-    span = np.linspace(center - 40.0, center + 40.0, 161)
-    vals = _phase_integrals(phi0, delta - span, span)[:, 1]
-    hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)  # a sign change or a zero
-    if not hits.size:
-        return math.nan, math.nan
-    k = hits[np.argmin(np.abs(span[hits] + 0.25 - center))]
-    a = float(refine_roots(lambda v: _phase_integrals(phi0, delta - v, v)[:, 1], span[k], span[k + 1], 1e-14)[0])
-    return a, _phase_integrals(phi0, delta - a, a)[0]
+def _bracket_roots(phi0, delta, center):
+    """Roots A of Y for arrays phi0, delta, center: each in the sign change nearest center of
+    a 161-point scan over center +- 40, refined by refine_roots to 1e-14; nan if it has none."""
+    y = lambda a, phi0, delta: _phase_integrals(phi0, delta - a, a)[..., 1]  # noqa: E731
+    span = np.linspace(center - 40.0, center + 40.0, 161, axis=-1)
+    v = y(span, phi0[:, None], delta[:, None])
+    hit = np.sign(v[:, :-1]) * np.sign(v[:, 1:]) <= 0.0  # a sign change or a zero
+    k = np.argmin(np.where(hit, np.abs(span[:, :-1] + 0.25 - center[:, None]), math.inf), axis=1)
+    rows, roots = np.flatnonzero(hit.any(axis=1)), np.full(center.shape, math.nan)
+    roots[rows] = refine_roots(y, span[rows, k[rows]], span[rows, k[rows] + 1], 1e-14, phi0[rows], delta[rows])
+    return roots
 
 
 def _clothoid_roots(phi0, delta, max_iter: int = 200):
     """Roots A of Y(A) = int_0^1 sin(phi0 + (delta - A) u + A u^2) du = 0, and X(A)
     (the same integral of cos), for arrays phi0, delta; nan where none is found.
-    Newton from the linearized solution runs on all rows at once; a row whose
-    derivative vanishes or that is still live after max_iter goes to _bracket_root."""
+    Newton from the linearized solution runs on all rows at once, then _bracket_roots on
+    the rows it leaves (a zero derivative, or max_iter steps); no row depends on another."""
     a = 6.0 * phi0 + 3.0 * delta
-    root, x_root, best = (np.full(a.shape, v) for v in (math.nan, math.nan, math.inf))
+    root, best = np.full(a.shape, math.nan), np.full(a.shape, math.inf)
     best_a, live = a.copy(), np.arange(a.size)
     for _ in range(max_iter):
-        x, y, gp = _phase_integrals(phi0[live], delta[live] - a[live], a[live]).T
+        _, y, gp = _phase_integrals(phi0[live], delta[live] - a[live], a[live]).T
         better = np.abs(y) < best[live]
         best[live[better]], best_a[live[better]] = np.abs(y[better]), a[live[better]]
         done = np.abs(y) < 1e-14
-        root[live[done]], x_root[live[done]] = a[live[done]], x[done]
+        root[live[done]] = a[live[done]]
         go = ~done & (gp != 0.0)
         a[live[go]] -= np.clip(y[go] / gp[go], -10.0, 10.0)
         if not (live := live[go]).size:
             break
-    for i in np.flatnonzero(np.isnan(root)):
-        root[i], x_root[i] = _bracket_root(phi0[i], delta[i], best_a[i])
-    return root, x_root
+    if (fail := np.flatnonzero(np.isnan(root))).size:
+        root[fail] = _bracket_roots(phi0[fail], delta[fail], best_a[fail])
+    x, ok = np.full(a.shape, math.nan), np.isfinite(root)
+    x[ok] = _phase_integrals(phi0[ok], delta[ok] - root[ok], root[ok])[:, 0]
+    return root, x
 
 
 def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
@@ -812,8 +814,6 @@ def _newton_batch(starts, ds, targets, max_iter=100):
 
 def _fit_c_const(th: np.ndarray, ds: float) -> float:
     """Least-squares C in theta''' + theta'^3/2 + C theta' = 0 on the interior grid."""
-    if len(th) < 7:
-        return 0.0
     d1 = (th[3:-1] - th[1:-3]) / (2.0 * ds)
     d3 = (th[4:] - 2.0 * th[3:-1] + 2.0 * th[1:-3] - th[:-4]) / (2.0 * ds**3)
     num = -float(np.dot(d3 + 0.5 * d1**3, d1))
@@ -830,17 +830,17 @@ def _span_starts(t0, t1, n):
     return np.array([th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)])
 
 
-def _clothoid_start(windings, chord):
-    """The branch-0 clothoid between a span's end poses as a start row, and the
-    index of the winding it turns on: theta0 + delta u + A (u^2 - u) for u on
-    the grid, with the end angles phi0, phi1 wrapped against the chord, delta =
-    phi1 - phi0 and A one _clothoid_roots row; nan if it finds no root."""
-    psi = math.atan2(chord[1], chord[0])
-    phi0, phi1 = (_wrap_angle(windings[0, e] - psi) for e in (0, -1))
-    a = _clothoid_roots(np.array([phi0]), np.array([phi1 - phi0]))[0][0]
-    b = int(np.argmin(np.abs(windings[:, -1] - windings[:, 0] - (phi1 - phi0))))
-    grid = np.linspace(0.0, 1.0, windings.shape[1])
-    return windings[b] + a * (grid * grid - grid), b
+def _clothoid_starts(windings, chords):
+    """Per span, from its (3, n + 1) winding rows and its chord, the branch-0 clothoid
+    between its end poses as a start row, and the index of the winding it turns on:
+    theta0 + delta u + A (u^2 - u) on the grid, with the end angles phi0, phi1 wrapped
+    against the chord, delta = phi1 - phi0 and A from one _clothoid_roots call (nan if none)."""
+    psi = np.arctan2(chords[:, 1], chords[:, 0])
+    phi0, phi1 = (_wrap_angle(windings[:, 0, e] - psi) for e in (0, -1))
+    a = _clothoid_roots(phi0, phi1 - phi0)[0]
+    b = np.argmin(np.abs(windings[..., -1] - windings[..., 0] - (phi1 - phi0)[:, None]), axis=1)
+    grid = np.linspace(0.0, 1.0, windings.shape[-1])
+    return windings[np.arange(len(b)), b] + a[:, None] * (grid * grid - grid), b
 
 
 # rows per _newton_batch call: a batch holds about 30 temporaries of its size;
@@ -884,14 +884,15 @@ def _elastica_spans(spans, length, n, name_spans=False):
     No row of a winding branch goes below the branch's _energy_bound, so a
     branch is open only while its bound is below the span's lowest converged
     energy.  Phase 1 solves the ramp start of every span, then its open +-2
-    pi windings.  Phase 2 solves the _clothoid_start of each span whose
+    pi windings.  Phase 2 solves the clothoid start of each span whose
     winding starts are inconclusive (none converged, they reached distinct
     minima, or the reduced Hessian at their minimum is not positive
-    definite) if its branch is open.  Phase 3 continues the best row of each
-    span with no converged row, up to 3 times.  Each phase solves the rows
-    of all its spans together.  With name_spans, NoConvergence names the span.
+    definite) if its branch is open, all from one _clothoid_starts call.
+    Phase 3 continues the best row of each span with no converged row, up to
+    3 times.  Each phase solves the rows of all its spans together, scaled to
+    the unit length.  With name_spans, NoConvergence names the span.
     """
-    ds = length / n
+    ds = 1.0 / n
     segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
     for i, (p0, t0, p1, t1) in enumerate(spans):
         p0 = np.asarray(p0, dtype=float)
@@ -907,7 +908,7 @@ def _elastica_spans(spans, length, n, name_spans=False):
             if max(abs(phi0), abs(phi1)) <= 1e-9:
                 segments.append(ElasticaSegment(p0, np.full(n + 1, psi), length, 0.0))
                 continue
-            # a grid row from phi0 to phi1 is longer than its chord by about (phi0^2 + phi1^2) ds / 8
+            # a grid row from phi0 to phi1 is longer than its chord by about (phi0^2 + phi1^2) length / (8 n)
             # or more: end angles that need more than this 1e-12 d band holds are infeasible
             if (phi0 * phi0 + phi1 * phi1) * length / (8 * n) > 2e-12 * d:
                 raise Infeasible("length equals chord but tangents are not aligned")
@@ -915,7 +916,7 @@ def _elastica_spans(spans, length, n, name_spans=False):
         curved.append((i, p0, chord, t0, t1))
     if not curved:
         return segments
-    chords = np.array([c[2] for c in curved])
+    chords = np.array([c[2] for c in curved]) / length
     windings = np.array([_span_starts(t0, t1, n) for *_, t0, t1 in curved])
     bounds = _energy_bound(windings, ds)
     rows = [[] for _ in curved]  # per span: (theta, residual, multipliers) of each row solved
@@ -942,10 +943,8 @@ def _elastica_spans(spans, length, n, name_spans=False):
     th, lam = (np.array([rows[k][minima[k][0]][v] for k in single]) for v in (0, 2))
     sure = dict(zip(single, _second_order_ok(th, lam, ds))) if single else {}
     retry = [k for k in range(len(curved)) if not sure.get(k, False)]
-    if retry:
-        keep = open_branches()
-        starts = ((k, *_clothoid_start(windings[k], chords[k])) for k in retry)
-        solve([(k, start) for k, start, b in starts if keep[k, b] and np.isfinite(start).all()])
+    keep, starts = open_branches(), zip(retry, *_clothoid_starts(windings[retry], chords[retry]))
+    solve([(k, start) for k, start, b in starts if keep[k, b] and np.isfinite(start).all()])
     for _ in range(3):  # the slow-step rule can retire a row that would still converge
         stalled = [k for k, m in enumerate(minima) if not m]
         solve([(k, rows[k].pop(int(np.argmin([r[1] for r in rows[k]])))[0]) for k in stalled])
@@ -964,7 +963,7 @@ def _elastica_spans(spans, length, n, name_spans=False):
                 MultipleSolutionsWarning,
             )
         best = found[m[0]][0].copy()  # a copy: no segment keeps the batch
-        segments[i] = ElasticaSegment(p0, best, length, _fit_c_const(best, ds))
+        segments[i] = ElasticaSegment(p0, best, length, _fit_c_const(best, ds) / length / length)
     return segments
 
 
@@ -998,8 +997,8 @@ def centered_nodes(rc: RefinedCurve):
         raise InputError("open centered splining expects the curve to start at a vertex")
     pts = rc.points
     v, e0, e1, theta = _vertex_turns(rc)
+    offset = np.sign(theta) * centered_vertex_offset(theta, rc.ell)  # AngleOutOfRange first at a turn of pi
     tv = (e0 + e1) / np.linalg.norm(e0 + e1, axis=1)[:, None]
-    offset = np.sign(theta) * centered_vertex_offset(theta, rc.ell)
     points = pts[v] + offset[:, None] * _rot90(tv)
     if rc.closed:
         return points, tv

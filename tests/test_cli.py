@@ -586,6 +586,24 @@ def test_spline_centered_hairpin_converges(runner, tmp_path):
     assert max(report["g1_position_gap"], report["g1_tangent_gap"]) <= 1e-8
 
 
+def test_spline_centered_of_a_reversed_edge_exits_2_without_a_warning(runner, tmp_path):
+    # a folded closed polygon whose edges 3 and 4 run back and forth: a turn of pi
+    pts = [
+        [0.0, 0.0],
+        [-0.5765053974567305, 0.8170933402636795],
+        [-0.07650539745672591, 1.6831187440481155],
+        [-0.4958762886597882, 0.7753037542999018],
+        [-0.0765053974567258, 1.6831187440481155],
+        [0.5000000000000052, 0.8660254037844363],
+    ]
+    path = _write(tmp_path, "folded.json", json.dumps({"dim": 2, "closed": True, "points": pts}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["spline", path, "--method", "centered"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: angle 3.141592653589793 outside [0, pi)\n"
+
+
 def test_spline_has_no_seed_option(runner, tmp_path):
     path = _write(tmp_path, "hairpin.json", curve_to_json(_unit_step_polyline(HAIRPIN_ANGLES)))
     result = runner.invoke(main, ["spline", path, "--method", "centered", "--seed", "0"])
@@ -594,8 +612,8 @@ def test_spline_has_no_seed_option(runner, tmp_path):
 
 
 def test_spline_circumscribed_hairpin_whose_bracket_loses_its_sign_change(runner, tmp_path):
-    # a later round of refine_roots sees no sign change in a bracket the first round
-    # found one in: its root is the bracket's middle, not nan (a traceback, exit 1)
+    # a clothoid root whose bracket refine_roots keeps across its rounds only while the
+    # quadrature's rows do not depend on their batch; losing it was a traceback (exit 1)
     pts = [[0.0, 0.0], [1.0, 0.0], [0.00023876392503785482, 0.02185110619313812], [0.9962922398000965, 0.11060623673337219]]
     path = _write(tmp_path, "hairpin.json", json.dumps({"dim": 2, "closed": False, "points": pts}))
     result = runner.invoke(main, ["spline", path, "--method", "circumscribed"])
@@ -924,10 +942,10 @@ _SWEEP_TURNS = (0.3, -0.7, 1e-5, 1.2, -2.9)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method", ["inscribed", "circumscribed"])
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed", "centered"])
 def test_spline_energies_scale_across_the_edge_range(runner, tmp_path, method):
     # unit edges times 2**k lie in EDGE_RANGE for |k| <= 498, and a spline scales with its
-    # polyline, so energy * 2**k is the unit polyline's; centered is not scale-free yet
+    # polyline, so energy * 2**k is the unit polyline's
     top = math.floor(math.log2(EDGE_RANGE[1]))
     assert 2.0**-top >= EDGE_RANGE[0]
     unit = _unit_step_polyline(_SWEEP_TURNS).points
@@ -935,6 +953,40 @@ def test_spline_energies_scale_across_the_edge_range(runner, tmp_path, method):
     for k in range(-top, top + 1, 6):
         got = _spline_energy(runner, tmp_path, unit * 2.0**k, method)
         assert got * 2.0**k == pytest.approx(want, rel=1e-14), k
+
+
+# a nearly taut open polyline: one span's Newton row stops at a residual of 9.7e-9, a G1
+# gap close to the 1e-8 gate; its copies scaled by 2**k converge only because each span
+# is solved on the unit length
+_NEAR_TAUT_TURNS = (-0.0, -4.077362156200812e-10, -6.344422797603669e-08, 3.086589568080977e-10, 8.402062302722993e-4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("turns", [_NEAR_TAUT_TURNS, _SWEEP_TURNS, ZIGZAG_ANGLES], ids=["near-taut", "uneven", "zigzag"])
+def test_centered_spline_is_scale_free(runner, tmp_path, turns):
+    # each span is solved on the unit length: the polyline scaled by 2**k has the unit
+    # polyline's turning angles to the bit, 2**k its length and 2**-k its energy
+    unit = _unit_step_polyline(turns).points
+
+    def report(k):
+        path = _write(tmp_path, "curve.json", curve_to_json(DiscreteCurve(unit * 2.0**k)))
+        result = runner.invoke(main, ["spline", path, "--method", "centered"])
+        assert result.exit_code == 0 and result.stderr == "", (k, result.output)
+        return json.loads(result.stdout)
+
+    want = report(0)
+    # unit edges: the position gap is relative; a taut span may miss its end tangents by 1e-9
+    assert want["g1_position_gap"] <= 1e-8 and want["g1_tangent_gap"] <= 1e-9
+    for k in (40, -40, 400, -400, 498, -498):
+        got = report(k)
+        assert got["spline"]["segments"] == [
+            {**seg, "start": [v * 2.0**k for v in seg["start"]], "length": seg["length"] * 2.0**k,
+             "c_const": seg["c_const"] / 4.0**k}
+            for seg in want["spline"]["segments"]
+        ], k
+        assert got["total_length"] == want["total_length"] * 2.0**k
+        assert got["bending_energy"] * 2.0**k == want["bending_energy"]
+        assert got["g1_position_gap"] / 2.0**k <= 1e-8 and got["g1_tangent_gap"] == want["g1_tangent_gap"]
 
 
 def test_render_with_circles(runner, tmp_path):

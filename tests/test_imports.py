@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 from frenetkit import DiscreteCurve, curve_to_json, elliptic_K, fresnel, jacobi_sn, sogo_turning_angles
 from frenetkit.cli import main
-from frenetkit.spline2d import _bracket_root
+from frenetkit.spline2d import _bracket_roots
 
 # read from the source tree, not imported: a cycle can make the import itself fail
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,10 +188,11 @@ def test_cli_starts_and_runs_scipy_free_subcommands_without_scipy():
 # its value printed as JSON for this process to compare with its own
 _FIRST_CALLS = """
 import contextlib, io, json, sys
+import numpy as np
 assert not any(name.partition(".")[0] == "scipy" for name in sys.modules)
 from frenetkit import elliptic_K, fresnel, jacobi_sn, sogo_turning_angles
 from frenetkit.cli import main
-from frenetkit.spline2d import _bracket_root
+from frenetkit.spline2d import _bracket_roots
 
 def cli(argv):
     out = io.StringIO()
@@ -206,7 +207,7 @@ print(json.dumps({
     "elliptic_K": elliptic_K(0.6),
     "jacobi_sn": float(jacobi_sn(0.9, 0.6)),
     "sogo": sogo_turning_angles(0.8, 0.5, 6).tolist(),
-    "bracket": [float(v) for v in _bracket_root(0.3, -0.5, 0.2)],
+    "bracket": _bracket_roots(np.array([0.3]), np.array([-0.5]), np.array([0.2])).tolist(),
 }))
 """
 
@@ -231,4 +232,4 @@ def test_scipy_users_called_first_in_a_new_interpreter_give_this_process_values(
     assert got["elliptic_K"] == elliptic_K(0.6)
     assert got["jacobi_sn"] == float(jacobi_sn(0.9, 0.6))
     assert got["sogo"] == sogo_turning_angles(0.8, 0.5, 6).tolist()
-    assert got["bracket"] == [float(v) for v in _bracket_root(0.3, -0.5, 0.2)]
+    assert got["bracket"] == _bracket_roots(np.array([0.3]), np.array([-0.5]), np.array([0.2])).tolist()

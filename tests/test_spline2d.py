@@ -12,7 +12,7 @@ from scipy.optimize import brentq  # the oracle of refine_roots
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
 from frenetkit.config import ELASTICA_KKT, MAX_SAMPLES
-from frenetkit.errors import Infeasible, InputError, MultipleSolutionsWarning, NoConvergence
+from frenetkit.errors import FrenetError, Infeasible, InputError, MultipleSolutionsWarning, NoConvergence
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.spline2d import (
     ArcSegment,
@@ -474,9 +474,9 @@ def test_quarter_turn_fits_equal_the_three_branch_fits(rows):
 
 def test_quarter_turn_spans_solve_one_root_row_each(monkeypatch):
     solved, bracketed = [], []
-    roots, bracket = spline2d._clothoid_roots, spline2d._bracket_root
+    roots, bracket = spline2d._clothoid_roots, spline2d._bracket_roots
     monkeypatch.setattr(spline2d, "_clothoid_roots", lambda phi0, delta: solved.append(len(phi0)) or roots(phi0, delta))
-    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: bracketed.append(args) or bracket(*args))
+    monkeypatch.setattr(spline2d, "_bracket_roots", lambda *args: bracketed.append(args) or bracket(*args))
     # a vertex tangent bisects its edges: every span's end angles are half a turn, below pi/2
     rng, edge = np.random.default_rng(21), math.pi - 1e-6
     uniform = [rng.uniform(-edge, edge, n) for n in range(2, 9)]
@@ -513,7 +513,7 @@ def _criterion_08_poses():
 
 def test_bracket_fallback_runs_on_no_criterion_08_fit(monkeypatch):
     calls = []
-    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: calls.append(args))
+    monkeypatch.setattr(spline2d, "_bracket_roots", lambda *args: calls.append(args))
     for pose in _criterion_08_poses():
         clothoid_g1_fit(*pose)
     assert calls == []
@@ -557,22 +557,28 @@ def test_refine_roots_at_a_zero_end_and_without_a_sign_change():
     assert np.isnan(got).all()
 
 
-def test_refine_roots_keeps_a_bracket_whose_sign_change_rounds_away():
-    # f sees the root at 0.3 in the first round only, as rounding can hide a
-    # sign change once a bracket is narrow: the root is the middle of that
-    # round's cell [0.296875, 0.3125], not nan
+def test_refine_roots_passes_per_bracket_arrays_to_f():
+    # f gets each bracket's entry of args at each of its points, and only the live brackets'
     calls = []
-    f = lambda t: (t - 0.3) if not calls.append(len(t)) and len(calls) == 1 else np.ones_like(t)  # noqa: E731
-    assert refine_roots(f, [0.0], [1.0], 1e-14).tolist() == [0.3046875]
-    assert calls == [65, 65]
+
+    def f(t, r, w):
+        calls.append(len(t))
+        return w * (t - r)
+
+    r, w = np.array([0.3, 0.5, 0.75]), np.array([1.0, -2.0, 3.0])
+    got = refine_roots(f, [0.0, 0.5, 0.0], [1.0, 1.0, 0.5], 1e-13, r, w)
+    assert abs(got[0] - 0.3) <= 1e-13 and got[1] == 0.5 and math.isnan(got[2])
+    # the second bracket has a zero at its start and the third no sign change: both end in round one
+    assert calls[0] == 3 * 65 and set(calls[1:]) == {65}
 
 
-def test_bracket_root_of_a_hairpin_whose_sign_change_rounds_away():
-    # f(hi) is -2.5e-17 among the 65 nodes of a round and +1.4e-17 alone
-    phi0, delta = -1.5598699040726263, -6.238749270551619
-    a, x = spline2d._bracket_root(phi0, delta, -38.07546723609062)
-    assert math.isfinite(a) and math.isfinite(x)
-    assert abs(spline2d._phase_integrals(phi0, delta - a, a)[1]) <= 1e-14
+def test_bracket_roots_of_a_hairpin_keep_its_sign_change():
+    # Y at this bracket's end is about 1e-17: refine_roots keeps its sign change only
+    # while the quadrature's rows do not depend on their batch
+    phi0, delta = np.array([-1.5598699040726263]), np.array([-6.238749270551619])
+    a = spline2d._bracket_roots(phi0, delta, np.array([-38.07546723609062]))
+    assert np.isfinite(a).all()
+    assert abs(spline2d._phase_integrals(phi0, delta - a, a)[0, 1]) <= 1e-14
 
 
 def test_bracket_fallback_returns_the_newton_root(monkeypatch):
@@ -581,13 +587,41 @@ def test_bracket_fallback_returns_the_newton_root(monkeypatch):
     phi0 = np.repeat(phi0, 3)
     delta = np.repeat(phi1, 3) - phi0 + 2.0 * math.pi * np.tile([0.0, -1.0, 1.0], len(phi1))
     calls = []
-    bracket = spline2d._bracket_root
-    monkeypatch.setattr(spline2d, "_bracket_root", lambda *args: calls.append(args) or bracket(*args))
+    bracket = spline2d._bracket_roots
+    monkeypatch.setattr(spline2d, "_bracket_roots", lambda *args: calls.append(len(args[0])) or bracket(*args))
     newton = spline2d._clothoid_roots(phi0, delta)
     assert calls == []
     fallback = spline2d._clothoid_roots(phi0, delta, max_iter=2)  # too few steps for most rows
-    assert len(calls) > len(phi0) // 2
+    assert len(calls) == 1 and calls[0] > len(phi0) // 2  # one scan for all of them
     np.testing.assert_allclose(fallback, newton, rtol=0.0, atol=1e-12)
+
+
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_phase_integral_rows_do_not_depend_on_their_batch(rows, seed):
+    # phase changes from 0 to 80 rad: 1 to 54 panels, mixed in one call
+    rng = np.random.default_rng(seed)
+    c0 = rng.uniform(-4.0, 4.0, rows)
+    c1, c2 = rng.choice([0.0, 1.0, 10.0, 40.0], size=(2, rows)) * rng.uniform(-1.0, 1.0, (2, rows))
+    batch = spline2d._phase_integrals(c0, c1, c2)
+    for i in range(rows):
+        np.testing.assert_array_equal(batch[i], spline2d._phase_integrals(c0[i], c1[i], c2[i]))
+    part = rng.permutation(rows)[: rng.integers(1, rows + 1)]
+    np.testing.assert_array_equal(batch[part], spline2d._phase_integrals(c0[part], c1[part], c2[part]))
+
+
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.sampled_from([200, 2, 0]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_clothoid_root_rows_do_not_depend_on_their_batch(rows, seed, max_iter):
+    # end angles up to 3 rad on all three winding branches; with 2 or 0 Newton steps
+    # most or all rows go to the bracket fallback
+    rng = np.random.default_rng(seed)
+    phi0 = rng.uniform(-3.0, 3.0, rows)
+    delta = rng.uniform(-3.0, 3.0, rows) - phi0 + 2.0 * math.pi * rng.integers(-1, 2, rows)
+    batch = np.column_stack(spline2d._clothoid_roots(phi0, delta, max_iter))
+    for i in range(rows):
+        alone = spline2d._clothoid_roots(phi0[i : i + 1], delta[i : i + 1], max_iter)
+        np.testing.assert_array_equal(batch[i], np.concatenate(alone))
 
 
 def _joint_gaps(sp):
@@ -846,7 +880,7 @@ def test_clothoid_start_is_the_branch_0_clothoid(th0, th1, chord, branch):
     # nodes to the bit
     t0, t1 = [math.cos(th0), math.sin(th0)], [math.cos(th1), math.sin(th1)]
     windings = spline2d._span_starts(t0, t1, 16)
-    start, b = spline2d._clothoid_start(windings, np.array(chord))
+    (start,), (b,) = spline2d._clothoid_starts(windings[None], np.array([chord]))
     assert b == branch
     np.testing.assert_array_equal(start[[0, -1]], windings[b, [0, -1]])
     a0, a1 = (_wrap(t - math.atan2(chord[1], chord[0])) for t in (th0, th1))
@@ -924,16 +958,15 @@ def _full_start_solve(rc, n=64):
     """Every start row of every span of an open centered spline (the ramp, its
     two windings and the clothoid start), solved together: per span the
     starts, the rows, their residuals and the indices of the distinct
-    converged minima, lowest energy first, by the 1e-6 rule alone."""
+    converged minima, lowest energy first, by the 1e-6 rule alone.  As in
+    _elastica_spans, every span is solved on the unit length."""
     points, dirs = centered_nodes(rc)
     t = [d / np.linalg.norm(d) for d in dirs]  # as _elastica_spans normalizes them, to the bit
-    chords = np.diff(points, axis=0)
-    starts = []
-    for i, chord in enumerate(chords):
-        windings = spline2d._span_starts(t[i], t[i + 1], n)
-        clothoid, _ = spline2d._clothoid_start(windings, chord)
-        starts.append(np.vstack([windings, clothoid[None]]) if np.isfinite(clothoid).all() else windings)
-    ds = 2.0 * rc.ell / n
+    chords = np.diff(points, axis=0) / (2.0 * rc.ell)
+    windings = np.array([spline2d._span_starts(t[i], t[i + 1], n) for i in range(len(chords))])
+    clothoids, _ = spline2d._clothoid_starts(windings, chords)
+    starts = [np.vstack([w, c[None]]) if np.isfinite(c).all() else w for w, c in zip(windings, clothoids)]
+    ds = 1.0 / n
     owner = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     thetas, res, _ = spline2d._newton_batch(np.concatenate(starts), ds, chords[owner])
     spans = []
@@ -1126,6 +1159,40 @@ def test_centered_nodes_closed_and_open():
     assert len(points) == len(dc)
     np.testing.assert_array_equal(points[[0, -1]], dc.points[[0, -1]])
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+
+
+@st.composite
+def _moved_polylines(draw):
+    """An open unit-edge polyline of 1-5 turns, all in +-2.8 or all in +-1, and
+    the same polyline rotated by any angle and translated by up to 100."""
+    bound = draw(st.sampled_from([2.8, 1.0]))
+    points = _unit_step_polyline(draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=5))).points
+    angle = draw(st.floats(-math.pi, math.pi))
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    shift = draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+    return DiscreteCurve(points), DiscreteCurve(points @ rotation.T + np.array(shift))
+
+
+def _spline_or_error(method, dc):
+    """(None, the spline) or (the class of the frenetkit error raised, None)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleSolutionsWarning)
+            return None, method(dc)
+    except FrenetError as exc:
+        return type(exc), None
+
+
+@given(_moved_polylines())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_splines_are_invariant_under_rigid_motions(pair):
+    methods = (lambda dc: spline_inscribed(refine(dc)), spline_circumscribed, lambda dc: spline_centered(refine(dc)))
+    for method in methods:
+        (error, sp), (moved_error, moved) = (_spline_or_error(method, dc) for dc in pair)
+        assert error is moved_error
+        if sp is not None:
+            assert moved.total_length() == pytest.approx(sp.total_length(), rel=1e-9, abs=1e-12)
+            assert moved.energy() == pytest.approx(sp.energy(), rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
