@@ -13,8 +13,9 @@ inscribed|circumscribed`` (the sine has an inflection to bracket) and ``spline
 --method inscribed|circumscribed --svg``, on a regular hexagon and an open
 polyline; after the imports and after each of these ops it looks for ``scipy``
 in ``sys.modules``.  Last it runs ``spline --method centered`` on both
-polylines, on a hairpin polyline whose span 3 needs the clothoid start and on
-a polyline whose span 1 needs that start continued, which may load
+polylines, on a hairpin polyline whose span 3 converges only from its phase-1
+clothoid start and on a polyline whose span 1 converges from no start, its
+phase-2 ramp included, until its clothoid start is continued, which may load
 ``scipy.linalg`` (for LAPACK's tridiagonal solver) and no other scipy
 subpackage.  Prints one line per step; exits 1 if an op
 fails or a step loaded scipy, or a subpackage other than ``scipy.linalg`` for

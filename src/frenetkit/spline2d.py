@@ -356,7 +356,10 @@ def g1_defects(spline: Spline):
         return 0.0, 0.0
     polylines = polyline_sampler(segs)(math.inf)
     start, end = (np.array([pts[k] for pts in polylines]) for k in (0, -1))
-    pos = float(np.max(np.linalg.norm(end[:joints] - np.roll(start, -1, axis=0)[:joints], axis=1)))
+    gaps = end[:joints] - np.roll(start, -1, axis=0)[:joints]
+    # the norm squares the gaps: scaled by a power of two (exactly), gaps near the underflow keep their squares
+    e = int(np.frexp(np.max(np.abs(gaps)))[1])
+    pos = float(np.ldexp(np.max(np.linalg.norm(np.ldexp(gaps, -e), axis=1)), e))
     pairs = zip(segs[:joints], segs[1:] + segs[:1])
     return pos, max(abs(_wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))) for a, b in pairs)
 
@@ -684,21 +687,6 @@ def _kkt_residual(thetas, lam, ds, target):
     return np.concatenate([stationary, defect], axis=-1)
 
 
-def _lagrangian_band(thetas, lam, ds):
-    """Each row's Lagrangian Hessian on the interior nodes as a tridiagonal
-    band (diag, off), off zero in its last column, and the constraint
-    Jacobian G (B x 2 x interior nodes)."""
-    n_rows, n_int = len(thetas), thetas.shape[1] - 2
-    cells = _cell_arrays(thetas)
-    gx, gy = _constraint_grad(thetas, ds, cells)
-    dx, ex, dy, ey = _constraint_hessians(thetas, ds, cells)
-    # energy Hessian: tridiagonal (4, -2, -2)/ds on interior nodes
-    diag = 4.0 / ds + lam[:, :1] * dx[:, 1:-1] + lam[:, 1:] * dy[:, 1:-1]
-    off = np.zeros((n_rows, n_int))  # the last column couples a row to the next: zero
-    off[:, :-1] = -2.0 / ds + lam[:, :1] * ex[:, 1:-1] + lam[:, 1:] * ey[:, 1:-1]
-    return diag, off, np.stack([gx[:, 1:-1], gy[:, 1:-1]], axis=1)
-
-
 def _band_solve(diag, off, rhs):
     """Solutions (B x n x k) of every row's tridiagonal system for its k
     right-hand sides, and a mask of the rows whose systems are nonsingular.
@@ -731,7 +719,14 @@ def _kkt_step(thetas, lam, ds, res):
     complement is solved in closed form.
     """
     n_int = thetas.shape[1] - 2
-    diag, off, g = _lagrangian_band(thetas, lam, ds)
+    cells = _cell_arrays(thetas)
+    gx, gy = _constraint_grad(thetas, ds, cells)
+    dx, ex, dy, ey = _constraint_hessians(thetas, ds, cells)
+    # energy Hessian: tridiagonal (4, -2, -2)/ds on interior nodes
+    diag = 4.0 / ds + lam[:, :1] * dx[:, 1:-1] + lam[:, 1:] * dy[:, 1:-1]
+    off = np.zeros((len(thetas), n_int))  # the last column couples a row to the next: zero
+    off[:, :-1] = -2.0 / ds + lam[:, :1] * ex[:, 1:-1] + lam[:, 1:] * ey[:, 1:-1]
+    g = np.stack([gx[:, 1:-1], gy[:, 1:-1]], axis=1)  # the constraint Jacobian, B x 2 x interior nodes
     rhs = np.stack([res[:, :n_int], g[:, 0], g[:, 1]], axis=-1)
     sol, ok = _band_solve(diag, off, rhs)
     hr, hg = sol[..., 0], sol[..., 1:]  # H^-1 r1, H^-1 G^T
@@ -743,28 +738,6 @@ def _kkt_step(thetas, lam, ds, res):
     adj_c = np.column_stack([s11 * c[:, 0] - s01 * c[:, 1], s00 * c[:, 1] - s10 * c[:, 0]])
     dlam = adj_c / np.where(ok, det, 1.0)[:, None]
     return np.column_stack([-hr - np.einsum("bij,bj->bi", hg, dlam), dlam]), ok
-
-
-def _second_order_ok(thetas, lam, ds):
-    """Mask of the rows whose reduced Hessian (the Lagrangian Hessian H on the
-    tangent space of the two constraints) is positive definite.
-
-    By Haynsworth's inertia additivity on the KKT matrix [[H, G^T], [G, 0]],
-    it is iff H and the 2x2 Schur complement S = G H^-1 G^T are nonsingular
-    and have as many negative eigenvalues.  H's count is the number of
-    negative LDL^T pivots, O(n) per row; a zero pivot fails the test.
-    """
-    diag, off, g = _lagrangian_band(thetas, lam, ds)
-    pivot = diag[:, 0]
-    negative, nonzero = (pivot < 0.0).astype(int), pivot != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, diag.shape[1]):
-            pivot = diag[:, k] - off[:, k - 1] ** 2 / pivot
-            negative += pivot < 0.0
-            nonzero &= pivot != 0.0
-    hg, ok = _band_solve(diag, off, g.transpose(0, 2, 1).copy())
-    eig = np.linalg.eigvalsh(g @ hg)
-    return ok & nonzero & (eig != 0.0).all(axis=1) & (negative == (eig < 0.0).sum(axis=1))
 
 
 def _newton_batch(starts, ds, targets, max_iter=100):
@@ -883,14 +856,15 @@ def _elastica_spans(spans, length, n, name_spans=False):
 
     No row of a winding branch goes below the branch's _energy_bound, so a
     branch is open only while its bound is below the span's lowest converged
-    energy.  Phase 1 solves the ramp start of every span, then its open +-2
-    pi windings.  Phase 2 solves the clothoid start of each span whose
-    winding starts are inconclusive (none converged, they reached distinct
-    minima, or the reduced Hessian at their minimum is not positive
-    definite) if its branch is open, all from one _clothoid_starts call.
-    Phase 3 continues the best row of each span with no converged row, up to
-    3 times.  Each phase solves the rows of all its spans together, scaled to
-    the unit length.  With name_spans, NoConvergence names the span.
+    energy.  Each span's start rows are its linear turning-angle ramp and
+    the ramp's +-2 pi windings, of which the one its branch-0 clothoid turns
+    on is replaced by that clothoid where it has one (one _clothoid_starts
+    call for all spans).  Phase 1 solves row 0 of every span, then its open
+    +-2 pi rows.  Phase 2 solves the ramp of each span whose clothoid
+    replaced it and which has no converged row.  Phase 3 continues the best
+    row of each span with no converged row, up to 3 times.  Each phase
+    solves the rows of all its spans together, scaled to the unit length.
+    With name_spans, NoConvergence names the span.
     """
     ds = 1.0 / n
     segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
@@ -925,8 +899,8 @@ def _elastica_spans(spans, length, n, name_spans=False):
     def solve(jobs):
         """Solve the (span, start) jobs as one batch and file each row under its span."""
         if jobs:
-            owner, starts = zip(*jobs)
-            for k, *row in zip(owner, *_solve_rows(np.array(starts), chords[list(owner)], ds)):
+            owner, picked = zip(*jobs)
+            for k, *row in zip(owner, *_solve_rows(np.array(picked), chords[list(owner)], ds)):
                 rows[k].append(row)
             for k in set(owner):
                 th, res, _ = zip(*rows[k])
@@ -937,14 +911,13 @@ def _elastica_spans(spans, length, n, name_spans=False):
         best = [elastica_energy(rows[k][m[0]][0], ds) if m else math.inf for k, m in enumerate(minima)]
         return bounds < np.array(best)[:, None]
 
-    solve([(k, w[0]) for k, w in enumerate(windings)])
-    solve([(k, windings[k][b + 1]) for k, b in zip(*np.nonzero(open_branches()[:, 1:]))])
-    single = [k for k, m in enumerate(minima) if len(m) == 1]
-    th, lam = (np.array([rows[k][minima[k][0]][v] for k in single]) for v in (0, 2))
-    sure = dict(zip(single, _second_order_ok(th, lam, ds))) if single else {}
-    retry = [k for k in range(len(curved)) if not sure.get(k, False)]
-    keep, starts = open_branches(), zip(retry, *_clothoid_starts(windings[retry], chords[retry]))
-    solve([(k, start) for k, start, b in starts if keep[k, b] and np.isfinite(start).all()])
+    clothoids, turn = _clothoid_starts(windings, chords)
+    swap = np.flatnonzero(np.isfinite(clothoids).all(axis=1))  # spans whose clothoid replaces its winding
+    starts = windings.copy()
+    starts[swap, turn[swap]] = clothoids[swap]
+    solve([(k, s[0]) for k, s in enumerate(starts)])
+    solve([(k, starts[k][b + 1]) for k, b in zip(*np.nonzero(open_branches()[:, 1:]))])
+    solve([(k, windings[k][0]) for k in swap if turn[k] == 0 and not minima[k]])  # the ramp the clothoid replaced
     for _ in range(3):  # the slow-step rule can retire a row that would still converge
         stalled = [k for k, m in enumerate(minima) if not m]
         solve([(k, rows[k].pop(int(np.argmin([r[1] for r in rows[k]])))[0]) for k in stalled])
@@ -971,12 +944,14 @@ def elastica_bvp(p0, t0, p1, t1, length: float, n: int = 64) -> ElasticaSegment:
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
     Solves the KKT system of the turning-angle discretization by damped
-    Newton from the linear turning-angle ramp and from those of its +-2 pi
-    windings whose energy bound is below the ramp's energy; the clothoid
-    between the two poses runs only when these starts are inconclusive, and
-    a start that stalls is continued (see _elastica_spans).  Distinct
-    local minima on the windings that could hold the lowest energy trigger
-    MultipleSolutionsWarning; the lowest-energy one is returned.
+    Newton from the clothoid between the two poses, which stands in for the
+    linear turning-angle ramp or for the +-2 pi winding of it that turns as
+    the clothoid does, and from the other windings whose energy bound is
+    below the lowest energy reached.  The ramp runs after all if the
+    clothoid replaced it and no start converged, and a start that stalls is
+    continued (see _elastica_spans).  Distinct local minima on the windings
+    that could hold the lowest energy trigger MultipleSolutionsWarning; the
+    lowest-energy one is returned.
     """
     return _elastica_spans([(p0, t0, p1, t1)], length, n)[0]
 

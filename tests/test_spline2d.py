@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import null_space
 from scipy.optimize import brentq  # the oracle of refine_roots
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
@@ -838,8 +837,8 @@ def test_several_minima_warn_once_per_span(monkeypatch):
     # a rod four times longer than its chord buckles to either side
     p0, p1, t = [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]
     assert _count_multiple_solution_warnings(lambda: elastica_bvp(p0, t, p1, t, 2.0)) == 1
-    # the ramp (no converged row), both windings, then the clothoid start
-    assert calls == [1, 2, 1]
+    # the clothoid start, here the ramp itself (no converged row), then both windings
+    assert calls == [1, 2]
     # spans solved together warn one by one: two buckled rods around a gentle
     # arc, whose windings are bounded above its energy and which is conclusive
     calls.clear()
@@ -847,28 +846,29 @@ def test_several_minima_warn_once_per_span(monkeypatch):
     spans = [(p0, t, p1, t), ([0.0, 0.0], bent[0], [1.9, 0.0], bent[1]), (p0, t, p1, t)]
     warned = _count_multiple_solution_warnings(lambda: spline2d._elastica_spans(spans, 2.0, 64))
     assert warned == 2
-    assert calls == [3, 2 * 2, 2]
-    # a U-turn of two 3 rad hairpins: the middle span's ramp converges to an
-    # arc of energy 9; its other minimum (energy 153.6) winds the other way,
-    # bounded by (3 - 2 pi)^2 = 10.8 > 9, so it is neither solved nor counted
+    assert calls == [3, 2 * 2]
+    # a U-turn of two 3 rad hairpins: the middle span's clothoid start, its ramp
+    # (the ends are symmetric), converges to an arc of energy 9; its other minimum
+    # (energy 153.6) winds the other way, bounded by (3 - 2 pi)^2 = 10.8 > 9, so
+    # it is neither solved nor counted
     calls.clear()
     rc = refine(_unit_step_polyline((3.0, 3.0)))
     assert _count_multiple_solution_warnings(lambda: spline_centered(rc)) == 0
     assert calls == [3]
 
 
-def test_a_saddle_from_the_winding_starts_runs_the_clothoid_start(monkeypatch):
-    # the ramp start converges to a KKT point of energy 20.76 whose reduced
-    # Hessian is not positive definite; the clothoid start finds a minimum below it
+def test_the_clothoid_start_skips_the_ramps_saddle(monkeypatch):
+    # the ramp start converges to a saddle of energy 20.76 (its reduced Hessian is not
+    # positive definite); the clothoid start, which replaces the ramp, converges to a
+    # minimum below it
     calls = _count_newton_rows(monkeypatch)
     t0, t1 = [math.cos(0.5), math.sin(0.5)], [math.cos(0.3), math.sin(0.3)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         seg = elastica_bvp([0.0, 0.0], t0, [1.0, 0.0], t1, 1.3)
-    assert [w.category for w in caught] == [MultipleSolutionsWarning]
-    # both windings are bounded above 20.76 (by 28.4 and 32.3): only the ramp
-    # and the clothoid start on its branch run
-    assert calls == [1, 1]
+    assert caught == []
+    # both windings are bounded above 13.19 (by 28.4 and 32.3): one row runs
+    assert calls == [1]
     assert seg.energy() == pytest.approx(13.187126, abs=1e-6)
 
 
@@ -1000,8 +1000,9 @@ def test_converged_rows_keep_the_winding_energy_bound(turns):
 @example((1.0, 2.8, -2.8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_restarts_on_inconclusive_spans_agree_with_the_full_solve(turns):
-    # the one restart of an inconclusive span is its clothoid start: a span
-    # returns the lowest minimum that all its starts, solved at once, reach
+    # a span solves its clothoid start in place of the winding it turns on, and the
+    # ramp only if that converges nowhere: on these polylines it returns the lowest
+    # minimum that all its starts, solved at once, reach
     rc = refine(_unit_step_polyline(turns))
     full = _full_start_solve(rc)
     with warnings.catch_warnings(record=True) as caught:
@@ -1064,20 +1065,6 @@ def test_newton_batch_rows_are_independent(rng):
         np.testing.assert_array_equal(lam[i], lam_alone[0])
 
 
-def test_second_order_test_matches_the_dense_reduced_hessian(rng):
-    n, ds = 16, 0.1
-    thetas = _span_starts(rng, 40, n=n)
-    lam = rng.normal(0.0, 60.0, size=(40, 2))
-    got = spline2d._second_order_ok(thetas, lam, ds)
-    want = []
-    for d, off, g in zip(*spline2d._lagrangian_band(thetas, lam, ds)):
-        h = np.diag(d) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
-        z = null_space(g)  # basis of the constraint tangent space
-        want.append(bool(np.linalg.eigvalsh(z.T @ h @ z).min() > 0.0))
-    assert 0 < sum(want) < len(want)
-    assert got.tolist() == want
-
-
 def test_kkt_step_retires_singular_rows(rng, monkeypatch):
     thetas = _span_starts(rng, 3, n=16)
     lam = rng.normal(size=(3, 2))
@@ -1112,19 +1099,24 @@ def test_centered_spline_names_the_failing_span(monkeypatch):
     assert info.value.residual > ELASTICA_KKT
 
 
-def test_centered_spline_continues_a_stalled_span(monkeypatch):
-    # span 3's best start stops at 7.8e-5 after six slow steps; continued, it converges
+def test_centered_spline_solves_one_row_per_span_from_the_clothoid(monkeypatch):
+    # span 3 of the zig-zag converges from no ramp or winding start: its clothoid start
+    # converges, so all 7 spans converge from their first rows, in one call
     calls = _count_newton_rows(monkeypatch)
     sp = spline_centered(refine(_unit_step_polyline(ZIGZAG_ANGLES)))
     assert max(g1_defects(sp)) <= 1e-8
-    assert calls[-1] == 1  # one more call for the one stalled span
-    # a gentle, smooth open polyline of 1 000 unit edges: span 566 stalls at 3.6e-7
+    assert calls == [7]
+    # a gentle, smooth open polyline of 1 000 unit edges, whose span 566 stalls at
+    # 3.6e-7 from its ramp: from the clothoids, no span needs a second row
+    calls.clear()
     rc = refine(_unit_step_polyline(0.25 * np.sin(0.05 * np.arange(999))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", MultipleSolutionsWarning)
         sp = spline_centered(rc)
     assert len(sp.segments) == 1000
     assert max(g1_defects(sp)) <= 1e-8
+    curved = sum(np.ptp(seg.thetas) > 0.0 for seg in sp.segments)  # the taut spans solve no row
+    assert sum(calls) <= curved
 
 
 @pytest.mark.parametrize("turns", [(0.0, 5.3e-7), (1e-6,), (3e-7, -2e-8, 1e-9), (4e-10, -6.3e-8, 3e-10, 8.4e-4)])
@@ -1138,13 +1130,32 @@ def test_centered_spline_of_a_nearly_straight_polyline(turns):
 
 
 def test_centered_spline_continues_the_clothoid_start(monkeypatch):
-    # span 1 converges from no ramp, winding or clothoid start; its best row,
+    # span 1 converges from no clothoid, winding or ramp start; its best row,
     # the clothoid start, converges when continued
     calls = _count_newton_rows(monkeypatch)
     sp = spline_centered(refine(_unit_step_polyline(CONTINUED_ANGLES)))
-    assert calls == [4, 2, 1, 1]
+    assert calls == [4, 2, 1, 1]  # every span, the open windings, span 1's ramp, the continued row
     got = [seg.energy() for seg in sp.segments]
     np.testing.assert_allclose(got, [1.066839, 3.2213, 0.902721, 0.766764], rtol=0.0, atol=1e-6)
+    assert max(g1_defects(sp)) <= 1e-8
+
+
+# a polyline whose span 5, nearly taut, converges only from its ramp continued: its
+# clothoid start stops at 1.0e-8 and, continued, at 4.7e-8; its ramp stops at 1.8e-8
+# and, continued, converges
+_RAMP_RETRY_TURNS = (
+    -0.12565846900323296, 0.06227731049578722, -0.8406450602628568, -0.08757672325940202, -1.3832123510141813e-07
+)
+
+
+def test_centered_spline_retries_the_ramp_the_clothoid_replaced(monkeypatch):
+    calls = _count_newton_rows(monkeypatch)
+    sp = spline_centered(refine(_unit_step_polyline(_RAMP_RETRY_TURNS)))
+    # every span, span 5's open windings, its ramp, then its clothoid and its ramp continued
+    assert calls == [6, 2, 1, 1, 1]
+    got = [seg.energy() for seg in sp.segments]
+    np.testing.assert_allclose(got[:5], [0.013001, 0.024627, 0.632968, 0.537122, 0.006315], rtol=0.0, atol=1e-6)
+    assert got[5] == pytest.approx(1.975096e-14, rel=1e-6)
     assert max(g1_defects(sp)) <= 1e-8
 
 
