@@ -8,8 +8,10 @@ Builds the inputs and op lists of the three workloads in
 ``perfbench/workloads.py`` for the seed, runs every op once in process
 through ``frenetkit.cli.main`` and prints, per op, its exit code and the
 sha256 of its stdout and of each file it writes (``--out``, ``--svg``).
-The work directory is fixed, so that reports naming a file are equal from
-one checkout to the next: run this on two checkouts one after the other and
+Each run works in a directory of its own, and hashes stdout with that
+directory spelled as the fixed ``$TMPDIR/frenetkit-output-digests``, so that
+reports naming a file are equal from one checkout to the next and runs at
+the same time do not touch each other's files: run this on two checkouts and
 ``diff`` the outputs to see whether a change alters any byte the program
 writes.  Then appends 4096 bytes of junk to every file the ops wrote and
 runs them again in the same directory, to check that rewriting an existing,
@@ -35,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from frenetkit.cli import main as cli  # noqa: E402
 
-WORK = Path(tempfile.gettempdir()) / "frenetkit-output-digests"
+WORK = Path(tempfile.gettempdir()) / "frenetkit-output-digests"  # how stdout spells each run's directory
 OUTPUT_OPTIONS = ("--out", "--svg")
 JUNK = bytes(range(256)) * 16  # 4096 bytes appended to each output before the rerun
 
@@ -63,10 +65,11 @@ def _outputs(op):
     return [(flag[2:], Path(path)) for flag, path in zip(op.argv, op.argv[1:]) if flag in OUTPUT_OPTIONS]
 
 
-def digest_fields(op):
-    """Run one op; return its exit code and the digests of its stdout and of each file it writes."""
+def digest_fields(op, root):
+    """Run one op; return its exit code and the digests of its stdout, with the
+    run directory root spelled as WORK, and of each file it writes."""
     code, stdout = run_op(op.argv)
-    fields = [f"exit={code}", f"stdout={_sha(stdout.encode())}"]
+    fields = [f"exit={code}", f"stdout={_sha(stdout.replace(str(root), str(WORK)).encode())}"]
     fields += [f"{kind}={_sha(path.read_bytes()) if path.is_file() else 'missing'}" for kind, path in _outputs(op)]
     return code, fields
 
@@ -78,26 +81,28 @@ def digest_lines(seed, rewrites):
     wrote and the ops run again in the same work directory; the name of each op
     whose digests differ on this rerun is appended to rewrites.
     """
-    for name in workloads.NAMES:
-        work = WORK / name
-        shutil.rmtree(work, ignore_errors=True)
-        work.mkdir(parents=True)
-        wl = workloads.build(name, seed, work)
-        wl.write(work)
-        labels = [f"{name}:{i:03d}" for i in range(len(wl.ops))]
-        argvs = [" ".join(op.argv).replace(f"{work}/", "") for op in wl.ops]
-        first = []
-        for op, label, argv in zip(wl.ops, labels, argvs):
-            code, fields = digest_fields(op)
-            first.append(fields)
-            yield " ".join([label, *fields, argv]), code == 0
-        for path in {path for op in wl.ops for _, path in _outputs(op) if path.is_file()}:
-            with path.open("ab") as fh:
-                fh.write(JUNK)
-        for op, label, argv, fields in zip(wl.ops, labels, argvs, first):
-            if digest_fields(op)[1] != fields:
-                rewrites.append(f"{label} {argv}")
-    shutil.rmtree(WORK, ignore_errors=True)
+    root = Path(tempfile.mkdtemp(prefix="frenetkit-output-digests-"))
+    try:
+        for name in workloads.NAMES:
+            work = root / name
+            work.mkdir()
+            wl = workloads.build(name, seed, work)
+            wl.write(work)
+            labels = [f"{name}:{i:03d}" for i in range(len(wl.ops))]
+            argvs = [" ".join(op.argv).replace(f"{work}/", "") for op in wl.ops]
+            first = []
+            for op, label, argv in zip(wl.ops, labels, argvs):
+                code, fields = digest_fields(op, root)
+                first.append(fields)
+                yield " ".join([label, *fields, argv]), code == 0
+            for path in {path for op in wl.ops for _, path in _outputs(op) if path.is_file()}:
+                with path.open("ab") as fh:
+                    fh.write(JUNK)
+            for op, label, argv, fields in zip(wl.ops, labels, argvs, first):
+                if digest_fields(op, root)[1] != fields:
+                    rewrites.append(f"{label} {argv}")
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def main(argv=None):

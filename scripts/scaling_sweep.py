@@ -1,0 +1,103 @@
+"""Time the spline and discretize subcommands at growing sizes, and fail if one grows faster than linearly.
+
+Usage, from the root of a checkout:
+
+    python scripts/scaling_sweep.py [--sizes 100 1000 10000]
+
+Runs in process, through ``frenetkit.cli.main``, at each size N:
+
+* ``spline FILE --method M`` for each of the three methods, on the open
+  unit-edge polyline of N vertices with turns 0.25 sin(0.05 k), k = 0 .. N - 3;
+* ``discretize ellipse --method centered --density N``.
+
+Checks every report as ``perfbench/workloads.py`` does: both G1 gaps of a
+spline at most ``G1_TOL`` and the ``length_error`` of a discretization at most
+``LENGTH_TOL``.  Prints the least of 3 wall times at each size and, from the
+second size on, the ratio to the time at the size before it, per decade of
+size (10 for linear growth).  Exits 1 if an op exits non-zero, a check fails
+or a ratio is above MAX_RATIO.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from output_digests import run_op  # noqa: E402
+from workloads import G1_TOL, LENGTH_TOL  # noqa: E402
+
+from frenetkit import curve_to_json  # noqa: E402
+from frenetkit.figures import _unit_step_polyline  # noqa: E402
+
+MAX_RATIO = 15.0  # time ratio per decade of size; linear growth is 10
+REPEATS = 3
+
+
+def check(report):
+    """A failure message for a report outside the benchmark's bounds, or None."""
+    if "length_error" in report:
+        err = report["length_error"]
+        return None if err <= LENGTH_TOL else f"length error {err:.3e} over {LENGTH_TOL:.0e}"
+    gaps = (report["g1_position_gap"], report["g1_tangent_gap"])
+    return None if max(gaps) <= G1_TOL else f"G1 gaps {gaps} over {G1_TOL:.0e}"
+
+
+def timed(argv):
+    """The least wall time of REPEATS runs of one op, and a failure message or None."""
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        code, stdout = run_op(argv)
+        best = min(best, time.perf_counter() - start)
+        if code != 0:
+            return best, f"exit {code}"
+        if failure := check(json.loads(stdout)):
+            return best, failure
+    return best, None
+
+
+def ops(work, n):
+    """(name, argv) of each op at size n; the polyline files are in work."""
+    for method in ("inscribed", "circumscribed", "centered"):
+        yield f"spline {method}", ["spline", f"{work}/poly{n}.json", "--method", method]
+    yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--sizes", type=int, nargs="+", default=[100, 1_000, 10_000])
+    sizes = sorted(set(p.parse_args(argv).sizes))
+    if sizes[0] < 3:
+        p.error("a size is at least 3: a polyline of 3 vertices has one turn")
+    times = {}  # op name -> [(size, seconds, failure)]
+    with tempfile.TemporaryDirectory(prefix="frenetkit-scaling-") as work:
+        for n in sizes:
+            turns = 0.25 * np.sin(0.05 * np.arange(n - 2))
+            Path(work, f"poly{n}.json").write_text(curve_to_json(_unit_step_polyline(turns)))
+            for name, op in ops(work, n):
+                times.setdefault(name, []).append((n, *timed(op)))
+    ok = True
+    print(f"{'op':<28} {'size':>7} {'seconds':>9} {'ratio/decade':>13}")
+    for name, rows in times.items():
+        for (n0, t0, _), (n, seconds, failure) in zip([(None, None, None), *rows], rows):
+            rate = None if n0 is None else (seconds / t0) ** (1.0 / math.log10(n / n0))
+            ratio = "" if rate is None else f"{rate:.2f}"
+            if rate is not None and rate > MAX_RATIO:
+                failure = failure or f"grows by {ratio} per decade, over {MAX_RATIO}"
+            print(f"{name:<28} {n:>7} {seconds:>9.4f} {ratio:>13}" + (f"  FAILED: {failure}" if failure else ""))
+            ok = ok and failure is None
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -640,9 +640,11 @@ def elastica_constraints(thetas: np.ndarray, ds: float, cells=None):
     return ds * np.sum(cm * s, axis=-1), ds * np.sum(sm * s, axis=-1)
 
 
-def elastica_energy(thetas: np.ndarray, ds: float) -> float:
+def elastica_energy(thetas: np.ndarray, ds: float):
+    """Bending energy sum(dtheta^2) / ds: a float for one row, an array for stacked rows."""
     d = np.diff(thetas)
-    return float(np.sum(d * d) / ds)
+    e = np.sum(d * d, axis=-1) / ds
+    return float(e) if e.ndim == 0 else e
 
 
 def _to_nodes(first, last):
@@ -785,22 +787,34 @@ def _newton_batch(starts, ds, targets, max_iter=100):
     return thetas, nrm, lam
 
 
-def _fit_c_const(th: np.ndarray, ds: float) -> float:
-    """Least-squares C in theta''' + theta'^3/2 + C theta' = 0 on the interior grid."""
-    d1 = (th[3:-1] - th[1:-3]) / (2.0 * ds)
-    d3 = (th[4:] - 2.0 * th[3:-1] + 2.0 * th[1:-3] - th[:-4]) / (2.0 * ds**3)
-    num = -float(np.dot(d3 + 0.5 * d1**3, d1))
-    den = float(np.dot(d1, d1))
-    return num / den if den > 0.0 else 0.0
+def _fit_c_const(th: np.ndarray, ds: float) -> np.ndarray:
+    """Least-squares C in theta''' + theta'^3/2 + C theta' = 0 on the interior grid of each row
+    of th (m, n+1); each product is a row @ a column, which is BLAS's dot, as np.dot."""
+    d1 = (th[:, 3:-1] - th[:, 1:-3]) / (2.0 * ds)
+    d3 = (th[:, 4:] - 2.0 * th[:, 3:-1] + 2.0 * th[:, 1:-3] - th[:, :-4]) / (2.0 * ds**3)
+    num, den = -((d3 + 0.5 * d1**3)[:, None] @ d1[..., None]), d1[:, None] @ d1[..., None]
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0).reshape(len(th))
+
+
+def _row_norms(v):
+    """Norm of each row of v (m, 2): the square root of BLAS's dot, as np.linalg.norm of one row;
+    inf where the squares overflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(v[:, None] @ v[..., None]).reshape(len(v))
+
+
+def _angles(v):
+    """math.atan2 of each row (x, y) of v (m, 2), which np.arctan2 rounds differently at times."""
+    return np.fromiter(map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, len(v))
 
 
 def _span_starts(t0, t1, n):
-    """The three start rows (n + 1 nodes each) of a span with unit end tangents
-    t0, t1: the linear turning-angle ramp and its two 2 pi windings."""
+    """The three start rows (m, 3, n + 1) of spans with unit end tangents t0, t1 (m, 2):
+    the linear turning-angle ramp and its two 2 pi windings."""
     grid = np.linspace(0.0, 1.0, n + 1)
-    th0 = math.atan2(t0[1], t0[0])
-    th1 = th0 + _wrap_angle(math.atan2(t1[1], t1[0]) - th0)
-    return np.array([th0 + (th1 + b - th0) * grid for b in (0.0, _TWO_PI, -_TWO_PI)])
+    th0 = _angles(t0)[:, None, None]
+    th1 = th0 + _wrap_angle(_angles(t1)[:, None, None] - th0)
+    return th0 + (th1 + np.array([0.0, _TWO_PI, -_TWO_PI])[:, None] - th0) * grid
 
 
 def _clothoid_starts(windings, chords):
@@ -821,139 +835,123 @@ def _clothoid_starts(windings, chords):
 _BATCH_ROWS = 64
 
 
-def _solve_rows(starts, targets, ds):
-    """_newton_batch on the rows of starts, _BATCH_ROWS rows per call."""
-    parts = [
-        _newton_batch(starts[i : i + _BATCH_ROWS], ds, targets[i : i + _BATCH_ROWS])
-        for i in range(0, len(starts), _BATCH_ROWS)
-    ]
-    return (np.concatenate(a) for a in zip(*parts))
-
-
 def _energy_bound(thetas, ds):
     """The least energy of any row with these end angles, which Newton keeps:
     by Cauchy-Schwarz, sum(dtheta_i^2) / ds >= (theta_n - theta_0)^2 / (n ds)."""
     return (thetas[..., -1] - thetas[..., 0]) ** 2 / (ds * (thetas.shape[-1] - 1))
 
 
-def _distinct_minima(thetas, residuals, ds):
-    """Indices of the converged rows that are distinct minima, lowest energy
-    first: a row counts unless it is within 1e-6 (max abs) of one kept, or
-    the energy bound of its winding is not below the lowest energy."""
-    converged = np.flatnonzero(residuals < ELASTICA_KKT)
-    energies = [elastica_energy(thetas[j], ds) for j in converged]
+def _distinct_minima(thetas, energies, ds):
+    """Indices of the converged rows (finite energies) that are distinct minima,
+    lowest energy first: a row counts unless it is within 1e-6 (max abs) of one
+    kept, or the energy bound of its winding is not below the lowest energy."""
     distinct = []
-    for j in converged[np.argsort(energies, kind="stable")]:
-        if distinct and _energy_bound(thetas[j], ds) >= min(energies):
+    for j in np.argsort(energies, kind="stable")[: np.isfinite(energies).sum()]:
+        if distinct and _energy_bound(thetas[j], ds) >= energies.min():
             continue
         if all(np.max(np.abs(thetas[j] - thetas[k])) > 1e-6 for k in distinct):
             distinct.append(j)
     return distinct
 
 
-def _elastica_spans(spans, length, n, name_spans=False):
-    """The elastica of the given length for each span (p0, t0, p1, t1).
+def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
+    """The elastica of the given length for each span from pose (p0, t0) to
+    (p1, t1), rows of (m, 2) arrays.
 
     No row of a winding branch goes below the branch's _energy_bound, so a
     branch is open only while its bound is below the span's lowest converged
-    energy.  Each span's start rows are its linear turning-angle ramp and
+    energy.  Each span has four start rows: its linear turning-angle ramp and
     the ramp's +-2 pi windings, of which the one its branch-0 clothoid turns
     on is replaced by that clothoid where it has one (one _clothoid_starts
-    call for all spans).  Phase 1 solves row 0 of every span, then its open
-    +-2 pi rows.  Phase 2 solves the ramp of each span whose clothoid
-    replaced it and which has no converged row.  Phase 3 continues the best
-    row of each span with no converged row, up to 3 times.  Each phase
-    solves the rows of all its spans together, scaled to the unit length.
-    With name_spans, NoConvergence names the span.
+    call for all spans), and the ramp again.  Phase 1 solves row 0 of every
+    span, then its open +-2 pi rows.  Phase 2 solves the ramp of each span
+    whose clothoid replaced it and which has no converged row.  Phase 3
+    continues the best row of each span with no converged row, up to 3 times.
+    Each phase solves its rows of all spans together, in place in one
+    (spans, 4, n + 1) table, scaled to the unit length.  Input that is not a
+    pose, a length or a grid raises InputError before any solve.  With
+    name_spans, NoConvergence names the span.
     """
+    if n < 16:
+        raise InputError("elastica segment needs at least 16 grid cells")
+    if not 0.0 < length < math.inf:
+        raise InputError(f"elastica length must be positive and finite, got {length}")
+    p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
+    if not (np.isfinite(p0).all() and np.isfinite(p1).all()):
+        raise InputError("elastica end points must be finite")
+    norms = np.array([_row_norms(t0), _row_norms(t1)])
+    if not ((0.0 < norms) & (norms < math.inf)).all():
+        raise InputError("elastica tangents must be nonzero with a finite norm")
     ds = 1.0 / n
-    segments, curved = [], []  # curved: (span index, p0, chord, t0, t1)
-    for i, (p0, t0, p1, t1) in enumerate(spans):
-        p0 = np.asarray(p0, dtype=float)
-        chord = np.asarray(p1, dtype=float) - p0
-        t0 = np.asarray(t0, dtype=float) / np.linalg.norm(t0)
-        t1 = np.asarray(t1, dtype=float) / np.linalg.norm(t1)
-        d = float(np.linalg.norm(chord))
-        if length < d * (1.0 - 1e-12):
-            raise Infeasible(f"length {length} shorter than chord {d}")
-        if length <= d * (1.0 + 1e-12):  # taut, to rounding
-            psi = math.atan2(chord[1], chord[0])
-            phi0, phi1 = (_wrap_angle(math.atan2(t[1], t[0]) - psi) for t in (t0, t1))
-            if max(abs(phi0), abs(phi1)) <= 1e-9:
-                segments.append(ElasticaSegment(p0, np.full(n + 1, psi), length, 0.0))
-                continue
-            # a grid row from phi0 to phi1 is longer than its chord by about (phi0^2 + phi1^2) length / (8 n)
-            # or more: end angles that need more than this 1e-12 d band holds are infeasible
-            if (phi0 * phi0 + phi1 * phi1) * length / (8 * n) > 2e-12 * d:
-                raise Infeasible("length equals chord but tangents are not aligned")
-        segments.append(None)
-        curved.append((i, p0, chord, t0, t1))
-    if not curved:
-        return segments
-    chords = np.array([c[2] for c in curved]) / length
-    windings = np.array([_span_starts(t0, t1, n) for *_, t0, t1 in curved])
-    bounds = _energy_bound(windings, ds)
-    rows = [[] for _ in curved]  # per span: (theta, residual, multipliers) of each row solved
-    minima = [[] for _ in curved]
-
-    def solve(jobs):
-        """Solve the (span, start) jobs as one batch and file each row under its span."""
-        if jobs:
-            owner, picked = zip(*jobs)
-            for k, *row in zip(owner, *_solve_rows(np.array(picked), chords[list(owner)], ds)):
-                rows[k].append(row)
-            for k in set(owner):
-                th, res, _ = zip(*rows[k])
-                minima[k] = _distinct_minima(np.array(th), np.array(res), ds)
-
-    def open_branches():
-        """(spans, 3) mask of the branches whose bound is below the lowest converged energy."""
-        best = [elastica_energy(rows[k][m[0]][0], ds) if m else math.inf for k, m in enumerate(minima)]
-        return bounds < np.array(best)[:, None]
-
+    t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
+    d, psi = _row_norms(chord), _angles(chord)
+    phi0, phi1 = (_wrap_angle(_angles(t) - psi) for t in (t0, t1))
+    short = length < d * (1.0 - 1e-12)
+    taut = length <= d * (1.0 + 1e-12)  # to rounding
+    straight = taut & (np.maximum(np.abs(phi0), np.abs(phi1)) <= 1e-9)
+    # a grid row from phi0 to phi1 is longer than its chord by about (phi0^2 + phi1^2) length / (8 n)
+    # or more: end angles that need more than this 1e-12 d band holds are infeasible
+    bent = taut & ~straight & ((phi0 * phi0 + phi1 * phi1) * length / (8 * n) > 2e-12 * d)
+    if (bad := np.flatnonzero(short | bent)).size:
+        i = bad[0]
+        if short[i]:
+            raise Infeasible(f"length {length} shorter than chord {float(d[i])}")
+        raise Infeasible("length equals chord but tangents are not aligned")
+    thetas = np.repeat(psi[:, None], n + 1, axis=1)  # the straight spans keep these
+    c_const = np.zeros(len(p0))
+    curved = np.flatnonzero(~straight)
+    chords = chord[curved] / length
+    windings = _span_starts(t0[curved], t1[curved], n)
     clothoids, turn = _clothoid_starts(windings, chords)
-    swap = np.flatnonzero(np.isfinite(clothoids).all(axis=1))  # spans whose clothoid replaces its winding
-    starts = windings.copy()
-    starts[swap, turn[swap]] = clothoids[swap]
-    solve([(k, s[0]) for k, s in enumerate(starts)])
-    solve([(k, starts[k][b + 1]) for k, b in zip(*np.nonzero(open_branches()[:, 1:]))])
-    solve([(k, windings[k][0]) for k in swap if turn[k] == 0 and not minima[k]])  # the ramp the clothoid replaced
+    swap = np.isfinite(clothoids).all(axis=1)  # spans whose clothoid replaces the winding it turns on
+    th = np.concatenate([windings, windings[:, :1]], axis=1)  # rows 0-2 the starts, row 3 the ramp
+    th[swap, turn[swap]] = clothoids[swap]
+    res, energy = np.full((2, len(th), 4), math.inf)  # inf: not solved; for energy, also not converged
+
+    def solve(k, row):
+        """Continue row[i] of span k[i] for each i in place, _BATCH_ROWS rows per _newton_batch call."""
+        k, row = np.broadcast_arrays(k, row)
+        for i in range(0, len(k), _BATCH_ROWS):
+            b = k[i : i + _BATCH_ROWS], row[i : i + _BATCH_ROWS]
+            th[b], res[b], _ = _newton_batch(th[b], ds, chords[b[0]])
+        energy[k, row] = np.where(res[k, row] < ELASTICA_KKT, elastica_energy(th[k, row], ds), math.inf)
+
+    solve(np.arange(len(th)), 0)
+    k, b = np.nonzero(_energy_bound(windings[:, 1:], ds) < energy.min(1)[:, None])
+    solve(k, b + 1)
+    solve(np.flatnonzero(swap & (turn == 0) & (energy.min(1) == math.inf)), 3)  # the ramp the clothoid replaced
     for _ in range(3):  # the slow-step rule can retire a row that would still converge
-        stalled = [k for k, m in enumerate(minima) if not m]
-        solve([(k, rows[k].pop(int(np.argmin([r[1] for r in rows[k]])))[0]) for k in stalled])
-    for (i, p0, *_), found, m in zip(curved, rows, minima):
-        if not m:
-            best_res = float(min(r[1] for r in found))
-            where = f"span {i}: " if name_spans else ""
-            raise NoConvergence(
-                f"{where}elastica boundary value problem did not converge "
-                f"(best residual {best_res:.3e} over {len(found)} starts)",
-                residual=best_res,
-            )
-        if len(m) > 1:
-            warnings.warn(
-                f"{len(m)} distinct elastica solutions; returning lowest energy",
-                MultipleSolutionsWarning,
-            )
-        best = found[m[0]][0].copy()  # a copy: no segment keeps the batch
-        segments[i] = ElasticaSegment(p0, best, length, _fit_c_const(best, ds) / length / length)
-    return segments
+        stalled = np.flatnonzero(energy.min(1) == math.inf)
+        solve(stalled, res[stalled].argmin(1))
+    failed = np.flatnonzero(energy.min(1) == math.inf)
+    stop = failed[0] if failed.size else len(th)
+    for k in np.flatnonzero(np.isfinite(energy[:stop]).sum(1) > 1):
+        if (count := len(_distinct_minima(th[k], energy[k], ds))) > 1:
+            warnings.warn(f"{count} distinct elastica solutions; returning lowest energy", MultipleSolutionsWarning)
+    if failed.size:
+        best_res = float(res[stop].min())
+        where = f"span {curved[stop]}: " if name_spans else ""
+        raise NoConvergence(
+            f"{where}elastica boundary value problem did not converge "
+            f"(best residual {best_res:.3e} over {np.isfinite(res[stop]).sum()} starts)",
+            residual=best_res,
+        )
+    best = th[np.arange(len(th)), energy.argmin(1)]
+    thetas[curved], c_const[curved] = best, _fit_c_const(best, ds) / length / length
+    return [ElasticaSegment(p, row, length, c) for p, row, c in zip(p0, thetas, c_const.tolist())]
 
 
 def elastica_bvp(p0, t0, p1, t1, length: float, n: int = 64) -> ElasticaSegment:
     """Minimum-bending-energy curve of fixed length clamped at both poses.
 
-    Solves the KKT system of the turning-angle discretization by damped
-    Newton from the clothoid between the two poses, which stands in for the
-    linear turning-angle ramp or for the +-2 pi winding of it that turns as
-    the clothoid does, and from the other windings whose energy bound is
-    below the lowest energy reached.  The ramp runs after all if the
-    clothoid replaced it and no start converged, and a start that stalls is
-    continued (see _elastica_spans).  Distinct local minima on the windings
-    that could hold the lowest energy trigger MultipleSolutionsWarning; the
-    lowest-energy one is returned.
+    Solves the KKT system of the turning-angle discretization on n cells by
+    damped Newton from the clothoid between the poses and the other start
+    rows of _elastica_spans.  Distinct local minima on the windings that
+    could hold the lowest energy trigger MultipleSolutionsWarning; the
+    lowest-energy one is returned.  A malformed pose, length or n raises
+    InputError before any solve.
     """
-    return _elastica_spans([(p0, t0, p1, t1)], length, n)[0]
+    return _elastica_spans(p0, t0, p1, t1, length, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -992,9 +990,9 @@ def spline_centered(rc: RefinedCurve, n: int = 64) -> Spline:
     _require_planar(rc.points)
     validate_refined(rc)
     points, dirs = centered_nodes(rc)
-    spans = list(zip(points, dirs, np.roll(points, -1, axis=0), np.roll(dirs, -1, axis=0)))
-    spans = spans if rc.closed else spans[:-1]
-    segments = _elastica_spans(spans, 2.0 * rc.ell, n, name_spans=True)
+    i = np.arange(len(points) if rc.closed else len(points) - 1)
+    j = (i + 1) % len(points)
+    segments = _elastica_spans(points[i], dirs[i], points[j], dirs[j], 2.0 * rc.ell, n, name_spans=True)
     return Spline(tuple(segments), closed=rc.closed)
 
 

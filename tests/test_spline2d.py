@@ -703,6 +703,38 @@ def test_elastica_infeasible():
         elastica_bvp([0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "p1, t0, length, n",
+    [
+        ([1.0, 0.5], [0.0, 0.0], 2.0, 64),  # a zero tangent
+        ([1.0, 0.5], [math.inf, 0.0], 2.0, 64),  # an infinite tangent
+        ([1.0, 0.5], [1e200, 1e200], 2.0, 64),  # a tangent whose norm overflows
+        ([math.nan, 0.5], [1.0, 0.0], 2.0, 64),  # a nan end point
+        ([1.0, 0.5], [1.0, 0.0], math.nan, 64),
+        ([1.0, 0.5], [1.0, 0.0], math.inf, 64),
+        ([1.0, 0.5], [1.0, 0.0], 0.0, 64),
+        ([1.0, 0.5], [1.0, 0.0], -2.0, 64),
+        ([1.0, 0.5], [1.0, 0.0], 2.0, 8),  # under 16 grid cells
+    ],
+    ids=["zero-tangent", "inf-tangent", "overflowing-tangent", "nan-point", "nan-length", "inf-length",
+         "zero-length", "negative-length", "coarse-grid"],
+)
+def test_elastica_rejects_malformed_input_before_any_solve(p1, t0, length, n, monkeypatch):
+    calls = _count_newton_rows(monkeypatch)
+    # InputError itself, not its subclass Infeasible: the pose, length or grid is malformed
+    with pytest.raises(InputError, match="^elastica"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        elastica_bvp([0.0, 0.0], t0, p1, [0.0, 1.0], length, n)
+    assert calls == []
+
+
+def test_elastica_energy_of_stacked_rows_is_each_rows_to_the_bit(rng):
+    rows = np.cumsum(rng.normal(0.0, 0.3, size=(7, 3, 65)), axis=-1)
+    energies = elastica_energy(rows, 1.0 / 64)
+    assert energies.shape == (7, 3)
+    assert energies.tolist() == [[elastica_energy(row, 1.0 / 64) for row in span] for span in rows]
+
+
 def test_elastica_buckled_multiple_solutions():
     with pytest.warns(MultipleSolutionsWarning):
         seg = elastica_bvp([0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 0.0], 2.0)
@@ -844,7 +876,7 @@ def test_several_minima_warn_once_per_span(monkeypatch):
     calls.clear()
     bent = [(math.cos(a), math.sin(a)) for a in (0.3, -0.3)]
     spans = [(p0, t, p1, t), ([0.0, 0.0], bent[0], [1.9, 0.0], bent[1]), (p0, t, p1, t)]
-    warned = _count_multiple_solution_warnings(lambda: spline2d._elastica_spans(spans, 2.0, 64))
+    warned = _count_multiple_solution_warnings(lambda: spline2d._elastica_spans(*map(np.array, zip(*spans)), 2.0, 64))
     assert warned == 2
     assert calls == [3, 2 * 2]
     # a U-turn of two 3 rad hairpins: the middle span's clothoid start, its ramp
@@ -879,7 +911,7 @@ def test_clothoid_start_is_the_branch_0_clothoid(th0, th1, chord, branch):
     # where the clothoid turns by phi1 - phi0 = -3.30), with that winding's end
     # nodes to the bit
     t0, t1 = [math.cos(th0), math.sin(th0)], [math.cos(th1), math.sin(th1)]
-    windings = spline2d._span_starts(t0, t1, 16)
+    (windings,) = spline2d._span_starts(np.array([t0]), np.array([t1]), 16)
     (start,), (b,) = spline2d._clothoid_starts(windings[None], np.array([chord]))
     assert b == branch
     np.testing.assert_array_equal(start[[0, -1]], windings[b, [0, -1]])
@@ -920,6 +952,7 @@ def _hairpin_or_closed_curves(draw):
 @example(_unit_step_polyline((1.0, 2.8, -2.8)))
 @example(_unit_step_polyline(HAIRPIN_ANGLES))  # span 3 converges from no winding start
 @example(_unit_step_polyline(CONTINUED_ANGLES))  # span 1 converges from no start; its clothoid start does when continued
+@example(_unit_step_polyline((0.5, 0.0, 0.0, -0.4, 0.0)))  # straight spans 2 and 5 between curved ones
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_centered_spans_converge_and_match_their_one_span_solves(dc):
     rc = refine(dc)
@@ -963,7 +996,7 @@ def _full_start_solve(rc, n=64):
     points, dirs = centered_nodes(rc)
     t = [d / np.linalg.norm(d) for d in dirs]  # as _elastica_spans normalizes them, to the bit
     chords = np.diff(points, axis=0) / (2.0 * rc.ell)
-    windings = np.array([spline2d._span_starts(t[i], t[i + 1], n) for i in range(len(chords))])
+    windings = spline2d._span_starts(np.array(t[:-1]), np.array(t[1:]), n)
     clothoids, _ = spline2d._clothoid_starts(windings, chords)
     starts = [np.vstack([w, c[None]]) if np.isfinite(c).all() else w for w, c in zip(windings, clothoids)]
     ds = 1.0 / n
