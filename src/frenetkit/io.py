@@ -25,7 +25,7 @@ from .frames import IntrinsicData, curvature_torsion
 from .ngon_circle import Convention
 from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, clothoid_turning
 
-PIECE_ROWS = 4096  # the most table rows one piece of json_pieces or csv_pieces holds
+PIECE_ROWS = 4096  # table rows per piece of json_pieces and csv_pieces; about the floats json_pieces spells per call
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
 
 
@@ -47,51 +47,80 @@ class Rows(dict):
     list of one {key: value} object per row."""
 
 
-def _fill(template, sep, n, cells):
-    """Yield n rows of template joined by sep, PIECE_ROWS rows a piece;
-    cells(i, j) spells rows i..j-1 in row order."""
+def _glue(lead, texts, sep, n):
+    """lead, then n rows texts[0] v texts[1] ... v texts[-1] joined by sep, as a list of text
+    whose odd entries are the slots of the values v, row by row: column c of k fills [1 + 2c :: 2k]."""
+    if len(texts) == 1:
+        return [lead + sep.join(texts * n)]
+    unit = [None] * (2 * len(texts) - 2)
+    unit[::2] = [texts[-1] + sep + texts[0], *texts[1:-1]]
+    out = unit * n
+    out[0] = lead + texts[0]
+    out.append(texts[-1])
+    return out
+
+
+def _pieces(texts, sep, n, columns):
+    """The n rows of _glue filled, PIECE_ROWS rows a piece; columns are spelled lists,
+    or a float array whose rows are spelled a piece at a time."""
     for i in range(0, n, PIECE_ROWS):
-        j = min(i + PIECE_ROWS, n)
-        yield (sep if i else "") + sep.join([template] * (j - i)) % tuple(cells(i, j))
+        j = min(n, i + PIECE_ROWS)
+        out = _glue(sep if i else "", texts, sep, j - i)
+        cols = [spell_floats(columns[i:j])] if isinstance(columns, np.ndarray) else [col[i:j] for col in columns]
+        for c, col in enumerate(cols):
+            out[1 + 2 * c :: 2 * len(cols)] = col
+        yield "".join(out)
 
 
-def _cells(columns):
-    return lambda i, j: chain.from_iterable(zip(*(col[i:j] for col in columns)))
+def _row_texts(row, ind):
+    """The texts around the floats of row, a float or a list or dict of floats, as
+    json.dumps lays the row out at indent ind."""
+    if isinstance(row, float):
+        return [ind, ""]
+    glue = [ind]
+    list(_walk(row, ind, glue, []))
+    return glue[::2]
 
 
-def _layout(items, ind, brackets):
-    """json.dumps' layout of a list or object of spelled items at indent ind."""
-    inner = ind + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1] if items else brackets
-
-
-def _parts(obj, ind, out):
-    """Append json.dumps' text of obj at indent ind to out: strings, and for
-    each float array or Rows table a generator of its pieces."""
+def _walk(obj, ind, glue, values):
+    """Append json.dumps' text of obj at indent ind to glue, a list of text whose odd
+    entries are the slots of the floats appended to values.  Yields None where the text
+    so far must become a piece: once values holds PIECE_ROWS floats, and before an array
+    or Rows table of more than PIECE_ROWS rows, whose pieces it then yields."""
     inner = ind + "  "
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_NONFINITE.get(text, text))
+        values.append(obj)
+        glue += [None, ""]
     elif isinstance(obj, (np.ndarray, Rows)):
         if isinstance(obj, Rows):
-            row = _layout([_quote(key).replace("%", "%%") + ": %s" for key in obj], inner, "{}")
-            n, cells = len(next(iter(obj.values()), ())), _cells(obj.values())
+            columns, n, row = list(obj.values()), len(next(iter(obj.values()), ())), dict.fromkeys(obj, 0.0)
         else:
-            row = "%s" if obj.ndim == 1 else _layout(["%s"] * obj.shape[1], inner, "[]")
-            n, cells = len(obj), lambda i, j: spell_floats(obj[i:j])
-        out += ["[", _fill(inner + row, ",", n, cells), ind + "]"] if n else ["[]"]
+            columns, n, row = obj, len(obj), 0.0 if obj.ndim == 1 else [0.0] * obj.shape[1]
+        texts = _row_texts(row, inner)
+        glue[-1] += "["
+        if n > PIECE_ROWS:
+            yield
+            yield from _pieces(texts, ",", n, columns)
+        elif isinstance(obj, Rows):
+            glue[-1] += "".join(_pieces(texts, ",", n, columns))
+        elif n:
+            values += obj.ravel().tolist()
+            glue[-1:] = _glue(glue[-1], texts, ",", n)
+        glue[-1] += ind + "]" if n else "]"
     elif isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(obj.items()):
-            out.append(("," if k else "{") + inner + _quote(key) + ": ")
-            _parts(value, inner, out)
-        out.append(ind + "}")
+            glue[-1] += ("," if k else "{") + inner + _quote(key) + ": "
+            yield from _walk(value, inner, glue, values)
+        glue[-1] += ind + "}"
     elif isinstance(obj, (list, tuple)) and obj:
         for k, value in enumerate(obj):
-            out.append(("," if k else "[") + inner)
-            _parts(value, inner, out)
-        out.append(ind + "]")
+            glue[-1] += ("," if k else "[") + inner
+            yield from _walk(value, inner, glue, values)
+        glue[-1] += ind + "]"
     else:
-        out.append(json.dumps(obj))
+        glue[-1] += json.dumps(obj)
+    if len(values) >= PIECE_ROWS:
+        yield
 
 
 def json_pieces(obj):
@@ -99,15 +128,20 @@ def json_pieces(obj):
 
     obj is built of dicts with str keys, lists, tuples and JSON scalars, and
     may hold 1-D and 2-D float arrays and Rows tables, written as the lists
-    they hold.  No piece holds more than PIECE_ROWS table rows."""
-    parts = []
-    _parts(obj, "\n", parts)
-    return chain.from_iterable([part] if isinstance(part, str) else part for part in parts)
+    they hold.  Arrays and Rows tables of more than PIECE_ROWS rows stream,
+    PIECE_ROWS rows a piece; the other floats are spelled together, one
+    spell_floats call for every PIECE_ROWS of them."""
+    glue, values = [""], []
+    for piece in chain(_walk(obj, "\n", glue, values), [None]):
+        if piece is None:  # the text so far, its slots filled
+            glue[1::2] = spell_floats(values)
+            piece, glue[:], values[:] = "".join(glue), [""], []
+        yield piece
 
 
 def csv_pieces(columns, end: str = "\n"):
     """The CSV lines of spelled columns, each ended by end, PIECE_ROWS lines a piece."""
-    return _fill(",".join(["%s"] * len(columns)) + end, "", len(columns[0]), _cells(columns))
+    return _pieces(["", *[","] * (len(columns) - 1), end], "", len(columns[0]), columns)
 
 
 def curve_record(curve: DiscreteCurve) -> dict:

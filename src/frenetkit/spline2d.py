@@ -532,8 +532,9 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
     norms = np.linalg.norm([t0, t1], axis=2)
     if not ((0.0 < norms) & (norms < math.inf)).all():
         raise InputError("fit tangents must be nonzero with a finite norm")
-    t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-    d = np.linalg.norm(chord, axis=1)
+    with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
+        t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
+        d = np.linalg.norm(chord, axis=1)
     if (bad := np.flatnonzero(~((0.0 < d) & (d < math.inf)))).size:
         raise InputError(f"fit chord length must be positive and finite, got {d[bad[0]]}")
     psi = np.arctan2(chord[:, 1], chord[:, 0])
@@ -883,8 +884,13 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
     if not ((0.0 < norms) & (norms < math.inf)).all():
         raise InputError("elastica tangents must be nonzero with a finite norm")
     ds = 1.0 / n
-    t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-    d, psi = _row_norms(chord), _angles(chord)
+    with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
+        t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
+        d, psi = _row_norms(chord), _angles(chord)
+        big = np.isinf(d)  # the squares overflow; hypot's do not
+        d[big] = np.hypot(*chord[big].T)
+    if not (d < math.inf).all():
+        raise InputError("elastica chord p1 - p0 must have a finite length")
     phi0, phi1 = (_wrap_angle(_angles(t) - psi) for t in (t0, t1))
     short = length < d * (1.0 - 1e-12)
     taut = length <= d * (1.0 + 1e-12)  # to rounding

@@ -1,9 +1,11 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -26,9 +28,12 @@ from frenetkit import (
     spline_from_json,
     spline_to_json,
 )
+from frenetkit import io as fio
 from frenetkit import svg
+from frenetkit.cli import main
 from frenetkit.errors import NonPlanarData, ParseError
-from frenetkit.io import PIECE_ROWS, Rows, json_pieces, spell_floats
+from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
+from frenetkit.io import PIECE_ROWS, Rows, csv_pieces, json_pieces, spell_floats
 from frenetkit.spline2d import ClothoidSegment, polyline_sampler
 
 
@@ -161,10 +166,12 @@ _DOCUMENT = st.recursive(
 )
 
 
-@given(_DOCUMENT)
+@given(_DOCUMENT, st.sampled_from([PIECE_ROWS, 1, 2, 3]))
 @settings(max_examples=300, deadline=None)
-def test_json_pieces_are_what_json_dumps_encodes(obj):
-    assert "".join(json_pieces(obj)) == json.dumps(_plain(obj), indent=2)
+def test_json_pieces_are_what_json_dumps_encodes(obj, piece_rows):
+    """Also with pieces so small that the tables stream and the floats are spelled in several calls."""
+    with mock.patch.object(fio, "PIECE_ROWS", piece_rows):
+        assert "".join(json_pieces(obj)) == json.dumps(_plain(obj), indent=2)
 
 
 _ZEROS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
@@ -192,6 +199,75 @@ def test_no_piece_holds_more_than_piece_rows():
         # every table is the value of a top-level key, so its rows start at an indent of 4
         assert len(re.findall(r"\n    [^ \]}]", piece)) <= PIECE_ROWS
     assert len(pieces) > 4
+
+
+@pytest.mark.parametrize("n", [PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1])
+@pytest.mark.parametrize("shape", ["n", "n, 3", "n, 0"])
+def test_tables_around_the_piece_size(n, shape):
+    rows = np.linspace(-1.0, 1.0, n)
+    array = {"n": rows, "n, 3": np.column_stack([rows, -rows, 2.0 * rows]), "n, 0": np.empty((n, 0))}[shape]
+    column = spell_floats(rows)
+    doc = {"array": array, "rows": Rows(a=column, b=column[::-1]), "after": 0.5}
+    pieces = list(json_pieces(doc))
+    assert "".join(pieces) == json.dumps(_plain(doc), indent=2)
+    if n > PIECE_ROWS:  # both tables stream: the text before each, its two pieces, and the text after
+        assert len(pieces) == 7
+        assert all(len(re.findall(r"\n    [^ \]}]", piece)) <= PIECE_ROWS for piece in pieces)
+    lines = list(csv_pieces([column, column[::-1]], end="\r\n"))
+    assert "".join(lines) == "".join(f"{a},{b}\r\n" for a, b in zip(column, column[::-1]))
+    assert len(lines) == -(-n // PIECE_ROWS)
+
+
+def test_rows_keys_with_percent_signs():
+    keys = ["%", "%s", "%%", "%(a)s"]
+    table = Rows({key: spell_floats([0.5 * k, -1.0, math.nan]) for k, key in enumerate(keys)})
+    doc = {key: table for key in keys}
+    assert "".join(json_pieces(doc)) == json.dumps(_plain(doc), indent=2)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.integers(0, 9).flatmap(
+            lambda n: st.lists(st.lists(st.text(max_size=4), min_size=n, max_size=n), min_size=k, max_size=k)
+        )
+    ),
+    st.integers(1, 4),
+    st.sampled_from(["\n", "\r\n"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_csv_pieces_are_the_lines_joined_by_commas(columns, piece_rows, end):
+    with mock.patch.object(fio, "PIECE_ROWS", piece_rows):
+        pieces = list(csv_pieces(columns, end))
+    assert "".join(pieces) == "".join(",".join(row) + end for row in zip(*columns))
+    assert len(pieces) == -(-len(columns[0]) // piece_rows)
+
+
+def _count_spellings(monkeypatch):
+    """The number of floats given to each spell_floats call, appended as the calls happen."""
+    calls, spell = [], fio.spell_floats
+    monkeypatch.setattr(
+        fio, "spell_floats", lambda values, csv=False: calls.append(np.size(values)) or spell(values, csv)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed", "centered"])
+def test_a_spline_report_spells_its_floats_in_one_call(method, tmp_path, monkeypatch):
+    path = tmp_path / "demo.json"
+    path.write_text(curve_to_json(_unit_step_polyline(_SPLINE_DEMO_ANGLES)))
+    calls = _count_spellings(monkeypatch)
+    result = CliRunner().invoke(main, ["spline", str(path), "--method", method])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1 and calls[0] > 20
+    assert json.loads(result.stdout)["spline"]["segments"]
+
+
+def test_floats_outside_tables_are_spelled_piece_rows_at_a_time(monkeypatch):
+    """The text before the floats spelled last is let go, as a table's rows are."""
+    doc = [np.linspace(0.0, 1.0, 1000) for _ in range(20)] + [0.25] * 5000
+    calls = _count_spellings(monkeypatch)
+    assert "".join(json_pieces(doc)) == json.dumps(_plain(doc), indent=2)
+    assert sum(calls) == 25000 and len(calls) > 5 and max(calls) < PIECE_ROWS + 1000
 
 
 def test_svg_empty_spline_shell():

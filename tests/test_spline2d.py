@@ -261,12 +261,13 @@ def test_clothoid_fit_coincident_points():
         ([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], "tangents"),
         ([0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [math.inf, 0.0], "tangents"),
         ([0.0, 0.0], [1.0, 0.0], [1e308, 1e308], [1.0, 0.0], "chord length must be positive and finite"),
+        ([-1e308, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0], "chord length must be positive and finite"),
     ],
-    ids=["nan-point", "zero-tangent", "infinite-tangent", "overflowing-chord"],
+    ids=["nan-point", "zero-tangent", "infinite-tangent", "overflowing-chord", "overflowing-difference"],
 )
 def test_clothoid_fit_rejects_bad_input(p0, t0, p1, t1, match):
     with pytest.raises(InputError, match=match), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing norm
+        warnings.simplefilter("error")
         clothoid_g1_fit(p0, t0, p1, t1)
 
 
@@ -709,6 +710,7 @@ def test_elastica_infeasible():
         ([1.0, 0.5], [0.0, 0.0], 2.0, 64),  # a zero tangent
         ([1.0, 0.5], [math.inf, 0.0], 2.0, 64),  # an infinite tangent
         ([1.0, 0.5], [1e200, 1e200], 2.0, 64),  # a tangent whose norm overflows
+        ([1.5e308, 1.5e308], [1.0, 0.0], 2.0, 64),  # a chord whose length overflows
         ([math.nan, 0.5], [1.0, 0.0], 2.0, 64),  # a nan end point
         ([1.0, 0.5], [1.0, 0.0], math.nan, 64),
         ([1.0, 0.5], [1.0, 0.0], math.inf, 64),
@@ -716,8 +718,8 @@ def test_elastica_infeasible():
         ([1.0, 0.5], [1.0, 0.0], -2.0, 64),
         ([1.0, 0.5], [1.0, 0.0], 2.0, 8),  # under 16 grid cells
     ],
-    ids=["zero-tangent", "inf-tangent", "overflowing-tangent", "nan-point", "nan-length", "inf-length",
-         "zero-length", "negative-length", "coarse-grid"],
+    ids=["zero-tangent", "inf-tangent", "overflowing-tangent", "overflowing-chord", "nan-point", "nan-length",
+         "inf-length", "zero-length", "negative-length", "coarse-grid"],
 )
 def test_elastica_rejects_malformed_input_before_any_solve(p1, t0, length, n, monkeypatch):
     calls = _count_newton_rows(monkeypatch)
@@ -726,6 +728,29 @@ def test_elastica_rejects_malformed_input_before_any_solve(p1, t0, length, n, mo
         warnings.simplefilter("error")
         elastica_bvp([0.0, 0.0], t0, p1, [0.0, 1.0], length, n)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "p0, p1, length, error",
+    [
+        ([0.0, 0.0], [1e200, 1e200], 1e300, None),  # the squares of the chord overflow, not its length 1.4e200
+        ([0.0, 0.0], [1e200, 1e200], 1e200, "^length 1e\\+200 shorter than chord 1.414213562373095e\\+200$"),
+        ([-1e308, 0.0], [1e308, 0.0], 3.0, "^elastica chord p1 - p0 must have a finite length$"),
+    ],
+    ids=["squares-overflow", "squares-overflow-infeasible", "difference-overflows"],
+)
+def test_elastica_chords_near_the_overflow(p0, p1, length, error):
+    """Without a numpy warning, a chord whose squares overflow keeps its length, and
+    end points whose difference overflows are malformed: no message names a chord of inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            seg = elastica_bvp(p0, [1.0, 0.0], p1, [1.0, 0.0], length)
+            (pts,) = polyline_sampler([seg])(math.inf)
+            assert seg.length == length and np.max(np.abs(pts[-1] - p1)) <= 1e-12 * length
+        else:
+            with pytest.raises(Infeasible if "shorter" in error else InputError, match=error):
+                elastica_bvp(p0, [1.0, 0.0], p1, [1.0, 0.0], length)
 
 
 def test_elastica_energy_of_stacked_rows_is_each_rows_to_the_bit(rng):
