@@ -6,8 +6,10 @@ Usage, from the root of a checkout:
 
 Runs in process, through ``frenetkit.cli.main``, at each size N:
 
-* ``spline FILE --method M`` for each of the three methods, on the open
-  unit-edge polyline of N vertices with turns 0.25 sin(0.05 k), k = 0 .. N - 3;
+* ``spline FILE --method M --svg FILE.M.svg`` for each of the three methods,
+  on the open unit-edge polyline of N vertices with turns 0.25 sin(0.05 k),
+  k = 0 .. N - 3, so that the G1 check, the spline's polyline sampler and its
+  SVG path, as well as the solver, are under the growth check;
 * ``discretize ellipse --method centered --density N``.
 
 Checks every report as ``perfbench/workloads.py`` does: both G1 gaps of a
@@ -69,7 +71,8 @@ def timed(argv):
 def ops(work, n):
     """(name, argv) of each op at size n; the polyline files are in work."""
     for method in ("inscribed", "circumscribed", "centered"):
-        yield f"spline {method}", ["spline", f"{work}/poly{n}.json", "--method", method]
+        svg = f"{work}/poly{n}.{method}.svg"
+        yield f"spline {method}", ["spline", f"{work}/poly{n}.json", "--method", method, "--svg", svg]
     yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)]
 
 

@@ -248,7 +248,7 @@ def cmd_spline(curve_file, method, out_path, svg_path):
     pos_gap, ang_gap = spline2d.g1_defects(sp)
     report = {
         "method": method,
-        "segments": len(sp.segments),
+        "segments": len(sp),
         "total_length": sp.total_length(),
         "bending_energy": sp.energy(),
         "g1_position_gap": pos_gap,

@@ -47,6 +47,13 @@ class Rows(dict):
     list of one {key: value} object per row."""
 
 
+class Runs(list):
+    """A list of runs (row, values), each of at least one row: json_pieces writes
+    them as one list, a run as len(values) copies of row, whose floats are taken
+    from one row of values (a 2-D float array) each, in the order json.dumps
+    lays them out."""
+
+
 def _glue(lead, texts, sep, n):
     """lead, then n rows texts[0] v texts[1] ... v texts[-1] joined by sep, as a list of text
     whose odd entries are the slots of the values v, row by row: column c of k fills [1 + 2c :: 2k]."""
@@ -60,11 +67,12 @@ def _glue(lead, texts, sep, n):
     return out
 
 
-def _pieces(texts, sep, n, columns):
-    """The n rows of _glue filled, PIECE_ROWS rows a piece; columns are spelled lists,
-    or a float array whose rows are spelled a piece at a time."""
-    for i in range(0, n, PIECE_ROWS):
-        j = min(n, i + PIECE_ROWS)
+def _pieces(texts, sep, n, columns, step=None):
+    """The n rows of _glue filled, step (by default PIECE_ROWS) rows a piece; columns
+    are spelled lists, or a float array whose rows are spelled a piece at a time."""
+    step = step or PIECE_ROWS
+    for i in range(0, n, step):
+        j = min(n, i + step)
         out = _glue(sep if i else "", texts, sep, j - i)
         cols = [spell_floats(columns[i:j])] if isinstance(columns, np.ndarray) else [col[i:j] for col in columns]
         for c, col in enumerate(cols):
@@ -91,22 +99,26 @@ def _walk(obj, ind, glue, values):
     if isinstance(obj, float):
         values.append(obj)
         glue += [None, ""]
-    elif isinstance(obj, (np.ndarray, Rows)):
+    elif isinstance(obj, (np.ndarray, Rows, Runs)):
         if isinstance(obj, Rows):
-            columns, n, row = list(obj.values()), len(next(iter(obj.values()), ())), dict.fromkeys(obj, 0.0)
+            runs = [(dict.fromkeys(obj, 0.0), list(obj.values()), len(next(iter(obj.values()), ())), PIECE_ROWS)]
+        elif isinstance(obj, Runs):  # a piece of a run holds about PIECE_ROWS floats
+            runs = [(row, table, len(table), max(1, PIECE_ROWS // table.shape[1])) for row, table in obj]
         else:
-            columns, n, row = obj, len(obj), 0.0 if obj.ndim == 1 else [0.0] * obj.shape[1]
-        texts = _row_texts(row, inner)
+            runs = [(0.0 if obj.ndim == 1 else [0.0] * obj.shape[1], obj, len(obj), PIECE_ROWS)]
         glue[-1] += "["
-        if n > PIECE_ROWS:
-            yield
-            yield from _pieces(texts, ",", n, columns)
-        elif isinstance(obj, Rows):
-            glue[-1] += "".join(_pieces(texts, ",", n, columns))
-        elif n:
-            values += obj.ravel().tolist()
-            glue[-1:] = _glue(glue[-1], texts, ",", n)
-        glue[-1] += ind + "]" if n else "]"
+        for k, (row, columns, n, step) in enumerate(runs):
+            texts = _row_texts(row, inner)
+            glue[-1] += "," if k else ""
+            if n > step:
+                yield
+                yield from _pieces(texts, ",", n, columns, step)
+            elif isinstance(columns, list):  # spelled columns
+                glue[-1] += "".join(_pieces(texts, ",", n, columns))
+            elif n:
+                values += columns.ravel().tolist()
+                glue[-1:] = _glue(glue[-1], texts, ",", n)
+        glue[-1] += ind + "]" if sum(run[2] for run in runs) else "]"
     elif isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(obj.items()):
             glue[-1] += ("," if k else "{") + inner + _quote(key) + ": "
@@ -127,10 +139,11 @@ def json_pieces(obj):
     """The text json.dumps gives obj with an indent of 2, as an iterator of pieces.
 
     obj is built of dicts with str keys, lists, tuples and JSON scalars, and
-    may hold 1-D and 2-D float arrays and Rows tables, written as the lists
-    they hold.  Arrays and Rows tables of more than PIECE_ROWS rows stream,
-    PIECE_ROWS rows a piece; the other floats are spelled together, one
-    spell_floats call for every PIECE_ROWS of them."""
+    may hold 1-D and 2-D float arrays, Rows tables and Runs, written as the
+    lists they hold.  Arrays and Rows tables of more than PIECE_ROWS rows
+    stream, PIECE_ROWS rows a piece, and a run of Runs of more than PIECE_ROWS
+    floats about PIECE_ROWS floats a piece; the other floats are spelled
+    together, one spell_floats call for every PIECE_ROWS of them."""
     glue, values = [""], []
     for piece in chain(_walk(obj, "\n", glue, values), [None]):
         if piece is None:  # the text so far, its slots filled
@@ -247,14 +260,8 @@ _SEGMENTS = {
     "clothoid": (ClothoidSegment, {"start": (2,), "start_angle": (), "kappa0": (), "sharpness": (), "length": ()}),
     "elastica": (ElasticaSegment, {"start": (2,), "thetas": (-1,), "length": (), "c_const": ()}),
 }
+_NAMES = {cls: name for name, (cls, _) in _SEGMENTS.items()}
 _SHAPES = {(): "a number", (2,): "a list of 2 numbers", (-1,): "a list of numbers"}
-
-
-def _segment_to_obj(seg) -> dict:
-    for kind, (cls, fields) in _SEGMENTS.items():
-        if isinstance(seg, cls):
-            return {"type": kind, **{name: getattr(seg, name) for name in fields}}
-    raise ParseError(f"unknown segment type {type(seg)!r}")
 
 
 def _number(raw, what: str):
@@ -301,9 +308,25 @@ def _segment_from_obj(obj: dict):
     return seg
 
 
+def _segment_runs(spline: Spline):
+    """(row, values) of each run of consecutive segments from one table of the
+    spline: row is a segment's JSON object with 0.0 for each float, and values
+    hold the run's floats, a row per segment, in that object's order."""
+    which = np.empty(len(spline), np.intp)  # the table of each segment
+    for k, (_, rows, _) in enumerate(spline.tables):
+        which[rows] = k
+    starts = np.flatnonzero(np.diff(which, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(which)]):
+        kind, rows, cols = spline.tables[which[lo]]
+        i, name = int(np.searchsorted(rows, lo)), _NAMES[kind]
+        block = {key: cols[key][i : i + hi - lo] for key in _SEGMENTS[name][1]}
+        row = {"type": name, **{key: [0.0] * c.shape[1] if c.ndim == 2 else 0.0 for key, c in block.items()}}
+        yield row, np.column_stack(list(block.values()))
+
+
 def spline_record(spline: Spline) -> dict:
-    """The spline as the object its JSON file holds."""
-    return {"closed": spline.closed, "segments": [_segment_to_obj(s) for s in spline.segments]}
+    """The spline as the object its JSON file holds: each run of segments of one kind as one table."""
+    return {"closed": spline.closed, "segments": Runs(_segment_runs(spline))}
 
 
 def spline_to_json(spline: Spline) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,11 +121,28 @@ def _clothoid_runs(theta0, kappa0, a, s, first):
 
 
 # ---------------------------------------------------------------------------
-# segments
+# segments: each kind a dataclass, and a row view of its kind's table in a Spline
+
+
+def _clothoid_energy(kappa0: float, sharpness: float, length: float) -> float:
+    # int (kappa0 + a s)^2 ds
+    k0, a, L = map(np.float64, (kappa0, sharpness, length))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return float(k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0)
+    except FloatingPointError:  # a term is not a normal double: the scale-free form
+        v, u = k0 * L, a * L * L
+        return float((v * v + v * u + u * u / 3.0) / L)
+
+
+class _Segment:
+    def energy(self) -> float:
+        """The bending energy, as Spline.energy takes it from the segment tables."""
+        return Spline((self,)).energy()
 
 
 @dataclass(frozen=True)
-class LineSegment:
+class LineSegment(_Segment):
     start: np.ndarray
     direction: np.ndarray  # unit
     length: float
@@ -136,12 +153,9 @@ class LineSegment:
     def angle_at(self, s: float) -> float:
         return math.atan2(self.direction[1], self.direction[0])
 
-    def energy(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(_Segment):
     center: np.ndarray
     radius: float
     start_angle: float  # position angle of the start point about the center
@@ -162,11 +176,6 @@ class ArcSegment:
         a = self.start_angle + self.sweep * s / self.length
         return a + math.copysign(math.pi / 2.0, self.sweep)
 
-    def energy(self) -> float:
-        if 2.0**-511 <= self.radius < 2.0**512:  # exactly where radius**2 is a normal double
-            return self.length / self.radius**2
-        return self.length / self.radius / self.radius
-
 
 def clothoid_turning(kappa0: float, sharpness: float, length: float) -> float:
     """A bound on a clothoid's total turning (rad): the phase span whose panels
@@ -183,7 +192,7 @@ def check_clothoid_size(kappa0: float, sharpness: float, length: float):
 
 
 @dataclass(frozen=True)
-class ClothoidSegment:
+class ClothoidSegment(_Segment):
     start: np.ndarray
     start_angle: float
     kappa0: float
@@ -196,19 +205,9 @@ class ClothoidSegment:
     def angle_at(self, s: float) -> float:
         return self.start_angle + self.kappa0 * s + 0.5 * self.sharpness * s * s
 
-    def energy(self) -> float:
-        # int (kappa0 + a s)^2 ds
-        k0, a, L = map(np.float64, (self.kappa0, self.sharpness, self.length))
-        try:
-            with np.errstate(over="raise", under="raise"):
-                return float(k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0)
-        except FloatingPointError:  # a term is not a normal double: the scale-free form
-            v, u = k0 * L, a * L * L
-            return float((v * v + v * u + u * u / 3.0) / L)
-
 
 @dataclass(frozen=True)
-class ElasticaSegment:
+class ElasticaSegment(_Segment):
     """Elastica in turning-angle form: theta sampled on a uniform grid."""
 
     start: np.ndarray
@@ -244,38 +243,84 @@ class ElasticaSegment:
         grid = np.linspace(0.0, self.length, len(self.thetas))
         return float(np.interp(s, grid, self.thetas))
 
-    def energy(self) -> float:
-        return elastica_energy(self.thetas, self.ds)
-
 
 Segment = LineSegment | ArcSegment | ClothoidSegment | ElasticaSegment
 
 
-@dataclass(frozen=True)
+def _end_angles(kind, c) -> np.ndarray:
+    """(start, end) tangent angle of each row of a table of kind, as angle_at gives them."""
+    if kind is LineSegment:
+        return np.repeat(_angles(c["direction"])[:, None], 2, axis=1)
+    if kind is ElasticaSegment:  # np.interp returns the end nodes themselves
+        return c["thetas"][:, [0, -1]]
+    a0, s = c["start_angle"][:, None], np.column_stack([np.zeros(len(c["length"])), c["length"]])
+    if kind is ArcSegment:
+        return a0 + c["sweep"][:, None] * s / c["length"][:, None] + np.copysign(math.pi / 2.0, c["sweep"])[:, None]
+    return a0 + c["kappa0"][:, None] * s + 0.5 * c["sharpness"][:, None] * s * s
+
+
+def _energies(kind, c):
+    """Bending energy of each row of a table of kind: an arc's is length / radius**2, exactly
+    where radius**2 is a normal double, and the scale-free length / radius / radius elsewhere."""
+    if kind is LineSegment:
+        return 0.0
+    if kind is ArcSegment:
+        rows = zip(c["length"].tolist(), c["radius"].tolist())
+        return [s / r**2 if 2.0**-511 <= r < 2.0**512 else s / r / r for s, r in rows]
+    if kind is ClothoidSegment:
+        return list(map(_clothoid_energy, c["kappa0"].tolist(), c["sharpness"].tolist(), c["length"].tolist()))
+    return elastica_energy(c["thetas"], c["length"] / (c["thetas"].shape[1] - 1))
+
+
+def _table(kind, rows, **cols) -> tuple:
+    return kind, np.asarray(rows, dtype=np.intp), {f.name: np.asarray(cols[f.name], float) for f in fields(kind)}
+
+
 class Spline:
-    """Ordered G1 segment list."""
+    """Ordered G1 segments, held as tables (kind, rows, cols): per segment class
+    kind, and per grid size of elastica, the positions rows of its segments in
+    the spline, ascending, and the class's fields as columns cols, one row per
+    segment.  Spline(segments) gathers the tables of segment objects, and the
+    solvers pass their own.  segments, the segment objects in order, are views
+    of the table rows made on first use; sampler is the spline's polyline_sampler."""
 
-    segments: tuple
-    closed: bool = False
+    def __init__(self, segments=(), closed: bool = False, tables=None):
+        if tables is None:
+            self.segments = segs = tuple(segments)
+            groups = {}  # the positions of the segments of each class and grid size
+            for i, seg in enumerate(segs):
+                groups.setdefault((type(seg), len(getattr(seg, "thetas", ()))), []).append(i)
+            tables = [_table(kind, rows, **{f.name: [getattr(segs[i], f.name) for i in rows] for f in fields(kind)})
+                      for (kind, _), rows in groups.items()]
+        self.tables, self.closed = [t for t in tables if len(t[1])], closed
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows, _ in self.tables)
+
+    @functools.cached_property
+    def segments(self) -> tuple:
+        out = [None] * len(self)
+        for kind, rows, cols in self.tables:
+            for i, *values in zip(rows.tolist(), *(c.tolist() if c.ndim == 1 else c for c in cols.values())):
+                out[i] = kind(*values)
+        return tuple(out)
+
+    @functools.cached_property
+    def sampler(self):
+        return polyline_sampler(self)
+
+    def in_order(self, per_table, *shape) -> np.ndarray:
+        """per_table(kind, cols) of every table, a value (of the given shape) per segment, in order."""
+        out = np.empty((len(self), *shape))
+        for kind, rows, cols in self.tables:
+            out[rows] = per_table(kind, cols)
+        return out
 
     def total_length(self) -> float:
-        return float(sum(seg.length for seg in self.segments))
+        return float(sum(self.in_order(lambda kind, c: c["length"]).tolist()))
 
     def energy(self) -> float:
-        return float(sum(seg.energy() for seg in self.segments))
-
-
-def _groups(segs):
-    """(segment type, rows, col) per segment type and elastica grid size: the
-    indices of those segments in segs, and col(name) their field name as an array."""
-    groups = {}
-    for i, seg in enumerate(segs):
-        groups.setdefault((type(seg), len(getattr(seg, "thetas", ()))), []).append(i)
-    for (kind, _), rows in groups.items():
-        yield kind, rows, lambda name, rows=rows: np.array([getattr(segs[i], name) for i in rows], dtype=float)
+        return float(sum(self.in_order(_energies).tolist()))
 
 
 def _elastica_nodes(start, thetas, length) -> np.ndarray:
@@ -298,70 +343,68 @@ def _grid(lengths, counts):
     return s, first, rep
 
 
-def polyline_sampler(segs):
-    """A function of a chord tolerance tol that returns every segment's polyline,
-    from its start to its end point.  Arc and clothoid chords stray at most tol
-    from the curve, and are the chords themselves at an infinite tol; lines and
-    elastica give fixed polylines, no larger than their segments.  All arcs are
-    sampled as one angle array and all clothoids with one _phase_integrals call.
-    InputError if the arcs and clothoids would take over MAX_SAMPLES points
-    between their end points."""
-    fixed, arcs, clothoids = {}, (), ()  # fixed: the polylines that do not depend on tol
-    for kind, rows, col in _groups(segs):
-        if kind is ArcSegment:
-            arcs = rows, col("length"), col("center"), col("radius"), col("start_angle"), col("sweep")
-        elif kind is ClothoidSegment:
-            clothoids = rows, col("length"), col("start"), col("start_angle"), col("kappa0"), col("sharpness")
-        elif kind is ElasticaSegment:
-            fixed.update(zip(rows, _elastica_nodes(col("start"), col("thetas"), col("length"))))
+def polyline_sampler(spline):
+    """A function of a chord tolerance tol that returns every segment's polyline
+    in the spline, from its start to its end point.  Arc
+    and clothoid chords stray at most tol from the curve, and are the chords
+    themselves at an infinite tol, which are sampled once, here, and kept; lines
+    and elastica give fixed polylines, no larger than their segments.  All arcs
+    are sampled as one angle array and all clothoids with one _phase_integrals
+    call.  InputError if the arcs and clothoids would take over MAX_SAMPLES
+    points between their end points."""
+    fixed, curved = {}, []  # the polylines that do not depend on tol, and the arc and clothoid tables
+    for kind, rows, c in spline.tables:
+        if kind is ElasticaSegment:
+            fixed.update(zip(rows.tolist(), _elastica_nodes(c["start"], c["thetas"], c["length"])))
+        elif kind is LineSegment:
+            ends = c["start"] + c["length"][:, None] * c["direction"]
+            fixed.update(zip(rows.tolist(), np.stack([c["start"], ends], 1)))
         else:
-            fixed.update((i, np.array([segs[i].start, segs[i].point_at(segs[i].length)])) for i in rows)
+            curved.append((kind, rows.tolist(), c))
 
     def sample(tol: float) -> list:
-        n_arc = n_clothoid = np.zeros(0)  # chords per arc and per clothoid
+        counts = []  # chords per arc or clothoid, and per table
         with np.errstate(over="ignore"):  # a tol that overflows against a curvature needs one chord
-            if arcs:
-                rows, length, center, radius, a0, sweep = arcs
-                n_arc = np.abs(sweep) / np.maximum(2.0 * np.sqrt(2.0 * tol / radius), 1e-6)
-            if clothoids:
-                rows, length, start, theta0, k0, a = clothoids
-                kmax = np.maximum(np.maximum(np.abs(k0), np.abs(k0 + a * length)), 1e-9)
-                n_clothoid = length / np.sqrt(8.0 * tol / kmax)
-        n_arc, n_clothoid = (np.maximum(np.ceil(n) + 1.0, 2.0) for n in (n_arc, n_clothoid))
-        total = n_arc.sum() + n_clothoid.sum()
+            for kind, _, c in curved:
+                if kind is ArcSegment:
+                    n = np.abs(c["sweep"]) / np.maximum(2.0 * np.sqrt(2.0 * tol / c["radius"]), 1e-6)
+                else:
+                    k0, k1 = np.abs(c["kappa0"]), np.abs(c["kappa0"] + c["sharpness"] * c["length"])
+                    n = c["length"] / np.sqrt(8.0 * tol / np.maximum(np.maximum(k0, k1), 1e-9))
+                counts.append(np.maximum(np.ceil(n) + 1.0, 2.0))
+        total = sum(n.sum() for n in counts)
         # two end points per segment are no more than the segments hold: only the samples between them count
-        if not total - 2.0 * (len(n_arc) + len(n_clothoid)) <= MAX_SAMPLES:
+        if not total - 2.0 * sum(map(len, counts)) <= MAX_SAMPLES:
             raise InputError(f"drawing the spline needs {total:.6g} points, over the limit of {MAX_SAMPLES}")
         out = dict(fixed)
-        if arcs:
-            rows, length, center, radius, a0, sweep = arcs
-            s, first, rep = _grid(length, n_arc)
-            a = rep(a0) + rep(sweep) * s / rep(length)
-            pts = rep(center) + rep(radius)[:, None] * np.stack([np.cos(a), np.sin(a)], -1)
-            out.update(zip(rows, np.split(pts, first[1:])))
-        if clothoids:
-            rows, length, start, theta0, k0, a = clothoids
-            s, first, rep = _grid(length, n_clothoid)
-            out.update(zip(rows, map(np.add, start, _clothoid_runs(rep(theta0), rep(k0), rep(a), s, first))))
-        return [out[i] for i in range(len(segs))]
+        for (kind, rows, c), n in zip(curved, counts):
+            s, first, rep = _grid(c["length"], n)
+            if kind is ArcSegment:
+                a = rep(c["start_angle"]) + rep(c["sweep"]) * s / rep(c["length"])
+                pts = rep(c["center"]) + rep(c["radius"])[:, None] * np.stack([np.cos(a), np.sin(a)], -1)
+                out.update(zip(rows, np.split(pts, first[1:])))
+            else:
+                runs = _clothoid_runs(rep(c["start_angle"]), rep(c["kappa0"]), rep(c["sharpness"]), s, first)
+                out.update(zip(rows, map(np.add, c["start"], runs)))
+        return [out[i] for i in range(len(spline))]
 
-    return sample
+    chords = sample(math.inf)
+    return lambda tol: chords if tol == math.inf else sample(tol)
 
 
 def g1_defects(spline: Spline):
-    """(max position gap, max tangent-angle gap in radians) at the joints, read from polyline_sampler at tol inf."""
-    segs = spline.segments
-    joints = len(segs) if spline.closed and len(segs) > 1 else len(segs) - 1
+    """(max position gap, max tangent-angle gap in radians) at the joints: the
+    gaps between the chords of spline.sampler and between its end angles."""
+    joints = len(spline) if spline.closed and len(spline) > 1 else len(spline) - 1
     if joints < 1:
         return 0.0, 0.0
-    polylines = polyline_sampler(segs)(math.inf)
-    start, end = (np.array([pts[k] for pts in polylines]) for k in (0, -1))
+    start, end = (np.array([pts[k] for pts in spline.sampler(math.inf)]) for k in (0, -1))
     gaps = end[:joints] - np.roll(start, -1, axis=0)[:joints]
     # the norm squares the gaps: scaled by a power of two (exactly), gaps near the underflow keep their squares
     e = int(np.frexp(np.max(np.abs(gaps)))[1])
     pos = float(np.ldexp(np.max(np.linalg.norm(np.ldexp(gaps, -e), axis=1)), e))
-    pairs = zip(segs[:joints], segs[1:] + segs[:1])
-    return pos, max(abs(_wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))) for a, b in pairs)
+    angles = spline.in_order(_end_angles, 2)
+    return pos, float(np.max(np.abs(_wrap_angle(angles[:joints, 1] - np.roll(angles[:, 0], -1)[:joints]))))
 
 
 # ---------------------------------------------------------------------------
@@ -385,38 +428,36 @@ def _vertex_turns(rc: RefinedCurve):
     return v, e0, e1, _signed_angles(_embed3(e0), _embed3(e1), np.broadcast_to(_EZ, (len(v), 3)))
 
 
-def _arc_from_pose(p: np.ndarray, direction: np.ndarray, kappa: float, length: float) -> ArcSegment:
-    center = p + _rot90(direction) / kappa
-    radius = 1.0 / abs(kappa)
-    alpha0 = math.atan2(p[1] - center[1], p[0] - center[0])
-    return ArcSegment(center, radius, alpha0, kappa * length, length)
+def _arc_table(rows, p, direction, kappa, length) -> tuple:
+    """The arcs at positions rows that start at the points p along the unit
+    directions, with curvatures kappa and the given lengths (rows of arrays)."""
+    center = p + _rot90(direction) / kappa[:, None]
+    radius, start_angle = 1.0 / np.abs(kappa), _angles(p - center)
+    return _table(ArcSegment, rows, center=center, radius=radius, start_angle=start_angle, sweep=kappa * length,
+                  length=length)
 
 
 def spline_inscribed(rc: RefinedCurve) -> Spline:
-    """One arc per vertex, tangent to both adjacent edges at their midpoints."""
+    """One arc per vertex, tangent to both adjacent edges at their midpoints: a
+    line at a vertex that does not turn, and along each half edge at an open end."""
     _require_planar(rc.points)
     validate_refined(rc)
-    pts = rc.points
-    n = len(pts)
-    ell = rc.ell
-    segments = []
-    if not rc.closed and rc.is_vertex(0):
-        d = (pts[1] - pts[0]) / np.linalg.norm(pts[1] - pts[0])
-        segments.append(LineSegment(pts[0].copy(), d, ell))
-    for v, e0, _, theta in zip(*_vertex_turns(rc)):
-        m0 = pts[(v - 1) % n]
-        m1 = pts[(v + 1) % n]
-        if abs(theta) < 1e-12:
-            d = (m1 - m0) / np.linalg.norm(m1 - m0)
-            segments.append(LineSegment(m0.copy(), d, float(np.linalg.norm(m1 - m0))))
-            continue
-        kappa = math.tan(theta / 2.0) / ell
-        length = abs(theta) / abs(kappa)
-        segments.append(_arc_from_pose(m0, e0, kappa, length))
-    if not rc.closed and rc.is_vertex(n - 1):
-        d = (pts[n - 1] - pts[n - 2]) / np.linalg.norm(pts[n - 1] - pts[n - 2])
-        segments.append(LineSegment(pts[n - 2].copy(), d, ell))
-    return Spline(tuple(segments), closed=rc.closed)
+    pts, n = rc.points, len(rc.points)
+    v, e0, _, theta = _vertex_turns(rc)
+    head, tail = (int(not rc.closed and rc.is_vertex(k)) for k in (0, n - 1))
+    flat = np.abs(theta) < 1e-12
+    # lines from pts[i] to pts[j]: the first half edge, the vertices that do not turn, the last half edge
+    i = np.concatenate([np.zeros(head, np.intp), (v[flat] - 1) % n, np.full(tail, n - 2)])
+    j = np.concatenate([np.ones(head, np.intp), (v[flat] + 1) % n, np.full(tail, n - 1)])
+    chord = pts[j] - pts[i]
+    d = _row_norms(chord)
+    length = np.concatenate([[rc.ell] * head, d[head : len(d) - tail], [rc.ell] * tail])
+    rows = np.concatenate([np.zeros(head, np.intp), np.flatnonzero(flat) + head, np.full(tail, len(v) + head)])
+    lines = _table(LineSegment, rows, start=pts[i], direction=chord / d[:, None], length=length)
+    k = np.flatnonzero(~flat)
+    kappa = _math(math.tan, theta[k] / 2.0) / rc.ell
+    arcs = _arc_table(k + head, pts[(v[k] - 1) % n], e0[k], kappa, np.abs(theta[k]) / np.abs(kappa))
+    return Spline(tables=(lines, arcs), closed=rc.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +535,7 @@ def _clothoid_roots(phi0, delta, max_iter: int = 200):
     return root, x
 
 
-def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
+def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
     """clothoid_g1_fit of each row of the (m, 2) arrays p0, t0, p1, t1, with the
     fitting equations of all rows solved together and one quadrature checking
     every end pose.  With name_spans, NoConvergence names the first row that fails.
@@ -534,9 +575,8 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
         raise InputError("fit tangents must be nonzero with a finite norm")
     with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
         t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-        d = np.linalg.norm(chord, axis=1)
-    if (bad := np.flatnonzero(~((0.0 < d) & (d < math.inf)))).size:
-        raise InputError(f"fit chord length must be positive and finite, got {d[bad[0]]}")
+    d = _chord_lengths(chord)
+    check_edge_lengths(d, "fit chord length")  # past it, the sharpness 2A/L^2 is no normal double
     psi = np.arctan2(chord[:, 1], chord[:, 0])
     phi0, phi1 = (_wrap_angle(np.arctan2(t[:, 1], t[:, 0]) - psi) for t in (t0, t1))
     line = (np.abs(phi0) < 1e-12) & (np.abs(phi1) < 1e-12)
@@ -563,13 +603,15 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> list:
         msg = "clothoid fitting equation has no admissible root"
         msg = msg if r is None else f"fitted clothoid misses the end pose by {r:.3e}"
         raise NoConvergence(f"segment {rows[bad[0]]}: {msg}" if name_spans else msg, residual=r)
-    segments = [LineSegment(p0[i], chord[i] / d[i], float(d[i])) if line[i] else None for i in range(len(p0))]
-    for i, sweep in zip(np.flatnonzero(arc).tolist(), (phi1 - phi0)[arc].tolist()):
-        arc_length = float(d[i]) * (sweep / 2.0) / math.sin(sweep / 2.0)
-        segments[i] = _arc_from_pose(p0[i], t0[i], sweep / arc_length, arc_length)
-    for i, *params in zip(rows.tolist(), theta0.tolist(), kappa0.tolist(), sharp.tolist(), length.tolist()):
-        segments[i] = ClothoidSegment(p0[i], *params)
-    return segments
+    lines, arcs = np.flatnonzero(line), np.flatnonzero(arc)
+    sweep = (phi1 - phi0)[arcs]
+    arc_length = d[arcs] * (sweep / 2.0) / _math(math.sin, sweep / 2.0)
+    return (
+        _table(LineSegment, lines, start=p0[lines], direction=chord[lines] / d[lines, None], length=d[lines]),
+        _arc_table(arcs, p0[arcs], t0[arcs], sweep / arc_length, arc_length),
+        _table(ClothoidSegment, rows, start=p0[rows], start_angle=theta0, kappa0=kappa0, sharpness=sharp,
+               length=length),
+    )
 
 
 def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
@@ -583,7 +625,7 @@ def clothoid_g1_fit(p0, t0, p1, t1) -> Segment:
     _fit_spans for why).  NoConvergence carries the best endpoint residual;
     a chord or tangent that is zero, not finite or overflows raises InputError.
     """
-    return _fit_spans(p0, t0, p1, t1)[0]
+    return Spline(tables=_fit_spans(p0, t0, p1, t1)).segments[0]
 
 
 def spline_circumscribed(dc: DiscreteCurve) -> Spline:
@@ -609,7 +651,7 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     tangents = sums / norms[:, None]
     i = np.arange(n if dc.closed else n - 1)
     j = (i + 1) % n
-    return Spline(tuple(_fit_spans(pts[i], tangents[i], pts[j], tangents[j], name_spans=True)), closed=dc.closed)
+    return Spline(tables=_fit_spans(pts[i], tangents[i], pts[j], tangents[j], name_spans=True), closed=dc.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +846,25 @@ def _row_norms(v):
         return np.sqrt(v[:, None] @ v[..., None]).reshape(len(v))
 
 
+def _chord_lengths(chord) -> np.ndarray:
+    """Length of each row of chord (m, 2): as np.linalg.norm(chord, axis=1), or as
+    hypot where the squares are no normal doubles, which the norm would overflow or round."""
+    with np.errstate(over="ignore"):  # a length that overflows is inf
+        d = np.linalg.norm(chord, axis=1)
+        odd = ~((2.0**-500 < d) & (d < 2.0**500))
+        d[odd] = np.hypot(*chord[odd].T)
+    return d
+
+
+def _math(f, *columns) -> np.ndarray:
+    """f of the math module applied to each row of the columns, which numpy's own
+    function rounds differently at times."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
 def _angles(v):
-    """math.atan2 of each row (x, y) of v (m, 2), which np.arctan2 rounds differently at times."""
-    return np.fromiter(map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, len(v))
+    """math.atan2 of each row (x, y) of v (m, 2)."""
+    return _math(math.atan2, v[:, 1], v[:, 0])
 
 
 def _span_starts(t0, t1, n):
@@ -886,9 +944,7 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
     ds = 1.0 / n
     with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
         t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-        d, psi = _row_norms(chord), _angles(chord)
-        big = np.isinf(d)  # the squares overflow; hypot's do not
-        d[big] = np.hypot(*chord[big].T)
+    d, psi = _chord_lengths(chord), _angles(chord)
     if not (d < math.inf).all():
         raise InputError("elastica chord p1 - p0 must have a finite length")
     phi0, phi1 = (_wrap_angle(_angles(t) - psi) for t in (t0, t1))
@@ -944,7 +1000,8 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
         )
     best = th[np.arange(len(th)), energy.argmin(1)]
     thetas[curved], c_const[curved] = best, _fit_c_const(best, ds) / length / length
-    return [ElasticaSegment(p, row, length, c) for p, row, c in zip(p0, thetas, c_const.tolist())]
+    return (_table(ElasticaSegment, np.arange(len(p0)), start=p0, thetas=thetas, length=np.full(len(p0), length),
+                   c_const=c_const),)
 
 
 def elastica_bvp(p0, t0, p1, t1, length: float, n: int = 64) -> ElasticaSegment:
@@ -957,7 +1014,7 @@ def elastica_bvp(p0, t0, p1, t1, length: float, n: int = 64) -> ElasticaSegment:
     lowest-energy one is returned.  A malformed pose, length or n raises
     InputError before any solve.
     """
-    return _elastica_spans(p0, t0, p1, t1, length, n)[0]
+    return Spline(tables=_elastica_spans(p0, t0, p1, t1, length, n)).segments[0]
 
 
 # ---------------------------------------------------------------------------
@@ -998,8 +1055,8 @@ def spline_centered(rc: RefinedCurve, n: int = 64) -> Spline:
     points, dirs = centered_nodes(rc)
     i = np.arange(len(points) if rc.closed else len(points) - 1)
     j = (i + 1) % len(points)
-    segments = _elastica_spans(points[i], dirs[i], points[j], dirs[j], 2.0 * rc.ell, n, name_spans=True)
-    return Spline(tuple(segments), closed=rc.closed)
+    tables = _elastica_spans(points[i], dirs[i], points[j], dirs[j], 2.0 * rc.ell, n, name_spans=True)
+    return Spline(tables=tables, closed=rc.closed)
 
 
 # ---------------------------------------------------------------------------

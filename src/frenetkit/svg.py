@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NonPlanarData
-from .spline2d import ArcSegment, polyline_sampler
+from .spline2d import ArcSegment
 
 
 _WIDTH = 480  # pixels; the height follows the aspect ratio of the viewport
@@ -53,19 +53,27 @@ def _polyline_path(pts: np.ndarray, close: bool) -> str:
     return _fill(" L ".join(["%.10g %.10g"] * len(pts)).join(["M ", " Z" if close else ""]), _xy(pts))
 
 
-def _spline_path(segs, polylines) -> str:
+def _spline_path(spline, polylines) -> str:
     """Path data of a spline: arcs as native arc commands, every other segment as
     lines through its polyline."""
-    cmds, values = ["M %.10g %.10g"], [_xy(polylines[0][:1])]
-    for seg, pts in zip(segs, polylines):
-        if isinstance(seg, ArcSegment):
+    arcs = {}  # (radius, sweep) of the arc at each position
+    for kind, rows, c in spline.tables:
+        if kind is ArcSegment:
+            arcs = dict(zip(rows.tolist(), zip(c["radius"].tolist(), c["sweep"].tolist())))
+    xy = _xy(np.concatenate(polylines))
+    cmds, values, start = ["M %.10g %.10g"], [xy[:1]], 0
+    for i, pts in enumerate(polylines):
+        end = start + len(pts)
+        if i in arcs:
+            radius, sweep = arcs[i]
             # y-flip reverses the sweep sense
-            large, sweep_flag = int(abs(seg.sweep) > math.pi), 0 if seg.sweep > 0 else 1
+            large, sweep_flag = int(abs(sweep) > math.pi), 0 if sweep > 0 else 1
             cmds.append(f"A %.10g %.10g 0 {large} {sweep_flag} %.10g %.10g")
-            values += [[[seg.radius, seg.radius]], _xy(pts[-1:])]
+            values += [[[radius, radius]], xy[end - 1 : end]]
         else:
             cmds += ["L %.10g %.10g"] * (len(pts) - 1)
-            values.append(_xy(pts[1:]))
+            values.append(xy[start + 1 : end])
+        start = end
     return _fill(" ".join(cmds), np.concatenate(values))
 
 
@@ -80,13 +88,13 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     """
     curve_pts = [(_require_planar(c.points), getattr(c, "closed", False)) for c in curves]
     chunks = [pts for pts, _ in curve_pts]
-    samplers = [(sp.segments, polyline_sampler(sp.segments)) for sp in splines if sp.segments]
-    if samplers:
+    splines = [sp for sp in splines if len(sp)]
+    if splines:
         # bounds from a sample within 1e-3, or within 1e-6 of the chords' extent if that is larger
-        chords = np.vstack([pts for _, sample in samplers for pts in sample(math.inf)])
+        chords = np.vstack([pts for sp in splines for pts in sp.sampler(math.inf)])
         with np.errstate(over="ignore"):  # an extent that overflows samples at the chords
             tol = max(1e-3, 1e-6 * float(np.max(chords.max(axis=0) - chords.min(axis=0))))
-        chunks += [pts for _, sample in samplers for pts in sample(tol)]
+        chunks += [pts for sp in splines for pts in sp.sampler(tol)]
     for center, radius in circles:
         center = np.asarray(center, dtype=float)
         chunks.append(center + np.array([[radius, 0], [-radius, 0], [0, radius], [0, -radius]]))
@@ -122,6 +130,6 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
         markers = _fill("\n".join([marker] * len(pts)), _xy(pts))
         out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), markers]
     tol = _CHORD_TOL_FRAC * scale
-    out += [path.format(_spline_path(segs, sample(tol)), _SPLINE_COLOR) for segs, sample in samplers]
+    out += [path.format(_spline_path(sp, sp.sampler(tol)), _SPLINE_COLOR) for sp in splines]
     out.append("</svg>")
     return "\n".join(out)

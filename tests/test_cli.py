@@ -904,6 +904,41 @@ def test_spline_circumscribed(runner, tmp_path):
     assert report["total_length"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+def _convex_polyline_json():
+    """A seeded open unit-edge polyline whose turns all bend one way."""
+    turns = np.random.default_rng(26).uniform(0.05, 0.6, size=9)
+    return curve_to_json(_unit_step_polyline(turns))
+
+
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed", "centered"])
+@pytest.mark.parametrize("curve", ["hexagon", "convex"])
+def test_loaded_and_solved_splines_draw_alike(runner, tmp_path, curve, method):
+    """The tables spline_from_json gathers from a spline file draw the bytes that
+    the solver's own tables draw."""
+    text = _hexagon_json() if curve == "hexagon" else _convex_polyline_json()
+    path = _write(tmp_path, "curve.json", text)
+    solved, spline_file, loaded = (str(tmp_path / name) for name in ("a.svg", "s.json", "b.svg"))
+    result = runner.invoke(main, ["spline", path, "--method", method, "--out", spline_file, "--svg", solved])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["render", path, "--spline", spline_file, "--out", loaded])
+    assert result.exit_code == 0, result.output
+    assert Path(loaded).read_bytes() == Path(solved).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed", "centered"])
+def test_spline_builds_one_sampler(runner, tmp_path, monkeypatch, method):
+    """g1_defects and render_svg share the spline's one polyline_sampler, and its chords."""
+    made = []
+    make = spline2d.polyline_sampler
+    monkeypatch.setattr(spline2d, "polyline_sampler", lambda spline: made.append(spline) or make(spline))
+    path = _write(tmp_path, "curve.json", _convex_polyline_json())
+    for svg in (["--svg", str(tmp_path / "s.svg")], []):
+        made.clear()
+        result = runner.invoke(main, ["spline", path, "--method", method, *svg])
+        assert result.exit_code == 0, result.output
+        assert len(made) == 1 if svg else len(made) <= 1
+
+
 def _spline_energy(runner, tmp_path, points, method):
     """The bending energy that spline reports for an open polyline; it must exit 0 without a warning."""
     path = _write(tmp_path, "curve.json", curve_to_json(DiscreteCurve(np.asarray(points, dtype=float))))

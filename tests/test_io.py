@@ -103,6 +103,46 @@ def test_spline_round_trip_all_segment_kinds():
         spline_from_json('{"segments": [{"type": "spiral"}]}')
 
 
+# each segment class's JSON type and fields, in the order its object lists them
+_SEGMENT_FIELDS = {
+    LineSegment: ("line", ("start", "direction", "length")),
+    ArcSegment: ("arc", ("center", "radius", "start_angle", "sweep")),
+    ClothoidSegment: ("clothoid", ("start", "start_angle", "kappa0", "sharpness", "length")),
+    ElasticaSegment: ("elastica", ("start", "thetas", "length", "c_const")),
+}
+
+
+def _per_segment_record(spline):
+    """The spline's JSON object built one dict per segment."""
+    def obj(seg):
+        kind, names = _SEGMENT_FIELDS[type(seg)]
+        return {"type": kind, **{name: np.asarray(getattr(seg, name)).tolist() for name in names}}
+
+    return {"closed": spline.closed, "segments": [obj(seg) for seg in spline.segments]}
+
+
+_ANY = st.floats()  # NaN and the infinities too: the writer spells them as json.dumps does
+_PAIR = st.tuples(_ANY, _ANY).map(np.array)
+_GRID = st.sampled_from([17, 18, 33]).flatmap(lambda n: st.lists(_ANY, min_size=n, max_size=n))  # three grid sizes
+_ANY_SEGMENT = st.one_of(
+    st.builds(LineSegment, _PAIR, _PAIR, _ANY),
+    st.builds(ArcSegment, _PAIR, st.floats(1e-300, 1e300), _ANY, _ANY),
+    st.builds(ClothoidSegment, _PAIR, _ANY, _ANY, _ANY, _ANY),
+    st.builds(ElasticaSegment, _PAIR, _GRID, _ANY, _ANY),
+)
+
+
+@given(st.lists(_ANY_SEGMENT, max_size=12), st.booleans(), st.sampled_from([4096, 40, 1]))
+@settings(max_examples=100, deadline=None)
+def test_spline_json_equals_the_per_segment_record(segments, closed, piece_rows):
+    """Each run of segments of one kind (and elastica grid) is written as one table,
+    streamed about PIECE_ROWS floats a piece: the bytes of one dict per segment."""
+    spline = Spline(segments, closed=closed)
+    with mock.patch.object(fio, "PIECE_ROWS", piece_rows):
+        text = spline_to_json(spline)
+    assert text == json.dumps(_per_segment_record(spline), indent=2)
+
+
 _LINE = '{"type": "line", "start": [0, 0], "direction": [1, 0], "length": 1}'
 _ELASTICA = '{"type": "elastica", "start": [0, 0], "thetas": %s, "length": 1, "c_const": 0.5}' % ([0.0] * 17)
 
@@ -308,7 +348,7 @@ def test_svg_polyline_chordal_deviation():
     # elastica polylines must stay within 0.1% of the viewport span
     seg = ElasticaSegment(np.array([0.0, 0.0]), np.linspace(0.0, 2.0, 65), 2.0)
     doc = render_svg(splines=[Spline((seg,))])
-    (pts,) = polyline_sampler([seg])(1e-3)
+    (pts,) = polyline_sampler(Spline((seg,)))(1e-3)
     steps = np.diff(pts, axis=0)
     # crude bound: sagitta <= kappa * chord^2 / 8
     kmax = np.max(np.abs(np.diff(seg.thetas))) / seg.ds

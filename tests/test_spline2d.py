@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -152,7 +153,7 @@ def test_segment_polylines_match_pointwise_evaluation():
     clothoid = ClothoidSegment(np.array([1.0, 2.0]), 0.4, -0.7, 1.3, 3.0)
     # each segment alone, and both sampled together
     for segs in ([arc], [clothoid], [arc, clothoid]):
-        for seg, pts in zip(segs, polyline_sampler(segs)(1e-4)):
+        for seg, pts in zip(segs, polyline_sampler(spline2d.Spline(segs))(1e-4)):
             s = np.linspace(0.0, seg.length, len(pts))
             atol = 0.0 if seg is arc else 1e-14
             np.testing.assert_allclose(pts, [seg.point_at(v) for v in s], rtol=0, atol=atol)
@@ -191,7 +192,7 @@ _SAMPLED_SEGMENT = st.one_of(
 )
 @settings(max_examples=60, deadline=None)
 def test_polyline_sampler_matches_per_segment_sampling(segs, tols):
-    sample = polyline_sampler(segs)
+    sample = polyline_sampler(spline2d.Spline(segs))
     for tol in tols:
         got = sample(tol)
         assert len(got) == len(segs)
@@ -204,7 +205,7 @@ def test_polyline_sampler_matches_per_segment_sampling(segs, tols):
 def test_polyline_sampler_counts_before_sampling():
     # one turn of radius 1e12 at chord tolerance 1e-3 asks for 2*pi/1e-6 angle steps
     arc = ArcSegment(np.array([0.0, 0.0]), 1e12, 0.0, 2.0 * math.pi)
-    sample = polyline_sampler([arc])
+    sample = polyline_sampler(spline2d.Spline([arc]))
     tracemalloc.start()
     with pytest.raises(InputError, match="6.28319e\\+06 points, over the limit of 1000000"):
         sample(1e-3)
@@ -254,18 +255,27 @@ def test_clothoid_fit_coincident_points():
         clothoid_g1_fit([0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0])
 
 
+_OUTSIDE = " is outside the supported range \\[1e-150, 1e\\+150\\]$"
+
+
 @pytest.mark.parametrize(
     "p0, t0, p1, t1, match",
     [
-        ([math.nan, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], "chord length must be positive and finite"),
+        ([math.nan, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], "^fit chord length nan" + _OUTSIDE),
         ([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], "tangents"),
         ([0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [math.inf, 0.0], "tangents"),
-        ([0.0, 0.0], [1.0, 0.0], [1e308, 1e308], [1.0, 0.0], "chord length must be positive and finite"),
-        ([-1e308, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0], "chord length must be positive and finite"),
+        ([0.0, 0.0], [1.0, 0.0], [1e308, 1e308], [1.0, 0.0], "^fit chord length 1.4142135623730951e\\+308" + _OUTSIDE),
+        ([-1e308, 0.0], [1.0, 0.0], [1e308, 0.0], [1.0, 0.0], "^fit chord length inf" + _OUTSIDE),
+        # the squares of the chord overflow or underflow, not its length
+        ([0.0, 0.0], [1.0, 0.0], [1e200, 1e200], [1.0, 0.0], "^fit chord length 1.414213562373095e\\+200" + _OUTSIDE),
+        ([0.0, 0.0], [1.0, 0.0], [1e-200, 1e-200], [1.0, 0.0], "^fit chord length 1.414213562373095e-200" + _OUTSIDE),
     ],
-    ids=["nan-point", "zero-tangent", "infinite-tangent", "overflowing-chord", "overflowing-difference"],
+    ids=["nan-point", "zero-tangent", "infinite-tangent", "overflowing-chord", "overflowing-difference",
+         "squares-overflow", "squares-underflow"],
 )
 def test_clothoid_fit_rejects_bad_input(p0, t0, p1, t1, match):
+    """A chord outside EDGE_RANGE is named by its length, also where its squares overflow
+    or underflow: past that range a clothoid's sharpness 2A/L^2 is no normal double."""
     with pytest.raises(InputError, match=match), warnings.catch_warnings():
         warnings.simplefilter("error")
         clothoid_g1_fit(p0, t0, p1, t1)
@@ -364,7 +374,7 @@ def _pose_rows(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_batched_fit_equals_the_one_span_fits(rows):
     try:
-        batch = spline2d._fit_spans(*map(np.array, zip(*rows)))
+        batch = spline2d.Spline(tables=spline2d._fit_spans(*map(np.array, zip(*rows)))).segments
     except NoConvergence:
         # then some row fails on its own too
         with pytest.raises(NoConvergence):
@@ -462,7 +472,7 @@ def _quarter_turn_rows(draw):
 def test_quarter_turn_fits_equal_the_three_branch_fits(rows):
     kinds, poses = zip(*rows)
     poses = [np.array(v) for v in zip(*poses)]
-    segments = spline2d._fit_spans(*poses)
+    segments = spline2d.Spline(tables=spline2d._fit_spans(*poses)).segments
     oracle = _three_branch_fit(*poses)
     expected = {"line": LineSegment, "arc": ArcSegment, "quarter": ClothoidSegment, "wide": ClothoidSegment}
     assert [type(seg) for seg in segments] == [expected[kind] for kind in kinds]
@@ -654,6 +664,43 @@ def test_g1_defects_match_pointwise_joints():
     assert g1_defects(spline2d.Spline(mixed[:1])) == (0.0, 0.0)
 
 
+def _segment_energy(seg):
+    """A segment's bending energy from its own fields, one segment at a time."""
+    if isinstance(seg, LineSegment):
+        return 0.0
+    if isinstance(seg, ArcSegment):
+        r = seg.radius
+        return seg.length / r**2 if 2.0**-511 <= r < 2.0**512 else seg.length / r / r
+    if isinstance(seg, ClothoidSegment):
+        return spline2d._clothoid_energy(seg.kappa0, seg.sharpness, seg.length)
+    return elastica_energy(seg.thetas, seg.ds)
+
+
+def _joint_turn_gap(segs, closed):
+    """The largest tangent gap at the joints of segs, from two angle_at calls per joint."""
+    joints = len(segs) if closed and len(segs) > 1 else len(segs) - 1
+    pairs = zip(segs[:joints], segs[1:] + segs[:1])
+    return max((abs(spline2d._wrap_angle(a.angle_at(a.length) - b.angle_at(0.0))) for a, b in pairs), default=0.0)
+
+
+@given(st.lists(_SAMPLED_SEGMENT, min_size=1, max_size=12), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_segment_tables_equal_their_segments(segs, closed):
+    """The tangent gap of g1_defects, read from the end-angle columns, and the length and
+    energy of a spline are the per-segment values to the bit; the row views rebuilt
+    from the tables hold the segments' own fields."""
+    spline = spline2d.Spline(segs, closed=closed)
+    assert g1_defects(spline)[1] == _joint_turn_gap(segs, closed)
+    assert spline.total_length() == float(sum(seg.length for seg in segs))
+    assert spline.energy() == float(sum(map(_segment_energy, segs)))
+    assert [seg.energy() for seg in segs] == list(map(_segment_energy, segs))
+    views = spline2d.Spline(tables=spline.tables, closed=closed).segments
+    assert [type(view) for view in views] == [type(seg) for seg in segs]
+    for seg, view in zip(segs, views):
+        for field in dataclasses.fields(seg):
+            assert np.array_equal(getattr(view, field.name), getattr(seg, field.name)), field.name
+
+
 def test_g1_defects_of_more_elastica_nodes_than_a_drawing_may_hold():
     # the drawing limit counts arc and clothoid samples only, so the joints of
     # 16 000 spans of 65 nodes each (1.04e6 nodes) are still read from the sampler
@@ -672,7 +719,7 @@ def test_g1_defects_of_more_arcs_and_clothoids_than_a_drawing_may_hold(monkeypat
     monkeypatch.setattr(spline2d, "MAX_SAMPLES", 10)
     assert g1_defects(spline) == gaps
     with pytest.raises(InputError, match="over the limit of 10$"):
-        polyline_sampler(spline.segments)(1e-3)
+        polyline_sampler(spline)(1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +793,7 @@ def test_elastica_chords_near_the_overflow(p0, p1, length, error):
         warnings.simplefilter("error")
         if error is None:
             seg = elastica_bvp(p0, [1.0, 0.0], p1, [1.0, 0.0], length)
-            (pts,) = polyline_sampler([seg])(math.inf)
+            (pts,) = polyline_sampler(spline2d.Spline([seg]))(math.inf)
             assert seg.length == length and np.max(np.abs(pts[-1] - p1)) <= 1e-12 * length
         else:
             with pytest.raises(Infeasible if "shorter" in error else InputError, match=error):
