@@ -1,4 +1,4 @@
-"""Time the spline and discretize subcommands at growing sizes, and fail if one grows faster than linearly.
+"""Time the spline, render and discretize subcommands at growing sizes, and fail if one grows faster than linearly.
 
 Usage, from the root of a checkout:
 
@@ -6,18 +6,22 @@ Usage, from the root of a checkout:
 
 Runs in process, through ``frenetkit.cli.main``, at each size N:
 
-* ``spline FILE --method M --svg FILE.M.svg`` for each of the three methods,
-  on the open unit-edge polyline of N vertices with turns 0.25 sin(0.05 k),
-  k = 0 .. N - 3, so that the G1 check, the spline's polyline sampler and its
-  SVG path, as well as the solver, are under the growth check;
+* ``spline FILE --method M --out FILE.M.json --svg FILE.M.svg`` for each of
+  the three methods, on the open unit-edge polyline of N vertices with turns
+  0.25 sin(0.05 k), k = 0 .. N - 3, so that the G1 check, the spline writer,
+  the spline's polyline sampler and its SVG path, as well as the solver, are
+  under the growth check;
+* ``render FILE --spline FILE.M.json --out FILE.M.render.svg`` on each spline
+  file, so that the spline reader is too;
 * ``discretize ellipse --method centered --density N``.
 
 Checks every report as ``perfbench/workloads.py`` does: both G1 gaps of a
 spline at most ``G1_TOL`` and the ``length_error`` of a discretization at most
-``LENGTH_TOL``.  Prints the least of 3 wall times at each size and, from the
-second size on, the ratio to the time at the size before it, per decade of
-size (10 for linear growth).  Exits 1 if an op exits non-zero, a check fails
-or a ratio is above MAX_RATIO.
+``LENGTH_TOL``; and checks that each render writes the bytes of the ``--svg``
+of the spline op before it.  Prints the least of 3 wall times at each size
+and, from the second size on, the ratio to the time at the size before it,
+per decade of size (10 for linear growth).  Exits 1 if an op exits non-zero,
+a check fails or a ratio is above MAX_RATIO.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ MAX_RATIO = 15.0  # time ratio per decade of size; linear growth is 10
 REPEATS = 3
 
 
-def check(report):
+def check(stdout):
     """A failure message for a report outside the benchmark's bounds, or None."""
+    report = json.loads(stdout)
     if "length_error" in report:
         err = report["length_error"]
         return None if err <= LENGTH_TOL else f"length error {err:.3e} over {LENGTH_TOL:.0e}"
@@ -54,7 +59,12 @@ def check(report):
     return None if max(gaps) <= G1_TOL else f"G1 gaps {gaps} over {G1_TOL:.0e}"
 
 
-def timed(argv):
+def same_bytes(path, want):
+    """A check that the op wrote the bytes of the file want to path."""
+    return lambda stdout: None if Path(path).read_bytes() == Path(want).read_bytes() else f"{path} differs from {want}"
+
+
+def timed(argv, check):
     """The least wall time of REPEATS runs of one op, and a failure message or None."""
     best = math.inf
     for _ in range(REPEATS):
@@ -63,17 +73,20 @@ def timed(argv):
         best = min(best, time.perf_counter() - start)
         if code != 0:
             return best, f"exit {code}"
-        if failure := check(json.loads(stdout)):
+        if failure := check(stdout):
             return best, failure
     return best, None
 
 
 def ops(work, n):
-    """(name, argv) of each op at size n; the polyline files are in work."""
+    """(name, argv, check) of each op at size n, in the order they run; the polyline files are in work."""
+    poly = f"{work}/poly{n}"
     for method in ("inscribed", "circumscribed", "centered"):
-        svg = f"{work}/poly{n}.{method}.svg"
-        yield f"spline {method}", ["spline", f"{work}/poly{n}.json", "--method", method, "--svg", svg]
-    yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)]
+        spline, svg, rendered = (f"{poly}.{method}{ext}" for ext in (".json", ".svg", ".render.svg"))
+        yield f"spline {method}", ["spline", f"{poly}.json", "--method", method, "--out", spline, "--svg", svg], check
+        yield f"render {method}", ["render", f"{poly}.json", "--spline", spline, "--out", rendered], same_bytes(
+            rendered, svg)
+    yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)], check
 
 
 def main(argv=None):
@@ -87,8 +100,8 @@ def main(argv=None):
         for n in sizes:
             turns = 0.25 * np.sin(0.05 * np.arange(n - 2))
             Path(work, f"poly{n}.json").write_text(curve_to_json(_unit_step_polyline(turns)))
-            for name, op in ops(work, n):
-                times.setdefault(name, []).append((n, *timed(op)))
+            for name, op, op_check in ops(work, n):
+                times.setdefault(name, []).append((n, *timed(op, op_check)))
     ok = True
     print(f"{'op':<28} {'size':>7} {'seconds':>9} {'ratio/decade':>13}")
     for name, rows in times.items():

@@ -42,6 +42,11 @@ def _rot90(v: np.ndarray) -> np.ndarray:
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def _angles(v: np.ndarray) -> np.ndarray:
+    """The angle of each vector (x, y) along the last axis of v."""
+    return np.arctan2(v[..., 1], v[..., 0])
+
+
 # ---------------------------------------------------------------------------
 # clothoid evaluation
 
@@ -124,17 +129,6 @@ def _clothoid_runs(theta0, kappa0, a, s, first):
 # segments: each kind a dataclass, and a row view of its kind's table in a Spline
 
 
-def _clothoid_energy(kappa0: float, sharpness: float, length: float) -> float:
-    # int (kappa0 + a s)^2 ds
-    k0, a, L = map(np.float64, (kappa0, sharpness, length))
-    try:
-        with np.errstate(over="raise", under="raise"):
-            return float(k0 * k0 * L + k0 * a * L * L + a * a * L**3 / 3.0)
-    except FloatingPointError:  # a term is not a normal double: the scale-free form
-        v, u = k0 * L, a * L * L
-        return float((v * v + v * u + u * u / 3.0) / L)
-
-
 class _Segment:
     def energy(self) -> float:
         """The bending energy, as Spline.energy takes it from the segment tables."""
@@ -151,7 +145,7 @@ class LineSegment(_Segment):
         return self.start + s * self.direction
 
     def angle_at(self, s: float) -> float:
-        return math.atan2(self.direction[1], self.direction[0])
+        return float(np.arctan2(self.direction[1], self.direction[0]))
 
 
 @dataclass(frozen=True)
@@ -260,16 +254,17 @@ def _end_angles(kind, c) -> np.ndarray:
 
 
 def _energies(kind, c):
-    """Bending energy of each row of a table of kind: an arc's is length / radius**2, exactly
-    where radius**2 is a normal double, and the scale-free length / radius / radius elsewhere."""
+    """Bending energy of each row of a table of kind.  An arc (a = 0, kappa0 = 1 / radius)
+    and a clothoid take int_0^L (kappa0 + a s)^2 ds in the scale-free form
+    (v^2 + v u + u^2 / 3) / L, v = kappa0 L and u = a L^2: |v| and |u| are at most
+    twice the turning, so no term overflows for any length or radius in SPLINE_RANGE."""
     if kind is LineSegment:
         return 0.0
-    if kind is ArcSegment:
-        rows = zip(c["length"].tolist(), c["radius"].tolist())
-        return [s / r**2 if 2.0**-511 <= r < 2.0**512 else s / r / r for s, r in rows]
-    if kind is ClothoidSegment:
-        return list(map(_clothoid_energy, c["kappa0"].tolist(), c["sharpness"].tolist(), c["length"].tolist()))
-    return elastica_energy(c["thetas"], c["length"] / (c["thetas"].shape[1] - 1))
+    if kind is ElasticaSegment:
+        return elastica_energy(c["thetas"], c["length"] / (c["thetas"].shape[1] - 1))
+    L = c["length"]
+    v, u = (L / c["radius"], 0.0) if kind is ArcSegment else (c["kappa0"] * L, c["sharpness"] * L * L)
+    return (v * v + v * u + u * u / 3.0) / L
 
 
 def _table(kind, rows, **cols) -> tuple:
@@ -430,11 +425,12 @@ def _vertex_turns(rc: RefinedCurve):
 
 def _arc_table(rows, p, direction, kappa, length) -> tuple:
     """The arcs at positions rows that start at the points p along the unit
-    directions, with curvatures kappa and the given lengths (rows of arrays)."""
+    directions, with curvatures kappa and the given lengths (rows of arrays).
+    Each keeps |sweep| * radius as its length, as an ArcSegment read from a file does."""
     center = p + _rot90(direction) / kappa[:, None]
-    radius, start_angle = 1.0 / np.abs(kappa), _angles(p - center)
-    return _table(ArcSegment, rows, center=center, radius=radius, start_angle=start_angle, sweep=kappa * length,
-                  length=length)
+    radius, sweep = 1.0 / np.abs(kappa), kappa * length
+    return _table(ArcSegment, rows, center=center, radius=radius, start_angle=_angles(p - center), sweep=sweep,
+                  length=np.abs(sweep) * radius)
 
 
 def spline_inscribed(rc: RefinedCurve) -> Spline:
@@ -450,12 +446,12 @@ def spline_inscribed(rc: RefinedCurve) -> Spline:
     i = np.concatenate([np.zeros(head, np.intp), (v[flat] - 1) % n, np.full(tail, n - 2)])
     j = np.concatenate([np.ones(head, np.intp), (v[flat] + 1) % n, np.full(tail, n - 1)])
     chord = pts[j] - pts[i]
-    d = _row_norms(chord)
+    d = np.linalg.norm(chord, axis=1)
     length = np.concatenate([[rc.ell] * head, d[head : len(d) - tail], [rc.ell] * tail])
     rows = np.concatenate([np.zeros(head, np.intp), np.flatnonzero(flat) + head, np.full(tail, len(v) + head)])
     lines = _table(LineSegment, rows, start=pts[i], direction=chord / d[:, None], length=length)
     k = np.flatnonzero(~flat)
-    kappa = _math(math.tan, theta[k] / 2.0) / rc.ell
+    kappa = np.tan(theta[k] / 2.0) / rc.ell
     arcs = _arc_table(k + head, pts[(v[k] - 1) % n], e0[k], kappa, np.abs(theta[k]) / np.abs(kappa))
     return Spline(tables=(lines, arcs), closed=rc.closed)
 
@@ -569,16 +565,8 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
     X by 0.551.  test_winding_branches_lose_on_the_quarter_turn_square runs both
     grids.
     """
-    p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
-    norms = np.linalg.norm([t0, t1], axis=2)
-    if not ((0.0 < norms) & (norms < math.inf)).all():
-        raise InputError("fit tangents must be nonzero with a finite norm")
-    with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
-        t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-    d = _chord_lengths(chord)
+    p0, t0, p1, t1, chord, d, psi, phi0, phi1 = _poses(p0, t0, p1, t1, "fit")
     check_edge_lengths(d, "fit chord length")  # past it, the sharpness 2A/L^2 is no normal double
-    psi = np.arctan2(chord[:, 1], chord[:, 0])
-    phi0, phi1 = (_wrap_angle(np.arctan2(t[:, 1], t[:, 0]) - psi) for t in (t0, t1))
     line = (np.abs(phi0) < 1e-12) & (np.abs(phi1) < 1e-12)
     arc = ~line & (np.abs(phi0 + phi1) < 1e-12)  # symmetric data: constant curvature
     rows = np.flatnonzero(~line & ~arc)
@@ -596,7 +584,7 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
     kappa0, sharp = (delta[pick] - a_param) / length, 2.0 * a_param / length**2
     theta0, c1, c2 = psi[rows] + phi0[rows], kappa0 * length, 0.5 * sharp * length * length
     end = p0[rows] + length[:, None] * _phase_integrals(theta0, c1, c2)[:, :2]
-    turn = _wrap_angle(theta0 + c1 + c2 - np.arctan2(t1[rows, 1], t1[rows, 0]))
+    turn = _wrap_angle(theta0 + c1 + c2 - _angles(t1[rows]))
     residual = np.where(found, np.linalg.norm(end - p1[rows], axis=1) + np.abs(turn), math.nan)
     if (bad := np.flatnonzero(~(residual <= CLOTHOID_FIT * np.maximum(1.0, d[rows])))).size:
         r = None if math.isnan(residual[bad[0]]) else float(residual[bad[0]])
@@ -605,7 +593,7 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
         raise NoConvergence(f"segment {rows[bad[0]]}: {msg}" if name_spans else msg, residual=r)
     lines, arcs = np.flatnonzero(line), np.flatnonzero(arc)
     sweep = (phi1 - phi0)[arcs]
-    arc_length = d[arcs] * (sweep / 2.0) / _math(math.sin, sweep / 2.0)
+    arc_length = d[arcs] * (sweep / 2.0) / np.sin(sweep / 2.0)
     return (
         _table(LineSegment, lines, start=p0[lines], direction=chord[lines] / d[lines, None], length=d[lines]),
         _arc_table(arcs, p0[arcs], t0[arcs], sweep / arc_length, arc_length),
@@ -832,39 +820,31 @@ def _newton_batch(starts, ds, targets, max_iter=100):
 
 def _fit_c_const(th: np.ndarray, ds: float) -> np.ndarray:
     """Least-squares C in theta''' + theta'^3/2 + C theta' = 0 on the interior grid of each row
-    of th (m, n+1); each product is a row @ a column, which is BLAS's dot, as np.dot."""
+    of th (m, n+1)."""
     d1 = (th[:, 3:-1] - th[:, 1:-3]) / (2.0 * ds)
     d3 = (th[:, 4:] - 2.0 * th[:, 3:-1] + 2.0 * th[:, 1:-3] - th[:, :-4]) / (2.0 * ds**3)
-    num, den = -((d3 + 0.5 * d1**3)[:, None] @ d1[..., None]), d1[:, None] @ d1[..., None]
-    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0).reshape(len(th))
+    num, den = -np.sum((d3 + 0.5 * d1**3) * d1, axis=1), np.sum(d1 * d1, axis=1)
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
 
 
-def _row_norms(v):
-    """Norm of each row of v (m, 2): the square root of BLAS's dot, as np.linalg.norm of one row;
-    inf where the squares overflow."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(v[:, None] @ v[..., None]).reshape(len(v))
-
-
-def _chord_lengths(chord) -> np.ndarray:
-    """Length of each row of chord (m, 2): as np.linalg.norm(chord, axis=1), or as
-    hypot where the squares are no normal doubles, which the norm would overflow or round."""
-    with np.errstate(over="ignore"):  # a length that overflows is inf
+def _poses(p0, t0, p1, t1, what: str):
+    """The poses (p0, t0) to (p1, t1) as (m, 2) float arrays with unit tangents, the
+    chords p1 - p0, their lengths d and angles psi, and the tangents' angles phi0, phi1
+    to the chords, wrapped to [-pi, pi).  InputError, named by what, unless every
+    tangent's norm is positive and finite.  d is np.linalg.norm's, or hypot where the
+    squares are no normal doubles, which the norm would overflow or round."""
+    p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, and a chord's raises in the caller
+        norms = np.linalg.norm([t0, t1], axis=2)
+        if not ((0.0 < norms) & (norms < math.inf)).all():
+            raise InputError(f"{what} tangents must be nonzero with a finite norm")
+        t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
         d = np.linalg.norm(chord, axis=1)
         odd = ~((2.0**-500 < d) & (d < 2.0**500))
         d[odd] = np.hypot(*chord[odd].T)
-    return d
-
-
-def _math(f, *columns) -> np.ndarray:
-    """f of the math module applied to each row of the columns, which numpy's own
-    function rounds differently at times."""
-    return np.fromiter(map(f, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
-def _angles(v):
-    """math.atan2 of each row (x, y) of v (m, 2)."""
-    return _math(math.atan2, v[:, 1], v[:, 0])
+    psi = _angles(chord)
+    phi0, phi1 = (_wrap_angle(_angles(t) - psi) for t in (t0, t1))
+    return p0, t0, p1, t1, chord, d, psi, phi0, phi1
 
 
 def _span_starts(t0, t1, n):
@@ -935,19 +915,12 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
         raise InputError("elastica segment needs at least 16 grid cells")
     if not 0.0 < length < math.inf:
         raise InputError(f"elastica length must be positive and finite, got {length}")
-    p0, t0, p1, t1 = (np.array(v, dtype=float, ndmin=2) for v in (p0, t0, p1, t1))
+    p0, t0, p1, t1, chord, d, psi, phi0, phi1 = _poses(p0, t0, p1, t1, "elastica")
     if not (np.isfinite(p0).all() and np.isfinite(p1).all()):
         raise InputError("elastica end points must be finite")
-    norms = np.array([_row_norms(t0), _row_norms(t1)])
-    if not ((0.0 < norms) & (norms < math.inf)).all():
-        raise InputError("elastica tangents must be nonzero with a finite norm")
-    ds = 1.0 / n
-    with np.errstate(over="ignore"):  # a chord whose length overflows raises InputError below
-        t0, t1, chord = t0 / norms[0, :, None], t1 / norms[1, :, None], p1 - p0
-    d, psi = _chord_lengths(chord), _angles(chord)
     if not (d < math.inf).all():
         raise InputError("elastica chord p1 - p0 must have a finite length")
-    phi0, phi1 = (_wrap_angle(_angles(t) - psi) for t in (t0, t1))
+    ds = 1.0 / n
     short = length < d * (1.0 - 1e-12)
     taut = length <= d * (1.0 + 1e-12)  # to rounding
     straight = taut & (np.maximum(np.abs(phi0), np.abs(phi1)) <= 1e-9)

@@ -59,7 +59,7 @@ def _spline_path(spline, polylines) -> str:
     arcs = {}  # (radius, sweep) of the arc at each position
     for kind, rows, c in spline.tables:
         if kind is ArcSegment:
-            arcs = dict(zip(rows.tolist(), zip(c["radius"].tolist(), c["sweep"].tolist())))
+            arcs.update(zip(rows.tolist(), zip(c["radius"].tolist(), c["sweep"].tolist())))
     xy = _xy(np.concatenate(polylines))
     cmds, values, start = ["M %.10g %.10g"], [xy[:1]], 0
     for i, pts in enumerate(polylines):

@@ -34,7 +34,14 @@ from frenetkit.cli import main
 from frenetkit.errors import NonPlanarData, ParseError
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.io import PIECE_ROWS, Rows, csv_pieces, json_pieces, spell_floats
-from frenetkit.spline2d import ClothoidSegment, polyline_sampler
+from frenetkit import refine
+from frenetkit.spline2d import (
+    ClothoidSegment,
+    g1_defects,
+    polyline_sampler,
+    spline_circumscribed,
+    spline_inscribed,
+)
 
 
 def test_curve_json_round_trip_bit_exact(rng):
@@ -101,6 +108,24 @@ def test_spline_round_trip_all_segment_kinds():
         assert a.length == b.length
     with pytest.raises(ParseError):
         spline_from_json('{"segments": [{"type": "spiral"}]}')
+
+
+def test_solved_splines_reload_with_their_lengths_energies_and_g1_gaps():
+    """A solved arc keeps |sweep| * radius as its length, the length an arc read from a
+    file gets: inscribed and circumscribed splines reload with their total length,
+    energy and G1 gaps to the bit."""
+    rng = np.random.default_rng(0)
+    curves = [_unit_step_polyline(rng.uniform(-0.6, 0.6, size=12)) for _ in range(200)]
+    ang = np.arange(6) * math.pi / 3.0
+    hexagon = DiscreteCurve(np.column_stack([np.cos(ang), np.sin(ang)]), closed=True)  # six circumscribed arcs
+    splines = [spline_inscribed(refine(dc)) for dc in curves] + [spline_circumscribed(dc) for dc in curves]
+    splines.append(spline_circumscribed(hexagon))
+    assert all(isinstance(seg, ArcSegment) for seg in splines[-1].segments)
+    for sp in splines:
+        back = spline_from_json(spline_to_json(sp))
+        assert back.total_length() == sp.total_length()
+        assert back.energy() == sp.energy()
+        assert g1_defects(back) == g1_defects(sp)
 
 
 # each segment class's JSON type and fields, in the order its object lists them
@@ -331,6 +356,16 @@ def test_svg_arc_native_and_deterministic():
     doc = render_svg(splines=[Spline((arc,))])
     assert doc.count("A ") == 1
     assert doc == render_svg(splines=[Spline((arc,))])
+
+
+def test_svg_draws_arcs_split_over_tables_as_arcs():
+    sp = spline_inscribed(refine(_unit_step_polyline([0.3, -0.4, 0.5, -0.6])))
+    lines, (kind, rows, cols) = sp.tables  # the two half edges at the ends, and the four arcs
+    halves = [(kind, rows[part], {key: c[part] for key, c in cols.items()}) for part in (slice(2), slice(2, None))]
+    split = Spline(tables=[lines, *halves])
+    doc = render_svg(splines=[sp])
+    assert doc.count("A ") == 4
+    assert render_svg(splines=[split]) == doc
 
 
 def test_svg_template_speller_matches_fmt():

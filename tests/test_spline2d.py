@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import null_space
 from scipy.optimize import brentq  # the oracle of refine_roots
 
 from frenetkit import Convention, DiscreteCurve, ngon_of_circle, refine, spline2d
@@ -668,11 +669,10 @@ def _segment_energy(seg):
     """A segment's bending energy from its own fields, one segment at a time."""
     if isinstance(seg, LineSegment):
         return 0.0
-    if isinstance(seg, ArcSegment):
-        r = seg.radius
-        return seg.length / r**2 if 2.0**-511 <= r < 2.0**512 else seg.length / r / r
-    if isinstance(seg, ClothoidSegment):
-        return spline2d._clothoid_energy(seg.kappa0, seg.sharpness, seg.length)
+    if isinstance(seg, (ArcSegment, ClothoidSegment)):  # int_0^L (kappa0 + a s)^2 ds, scale-free
+        L = seg.length
+        v, u = (L / seg.radius, 0.0) if isinstance(seg, ArcSegment) else (seg.kappa0 * L, seg.sharpness * L * L)
+        return (v * v + v * u + u * u / 3.0) / L
     return elastica_energy(seg.thetas, seg.ds)
 
 
@@ -1066,7 +1066,7 @@ def _full_start_solve(rc, n=64):
     converged minima, lowest energy first, by the 1e-6 rule alone.  As in
     _elastica_spans, every span is solved on the unit length."""
     points, dirs = centered_nodes(rc)
-    t = [d / np.linalg.norm(d) for d in dirs]  # as _elastica_spans normalizes them, to the bit
+    t = dirs / np.linalg.norm(dirs, axis=1)[:, None]  # as _elastica_spans normalizes them, to the bit
     chords = np.diff(points, axis=0) / (2.0 * rc.ell)
     windings = spline2d._span_starts(np.array(t[:-1]), np.array(t[1:]), n)
     clothoids, _ = spline2d._clothoid_starts(windings, chords)
@@ -1096,6 +1096,33 @@ def test_converged_rows_keep_the_winding_energy_bound(turns):
         for row in th[r < ELASTICA_KKT]:
             bound = (row[-1] - row[0]) ** 2 / length  # Cauchy-Schwarz
             assert elastica_energy(row, length / 64) >= bound * (1.0 - 1e-12)
+
+
+@given(_convex_or_zigzag_turns())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_curved_centered_spans_are_constrained_local_minima(turns):
+    """The second-order condition of every curved span, on the unit length: with the
+    multipliers that solve the stationarity rows in least squares, the Hessian of the
+    Lagrangian is positive semidefinite on the null space of the interior constraint
+    Jacobian."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MultipleSolutionsWarning)
+        try:
+            segments = spline_centered(refine(_unit_step_polyline(turns))).segments
+        except NoConvergence:
+            segments = ()
+    for th in (seg.thetas for seg in segments if np.ptp(seg.thetas) > 0.0):
+        ds = 1.0 / (len(th) - 1)
+        gx, gy = spline2d._constraint_grad(th, ds)
+        jac = np.column_stack([gx[1:-1], gy[1:-1]])  # interior nodes x 2
+        grad_e = 2.0 * (2.0 * th[1:-1] - th[:-2] - th[2:]) / ds
+        lx, ly = np.linalg.lstsq(jac, -grad_e, rcond=None)[0]
+        dx, ex, dy, ey = spline2d._constraint_hessians(th, ds)
+        off = -2.0 / ds + lx * ex[1:-1] + ly * ey[1:-1]
+        h = np.diag(4.0 / ds + lx * dx[1:-1] + ly * dy[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+        z = null_space(jac.T)
+        eig = np.linalg.eigvalsh(z.T @ h @ z)
+        assert eig.min() >= -1e-8 * np.max(np.abs(eig))
 
 
 @given(_convex_or_zigzag_turns())
