@@ -20,7 +20,7 @@ from . import discretize2d, io, spline2d, svg
 from .config import CLI_RESIDUAL, CONGRUENCE_RMS
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
-from .frames import analyze, convention_table
+from .frames import _embed3, analyze, convention_table
 from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
@@ -108,13 +108,13 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     tol = _nonnegative("--tol", tol)
     rc = refine(io.load_curve(curve_file))
     wanted = [Convention(convention)] if convention else list(Convention)
-    ff, data = analyze(rc)
+    ff, data = analyze(rc, None)
     residuals, at_edge = convention_table(ff, data, wanted)
     n = len(data.theta)
     cells = io.spell_floats(np.vstack([data.theta, data.phi, *at_edge]), fmt == "csv")
     theta, phi, *kappa_tau = (cells[i : i + n] for i in range(0, len(cells), n))
     columns = {conv.value: [theta, phi, *kappa_tau[2 * c : 2 * c + 2]] for c, conv in enumerate(wanted)}
-    worst = max(0.0, *residuals)
+    worst = float(np.max(residuals))  # NaN if any residual is NaN, which then fails
     if fmt == "csv":
         index = list(map(str, range(n)))
         tables = [io.csv_pieces([[name] * len(index), index, *cols]) for name, cols in columns.items()]
@@ -268,20 +268,12 @@ def cmd_spline(curve_file, method, out_path, svg_path):
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check, with the rms judged in units of the mean edge length."""
     tol = _nonnegative("--tol", tol)
-    curve = io.load_curve(curve_file)
-    rc = refine(curve)
-    ff, data = analyze(rc)
-    pose = InitialPose(
-        origin=np.pad(rc.points[0], (0, 3 - rc.dim)),
-        tangent=ff.Te[0],
-        normal=ff.Ne[0],
-        binormal=ff.Be[0],
-    )
-    n_steps = rc.n_edges()
-    rebuilt = reconstruct(data, pose, n_steps=n_steps)
-    pts_orig = np.pad(rc.points, ((0, 0), (0, 3 - rc.dim)))
-    n_cmp = len(pts_orig)
-    ok, rms = congruent(pts_orig, rebuilt.points[:n_cmp], tol=tol * 2.0 * rc.ell)
+    rc = refine(io.load_curve(curve_file))
+    ff, data = analyze(rc, None)
+    pts = _embed3(rc.points)
+    pose = InitialPose(origin=pts[0], tangent=ff.Te[0], normal=ff.Ne[0], binormal=ff.Be[0])
+    rebuilt = reconstruct(data, pose, n_steps=rc.n_edges(), validated=True)
+    ok, rms = congruent(pts, rebuilt.points[: len(pts)], tol=tol * 2.0 * rc.ell)
     _write_json({"rms": rms, "congruent": bool(ok), "tol": tol}, None)
     sys.exit(0 if ok else 1)
 

@@ -46,8 +46,18 @@ class DiscreteCurve:
             raise InputError("closed curve needs at least 3 points")
         if not self.closed and n < 2:
             raise InputError("open curve needs at least 2 points")
-        if np.min(self.edge_lengths()) <= 0.0:
+        with np.errstate(over="ignore"):
+            edges = diff(pts, self.closed)
+            lengths = np.linalg.norm(edges, axis=1)
+            # a finite nonzero edge whose squared norm overflowed or underflowed: scale it first
+            if not 0.0 < lengths.min() <= lengths.max() < np.inf:
+                odd = np.isinf(lengths) & np.isfinite(edges).all(axis=1) | (lengths == 0.0) & edges.any(axis=1)
+                scale = np.max(np.abs(edges[odd]), axis=1)
+                lengths[odd] = scale * np.linalg.norm(edges[odd] / scale[:, None], axis=1)
+        if np.min(lengths) <= 0.0:
             raise InputError("consecutive points must be distinct")
+        lengths.flags.writeable = False
+        object.__setattr__(self, "_edge_lengths", lengths)
 
     @property
     def dim(self) -> int:
@@ -61,15 +71,8 @@ class DiscreteCurve:
         return diff(self.points, self.closed)
 
     def edge_lengths(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            edges = self.edges()
-            lengths = np.linalg.norm(edges, axis=1)
-            # a finite nonzero edge whose squared norm overflowed or underflowed: scale it first
-            if not 0.0 < lengths.min() <= lengths.max() < np.inf:
-                odd = np.isinf(lengths) & np.isfinite(edges).all(axis=1) | (lengths == 0.0) & edges.any(axis=1)
-                scale = np.max(np.abs(edges[odd]), axis=1)
-                lengths[odd] = scale * np.linalg.norm(edges[odd] / scale[:, None], axis=1)
-        return lengths
+        """The edge lengths, measured once, when the curve is made (read-only)."""
+        return self._edge_lengths
 
     def length(self) -> float:
         return float(np.sum(self.edge_lengths()))
@@ -196,7 +199,7 @@ def diff(values, closed: bool = False) -> np.ndarray:
     if len(arr) < 2:
         raise TooShort("diff needs at least 2 values")
     if closed:
-        return np.roll(arr, -1, axis=0) - arr
+        return np.concatenate((arr[1:], arr[:1])) - arr
     return arr[1:] - arr[:-1]
 
 

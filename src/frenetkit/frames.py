@@ -51,6 +51,22 @@ def _embed3(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) of two (n, 3) arrays, bit for bit: its products and differences,
+    component by component, without its per-call set-up."""
+    (a0, a1, a2), (b0, b1, b2), out = a.T, b.T, np.empty(a.shape)
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of 3-vectors, bit for bit: the squares summed in its order."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
 @dataclass(frozen=True)
 class FrameField:
     """Per-edge frames (Te, Ne, Be) and per-transition vertex frames.
@@ -81,16 +97,16 @@ class FrameField:
         return len(self.turn_mask)
 
     def succ(self, arr: np.ndarray) -> np.ndarray:
-        """arr shifted to the next edge index across each transition."""
+        """arr, indexed by edge along its next-to-last axis, shifted to the next edge across each transition."""
         if self.closed:
-            return np.roll(arr, -1, axis=0)
-        return arr[1:]
+            return np.concatenate((arr[..., 1:, :], arr[..., :1, :]), axis=-2)
+        return arr[..., 1:, :]
 
     def pred_slice(self, arr: np.ndarray) -> np.ndarray:
-        """arr restricted to the transition index set."""
+        """arr, indexed by edge along its next-to-last axis, restricted to the transition index set."""
         if self.closed:
             return arr
-        return arr[:-1]
+        return arr[..., :-1, :]
 
 
 def edge_frames(rc: RefinedCurve) -> FrameField:
@@ -101,7 +117,7 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
     turning anywhere has no binormal and raises UndefinedBinormal.
     """
     edges = diff(_embed3(rc.points), rc.closed)
-    lengths = np.linalg.norm(edges, axis=1)
+    lengths = _norms(edges)
     if np.min(lengths) <= 0.0:
         raise InputError("zero-length edge")
     Te = edges / lengths[:, None]
@@ -109,24 +125,23 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
     n_trans = m if rc.closed else m - 1
     # transition i joins edges i and i+1 at point i+1; it is a turn iff that
     # point is an original vertex
-    idx = np.arange(n_trans)
-    turn_mask = (idx + 1) % 2 == rc.vertex_parity
+    turn_mask = np.arange(n_trans) % 2 != rc.vertex_parity
     # the two half-edges of an original edge are collinear (midpoint
     # invariant); share one tangent so twist transitions carry no spurious
     # turning from rounding in the points.  Twist transitions alternate, so
     # the pairs (i, i+1) are disjoint.
-    tw = np.nonzero(~turn_mask)[0]
+    tw = np.arange(rc.vertex_parity, n_trans, 2)
     tw_next = (tw + 1) % m
     t = Te[tw] + Te[tw_next]
-    Te[tw] = Te[tw_next] = t / np.linalg.norm(t, axis=1)[:, None]
+    Te[tw] = Te[tw_next] = t / _norms(t)[:, None]
 
     planar = rc.dim == 2
     if planar:
         Be = np.tile(_EZ, (m, 1))
     else:
-        tr = np.nonzero(turn_mask)[0]
-        c = np.cross(Te[tr], Te[(tr + 1) % m])
-        nc = np.linalg.norm(c, axis=1)
+        tr = np.arange(1 - rc.vertex_parity, n_trans, 2)
+        c = _cross(Te[tr], Te[(tr + 1) % m])
+        nc = _norms(c)
         ok = nc >= PARALLEL_CROSS
         tr, b = tr[ok], c[ok] / nc[ok, None]
         if not len(tr):
@@ -141,7 +156,7 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
         src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
         src[src < 0] = tr[0]
         Be = Be[src]
-    Ne = np.cross(Be, Te)
+    Ne = _cross(Be, Te)
     return FrameField(
         Te=Te, Ne=Ne, Be=Be, ell=rc.ell, closed=rc.closed, turn_mask=turn_mask, planar=planar
     )
@@ -149,21 +164,20 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
 
 def vertex_frames(ff: FrameField) -> FrameField:
     """Fill in vertex frames: normalized sums of consecutive edge frames."""
-
-    def avg(arr):
-        s = ff.pred_slice(arr) + ff.succ(arr)
-        norms = np.linalg.norm(s, axis=1)
-        if np.min(norms) < PARALLEL_CROSS:
-            i = int(np.argmin(norms))
-            raise DegenerateVertexFrame(f"antiparallel frame vectors at transition {i}")
-        return s / norms[:, None]
-
-    return replace(ff, Tv=avg(ff.Te), Nv=avg(ff.Ne), Bv=avg(ff.Be))
+    edge = np.array([ff.Te, ff.Ne, ff.Be])
+    sums = ff.pred_slice(edge) + ff.succ(edge)
+    norms = _norms(sums)
+    low = norms.min(axis=1) < PARALLEL_CROSS
+    if low.any():  # name the first of Tv, Nv and Bv to degenerate, where its sum is shortest
+        i = int(np.argmin(norms[np.argmax(low)]))
+        raise DegenerateVertexFrame(f"antiparallel frame vectors at transition {i}")
+    Tv, Nv, Bv = sums / norms[..., None]
+    return replace(ff, Tv=Tv, Nv=Nv, Bv=Bv)
 
 
 def _signed_angles(a: np.ndarray, b: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Row-wise angle from a[i] to b[i], signed by the sense of rotation about axis[i]."""
-    cross = np.cross(a, b)
+    cross = _cross(a, b)
     return np.arctan2(np.einsum("ij,ij->i", axis, cross), np.einsum("ij,ij->i", a, b))
 
 
@@ -185,7 +199,8 @@ def turn_twist_angles(ff: FrameField):
 
 @dataclass(frozen=True)
 class IntrinsicData:
-    """The curve's intrinsic record: (ell, theta, phi) plus derived kappa, tau.
+    """The curve's intrinsic record: (ell, theta, phi) plus kappa, tau derived under a
+    convention; convention, kappa and tau are None in a bare angle record.
 
     ``turn_parity`` is the parity of transition indices where theta may be
     nonzero (0 in the standard indexing where vertices sit at odd point
@@ -195,16 +210,15 @@ class IntrinsicData:
     ell: float
     theta: np.ndarray
     phi: np.ndarray
-    convention: Convention
-    kappa: np.ndarray
-    tau: np.ndarray
+    convention: Convention | None
+    kappa: np.ndarray | None
+    tau: np.ndarray | None
     turn_parity: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        object.__setattr__(self, "kappa", np.asarray(self.kappa, dtype=float))
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
+        for name in ("theta", "phi", "kappa", "tau"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
 
 
 def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) -> None:
@@ -221,57 +235,59 @@ def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) 
         raise InvalidAngles(f"theta and phi must be 1-D, got shapes {theta.shape} and {phi.shape}")
     if theta.shape != phi.shape:
         raise InvalidAngles("theta and phi must have the same length")
-    turn = np.arange(len(theta)) % 2 == turn_parity
-    if np.any(theta[~turn] != 0.0) or np.any(phi[turn] != 0.0):
+    if theta[1 - turn_parity :: 2].any() or phi[turn_parity::2].any():
         raise InvalidAngles("alternating-zero angle pattern violated")
     limit = math.pi / 2 + 1e-12
     if not (np.all(np.abs(theta) <= limit) and np.all(np.abs(phi) <= limit)):
         raise AngleOutOfRange("angles must lie in [-pi/2, pi/2]")
 
 
-def _signed_kernel(signs: np.ndarray, ell: float, convention: Convention) -> np.ndarray:
-    """kappa_from_angle of |signs|, signed as signs (+0.0, not -0.0, for a -0.0 angle)."""
-    return np.copysign(kappa_from_angle(np.abs(signs), ell, convention), signs) + 0.0
+def _signed_kernel(signs: np.ndarray, ell, conventions) -> np.ndarray:
+    """kappa_from_angle of |signs| at ell per convention, stacked and signed as signs (+0.0 for a -0.0 angle)."""
+    angles = np.abs(signs)
+    return np.copysign(np.stack([kappa_from_angle(angles, ell, conv) for conv in conventions]), signs) + 0.0
 
 
 def curvature_torsion(
     theta: np.ndarray,
     phi: np.ndarray,
     ell: float,
-    convention: Convention,
+    convention: Convention | None,
     turn_parity: int = 0,
 ) -> IntrinsicData:
     """Convert the angle record to curvature/torsion under a convention.
 
-    Requires the alternating-zero pattern; signed angles give signed
-    kappa/tau through |angle| -> formula -> restore sign.
+    Requires the alternating-zero pattern; signed angles give signed kappa/tau
+    through |angle| -> formula -> restore sign.  With convention None, the record is returned bare.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     validate_angle_record(theta, phi, turn_parity)
-    kappa, tau = _signed_kernel(np.stack([theta, phi]), ell, convention)
+    kappa, tau = _signed_kernel(np.stack([theta, phi]), ell, [convention])[0] if convention else (None, None)
     return IntrinsicData(ell, theta, phi, convention, kappa, tau, turn_parity)
 
 
 def _residuals(ff: FrameField, data: IntrinsicData, scaled: np.ndarray) -> list[float]:
-    """frenet_residual of data's angles for each (ell kappa; ell tau) in the stack scaled."""
+    """frenet_residual of data's angles for each (ell kappa; ell tau) in the stack scaled, NaN if an equation is."""
     if ff.Tv is None:
         ff = vertex_frames(ff)
     if len(data.theta) != ff.n_transitions:
         raise InputError(f"angle arrays have length {len(data.theta)}, expected {ff.n_transitions}")
-    DTe, DNe, DBe = (diff(arr, ff.closed) for arr in (ff.Te, ff.Ne, ff.Be))
+    edge = np.array([ff.Te, ff.Ne, ff.Be])
+    DTe, DNe, DBe = ff.succ(edge) - ff.pred_slice(edge)
     lk, lt = scaled[:, 0], scaled[:, 1]
     # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero angle of each
-    # transition, 1 where both angles vanish; 2 sin(|angle|/2) is the inscribed kernel at ell = 1
+    # transition, 1 where that chord is 0 (its limit, also where a subnormal angle's chord
+    # underflows); 2 sin(|angle|/2) is the inscribed kernel at ell = 1
     turning = data.theta != 0.0
     angle = np.abs(np.where(turning, data.theta, data.phi))
     chord = kappa_from_angle(angle, 1.0, Convention.INSCRIBED)
-    nu = np.divide(np.abs(np.where(turning, lk, lt)), chord, out=np.ones(lk.shape), where=angle != 0.0)
+    nu = np.divide(np.abs(np.where(turning, lk, lt)), chord, out=np.ones(lk.shape), where=chord != 0.0)
     nu, lk, lt = nu[..., None], lk[..., None], lt[..., None]
-    r1 = np.linalg.norm(nu * DTe - lk * ff.Nv, axis=-1)
-    r2 = np.linalg.norm(nu * DNe + lk * ff.Tv - lt * ff.Bv, axis=-1)
-    r3 = np.linalg.norm(nu * DBe + lt * ff.Nv, axis=-1)
-    return [float(max(*worst)) for worst in zip(*(r.max(axis=-1, initial=0.0) for r in (r1, r2, r3)))]
+    r1 = _norms(nu * DTe - lk * ff.Nv)
+    r2 = _norms(nu * DNe + lk * ff.Tv - lt * ff.Bv)
+    r3 = _norms(nu * DBe + lt * ff.Nv)
+    return np.max([r.max(axis=-1, initial=0.0) for r in (r1, r2, r3)], axis=0).tolist()
 
 
 def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
@@ -289,18 +305,17 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
 
 
 def convention_table(ff: FrameField, data: IntrinsicData, conventions) -> tuple[list[float], np.ndarray]:
-    """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, 2, n),
-    curvature_torsion's (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it."""
-    signs = np.stack([data.theta, data.phi])
-    at_ell, at_edge = (np.stack([_signed_kernel(signs, ell, conv) for conv in conventions])
-                       for ell in (data.ell, 2.0 * data.ell))
-    return _residuals(ff, data, data.ell * at_ell), at_edge
+    """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, 2, n), curvature_torsion's
+    (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it; one kernel call serves both lengths."""
+    ells = np.array([data.ell, 2.0 * data.ell])[:, None, None]
+    table = _signed_kernel(np.stack([data.theta, data.phi]), ells, conventions)  # (convention, length, 2, n)
+    return _residuals(ff, data, data.ell * table[:, 0]), table[:, 1]
 
 
-def analyze(rc: RefinedCurve, convention: Convention = Convention.INSCRIBED):
+def analyze(rc: RefinedCurve, convention: Convention | None = Convention.INSCRIBED):
     """Full pipeline: frames, angles, intrinsic data for a refined curve.
 
-    Returns (frame_field_with_vertex_frames, intrinsic_data).
+    Returns (frame_field_with_vertex_frames, intrinsic_data); with convention None, the bare angle record.
     """
     ff = vertex_frames(edge_frames(rc))
     theta, phi = turn_twist_angles(ff)
@@ -321,5 +336,5 @@ def polyline_turning_angles(dc: DiscreteCurve) -> np.ndarray:
     t_here = t if dc.closed else t[:-1]
     if dc.dim == 2:
         return _signed_angles(t_here, t_next, np.broadcast_to(_EZ, t_here.shape))
-    cross = np.linalg.norm(np.cross(t_here, t_next), axis=1)
+    cross = _norms(_cross(t_here, t_next))
     return np.arctan2(cross, np.einsum("ij,ij->i", t_here, t_next))

@@ -38,17 +38,18 @@ def _check_angle(angle: float | np.ndarray) -> None:
         raise AngleOutOfRange(f"angle {float(angle[bad][0])} outside [0, pi)")
 
 
-def _check_length(ell: float) -> None:
-    if not 0.0 < ell < math.inf:
+def _check_length(ell) -> None:
+    if not all(0.0 < length < math.inf for length in np.ravel(ell).tolist()):
         raise NonpositiveLength(f"length must be positive and finite, got {ell}")
 
 
 def kappa_from_angle(
-    theta: float | np.ndarray, ell: float, convention: Convention
+    theta: float | np.ndarray, ell: float | np.ndarray, convention: Convention
 ) -> float | np.ndarray:
     """Curvature of the convention's circle for turning angle theta and side ell.
 
-    theta may be a float or an array of angles; the result has the same form.
+    theta may be a float or an array of angles, and ell a float or an array of
+    lengths broadcasting against it; the result has their broadcast form.
     """
     _check_length(ell)
     angle = np.asarray(theta, dtype=float)
@@ -59,7 +60,7 @@ def kappa_from_angle(
         kappa = 2.0 / ell * np.tan(angle / 2.0)
     else:
         kappa = angle / ell
-    return kappa if angle.ndim else float(kappa)
+    return kappa if np.ndim(kappa) else float(kappa)
 
 
 def tau_from_angle(

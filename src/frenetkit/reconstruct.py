@@ -58,16 +58,20 @@ def reconstruct(
     data: IntrinsicData,
     pose: InitialPose | None = None,
     n_steps: int | None = None,
+    *,
+    validated: bool = False,
 ) -> RefinedCurve:
     """Rebuild the refined curve with n_steps edges from the frame equations.
 
     theta_i acts between edges i and i+1, so angle arrays must cover indices
     0 .. n_steps-2.  Turns happen at transition indices with the data's
     turn_parity (0 in the standard indexing, which puts original vertices at
-    odd point indices of the result).
+    odd point indices of the result).  The angle record is validated unless
+    validated says the caller has just done so, as analyze does.
     """
     theta, phi = data.theta, data.phi
-    validate_angle_record(theta, phi, data.turn_parity)
+    if not validated:
+        validate_angle_record(theta, phi, data.turn_parity)
     if n_steps is None:
         n_steps = len(theta) + 1
     if n_steps < 1 or len(theta) < n_steps - 1:

@@ -339,14 +339,14 @@ def _grid(lengths, counts):
 
 
 def polyline_sampler(spline):
-    """A function of a chord tolerance tol that returns every segment's polyline
-    in the spline, from its start to its end point.  Arc
-    and clothoid chords stray at most tol from the curve, and are the chords
-    themselves at an infinite tol, which are sampled once, here, and kept; lines
-    and elastica give fixed polylines, no larger than their segments.  All arcs
-    are sampled as one angle array and all clothoids with one _phase_integrals
-    call.  InputError if the arcs and clothoids would take over MAX_SAMPLES
-    points between their end points."""
+    """A function of a chord tolerance tol that returns every segment's polyline in
+    the spline, from its start to its end point.  Arc and clothoid chords stray at
+    most tol from the curve, and are the chords themselves at an infinite tol, which
+    are sampled once, here, and kept; with arcs false, arcs keep those chords.  Lines
+    and elastica give fixed polylines, no larger than their segments.  All arcs are
+    sampled as one angle array and all clothoids with one _phase_integrals call.
+    InputError if the segments sampled would take over MAX_SAMPLES points between
+    their end points."""
     fixed, curved = {}, []  # the polylines that do not depend on tol, and the arc and clothoid tables
     for kind, rows, c in spline.tables:
         if kind is ElasticaSegment:
@@ -357,10 +357,11 @@ def polyline_sampler(spline):
         else:
             curved.append((kind, rows.tolist(), c))
 
-    def sample(tol: float) -> list:
+    def sample(tol: float, tables: list, drawn: dict) -> list:
+        """The polylines of tables at tol, and drawn's of the other segments."""
         counts = []  # chords per arc or clothoid, and per table
         with np.errstate(over="ignore"):  # a tol that overflows against a curvature needs one chord
-            for kind, _, c in curved:
+            for kind, _, c in tables:
                 if kind is ArcSegment:
                     n = np.abs(c["sweep"]) / np.maximum(2.0 * np.sqrt(2.0 * tol / c["radius"]), 1e-6)
                 else:
@@ -371,8 +372,8 @@ def polyline_sampler(spline):
         # two end points per segment are no more than the segments hold: only the samples between them count
         if not total - 2.0 * sum(map(len, counts)) <= MAX_SAMPLES:
             raise InputError(f"drawing the spline needs {total:.6g} points, over the limit of {MAX_SAMPLES}")
-        out = dict(fixed)
-        for (kind, rows, c), n in zip(curved, counts):
+        out = dict(drawn)
+        for (kind, rows, c), n in zip(tables, counts):
             s, first, rep = _grid(c["length"], n)
             if kind is ArcSegment:
                 a = rep(c["start_angle"]) + rep(c["sweep"]) * s / rep(c["length"])
@@ -383,8 +384,11 @@ def polyline_sampler(spline):
                 out.update(zip(rows, map(np.add, c["start"], runs)))
         return [out[i] for i in range(len(spline))]
 
-    chords = sample(math.inf)
-    return lambda tol: chords if tol == math.inf else sample(tol)
+    chords = sample(math.inf, curved, fixed)
+    clothoids = [table for table in curved if table[0] is not ArcSegment]
+    fixed_and_arcs = {**fixed, **{i: chords[i] for kind, rows, _ in curved if kind is ArcSegment for i in rows}}
+    return lambda tol, arcs=True: (chords if tol == math.inf else sample(tol, curved, fixed) if arcs
+                                   else sample(tol, clothoids, fixed_and_arcs))
 
 
 def g1_defects(spline: Spline):

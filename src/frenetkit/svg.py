@@ -130,6 +130,7 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
         markers = _fill("\n".join([marker] * len(pts)), _xy(pts))
         out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), markers]
     tol = _CHORD_TOL_FRAC * scale
-    out += [path.format(_spline_path(sp, sp.sampler(tol)), _SPLINE_COLOR) for sp in splines]
+    # arcs are drawn natively from their end points: only the clothoids are sampled at tol
+    out += [path.format(_spline_path(sp, sp.sampler(tol, arcs=False)), _SPLINE_COLOR) for sp in splines]
     out.append("</svg>")
     return "\n".join(out)

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import importlib
 import inspect
 import io
 import json
@@ -689,15 +690,74 @@ def test_render_margin_follows_a_small_drawing(runner, tmp_path, radius):
 
 
 def test_analyze_validates_the_angle_record_once(runner, tmp_path, monkeypatch):
+    """analyze, in each format, and roundtrip, which reconstructs the record analyze
+    read, validate the angle record once, in frames or in reconstruct."""
     calls = []
     validate = frames.validate_angle_record
-    monkeypatch.setattr(frames, "validate_angle_record", lambda *a: calls.append(1) or validate(*a))
+    for module in (frames, importlib.import_module("frenetkit.reconstruct")):
+        monkeypatch.setattr(module, "validate_angle_record", lambda *a: calls.append(1) or validate(*a))
     path = _write(tmp_path, "hex.json", _hexagon_json())
-    for extra in ([], ["--format", "csv"], ["--convention", "centered"]):
+    for argv in (["analyze"], ["analyze", "--format", "csv"], ["analyze", "--convention", "centered"], ["roundtrip"]):
         calls.clear()
-        result = runner.invoke(main, ["analyze", path, *extra])
+        result = runner.invoke(main, [*argv, path])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 1, extra
+        assert len(calls) == 1, argv
+
+
+_EQUILATERAL = np.column_stack([np.cos(np.arange(3) * 2.0 * math.pi / 3.0), np.sin(np.arange(3) * 2.0 * math.pi / 3.0)])
+_DEGENERATE_CURVES = {
+    "hairpin": (DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])), 1,
+                "antiparallel frame vectors at transition 1"),
+    "zigzag-3d": (DiscreteCurve(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 1.0, 0.0]])), 1,
+                  "antiparallel frame vectors at transition 2"),
+    "straight-3d": (DiscreteCurve(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])), 1,
+                    "curve is straight everywhere; no binormal in 3D"),
+    "equilateral-triangle": (DiscreteCurve(_EQUILATERAL, closed=True), 2, "angles must lie in [-pi/2, pi/2]"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+@pytest.mark.parametrize("name", list(_DEGENERATE_CURVES))
+def test_degenerate_curves_fail_with_their_errors(runner, tmp_path, command, name):
+    """A curve without vertex frames (a hairpin, a 3D zig-zag), without a binormal (a
+    straight 3D line) or with a turn over pi/2 (a triangle) fails both subcommands with
+    the same exit code and error line, and writes no report."""
+    curve, code, message = _DEGENERATE_CURVES[name]
+    result = runner.invoke(main, [command, _write(tmp_path, "curve.json", curve_to_json(curve))])
+    assert (result.exit_code, result.stderr, result.stdout) == (code, f"error: {message}\n", "")
+
+
+_SUBNORMAL_TURNS = '{"dim": 2, "closed": false, "points": [[0, 0], [1, 0], [2, 5e-324], [3, 5e-324]]}'
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_subnormal_turns_pass_without_warnings(runner, tmp_path, fmt):
+    """Turns of +-5e-324, whose chords 2 sin(theta/2) underflow to 0, leave a residual of
+    0.0, not NaN, in every convention, with no numpy warning."""
+    result = runner.invoke(main, ["analyze", _write(tmp_path, "c.json", _SUBNORMAL_TURNS), "--format", fmt])
+    assert result.exit_code == 0 and result.stderr == "", result.output
+    if fmt == "json":
+        report = json.loads(result.stdout)
+        assert [block["frenet_residual"] for block in report["conventions"].values()] == [0.0] * 3
+        assert report["max_frenet_residual"] == 0.0 and report["residual_ok"] is True
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_analyze_fails_on_a_nan_residual(runner, tmp_path, monkeypatch, where):
+    """A NaN residual, of any convention, fails: the report's max is NaN, residual_ok is false and the exit code 1."""
+    table = frames.convention_table
+
+    def nan_table(*args):
+        residuals, at_edge = table(*args)
+        residuals[where] = math.nan
+        return residuals, at_edge
+
+    monkeypatch.setattr(cli, "convention_table", nan_table)
+    result = runner.invoke(main, ["analyze", _write(tmp_path, "hex.json", _hexagon_json())])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.stdout)
+    assert math.isnan(report["max_frenet_residual"]) and report["residual_ok"] is False
 
 
 def test_reconstruct_command(runner, tmp_path):

@@ -357,3 +357,61 @@ def test_kernel_formulas_live_only_in_ngon_circle():
     for module in (frames, cli):
         source = inspect.getsource(module)
         assert not re.search(r"np\.(sin|tan)\(", source), module.__name__
+
+
+# components from 1e-150 to 1e150 in size, where every square is a normal double, and signed zeros
+_COMPONENT = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(-10.0, 10.0), st.integers(-150, 149)
+)
+
+
+@st.composite
+def _vector_rows(draw):
+    """Two (n, 3) arrays of _COMPONENT: free 3D rows, planar rows embedded with z = 0.0,
+    or the plane normal against planar rows (as edge_frames crosses a planar binormal)."""
+    n = draw(st.integers(1, 12))
+    rows = st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT), min_size=n, max_size=n)
+    a, b = np.array(draw(rows)), np.array(draw(rows))
+    layout = draw(st.sampled_from(["3d", "planar", "normal"]))
+    if layout != "3d":
+        a[:, 2] = b[:, 2] = 0.0
+    if layout == "normal":
+        a = np.tile([0.0, 0.0, 1.0], (n, 1))
+    return a, b
+
+
+@given(rows=_vector_rows())
+@settings(max_examples=300, deadline=None)
+def test_inlined_cross_and_norms_are_numpys_bit_for_bit(rows):
+    """frames' row cross product and 3-vector norms give np.cross and
+    np.linalg.norm(axis=-1) bit for bit, signed zeros included, also on a stack
+    of row arrays as vertex_frames and the residual take them."""
+    a, b = rows
+    assert frames._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    for v in (a, b, np.stack([a, b, a - b])):
+        assert frames._norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_of_subnormal_turns_is_zero():
+    """Turns of +-5e-324 have chords 2 sin(theta/2) that underflow to 0.0: nu takes
+    its limit 1 there, so every residual is 0.0, not 0/0, and numpy does not warn."""
+    rc = refine(DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 5e-324], [3.0, 5e-324]])))
+    ff, data = analyze(rc)
+    assert data.theta.tolist() == [0.0, 5e-324, 0.0, -5e-324, 0.0]
+    assert frenet_residual(ff, data) == 0.0
+    assert convention_table(ff, data, list(Convention))[0] == [0.0, 0.0, 0.0]
+
+
+def test_bare_angle_record_is_validated_without_curvatures():
+    """analyze with no convention validates the record and computes no kappa or tau;
+    convention_table reads it as it reads a full one."""
+    rc, _ = make_random_refined(np.random.default_rng(3), 25)
+    ff, full = analyze(rc)
+    _, bare = analyze(rc, None)
+    assert (bare.convention, bare.kappa, bare.tau) == (None, None, None)
+    assert _bits(bare.theta) == _bits(full.theta) and _bits(bare.phi) == _bits(full.phi)
+    residuals, at_edge = convention_table(ff, bare, list(Convention))
+    assert residuals == convention_table(ff, full, list(Convention))[0]
+    with pytest.raises(AngleOutOfRange):
+        curvature_torsion([2.0, 0.0], [0.0, 0.0], 1.0, None)

@@ -203,6 +203,19 @@ def test_polyline_sampler_matches_per_segment_sampling(segs, tols):
             assert np.all(np.abs(pts - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), type(seg).__name__
 
 
+@given(st.lists(_SAMPLED_SEGMENT, min_size=1, max_size=12), st.sampled_from([1e-4, 1e-3, 0.0123, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_polyline_sampler_keeps_arc_chords_without_arcs(segs, tol):
+    """With arcs false the sampler keeps each arc's chord, whose ends are those of the
+    arc sampled at tol, bit for bit, and samples every other segment as with arcs."""
+    sample = polyline_sampler(spline2d.Spline(segs))
+    for seg, pts, kept, chord in zip(segs, sample(tol), sample(tol, arcs=False), sample(math.inf)):
+        if isinstance(seg, ArcSegment):
+            assert kept.tobytes() == chord.tobytes() == pts[[0, -1]].tobytes()
+        else:
+            assert kept.tobytes() == pts.tobytes()
+
+
 def test_polyline_sampler_counts_before_sampling():
     # one turn of radius 1e12 at chord tolerance 1e-3 asks for 2*pi/1e-6 angle steps
     arc = ArcSegment(np.array([0.0, 0.0]), 1e12, 0.0, 2.0 * math.pi)
