@@ -111,7 +111,7 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     ff, data = analyze(rc, None)
     residuals, at_edge = convention_table(ff, data, wanted)
     n = len(data.theta)
-    cells = io.spell_floats(np.vstack([data.theta, data.phi, *at_edge]), fmt == "csv")
+    cells = io.spell_floats(np.vstack([data.theta, data.phi, *at_edge]))
     theta, phi, *kappa_tau = (cells[i : i + n] for i in range(0, len(cells), n))
     columns = {conv.value: [theta, phi, *kappa_tau[2 * c : 2 * c + 2]] for c, conv in enumerate(wanted)}
     worst = float(np.max(residuals))  # NaN if any residual is NaN, which then fails
@@ -272,7 +272,7 @@ def cmd_roundtrip(curve_file, tol):
     ff, data = analyze(rc, None)
     pts = _embed3(rc.points)
     pose = InitialPose(origin=pts[0], tangent=ff.Te[0], normal=ff.Ne[0], binormal=ff.Be[0])
-    rebuilt = reconstruct(data, pose, n_steps=rc.n_edges(), validated=True)
+    rebuilt = reconstruct(data, pose, n_steps=rc.n_edges())
     ok, rms = congruent(pts, rebuilt.points[: len(pts)], tol=tol * 2.0 * rc.ell)
     _write_json({"rms": rms, "congruent": bool(ok), "tol": tol}, None)
     sys.exit(0 if ok else 1)

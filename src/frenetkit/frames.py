@@ -25,7 +25,7 @@ come only from ngon_circle.kappa_from_angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,7 +113,8 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
     """Edge frames of a refined curve.
 
     Binormals at straight vertices (parallel consecutive tangents) are
-    parallel-transported from the nearest defined vertex; a 3D curve with no
+    parallel-transported from the nearest defined vertex, then made normal to
+    the tangent of the edge they reach; a 3D curve with no
     turning anywhere has no binormal and raises UndefinedBinormal.
     """
     edges = diff(_embed3(rc.points), rc.closed)
@@ -156,6 +157,12 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
         src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
         src[src < 0] = tr[0]
         Be = Be[src]
+        # a binormal carried past a straight vertex to another tangent is made normal to that tangent
+        moved = np.flatnonzero(src != np.arange(m))
+        moved = moved[(Te[moved] != Te[src[moved]]).any(axis=1)]
+        if moved.size:
+            b = Be[moved] - np.einsum("ij,ij->i", Be[moved], Te[moved])[:, None] * Te[moved]
+            Be[moved] = b / _norms(b)[:, None]
     Ne = _cross(Be, Te)
     return FrameField(
         Te=Te, Ne=Ne, Be=Be, ell=rc.ell, closed=rc.closed, turn_mask=turn_mask, planar=planar
@@ -202,6 +209,9 @@ class IntrinsicData:
     """The curve's intrinsic record: (ell, theta, phi) plus kappa, tau derived under a
     convention; convention, kappa and tau are None in a bare angle record.
 
+    The record checks itself with validate_angle_record and derives kappa and tau
+    from its angles; theta, phi, kappa and tau are read-only float copies, so no
+    record holds invalid angles or curvatures that disagree with them.
     ``turn_parity`` is the parity of transition indices where theta may be
     nonzero (0 in the standard indexing where vertices sit at odd point
     indices).
@@ -211,14 +221,19 @@ class IntrinsicData:
     theta: np.ndarray
     phi: np.ndarray
     convention: Convention | None
-    kappa: np.ndarray | None
-    tau: np.ndarray | None
     turn_parity: int = 0
+    kappa: np.ndarray | None = field(init=False)
+    tau: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        for name in ("theta", "phi", "kappa", "tau"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
+        theta, phi = np.asarray(self.theta, dtype=float), np.asarray(self.phi, dtype=float)
+        validate_angle_record(theta, phi, self.turn_parity)
+        table = np.array((theta, phi))
+        if self.convention:
+            table = np.concatenate([table, _signed_kernel(table, self.ell, [self.convention])[0]])
+        table.flags.writeable = False
+        for name, value in zip(("theta", "phi", "kappa", "tau"), (*table, None, None)):  # None for a bare record
+            object.__setattr__(self, name, value)
 
 
 def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) -> None:
@@ -255,16 +270,9 @@ def curvature_torsion(
     convention: Convention | None,
     turn_parity: int = 0,
 ) -> IntrinsicData:
-    """Convert the angle record to curvature/torsion under a convention.
-
-    Requires the alternating-zero pattern; signed angles give signed kappa/tau
-    through |angle| -> formula -> restore sign.  With convention None, the record is returned bare.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    validate_angle_record(theta, phi, turn_parity)
-    kappa, tau = _signed_kernel(np.stack([theta, phi]), ell, [convention])[0] if convention else (None, None)
-    return IntrinsicData(ell, theta, phi, convention, kappa, tau, turn_parity)
+    """The validated angle record with its curvature/torsion under a convention (see IntrinsicData);
+    with convention None, the record bare."""
+    return IntrinsicData(ell, theta, phi, convention, turn_parity)
 
 
 def _residuals(ff: FrameField, data: IntrinsicData, scaled: np.ndarray) -> list[float]:

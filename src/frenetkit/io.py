@@ -29,15 +29,15 @@ PIECE_ROWS = 4096  # table rows per piece of json_pieces and csv_pieces; about t
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
 
 
-def spell_floats(values, csv: bool = False) -> list[str]:
-    """The values, flattened, spelled as json.dumps spells floats, or with csv as repr does."""
+def spell_floats(values) -> list[str]:
+    """The values, flattened, spelled as json.dumps spells floats: a finite one as repr does."""
     values = np.asarray(values, dtype=float).ravel()
     nonzero = values.view(np.int64).astype(bool)  # a +0.0 has all bits zero and is spelled "0.0"
     out = np.empty(len(values), dtype=object)
     out.fill("0.0")
     out[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
     out = out.tolist()
-    if not csv and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         out = [_NONFINITE.get(text, text) for text in out]
     return out
 
@@ -169,7 +169,7 @@ def curve_to_json(curve: DiscreteCurve) -> str:
 def curve_from_json(text: str) -> DiscreteCurve:
     try:
         obj = json.loads(text)
-        pts = np.asarray(obj["points"], dtype=float)
+        pts = _floats(obj["points"], "curve points")
         dim = obj["dim"]
         closed = obj["closed"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -189,7 +189,7 @@ def _check_bool(kind: str, closed):
 
 
 def curve_to_csv(curve: DiscreteCurve) -> str:
-    columns = [spell_floats(col, csv=True) for col in curve.points.T]
+    columns = [spell_floats(col) for col in curve.points.T]
     return "".join(csv_pieces(columns, end="\r\n"))
 
 
@@ -235,8 +235,8 @@ def intrinsic_from_json(text: str) -> IntrinsicData:
         obj = json.loads(text)
         ell = _number(obj["ell"], "intrinsic ell")
         convention = Convention(obj["convention"])
-        theta = np.asarray(obj["theta"], dtype=float)
-        phi = np.asarray(obj["phi"], dtype=float)
+        theta = _floats(obj["theta"], "intrinsic theta")
+        phi = _floats(obj["phi"], "intrinsic phi")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad intrinsic JSON: {exc}") from exc
     if np.ndim(ell):
@@ -269,6 +269,18 @@ def _number(raw, what: str):
     if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
         raise ParseError(f"{what} must be numeric, got {json.dumps(raw)}")
     return np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
+
+
+def _floats(raw, what: str) -> np.ndarray:
+    """raw as a float array; a JSON true or false is no number.  Only an entry read as 0.0
+    or 1.0 can be one, so only the rows of a list (of lists) that hold one are looked at."""
+    values = np.asarray(raw, dtype=float)
+    if values.ndim in (1, 2) and len(hits := np.flatnonzero((values == 0.0) | (values == 1.0))):
+        picked = [raw[i] for i in (hits // values.shape[1] if values.ndim == 2 else hits).tolist()]
+        if bool in set(map(type, chain.from_iterable(picked) if values.ndim == 2 else picked)):
+            for entry in picked:
+                _number(entry, what)
+    return values
 
 
 def _finite(obj: dict, key: str, shape: tuple):

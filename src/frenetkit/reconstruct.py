@@ -17,7 +17,7 @@ import numpy as np
 from .config import CONGRUENCE_RMS, ORTHONORMAL
 from .curve_core import RefinedCurve
 from .errors import CountMismatch, InputError, InvalidAngles
-from .frames import IntrinsicData, validate_angle_record
+from .frames import IntrinsicData
 
 
 @dataclass(frozen=True)
@@ -54,24 +54,15 @@ def _prefix_products(m: np.ndarray) -> None:
         m[2::2] = odd[: (len(m) - 1) // 2] @ m[2::2]
 
 
-def reconstruct(
-    data: IntrinsicData,
-    pose: InitialPose | None = None,
-    n_steps: int | None = None,
-    *,
-    validated: bool = False,
-) -> RefinedCurve:
+def reconstruct(data: IntrinsicData, pose: InitialPose | None = None, n_steps: int | None = None) -> RefinedCurve:
     """Rebuild the refined curve with n_steps edges from the frame equations.
 
     theta_i acts between edges i and i+1, so angle arrays must cover indices
     0 .. n_steps-2.  Turns happen at transition indices with the data's
     turn_parity (0 in the standard indexing, which puts original vertices at
-    odd point indices of the result).  The angle record is validated unless
-    validated says the caller has just done so, as analyze does.
+    odd point indices of the result).  The record validated itself when it was made.
     """
     theta, phi = data.theta, data.phi
-    if not validated:
-        validate_angle_record(theta, phi, data.turn_parity)
     if n_steps is None:
         n_steps = len(theta) + 1
     if n_steps < 1 or len(theta) < n_steps - 1:

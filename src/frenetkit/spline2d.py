@@ -535,10 +535,10 @@ def _clothoid_roots(phi0, delta, max_iter: int = 200):
     return root, x
 
 
-def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
+def _fit_spans(p0, t0, p1, t1) -> tuple:
     """clothoid_g1_fit of each row of the (m, 2) arrays p0, t0, p1, t1, with the
     fitting equations of all rows solved together and one quadrature checking
-    every end pose.  With name_spans, NoConvergence names the first row that fails.
+    every end pose.  NoConvergence names the first row that fails.
 
     A row whose chord-frame end angles phi0, phi1 are both below pi/2 in size is
     solved on the winding branch k = 0 alone, any other row on k = 0, -1, 1, of
@@ -594,7 +594,7 @@ def _fit_spans(p0, t0, p1, t1, name_spans=False) -> tuple:
         r = None if math.isnan(residual[bad[0]]) else float(residual[bad[0]])
         msg = "clothoid fitting equation has no admissible root"
         msg = msg if r is None else f"fitted clothoid misses the end pose by {r:.3e}"
-        raise NoConvergence(f"segment {rows[bad[0]]}: {msg}" if name_spans else msg, residual=r)
+        raise NoConvergence(f"segment {rows[bad[0]]}: {msg}", residual=r)
     lines, arcs = np.flatnonzero(line), np.flatnonzero(arc)
     sweep = (phi1 - phi0)[arcs]
     arc_length = d[arcs] * (sweep / 2.0) / np.sin(sweep / 2.0)
@@ -643,7 +643,7 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
     tangents = sums / norms[:, None]
     i = np.arange(n if dc.closed else n - 1)
     j = (i + 1) % n
-    return Spline(tables=_fit_spans(pts[i], tangents[i], pts[j], tangents[j], name_spans=True), closed=dc.closed)
+    return Spline(tables=_fit_spans(pts[i], tangents[i], pts[j], tangents[j]), closed=dc.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +897,7 @@ def _distinct_minima(thetas, energies, ds):
     return distinct
 
 
-def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
+def _elastica_spans(p0, t0, p1, t1, length, n):
     """The elastica of the given length for each span from pose (p0, t0) to
     (p1, t1), rows of (m, 2) arrays.
 
@@ -912,8 +912,8 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
     continues the best row of each span with no converged row, up to 3 times.
     Each phase solves its rows of all spans together, in place in one
     (spans, 4, n + 1) table, scaled to the unit length.  Input that is not a
-    pose, a length or a grid raises InputError before any solve.  With
-    name_spans, NoConvergence names the span.
+    pose, a length or a grid raises InputError before any solve.
+    NoConvergence names the span.
     """
     if n < 16:
         raise InputError("elastica segment needs at least 16 grid cells")
@@ -969,9 +969,8 @@ def _elastica_spans(p0, t0, p1, t1, length, n, name_spans=False):
             warnings.warn(f"{count} distinct elastica solutions; returning lowest energy", MultipleSolutionsWarning)
     if failed.size:
         best_res = float(res[stop].min())
-        where = f"span {curved[stop]}: " if name_spans else ""
         raise NoConvergence(
-            f"{where}elastica boundary value problem did not converge "
+            f"span {curved[stop]}: elastica boundary value problem did not converge "
             f"(best residual {best_res:.3e} over {np.isfinite(res[stop]).sum()} starts)",
             residual=best_res,
         )
@@ -1032,7 +1031,7 @@ def spline_centered(rc: RefinedCurve, n: int = 64) -> Spline:
     points, dirs = centered_nodes(rc)
     i = np.arange(len(points) if rc.closed else len(points) - 1)
     j = (i + 1) % len(points)
-    tables = _elastica_spans(points[i], dirs[i], points[j], dirs[j], 2.0 * rc.ell, n, name_spans=True)
+    tables = _elastica_spans(points[i], dirs[i], points[j], dirs[j], 2.0 * rc.ell, n)
     return Spline(tables=tables, closed=rc.closed)
 
 

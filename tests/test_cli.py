@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import importlib
 import inspect
 import io
 import json
@@ -654,6 +653,22 @@ def test_roundtrip_is_congruent_at_every_power_of_two_scale(runner, tmp_path):
     assert not failed, failed[:3]
 
 
+def test_roundtrip_of_a_curve_whose_first_vertex_is_nearly_straight(runner, tmp_path):
+    """The binormal carried to the first edges from the first vertex that turns past
+    PARALLEL_CROSS is made normal to their tangent, so the pose it starts the
+    reconstruction from is orthonormal and the bent, twisted tail rebuilds."""
+    a = 3e-11
+    steps = [(math.cos(0.35 * k), math.sin(0.35 * k) * math.cos(0.25 * k), math.sin(0.35 * k) * math.sin(0.25 * k))
+             for k in range(1, 7)]
+    points = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0 + math.cos(a), math.sin(a), 0.0]]
+    for step in steps:
+        points.append([p + s for p, s in zip(points[-1], step)])
+    path = _write(tmp_path, "curve.json", curve_to_json(DiscreteCurve(np.array(points))))
+    result = runner.invoke(main, ["roundtrip", path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["rms"] <= 1e-11
+
+
 def test_roundtrip_tol_is_in_edge_lengths(runner, tmp_path):
     # a hexagon of circumradius (and edge) 1e100 reconstructs within ~1e-16 of its edge
     path = _write(tmp_path, "hex.json", _hexagon_json(1e100))
@@ -690,16 +705,18 @@ def test_render_margin_follows_a_small_drawing(runner, tmp_path, radius):
 
 
 def test_analyze_validates_the_angle_record_once(runner, tmp_path, monkeypatch):
-    """analyze, in each format, and roundtrip, which reconstructs the record analyze
-    read, validate the angle record once, in frames or in reconstruct."""
+    """analyze, in each format, roundtrip, which reconstructs the record analyze read,
+    and reconstruct, which reconstructs the record its file holds, validate the angle
+    record once, when the record is made."""
     calls = []
     validate = frames.validate_angle_record
-    for module in (frames, importlib.import_module("frenetkit.reconstruct")):
-        monkeypatch.setattr(module, "validate_angle_record", lambda *a: calls.append(1) or validate(*a))
+    monkeypatch.setattr(frames, "validate_angle_record", lambda *a: calls.append(1) or validate(*a))
     path = _write(tmp_path, "hex.json", _hexagon_json())
-    for argv in (["analyze"], ["analyze", "--format", "csv"], ["analyze", "--convention", "centered"], ["roundtrip"]):
+    intrinsic = _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC))
+    analyses = (["analyze"], ["analyze", "--format", "csv"], ["analyze", "--convention", "centered"], ["roundtrip"])
+    for argv in [[*argv, path] for argv in analyses] + [["reconstruct", intrinsic]]:
         calls.clear()
-        result = runner.invoke(main, [*argv, path])
+        result = runner.invoke(main, argv)
         assert result.exit_code == 0, result.output
         assert len(calls) == 1, argv
 
@@ -1228,7 +1245,8 @@ def test_float_strings_spell_like_json_and_repr():
     values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, 1.0 / 3.0, 0.0]
     for col in (np.array(values), np.array(values[:10]).reshape(2, 5)):
         assert fio.spell_floats(col) == [json.dumps(v) for v in col.ravel().tolist()]
-        assert fio.spell_floats(col, csv=True) == [repr(v) for v in col.ravel().tolist()]
+        finite = col[np.isfinite(col)]
+        assert fio.spell_floats(finite) == [repr(v) for v in finite.tolist()]
 
 
 # --out and --svg overwrite an existing file in place and cut it to the new length;

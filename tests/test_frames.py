@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frenetkit import (
     Convention,
@@ -23,7 +24,8 @@ from frenetkit import (
     vertex_frames,
 )
 from frenetkit import cli, frames
-from frenetkit.frames import convention_table
+from frenetkit.frames import IntrinsicData, convention_table, validate_angle_record
+from frenetkit.ngon_circle import kappa_from_angle
 from frenetkit.errors import (
     AngleOutOfRange,
     DegenerateVertexFrame,
@@ -415,3 +417,43 @@ def test_bare_angle_record_is_validated_without_curvatures():
     assert residuals == convention_table(ff, full, list(Convention))[0]
     with pytest.raises(AngleOutOfRange):
         curvature_torsion([2.0, 0.0], [0.0, 0.0], 1.0, None)
+
+
+_ANGLE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.pi / 2, -math.pi / 2]),
+                   st.floats(-math.pi / 2, math.pi / 2))
+
+
+@given(st.integers(0, 1), st.lists(_ANGLE, max_size=12), st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_record_derives_kappa_and_tau_from_its_angles(turn_parity, angles, ell):
+    """Under each convention a record's kappa and tau are kappa_from_angle of each
+    |angle| with the angle's sign restored (+0.0 for -0.0), bit for bit."""
+    turns = np.arange(len(angles)) % 2 == turn_parity
+    theta, phi = np.where(turns, angles, 0.0), np.where(turns, 0.0, angles)
+    for conv in Convention:
+        data = IntrinsicData(ell, theta, phi, conv, turn_parity)
+        for derived, signs in ((data.kappa, theta), (data.tau, phi)):
+            want = [math.copysign(kappa_from_angle(abs(a), ell, conv), a) + 0.0 for a in signs.tolist()]
+            assert _bits(derived) == _bits(want)
+
+
+_RECORD_ENTRY = st.sampled_from([0.0, -0.0, 0.3, -0.3, 2.0, math.nan])
+
+
+@given(
+    st.integers(-1, 2),
+    hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4), elements=_RECORD_ENTRY),
+    hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4), elements=_RECORD_ENTRY),
+)
+@settings(max_examples=300, deadline=None)
+def test_record_raises_what_validate_angle_record_raises(turn_parity, theta, phi):
+    """A record is made only from angles validate_angle_record passes, and otherwise
+    raises its error, class and message."""
+    try:
+        validate_angle_record(theta, phi, turn_parity)
+    except InputError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            IntrinsicData(1.0, theta, phi, Convention.INSCRIBED, turn_parity)
+    else:
+        data = IntrinsicData(1.0, theta, phi, Convention.INSCRIBED, turn_parity)
+        assert _bits(data.theta) == _bits(theta) and _bits(data.phi) == _bits(phi)

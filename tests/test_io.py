@@ -69,6 +69,10 @@ def test_curve_parse_errors():
     for closed in ('"false"', "0", "null"):
         with pytest.raises(ParseError, match="closed must be true or false"):
             curve_from_json(f'{{"dim": 2, "closed": {closed}, {square}}}')
+    # a JSON boolean is no coordinate, though float(True) is 1.0
+    for row in ("[true, 0]", "[1, false]"):
+        with pytest.raises(ParseError, match="curve points must be numeric, got " + re.escape(row)):
+            curve_from_json(f'{{"dim": 2, "closed": false, "points": [[0, 0], {row}, [2, 0]]}}')
     with pytest.raises(ParseError):
         curve_from_csv("a,b\n")
     with pytest.raises(ParseError):
@@ -91,6 +95,9 @@ def test_intrinsic_round_trip():
     for ell in (True, False):
         with pytest.raises(ParseError, match=f"intrinsic ell must be numeric, got {json.dumps(ell)}"):
             intrinsic_from_json(json.dumps({**record, "ell": ell}))
+    for key, angles, word in (("theta", [False, 0.0, -0.2], "false"), ("phi", [0.0, True, 0.0], "true")):
+        with pytest.raises(ParseError, match=f"intrinsic {key} must be numeric, got {word}"):
+            intrinsic_from_json(json.dumps({**record, key: angles}))
 
 
 def test_spline_round_trip_all_segment_kinds():
@@ -246,11 +253,11 @@ _ZEROS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.
                   elements=st.one_of(_ZEROS, st.floats())))
 @settings(max_examples=300, deadline=None)
 def test_spell_floats_is_repr_with_json_nonfinite_names(values):
-    """+0.0 takes the constant "0.0"; every other value, -0.0 and 5e-324 among
-    them, is spelled by repr, and in JSON NaN and +-inf as json.dumps spells them."""
+    """+0.0 takes the constant "0.0"; every other finite value, -0.0 and 5e-324
+    among them, is spelled by repr, and NaN and +-inf as json.dumps spells them."""
     flat = values.ravel().tolist()
-    assert spell_floats(values, csv=True) == list(map(float.__repr__, flat))
     assert spell_floats(values) == [json.dumps(v) for v in flat]
+    assert spell_floats(values[np.isfinite(values)]) == [repr(v) for v in flat if math.isfinite(v)]
 
 
 def test_no_piece_holds_more_than_piece_rows():
@@ -310,9 +317,7 @@ def test_csv_pieces_are_the_lines_joined_by_commas(columns, piece_rows, end):
 def _count_spellings(monkeypatch):
     """The number of floats given to each spell_floats call, appended as the calls happen."""
     calls, spell = [], fio.spell_floats
-    monkeypatch.setattr(
-        fio, "spell_floats", lambda values, csv=False: calls.append(np.size(values)) or spell(values, csv)
-    )
+    monkeypatch.setattr(fio, "spell_floats", lambda values: calls.append(np.size(values)) or spell(values))
     return calls
 
 

@@ -110,15 +110,19 @@ def test_round_trip_many_random_curves():
 
 
 def test_reconstruct_validation():
+    # the record reconstruct reads checks its angles when it is made, range check included
     with pytest.raises(InvalidAngles):
-        data = curvature_torsion(np.zeros(4), np.zeros(4), 1.0, Convention.INSCRIBED)
-        object.__setattr__(data, "theta", np.array([0.0, 0.3, 0.0, 0.0]))
-        reconstruct(data)
-    # reconstruct shares curvature_torsion's validator, range check included
-    data = curvature_torsion(np.zeros(4), np.zeros(4), 1.0, Convention.INSCRIBED)
-    object.__setattr__(data, "theta", np.array([2.0, 0.0, 0.0, 0.0]))
+        curvature_torsion(np.array([0.0, 0.3, 0.0, 0.0]), np.zeros(4), 1.0, Convention.INSCRIBED)
     with pytest.raises(AngleOutOfRange):
-        reconstruct(data)
+        curvature_torsion(np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(4), 1.0, Convention.INSCRIBED)
+    # and keeps them as read-only copies, so they stay as checked
+    theta = np.zeros(4)
+    data = curvature_torsion(theta, np.zeros(4), 1.0, Convention.INSCRIBED)
+    theta[1] = 0.3
+    with pytest.raises(ValueError):
+        data.theta[1] = 0.3
+    assert not data.theta.any()
+    assert len(reconstruct(data).points) == 6
 
 
 def test_long_curve_frame_stays_orthonormal():

@@ -1244,6 +1244,18 @@ def test_centered_spline_names_the_failing_span(monkeypatch):
     assert info.value.residual > ELASTICA_KKT
 
 
+def test_single_span_solvers_name_their_span(monkeypatch):
+    """elastica_bvp and clothoid_g1_fit name the one row they solve as the spline
+    solvers name theirs, so their failures read as the CLI's do."""
+    solve = spline2d._newton_batch
+    monkeypatch.setattr(spline2d, "_newton_batch", lambda starts, ds, targets: solve(starts, ds, targets, 1))
+    with pytest.raises(NoConvergence, match=r"^span 0: elastica boundary value problem did not converge"):
+        elastica_bvp([0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], 3.0)
+    monkeypatch.setattr(spline2d, "_clothoid_roots", lambda phi0, delta: (np.full(phi0.shape, math.nan),) * 2)
+    with pytest.raises(NoConvergence, match=r"^segment 0: clothoid fitting equation has no admissible root$"):
+        clothoid_g1_fit([0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [1.0, 1.0])
+
+
 def test_centered_spline_solves_one_row_per_span_from_the_clothoid(monkeypatch):
     # span 3 of the zig-zag converges from no ramp or winding start: its clothoid start
     # converges, so all 7 spans converge from their first rows, in one call
