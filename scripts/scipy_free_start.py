@@ -9,17 +9,20 @@ Run it in a fresh interpreter: it imports ``frenetkit`` and ``frenetkit.cli``,
 then runs ``frenetkit.cli.main`` in process on ``analyze``, ``roundtrip``,
 ``reconstruct``, ``render --with-circles``, ``discretize`` of the circle, the
 ellipse and the clothoid by all three methods, ``discretize sine --method
-inscribed|circumscribed`` (the sine has an inflection to bracket) and ``spline
---method inscribed|circumscribed --svg``, on a regular hexagon and an open
-polyline; after the imports and after each of these ops it looks for ``scipy``
-in ``sys.modules``.  Last it runs ``spline --method centered`` on both
-polylines, on a hairpin polyline whose span 3 converges only from its phase-1
-clothoid start and on a polyline whose span 1 converges from no start, its
-phase-2 ramp included, until its clothoid start is continued, which may load
-``scipy.linalg`` (for LAPACK's tridiagonal solver) and no other scipy
-subpackage.  Prints one line per step; exits 1 if an op
-fails or a step loaded scipy, or a subpackage other than ``scipy.linalg`` for
-the centered ops, naming the step.
+inscribed|circumscribed`` (the sine has an inflection to bracket), ``spline
+--method inscribed|circumscribed --out FILE --svg FILE`` on a regular hexagon
+and an open polyline, ``spline --method centered --out FILE`` on the hexagon
+(its elastica spans need no scipy), and ``render HEX --spline FILE`` on the
+hexagon's inscribed, circumscribed and centered spline files, so that the spline
+reader is checked too; after the imports and after each of these ops it looks
+for ``scipy`` in ``sys.modules``.  Last it runs ``spline --method centered`` on
+the open polyline, on a hairpin polyline whose span 3 converges only from its
+phase-1 clothoid start and on a polyline whose span 1 converges from no start,
+its phase-2 ramp included, until its clothoid start is continued, which may
+load ``scipy.linalg`` (for LAPACK's tridiagonal solver) and no other scipy
+subpackage.  Prints one line per step; exits 1 if an op fails or a step loaded
+scipy, or a subpackage other than ``scipy.linalg`` for the last centered ops,
+naming the step.
 """
 
 from __future__ import annotations
@@ -92,8 +95,13 @@ def ops(files: dict, work: Path):
     yield ["discretize", "sine", "--method", "circumscribed", "--samples", "17"], ()
     for method in ("inscribed", "circumscribed"):
         for name in ("hex", "open"):
-            yield ["spline", files[name], "--method", method, "--svg", str(work / f"{name}-{method}.svg")], ()
-    for name in ("hex", "open", "hairpin", "continued"):
+            out = ["--out", str(work / f"{name}-{method}.json"), "--svg", str(work / f"{name}-{method}.svg")]
+            yield ["spline", files[name], "--method", method, *out], ()
+    yield ["spline", files["hex"], "--method", "centered", "--out", str(work / "hex-centered.json")], ()
+    for method in ("inscribed", "circumscribed", "centered"):
+        spline = str(work / f"hex-{method}.json")
+        yield ["render", files["hex"], "--spline", spline, "--out", str(work / f"hex-{method}.render.svg")], ()
+    for name in ("open", "hairpin", "continued"):
         yield ["spline", files[name], "--method", "centered"], ("scipy.linalg",)
 
 

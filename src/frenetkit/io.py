@@ -23,7 +23,7 @@ from .curve_core import DiscreteCurve, check_edge_lengths
 from .errors import ParseError
 from .frames import IntrinsicData, curvature_torsion
 from .ngon_circle import Convention
-from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, clothoid_turning
+from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment, Spline, _table, clothoid_turning
 
 PIECE_ROWS = 4096  # table rows per piece of json_pieces and csv_pieces; about the floats json_pieces spells per call
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
@@ -172,7 +172,7 @@ def curve_from_json(text: str) -> DiscreteCurve:
         pts = _floats(obj["points"], "curve points")
         dim = obj["dim"]
         closed = obj["closed"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad curve JSON: {exc}") from exc
     _check_bool("curve", closed)
     if pts.ndim != 2 or pts.shape[1] != dim:
@@ -233,14 +233,15 @@ def intrinsic_to_json(data: IntrinsicData) -> str:
 def intrinsic_from_json(text: str) -> IntrinsicData:
     try:
         obj = json.loads(text)
-        ell = _number(obj["ell"], "intrinsic ell")
+        ell = _floats(obj["ell"], "intrinsic ell")
         convention = Convention(obj["convention"])
         theta = _floats(obj["theta"], "intrinsic theta")
         phi = _floats(obj["phi"], "intrinsic phi")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad intrinsic JSON: {exc}") from exc
     if np.ndim(ell):
         raise ParseError(f"intrinsic ell must be a number, got {json.dumps(obj['ell'])}")
+    ell = ell.item()  # a float: 2.0 * ell overflows to inf with no numpy warning
     check_edge_lengths([2.0 * ell], "intrinsic edge 2*ell")  # as analyze checks the edges it reads
     try:
         return curvature_torsion(theta, phi, ell, convention)
@@ -264,60 +265,66 @@ _NAMES = {cls: name for name, (cls, _) in _SEGMENTS.items()}
 _SHAPES = {(): "a number", (2,): "a list of 2 numbers", (-1,): "a list of numbers"}
 
 
-def _number(raw, what: str):
-    """raw as a float (a float array for a list); a JSON true or false is no number."""
-    if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
-        raise ParseError(f"{what} must be numeric, got {json.dumps(raw)}")
-    return np.asarray(raw, dtype=float) if isinstance(raw, list) else float(raw)
-
-
 def _floats(raw, what: str) -> np.ndarray:
-    """raw as a float array; a JSON true or false is no number.  Only an entry read as 0.0
-    or 1.0 can be one, so only the rows of a list (of lists) that hold one are looked at."""
-    values = np.asarray(raw, dtype=float)
-    if values.ndim in (1, 2) and len(hits := np.flatnonzero((values == 0.0) | (values == 1.0))):
-        picked = [raw[i] for i in (hits // values.shape[1] if values.ndim == 2 else hits).tolist()]
-        if bool in set(map(type, chain.from_iterable(picked) if values.ndim == 2 else picked)):
-            for entry in picked:
-                _number(entry, what)
-    return values
+    """raw, a JSON number or list (of lists) of numbers, as a float array; ParseError names the
+    first row (item of raw) holding a string, null, true or false.  numpy gives those, and integers
+    past 64 bits, no number type, but reads true and false among numbers as 1 and 0: then only the
+    rows holding a 0 or 1 are looked at.  Ragged rows raise ValueError, huge integers OverflowError."""
+    values, rows = np.asarray(raw), raw if isinstance(raw, list) else [raw]
+    if values.dtype.kind in "iuf":
+        hits = np.flatnonzero((values == 0.0) | (values == 1.0)) if values.ndim in (1, 2) else np.empty(0, int)
+        rows = [raw[i] for i in (hits // values.shape[1] if values.ndim == 2 else hits).tolist()]
+        if bool not in set(map(type, chain.from_iterable(rows) if values.ndim == 2 else rows)):
+            return values.astype(float, copy=False)
+    for row in rows:  # a list in a row is left to the caller's shape check
+        if not set(map(type, row if isinstance(row, list) else [row])) <= {int, float, list}:
+            raise ParseError(f"{what} must be numeric, got {json.dumps(row)}")
+    return np.asarray(raw, dtype=float)
 
 
-def _finite(obj: dict, key: str, shape: tuple):
-    """obj[key] as a float (a float array for a list) of the given shape; finite."""
-    raw = obj[key]
-    v = _number(raw, f"{obj['type']} segment {key}")
-    if np.ndim(v) != len(shape) or shape and shape[0] not in (-1, len(v)):
-        raise ParseError(f"{obj['type']} segment {key} must be {_SHAPES[shape]}, got {json.dumps(raw)}")
-    if not np.all(np.isfinite(v)):
-        raise ParseError(f"{obj['type']} segment {key} must be finite, got {raw!r}")
-    return v
+def _check(ok, message):
+    """ParseError(message(i)) for the first row i that is not ok."""
+    if not ok.all():
+        raise ParseError(message(int(np.argmin(ok))))
 
 
-def _segment_from_obj(obj: dict):
-    if obj["type"] not in _SEGMENTS:
-        raise ParseError(f"unknown segment type {obj['type']!r}")
-    cls, fields = _SEGMENTS[obj["type"]]
-    obj = {"c_const": 0.0, **obj}  # files may leave out an elastica's c_const
-    v = {name: _finite(obj, name, shape) for name, shape in fields.items()}
-    if cls is LineSegment and not abs(math.hypot(*v["direction"]) - 1.0) <= ORTHONORMAL:
-        raise ParseError(f"line segment direction must be a unit vector, got {obj['direction']!r}")
-    if cls is ArcSegment and not 0.0 < abs(v["sweep"]) <= 2.0 * math.pi:
-        # no spline arc turns more than once
-        raise ParseError(f"arc segment sweep must be nonzero with |sweep| <= 2*pi, got {v['sweep']!r}")
-    if cls is ClothoidSegment:  # spline --out writes clothoids as long as the edges: cap only the turning
-        turning = clothoid_turning(v["kappa0"], v["sharpness"], v["length"])
-        if not turning <= 1e3:
-            raise ParseError(f"clothoid segment turning {turning:.6g} rad must be at most 1e3")
-    seg = cls(**v)
+def _segment_table(name: str, rows: list, objs: list) -> tuple:
+    """The table of the segment objects objs of one kind (and elastica grid size) at positions rows:
+    each field read by one _floats call, and each check made on whole columns in the order one
+    segment's are made.  An error names the first bad row."""
+    (kind, shapes), c = _SEGMENTS[name], {}
+    for key, shape in shapes.items():  # files may leave out an elastica's c_const
+        what, raw = f"{name} segment {key}", [obj.get(key, 0.0) if key == "c_const" else obj[key] for obj in objs]
+        try:
+            c[key] = _floats(raw, what)
+        except ValueError:  # ragged rows: one has the wrong shape
+            c[key] = np.asarray(None)
+        if c[key].ndim != 1 + len(shape) or shape == (2,) and c[key].shape[1] != 2:
+            bad = next(r for r in raw if len(s := np.shape(r)) != len(shape) or shape and shape[0] not in (-1, s[0]))
+            raise ParseError(f"{what} must be {_SHAPES[shape]}, got {json.dumps(bad)}")
+        _check(np.isfinite(c[key]).reshape(len(objs), -1).all(1), lambda i: f"{what} must be finite, got {raw[i]!r}")
+    if kind is LineSegment:
+        _check(np.abs(np.hypot(*c["direction"].T) - 1.0) <= ORTHONORMAL,
+               lambda i: f"line segment direction must be a unit vector, got {objs[i]['direction']!r}")
+    elif kind is ArcSegment:  # no spline arc turns more than once; its length is |sweep| * radius
+        sweep = np.abs(c["sweep"])
+        _check((0.0 < sweep) & (sweep <= 2.0 * math.pi),
+               lambda i: f"arc segment sweep must be nonzero with |sweep| <= 2*pi, got {c['sweep'][i].item()!r}")
+        _check(c["radius"] > 0.0, lambda i: "arc radius must be positive")
+        c["length"] = sweep * c["radius"]
+    elif kind is ClothoidSegment:  # spline --out writes clothoids as long as the edges: cap only the turning
+        with np.errstate(over="ignore", invalid="ignore"):
+            turning = clothoid_turning(c["kappa0"], c["sharpness"], c["length"])
+        _check(turning <= 1e3, lambda i: f"clothoid segment turning {turning[i]:.6g} rad must be at most 1e3")
+    elif c["thetas"].shape[1] < 17:
+        raise ParseError("elastica segment needs at least 16 grid cells")
     lo, hi = SPLINE_RANGE
-    for name in ("radius", "length"):  # an arc's length is |sweep| * radius; only arcs have a radius
-        if not lo <= (size := getattr(seg, name, lo)) <= hi:
-            bounds = f"[{lo:.0e}, {hi:.0e}]"
-            raise ParseError(f"{obj['type']} segment {name} {size!r} is outside the supported range {bounds}")
-    if cls is ElasticaSegment and not np.all(np.abs(seg.thetas) <= hi):
+    for key in ("radius", "length") if kind is ArcSegment else ("length",):  # an arc's radius before its length
+        _check((lo <= c[key]) & (c[key] <= hi), lambda i: f"{name} segment {key} {c[key][i].item()!r} is outside "
+               f"the supported range [{lo:.0e}, {hi:.0e}]")
+    if kind is ElasticaSegment and not np.all(np.abs(c["thetas"]) <= hi):
         raise ParseError(f"elastica segment thetas must lie in [{-hi:.0e}, {hi:.0e}]")
-    return seg
+    return _table(kind, rows, **c)
 
 
 def _segment_runs(spline: Spline):
@@ -348,12 +355,17 @@ def spline_to_json(spline: Spline) -> str:
 def spline_from_json(text: str) -> Spline:
     try:
         obj = json.loads(text)
-        segs = [_segment_from_obj(s) for s in obj["segments"]]
+        groups = {}  # the positions of each kind and elastica grid size, as Spline(segments) groups them
+        for i, seg in enumerate(obj["segments"]):
+            if seg["type"] not in _SEGMENTS:
+                raise ParseError(f"unknown segment type {seg['type']!r}")
+            groups.setdefault((seg["type"], len(t) if isinstance(t := seg.get("thetas"), list) else -1), []).append(i)
+        tables = [_segment_table(name, rows, [obj["segments"][i] for i in rows]) for (name, _), rows in groups.items()]
         closed = obj.get("closed", False)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad spline JSON: {exc}") from exc
     _check_bool("spline", closed)
-    return Spline(tuple(segs), closed=closed)
+    return Spline(closed=closed, tables=tables)
 
 
 def load_spline(path) -> Spline:

@@ -446,7 +446,7 @@ _SPLINE_RECORD = {
         {"type": "elastica", "start": [3.0, 2.0], "thetas": [0.1 * k for k in range(17)], "length": 2.0, "c_const": 0.5},
     ],
 }
-_BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, 5e-324, -5e-324, 1e308, -1e308]
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, 5e-324, -5e-324, 1e308, -1e308, 10**400, "0.5", None]
 
 
 def _lists(obj):
@@ -467,9 +467,10 @@ def _numbers(obj):
 def _input_file(draw):
     """(argv with FILE for the input file's path, file name, file bytes or None for a
     directory): a curve file (JSON or CSV), an intrinsic file or a spline file that
-    may be broken by truncation, a NaN, infinite, boolean, subnormal or 1e308 number,
-    a list where a field's number belongs, a list one item short or long or cut to one item, non-UTF-8 bytes, or by being a
-    directory.  Curves are regular polygons scaled by 1e-200, 1 or 1e200."""
+    may be broken by truncation, a NaN, infinite, boolean, subnormal or 1e308 number, an
+    integer past the double range, a string or a null where a number belongs, a list where
+    a field's number belongs, a list one item short or long or cut to one item, non-UTF-8
+    bytes, or by being a directory.  Curves are regular polygons scaled by 1e-200, 1 or 1e200."""
     kind = draw(st.sampled_from(["curve", "csv", "intrinsic", "spline"]))
     n, dim = draw(st.integers(3, 7)), draw(st.sampled_from([2, 3]))
     ang = np.arange(n) * math.tau / n
@@ -525,6 +526,25 @@ def test_curve_file_fuzz_exits_without_traceback(case):
             result = CliRunner().invoke(main, argv)
     _assert_clean_exit((argv, data), result)
     assert not caught, (argv, data, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("bad", [10**400, "0.5", None], ids=["huge-integer", "string", "null"])
+def test_a_huge_integer_string_or_null_anywhere_in_an_input_file_exits_2(bad, tmp_path):
+    """Every number of a curve, intrinsic and spline file, in turn: float() of a 400-digit
+    integer overflows, and float("0.5") and a JSON null are no numbers to read."""
+    hexagon = json.loads(_hexagon_json())
+    files = {"analyze": hexagon, "reconstruct": _HEX_INTRINSIC, "render": _SPLINE_RECORD}
+    hex_path = _write(tmp_path, "hex.json", _hexagon_json())
+    for command, record in files.items():
+        for k in range(len(_numbers(record))):
+            obj = json.loads(json.dumps(record))
+            container, key = _numbers(obj)[k]
+            container[key] = bad
+            path = _write(tmp_path, "input.json", json.dumps(obj))
+            argv = [command, hex_path, "--spline", path] if command == "render" else [command, path]
+            result = CliRunner().invoke(main, argv)
+            assert result.exit_code == 2, (argv, obj, result.output)
+            _assert_clean_exit((argv, obj), result)
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):

@@ -31,7 +31,7 @@ from frenetkit import (
 from frenetkit import io as fio
 from frenetkit import svg
 from frenetkit.cli import main
-from frenetkit.errors import NonPlanarData, ParseError
+from frenetkit.errors import InputError, NonPlanarData, ParseError
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
 from frenetkit.io import PIECE_ROWS, Rows, csv_pieces, json_pieces, spell_floats
 from frenetkit import refine
@@ -70,9 +70,13 @@ def test_curve_parse_errors():
         with pytest.raises(ParseError, match="closed must be true or false"):
             curve_from_json(f'{{"dim": 2, "closed": {closed}, {square}}}')
     # a JSON boolean is no coordinate, though float(True) is 1.0
-    for row in ("[true, 0]", "[1, false]"):
+    # nor are a JSON string and null, though float("0.5") is 0.5
+    for row in ("[true, 0]", "[1, false]", '["0.5", 0]', "[1, null]"):
         with pytest.raises(ParseError, match="curve points must be numeric, got " + re.escape(row)):
             curve_from_json(f'{{"dim": 2, "closed": false, "points": [[0, 0], {row}, [2, 0]]}}')
+    # an integer past the double range: float() of it overflows
+    with pytest.raises(ParseError, match="bad curve JSON: int too large to convert to float"):
+        curve_from_json(f'{{"dim": 2, "closed": false, "points": [[0, 0], [1{"0" * 400}, 0], [2, 0]]}}')
     with pytest.raises(ParseError):
         curve_from_csv("a,b\n")
     with pytest.raises(ParseError):
@@ -92,12 +96,20 @@ def test_intrinsic_round_trip():
         intrinsic_from_json('{"ell": 1.0}')
     # a JSON boolean is no number, though float(True) is 1.0
     record = json.loads(intrinsic_to_json(data))
-    for ell in (True, False):
-        with pytest.raises(ParseError, match=f"intrinsic ell must be numeric, got {json.dumps(ell)}"):
+    for ell in (True, False, "0.25", None):
+        with pytest.raises(ParseError, match=re.escape(f"intrinsic ell must be numeric, got {json.dumps(ell)}")):
             intrinsic_from_json(json.dumps({**record, "ell": ell}))
-    for key, angles, word in (("theta", [False, 0.0, -0.2], "false"), ("phi", [0.0, True, 0.0], "true")):
+    for key, angles, word in (
+        ("theta", [False, 0.0, -0.2], "false"),
+        ("phi", [0.0, True, 0.0], "true"),
+        ("theta", [0.3, "0.0", -0.2], '"0.0"'),
+        ("phi", [0.0, 0.4, None], "null"),
+    ):
         with pytest.raises(ParseError, match=f"intrinsic {key} must be numeric, got {word}"):
             intrinsic_from_json(json.dumps({**record, key: angles}))
+    for key, value in (("ell", 10**400), ("theta", [0.3, 10**400, -0.2])):
+        with pytest.raises(ParseError, match="bad intrinsic JSON: int too large to convert to float"):
+            intrinsic_from_json(json.dumps({**record, key: value}))
 
 
 def test_spline_round_trip_all_segment_kinds():
@@ -119,8 +131,9 @@ def test_spline_round_trip_all_segment_kinds():
 
 def test_solved_splines_reload_with_their_lengths_energies_and_g1_gaps():
     """A solved arc keeps |sweep| * radius as its length, the length an arc read from a
-    file gets: inscribed and circumscribed splines reload with their total length,
-    energy and G1 gaps to the bit."""
+    file gets: inscribed and circumscribed splines reload with their tables, total
+    length, energy and G1 gaps to the bit.  The reader builds the tables, and no
+    segment object, also for a spline whose elastica of 17 and 33 nodes interleave."""
     rng = np.random.default_rng(0)
     curves = [_unit_step_polyline(rng.uniform(-0.6, 0.6, size=12)) for _ in range(200)]
     ang = np.arange(6) * math.pi / 3.0
@@ -128,8 +141,18 @@ def test_solved_splines_reload_with_their_lengths_energies_and_g1_gaps():
     splines = [spline_inscribed(refine(dc)) for dc in curves] + [spline_circumscribed(dc) for dc in curves]
     splines.append(spline_circumscribed(hexagon))
     assert all(isinstance(seg, ArcSegment) for seg in splines[-1].segments)
+    elastica = [ElasticaSegment(np.array([k, 0.5]), rng.uniform(-1, 1, n), 1.0 + k, 0.25 * k) for k, n in
+                enumerate([17, 33, 17, 33])]
+    splines.append(Spline([elastica[0], LineSegment(np.zeros(2), np.array([0.6, 0.8]), 2.0), *elastica[1:]]))
     for sp in splines:
         back = spline_from_json(spline_to_json(sp))
+        assert "segments" not in back.__dict__
+        assert [(kind, rows.tolist(), list(cols)) for kind, rows, cols in back.tables] == [
+            (kind, rows.tolist(), list(cols)) for kind, rows, cols in sp.tables
+        ]
+        for (_, _, got), (_, _, want) in zip(back.tables, sp.tables):
+            for key, col in want.items():
+                assert got[key].shape == col.shape and got[key].tobytes() == col.tobytes(), key
         assert back.total_length() == sp.total_length()
         assert back.energy() == sp.energy()
         assert g1_defects(back) == g1_defects(sp)
@@ -193,9 +216,58 @@ def test_spline_parse_errors():
             spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", direction))
     spline_from_json('{"segments": [%s]}' % _LINE.replace("[1, 0]", "[0.6, 0.8]"))
     # JSON booleans are not numbers, alone or in a list
-    for old, new, key in (('"length": 1', '"length": true', "length"), ("[0, 0]", "[0, false]", "start")):
-        with pytest.raises(ParseError, match=f"line segment {key} must be numeric"):
+    # nor are JSON strings and null
+    for old, new, message in (
+        ('"length": 1', '"length": true', "line segment length must be numeric, got true"),
+        ("[0, 0]", "[0, false]", "line segment start must be numeric, got [0, false]"),
+        ('"length": 1', '"length": "1"', 'line segment length must be numeric, got "1"'),
+        ("[0, 0]", "[0, null]", "line segment start must be numeric, got [0, null]"),
+        ("[1, 0]", '["1", 0]', 'line segment direction must be numeric, got ["1", 0]'),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
             spline_from_json('{"segments": [%s]}' % _LINE.replace(old, new))
+    with pytest.raises(ParseError, match="bad spline JSON: int too large to convert to float"):
+        spline_from_json('{"segments": [%s]}' % _LINE.replace('"length": 1', f'"length": 1{"0" * 400}'))
+
+
+_TWELVE = [  # three copies each of a line, an arc, a clothoid and an elastica
+    {"type": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0], "length": 1.0},
+    {"type": "arc", "center": [1.0, 1.0], "radius": 1.0, "start_angle": -math.pi / 2.0, "sweep": 1.0},
+    {"type": "clothoid", "start": [2.0, 1.0], "start_angle": 0.5, "kappa0": 0.5, "sharpness": 0.1, "length": 2.0},
+    {"type": "elastica", "start": [3.0, 2.0], "thetas": [0.1 * k for k in range(17)], "length": 2.0, "c_const": 0.5},
+] * 3
+# (type, field, bad value, the message of a spline file whose one bad segment has it),
+# each message as the reader that built one segment object per JSON object gave it
+_SEGMENT_FAULTS = [
+    ("line", "start", [0.0, 0.0, 0.0], "line segment start must be a list of 2 numbers, got [0.0, 0.0, 0.0]"),
+    ("arc", "radius", [1.0], "arc segment radius must be a number, got [1.0]"),
+    ("clothoid", "kappa0", True, "clothoid segment kappa0 must be numeric, got true"),
+    ("elastica", "c_const", math.nan, "elastica segment c_const must be finite, got nan"),
+    ("line", "start", [0.0, -math.inf], "line segment start must be finite, got [0.0, -inf]"),
+    ("line", "direction", [3, 4], "line segment direction must be a unit vector, got [3, 4]"),
+    ("arc", "sweep", 0, "arc segment sweep must be nonzero with |sweep| <= 2*pi, got 0.0"),
+    ("arc", "sweep", 7, "arc segment sweep must be nonzero with |sweep| <= 2*pi, got 7.0"),
+    ("arc", "radius", -1.0, "arc radius must be positive"),
+    ("arc", "radius", 1e201, "arc segment radius 1e+201 is outside the supported range [1e-200, 1e+200]"),
+    ("clothoid", "kappa0", 2e3, "clothoid segment turning 4000.2 rad must be at most 1e3"),
+    ("line", "length", -1, "line segment length -1.0 is outside the supported range [1e-200, 1e+200]"),
+    ("elastica", "thetas", [0.0] * 5, "elastica segment needs at least 16 grid cells"),
+    ("elastica", "thetas", [0.0] * 16 + [1e201], "elastica segment thetas must lie in [-1e+200, 1e+200]"),
+    ("clothoid", "type", "spiral", "unknown segment type 'spiral'"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, message", _SEGMENT_FAULTS)
+def test_one_bad_segment_gives_its_message_wherever_it_lies(kind, key, value, message):
+    """The reader checks whole columns of segments, one table at a time, but a file with
+    one bad segment, first, in the middle or last, still gets that segment's message."""
+    for at in (0, 6, 11):
+        segments = [dict(obj) for obj in _TWELVE]
+        bad = segments.pop([obj["type"] for obj in segments].index(kind))
+        segments.insert(at, {**bad, key: value})
+        with pytest.raises(InputError) as caught:
+            spline_from_json(json.dumps({"segments": segments}))
+        assert str(caught.value) == message, at
 
 
 def _plain(obj):
