@@ -6,6 +6,7 @@ All subcommands print structured JSON on stdout; errors go to stderr.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import inspect
 import os
@@ -13,7 +14,6 @@ import stat
 import sys
 from itertools import chain
 
-import click
 import numpy as np
 
 from . import discretize2d, io, spline2d, svg
@@ -25,6 +25,7 @@ from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
 CONVENTIONS = [c.value for c in Convention]
+METHODS = ["inscribed", "circumscribed", "centered"]  # of discretize and spline
 _ROW_KEYS = ("theta", "phi", "kappa", "tau")  # of the analyze report's per-index rows
 
 
@@ -35,7 +36,7 @@ def _write(pieces, out_path, std="stdout"):
     No fsync and no atomicity."""
     try:
         if not out_path:
-            # the stream itself: click.echo would cache, and so keep alive, each redirected stdout
+            # the stream itself, as each call finds it: in-process runs redirect it and must not keep it alive
             stream = getattr(sys, std)
             stream.writelines(pieces)
             stream.flush()
@@ -48,12 +49,12 @@ def _write(pieces, out_path, std="stdout"):
                 if stat.S_ISREG(os.fstat(fd := fh.fileno()).st_mode):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
-        if not out_path and isinstance(exc, BrokenPipeError):
-            raise  # a closed pipe: click's own silent exit 1
         if not out_path and stream is getattr(sys, f"__{std}__"):
             # the bytes it still holds are flushed at exit: into the null device, not into a second error
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), stream.fileno())
+        if not out_path and isinstance(exc, BrokenPipeError):
+            raise  # a closed pipe: main's silent exit 1
         raise InputError(f"cannot write {out_path or std}: {exc.strerror or exc}") from None
 
 
@@ -75,30 +76,68 @@ def _nonnegative(name, tol):
     return tol
 
 
-class _Group(click.Group):
-    """Turns a FrenetError from any subcommand into "error: ..." on stderr and
-    exit code 2 (input error) or 1 (numerical failure)."""
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
-    def invoke(self, ctx):
+
+def _command(name, *args):
+    """Register the decorated function as subcommand name, with the arguments _arg declares."""
+
+    def register(fn):
+        sub = _COMMANDS.add_parser(name, help=fn.__doc__.split("\n")[0], description=fn.__doc__, allow_abbrev=False)
+        actions = [sub.add_argument(*flags, **kwargs) for flags, kwargs in args]
+        _TAKES_VALUE.update(flag for action in actions if action.nargs is None for flag in action.option_strings)
+        sub.set_defaults(run=fn)
+        return fn
+
+    return register
+
+
+def _join_values(args):
+    """args with each option that takes a value joined to the token after it (--origin=-1,2,0),
+    so that a value may start with "-"; up to a "--", and not when no token follows."""
+    out, rest = [], iter(args)
+    for arg in rest:
+        if arg == "--":
+            return [*out, arg, *rest]
+        value = next(rest, None) if arg in _TAKES_VALUE else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+class _Main(argparse.ArgumentParser):
+    """The frenetkit command and its subcommands' parsers.  main(args) runs a subcommand and turns a FrenetError,
+    a usage error included, into "error: ..." on stderr and exit code 2 (input error) or 1 (numerical failure);
+    a closed stdout pipe exits 1 silently.  prog_name and standalone_mode are accepted and change nothing."""
+
+    name = "frenetkit"
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
         try:
-            return super().invoke(ctx)
+            ns = vars(self.parse_args(_join_values(sys.argv[1:] if args is None else args)))
+            ns.pop("run")(**ns)
         except FrenetError as exc:
-            with contextlib.suppress(InputError):  # an unwritable stderr: the exit code still tells
+            with contextlib.suppress(InputError, BrokenPipeError):  # a stderr we cannot write to: the exit code tells
                 _write([f"error: {exc}\n"], None, "stderr")
             sys.exit(2 if isinstance(exc, InputError) else 1)
+        except BrokenPipeError:
+            sys.exit(1)
+
+    __call__ = main
 
 
-@click.group(cls=_Group)
-def main():
-    """Discrete curve analysis, reconstruction, discretization and splining."""
+main = _Main("frenetkit", description="Discrete curve analysis, reconstruction, discretization and splining.",
+             allow_abbrev=False)
+_COMMANDS = main.add_subparsers(metavar="COMMAND", required=True)
+_TAKES_VALUE = set()  # the options that take one value, as _command registers them
 
 
-@main.command("analyze")
-@click.argument("curve_file", type=click.Path())
-@click.option("--convention", type=click.Choice(CONVENTIONS), default=None)
-@click.option("--tol", type=float, default=CLI_RESIDUAL, help="residual threshold for success")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_command("analyze", _arg("curve_file"), _arg("--convention", choices=CONVENTIONS),
+          _arg("--tol", type=float, default=CLI_RESIDUAL, help="residual threshold for success"),
+          _arg("--format", dest="fmt", choices=["json", "csv"], default="json"), _arg("--out", dest="out_path"))
 def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     """Per-index angle/curvature/torsion report plus the Frenet residual.
 
@@ -149,12 +188,9 @@ def _parse_vec(option, text, default):
     return vec
 
 
-@main.command("reconstruct")
-@click.argument("intrinsic_file", type=click.Path())
-@click.option("--origin", default=None, help="comma-separated start point")
-@click.option("--tangent", default=None, help="comma-separated start tangent")
-@click.option("--normal", default=None, help="comma-separated start normal")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_command("reconstruct", _arg("intrinsic_file"), _arg("--origin", help="comma-separated start point"),
+          _arg("--tangent", help="comma-separated start tangent"),
+          _arg("--normal", help="comma-separated start normal"), _arg("--out", dest="out_path"))
 def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
     """Rebuild a curve from intrinsic data (ell, theta, phi)."""
     data = io.load_intrinsic(intrinsic_file)
@@ -170,14 +206,13 @@ def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
     _write_json(io.curve_record(DiscreteCurve(rc.points, closed=False)), out_path)
 
 
-@main.command("discretize")
-@click.argument("curve_name", type=click.Choice(sorted(discretize2d.BUILTIN_CURVES)))
-@click.option("--method", type=click.Choice(["inscribed", "circumscribed", "centered"]), required=True)
-@click.option("--samples", type=int, default=None, help="sample count (inscribed/circumscribed)")
-@click.option("--density", type=float, default=None, help="samples per unit length (centered)")
-@click.option("--variant", type=click.Choice(["exact", "published"]), default="exact")
-@click.option("--param", "params", multiple=True, help="curve parameter key=value")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_command("discretize", _arg("curve_name", choices=sorted(discretize2d.BUILTIN_CURVES)),
+          _arg("--method", choices=METHODS, required=True),
+          _arg("--samples", type=int, help="sample count (inscribed/circumscribed)"),
+          _arg("--density", type=float, help="samples per unit length (centered)"),
+          _arg("--variant", choices=["exact", "published"], default="exact"),
+          _arg("--param", dest="params", action="append", default=[], help="curve parameter key=value"),
+          _arg("--out", dest="out_path"))
 def cmd_discretize(curve_name, method, samples, density, variant, params, out_path):
     """Discretize a built-in smooth curve."""
     ctor = discretize2d.BUILTIN_CURVES[curve_name]
@@ -229,11 +264,8 @@ def cmd_discretize(curve_name, method, samples, density, variant, params, out_pa
     _write_json(report, None)
 
 
-@main.command("spline")
-@click.argument("curve_file", type=click.Path())
-@click.option("--method", type=click.Choice(["inscribed", "circumscribed", "centered"]), required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--svg", "svg_path", type=click.Path(), default=None)
+@_command("spline", _arg("curve_file"), _arg("--method", choices=METHODS, required=True),
+          _arg("--out", dest="out_path"), _arg("--svg", dest="svg_path"))
 def cmd_spline(curve_file, method, out_path, svg_path):
     """Spline a discrete curve with arcs, clothoids or elastica."""
     curve = io.load_curve(curve_file)
@@ -262,9 +294,8 @@ def cmd_spline(curve_file, method, out_path, svg_path):
     _write_json(report, None)
 
 
-@main.command("roundtrip")
-@click.argument("curve_file", type=click.Path())
-@click.option("--tol", type=float, default=CONGRUENCE_RMS, help="congruence rms threshold, in edge lengths")
+@_command("roundtrip", _arg("curve_file"),
+          _arg("--tol", type=float, default=CONGRUENCE_RMS, help="congruence rms threshold, in edge lengths"))
 def cmd_roundtrip(curve_file, tol):
     """analyze -> reconstruct -> congruence check, with the rms judged in units of the mean edge length."""
     tol = _nonnegative("--tol", tol)
@@ -278,11 +309,9 @@ def cmd_roundtrip(curve_file, tol):
     sys.exit(0 if ok else 1)
 
 
-@main.command("render")
-@click.argument("curve_file", type=click.Path())
-@click.option("--spline", "spline_path", type=click.Path(), default=None)
-@click.option("--with-circles", is_flag=True, help="draw the three convention circles of a regular polygon")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_command("render", _arg("curve_file"), _arg("--spline", dest="spline_path"),
+          _arg("--with-circles", action="store_true", help="draw the three convention circles of a regular polygon"),
+          _arg("--out", dest="out_path"))
 def cmd_render(curve_file, spline_path, with_circles, out_path):
     """Render a curve (and optional spline) to SVG."""
     curve = io.load_curve(curve_file)

@@ -172,7 +172,7 @@ def curve_from_json(text: str) -> DiscreteCurve:
         pts = _floats(obj["points"], "curve points")
         dim = obj["dim"]
         closed = obj["closed"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad curve JSON: {exc}") from exc
     _check_bool("curve", closed)
     if pts.ndim != 2 or pts.shape[1] != dim:
@@ -237,7 +237,7 @@ def intrinsic_from_json(text: str) -> IntrinsicData:
         convention = Convention(obj["convention"])
         theta = _floats(obj["theta"], "intrinsic theta")
         phi = _floats(obj["phi"], "intrinsic phi")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad intrinsic JSON: {exc}") from exc
     if np.ndim(ell):
         raise ParseError(f"intrinsic ell must be a number, got {json.dumps(obj['ell'])}")
@@ -362,7 +362,7 @@ def spline_from_json(text: str) -> Spline:
             groups.setdefault((seg["type"], len(t) if isinstance(t := seg.get("thetas"), list) else -1), []).append(i)
         tables = [_segment_table(name, rows, [obj["segments"][i] for i in rows]) for (name, _), rows in groups.items()]
         closed = obj.get("closed", False)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad spline JSON: {exc}") from exc
     _check_bool("spline", closed)
     return Spline(closed=closed, tables=tables)

@@ -135,6 +135,27 @@ _UNREADABLE_AND_OVERFLOWING = {
 }
 _LINE_SEGMENT = {"type": "line", "start": [0.0, 0.0], "direction": [1.0, 0.0], "length": 1.0}
 
+# a curve file's points, an intrinsic file's theta and a spline segment's start, each nested
+# 100 000 lists deep: deeper than the interpreter's recursion limit
+_DEEPLY_NESTED = {
+    "analyze-points-nested-1e5-deep": ["analyze", "DEEP_POINTS"],
+    "reconstruct-theta-nested-1e5-deep": ["reconstruct", "DEEP_THETA"],
+    "render-spline-start-nested-1e5-deep": ["render", "HEX", "--spline", "DEEP_START"],
+}
+
+# command lines the parser rejects: one error line and exit 2, as for every input error
+_USAGE_ERRORS = {
+    "no-subcommand": [],
+    "unknown-subcommand": ["bogus"],
+    "spline-seed-option": ["spline", "HEX", "--method", "centered", "--seed", "0"],
+    "abbreviated-option": ["spline", "HEX", "--meth", "inscribed"],
+    "analyze-no-file": ["analyze"],
+    "discretize-no-method": ["discretize", "circle", "--samples", "3"],
+    "bad-method-choice": ["discretize", "circle", "--method", "nope", "--samples", "3"],
+    "non-integer-samples": ["discretize", "circle", "--method", "inscribed", "--samples", "x"],
+    "out-without-value": ["analyze", "HEX", "--out"],
+}
+
 # a well-formed angle record with 2-D theta and phi
 _TWO_D_INTRINSIC = {
     "ell": 1.0,
@@ -198,6 +219,17 @@ def test_analyze_tol_override(runner, tmp_path):
     result = runner.invoke(main, ["analyze", path, "--tol", "1e-30"])
     assert result.exit_code == 1  # residual cannot beat 1e-30
     assert runner.invoke(main, ["analyze", path]).exit_code == 0
+    # a value that starts with "-" is the option's value, not an unknown option
+    result = runner.invoke(main, ["analyze", path, "--tol", "-inf"])
+    assert (result.exit_code, result.stderr) == (2, "error: --tol must be a non-negative number, got -inf\n")
+
+
+def test_help_prints_usage_on_stdout(runner):
+    for argv in (["--help"], ["analyze", "--help"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert result.stdout.lower().startswith("usage: ") and "analyze" in result.stdout
+        assert result.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -247,6 +279,8 @@ def test_analyze_tol_override(runner, tmp_path):
         ["reconstruct", "INTRINSIC", "--normal", "0,1e400,0"],
         *_EXTREME_SCALES.values(),
         *_UNREADABLE_AND_OVERFLOWING.values(),
+        *_DEEPLY_NESTED.values(),
+        *_USAGE_ERRORS.values(),
     ],
     ids=[
         "unknown-param",
@@ -293,6 +327,8 @@ def test_analyze_tol_override(runner, tmp_path):
         "reconstruct-overflowing-normal",
         *_EXTREME_SCALES,
         *_UNREADABLE_AND_OVERFLOWING,
+        *_DEEPLY_NESTED,
+        *_USAGE_ERRORS,
     ],
 )
 def test_bad_arguments_exit_2(runner, tmp_path, args):
@@ -345,6 +381,13 @@ def _arg_files(tmp_path):
     for key, ell in {"SUBNORMAL_ELL": 5e-324, "EMPTY_ELL": [], "NESTED_ELL": [[]]}.items():
         files[key] = _write(tmp_path, f"{key.lower()}.json", json.dumps({**_HEX_INTRINSIC, "ell": ell}))
     files["WIDE"] = _write(tmp_path, "wide.json", json.dumps({"dim": 2, "closed": False, "points": [[-1e308, 0], [1e308, 0]]}))
+    deep = "[" * 100_000 + "]" * 100_000
+    for key, record in {
+        "DEEP_POINTS": {"dim": 2, "closed": False, "points": "DEEP"},
+        "DEEP_THETA": {**_HEX_INTRINSIC, "theta": "DEEP"},
+        "DEEP_START": {"closed": False, "segments": [{**_LINE_SEGMENT, "start": "DEEP"}]},
+    }.items():
+        files[key] = _write(tmp_path, f"{key.lower()}.json", json.dumps(record).replace('"DEEP"', deep))
     return files
 
 
@@ -548,7 +591,7 @@ def test_a_huge_integer_string_or_null_anywhere_in_an_input_file_exits_2(bad, tm
 
 
 def test_in_process_runs_do_not_keep_redirected_streams(tmp_path):
-    # click.echo caches a wrapper per implicit stream, and the wrapper keeps
+    # a writer that cached a wrapper per implicit stream, as click.echo does, would keep
     # the stream alive: each in-process run would hold on to its output
     path = _write(tmp_path, "hex.json", _hexagon_json())
     runs = [
@@ -628,7 +671,7 @@ def test_spline_has_no_seed_option(runner, tmp_path):
     path = _write(tmp_path, "hairpin.json", curve_to_json(_unit_step_polyline(HAIRPIN_ANGLES)))
     result = runner.invoke(main, ["spline", path, "--method", "centered", "--seed", "0"])
     assert result.exit_code == 2
-    assert "No such option" in result.stderr and "--seed" in result.stderr
+    assert result.stderr == "error: unrecognized arguments: --seed 0\n"
 
 
 def test_spline_circumscribed_hairpin_whose_bracket_loses_its_sign_change(runner, tmp_path):
@@ -799,13 +842,19 @@ def test_analyze_fails_on_a_nan_residual(runner, tmp_path, monkeypatch, where):
 
 def test_reconstruct_command(runner, tmp_path):
     path = _write(tmp_path, "hex_intrinsic.json", json.dumps(_HEX_INTRINSIC))
-    result = runner.invoke(main, ["reconstruct", path, "--origin", "1,2,0"])
-    assert result.exit_code == 0, result.output
-    pts = np.asarray(json.loads(result.output)["points"])
-    assert pts.shape == (13, 3)
-    np.testing.assert_allclose(pts[0], [1.0, 2.0, 0.0])
-    # closed hexagon: the 12-step walk returns to the start
-    assert np.linalg.norm(pts[12] - pts[0]) <= 1e-12
+    # a vector that starts with "-" is the option's value, not an unknown option
+    for pose, origin in [
+        (["--origin", "1,2,0"], [1.0, 2.0, 0.0]),
+        (["--origin", "-1,2,0"], [-1.0, 2.0, 0.0]),
+        (["--tangent", "-1,0,0", "--normal", "0,-1,0"], [0.0, 0.0, 0.0]),
+    ]:
+        result = runner.invoke(main, ["reconstruct", path, *pose])
+        assert result.exit_code == 0, result.output
+        pts = np.asarray(json.loads(result.output)["points"])
+        assert pts.shape == (13, 3)
+        np.testing.assert_allclose(pts[0], origin)
+        # closed hexagon: the 12-step walk returns to the start
+        assert np.linalg.norm(pts[12] - pts[0]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -864,6 +913,12 @@ def test_discretize_inscribed_with_params(runner, tmp_path):
     assert result.exit_code == 0, result.output
     pts = np.asarray(json.loads(out.read_text())["points"])
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 2.0, atol=1e-12)
+    # every --param applies, in order: the later a wins
+    argv = ["discretize", "ellipse", "--method", "inscribed", "--samples", "12"]
+    result = runner.invoke(main, [*argv, "--param", "a=5", "--param", "b=0.5", "--param", "a=3"])
+    assert result.exit_code == 0, result.output
+    pts = np.asarray(json.loads(result.output)["curve"]["points"])
+    np.testing.assert_allclose(np.max(np.abs(pts), axis=0), [3.0, 0.5], rtol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1324,6 +1379,19 @@ def _frenetkit(*args, **kwargs):
     return subprocess.run([sys.executable, "-c", "from frenetkit.cli import main; main()", *args], timeout=120, **kwargs)
 
 
+def test_a_closed_stdout_pipe_exits_1_silently(tmp_path):
+    """The reader closes the pipe after 10 bytes of a report of megabytes (as | head does)."""
+    argv = ["-m", "frenetkit.cli", "discretize", "circle", "--method", "inscribed", "--samples", "200000"]
+    env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    with open(tmp_path / "stderr", "wb+") as err:
+        with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=err, env=env) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == b""
+
+
 def test_out_to_dev_stdout_into_a_pipe(runner, tmp_path):
     if not os.path.exists("/dev/stdout"):
         pytest.skip("no /dev/stdout")
@@ -1462,3 +1530,14 @@ def test_stderr_on_a_full_device_keeps_exit_2(tmp_path, argv, buffered):
         result = _frenetkit(*argv, stdout=subprocess.PIPE, stderr=full, env=env)
     assert result.returncode == 2
     assert result.stdout == b""
+
+
+def test_stderr_into_a_closed_pipe_keeps_exit_2():
+    """As with a full device, the error line cannot be written and the exit code still says input error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _frenetkit("analyze", "/nonexistent/curve.json", stdout=subprocess.PIPE, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (2, b"")

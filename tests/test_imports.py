@@ -82,10 +82,11 @@ def _run_at_import(tree):
         )
 
 
-def _imports_scipy(node):
+def _imports(node, package):
+    """An import of package or a module under it."""
     if isinstance(node, ast.Import):
-        return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "scipy"
+        return any(alias.name.partition(".")[0] == package for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == package
 
 
 def test_no_scipy_import_at_module_level():
@@ -93,7 +94,18 @@ def test_no_scipy_import_at_module_level():
         f"{name}.py:{node.lineno}"
         for name, tree in MODULES.items()
         for node in _run_at_import(tree)
-        if _imports_scipy(node)
+        if _imports(node, "scipy")
+    ]
+    assert not found, found
+
+
+def test_no_module_imports_click():
+    """The standard library's argparse parses the command line; click is a test dependency only."""
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if _imports(node, "click")
     ]
     assert not found, found
 
