@@ -13,12 +13,17 @@ Runs in process, through ``frenetkit.cli.main``, at each size N:
   under the growth check;
 * ``render FILE --spline FILE.M.json --out FILE.M.render.svg`` on each spline
   file, so that the spline reader is too;
-* ``discretize ellipse --method centered --density N``.
+* ``discretize ellipse --method centered --density N``;
+* ``analyze FILE --out FILE.analyze.json`` and ``roundtrip FILE`` on the open
+  3D curve of N vertices that ``perfbench/workloads.py`` builds for
+  ``curve3d-long`` (random turns and twists through ``curvature_torsion``,
+  ``reconstruct`` and ``unrefine``), seeded by N.
 
 Checks every report as ``perfbench/workloads.py`` does: both G1 gaps of a
-spline at most ``G1_TOL`` and the ``length_error`` of a discretization at most
-``LENGTH_TOL``; and checks that each render writes the bytes of the ``--svg``
-of the spline op before it.  Prints the least of 3 wall times at each size
+spline at most ``G1_TOL``, the ``length_error`` of a discretization at most
+``LENGTH_TOL``, ``residual_ok`` of an analysis and ``congruent`` of a
+roundtrip; and checks that each render writes the bytes of the ``--svg`` of
+the spline op before it.  Prints the least of 3 wall times at each size
 and, from the second size on, the ratio to the time at the size before it,
 per decade of size (10 for linear growth).  Exits 1 if an op exits non-zero,
 a check fails or a ratio is above MAX_RATIO.
@@ -40,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from output_digests import run_op  # noqa: E402
-from workloads import G1_TOL, LENGTH_TOL  # noqa: E402
+from workloads import G1_TOL, LENGTH_TOL, _open_curve  # noqa: E402
 
 from frenetkit import curve_to_json  # noqa: E402
 from frenetkit.figures import _unit_step_polyline  # noqa: E402
@@ -52,6 +57,8 @@ REPEATS = 3
 def check(stdout):
     """A failure message for a report outside the benchmark's bounds, or None."""
     report = json.loads(stdout)
+    if "congruent" in report:
+        return None if report["congruent"] is True else f"not congruent: rms {report['rms']:.3e}"
     if "length_error" in report:
         err = report["length_error"]
         return None if err <= LENGTH_TOL else f"length error {err:.3e} over {LENGTH_TOL:.0e}"
@@ -62,6 +69,11 @@ def check(stdout):
 def same_bytes(path, want):
     """A check that the op wrote the bytes of the file want to path."""
     return lambda stdout: None if Path(path).read_bytes() == Path(want).read_bytes() else f"{path} differs from {want}"
+
+
+def residual_ok(path):
+    """A check that the analyze report the op wrote to path has residual_ok true."""
+    return lambda stdout: None if json.loads(Path(path).read_text())["residual_ok"] is True else "residual_ok is false"
 
 
 def timed(argv, check):
@@ -79,7 +91,7 @@ def timed(argv, check):
 
 
 def ops(work, n):
-    """(name, argv, check) of each op at size n, in the order they run; the polyline files are in work."""
+    """(name, argv, check) of each op at size n, in the order they run; the polyline and curve files are in work."""
     poly = f"{work}/poly{n}"
     for method in ("inscribed", "circumscribed", "centered"):
         spline, svg, rendered = (f"{poly}.{method}{ext}" for ext in (".json", ".svg", ".render.svg"))
@@ -87,6 +99,10 @@ def ops(work, n):
         yield f"render {method}", ["render", f"{poly}.json", "--spline", spline, "--out", rendered], same_bytes(
             rendered, svg)
     yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)], check
+    curve = f"{work}/curve{n}"
+    yield "analyze --out", ["analyze", f"{curve}.json", "--out", f"{curve}.analyze.json"], residual_ok(
+        f"{curve}.analyze.json")
+    yield "roundtrip", ["roundtrip", f"{curve}.json"], check
 
 
 def main(argv=None):
@@ -100,6 +116,7 @@ def main(argv=None):
         for n in sizes:
             turns = 0.25 * np.sin(0.05 * np.arange(n - 2))
             Path(work, f"poly{n}.json").write_text(curve_to_json(_unit_step_polyline(turns)))
+            Path(work, f"curve{n}.json").write_text(curve_to_json(_open_curve(np.random.default_rng(n), n, False)[0]))
             for name, op, op_check in ops(work, n):
                 times.setdefault(name, []).append((n, *timed(op, op_check)))
     ok = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import math
 import os
 import stat
 import sys
@@ -17,16 +18,19 @@ from itertools import chain
 import numpy as np
 
 from . import discretize2d, io, spline2d, svg
-from .config import CLI_RESIDUAL, CONGRUENCE_RMS
+from .config import CLI_RESIDUAL, CONGRUENCE_RMS, UNIFORM_LENGTH_REL
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
-from .frames import _embed3, analyze, convention_table
+from .frames import _embed3, analyze, convention_table, polyline_turning_angles
 from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
 CONVENTIONS = [c.value for c in Convention]
 METHODS = ["inscribed", "circumscribed", "centered"]  # of discretize and spline
 _ROW_KEYS = ("theta", "phi", "kappa", "tau")  # of the analyze report's per-index rows
+# the cells of an analyze row at a turn and at a twist: None for the transition's one angle and curvature,
+# "0.0" for the other angle and curvature, which are +0.0 by construction
+_TURN_CELLS, _TWIST_CELLS = (None, "0.0", None, "0.0"), ("0.0", None, "0.0", None)
 
 
 def _write(pieces, out_path, std="stdout"):
@@ -149,14 +153,19 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     wanted = [Convention(convention)] if convention else list(Convention)
     ff, data = analyze(rc, None)
     residuals, at_edge = convention_table(ff, data, wanted)
-    n = len(data.theta)
-    cells = io.spell_floats(np.vstack([data.theta, data.phi, *at_edge]))
-    theta, phi, *kappa_tau = (cells[i : i + n] for i in range(0, len(cells), n))
-    columns = {conv.value: [theta, phi, *kappa_tau[2 * c : 2 * c + 2]] for c, conv in enumerate(wanted)}
+    n, turns, twists = len(data.theta), slice(data.turn_parity, None, 2), slice(1 - data.turn_parity, None, 2)
+    # the one value each transition may have nonzero, spelled by repr (the table is finite): theta at a turn
+    # (the indices of the turn parity) and phi at a twist, then each convention's kappa or tau
+    one = np.empty((1 + len(wanted), n))
+    one[0, turns], one[1:, turns] = data.theta[turns], at_edge[:, 0, turns]
+    one[0, twists], one[1:, twists] = data.phi[twists], at_edge[:, 1, twists]
+    angle, *kernels = ([*map(repr, row)] for row in one.tolist())
+    cells = [_TURN_CELLS, _TWIST_CELLS] if data.turn_parity == 0 else [_TWIST_CELLS, _TURN_CELLS]  # row 0's first
     worst = float(np.max(residuals))  # NaN if any residual is NaN, which then fails
     if fmt == "csv":
-        index = list(map(str, range(n)))
-        tables = [io.csv_pieces([[name] * len(index), index, *cols]) for name, cols in columns.items()]
+        index, shapes = list(map(str, range(n))), [(None, None, *row) for row in cells]
+        tables = [io.csv_pieces([[conv.value] * n, index, angle, kernel], shapes=shapes)
+                  for conv, kernel in zip(wanted, kernels)]
         _write(chain(["convention,index,theta,phi,kappa,tau\n"], *tables), out_path)
     else:
         report = {
@@ -164,8 +173,8 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
             "edge_length": 2.0 * rc.ell,
             "half_edge_length": rc.ell,
             "conventions": {
-                name: {"frenet_residual": res, "per_index": io.Rows(zip(_ROW_KEYS, cols))}
-                for (name, cols), res in zip(columns.items(), residuals)
+                conv.value: {"frenet_residual": res, "per_index": io.Rows(_ROW_KEYS, cells, [angle, kernel])}
+                for conv, kernel, res in zip(wanted, kernels, residuals)
             },
             "max_frenet_residual": worst,
             "residual_ok": bool(worst <= tol),
@@ -310,7 +319,8 @@ def cmd_roundtrip(curve_file, tol):
 
 
 @_command("render", _arg("curve_file"), _arg("--spline", dest="spline_path"),
-          _arg("--with-circles", action="store_true", help="draw the three convention circles of a regular polygon"),
+          _arg("--with-circles", action="store_true",
+               help="draw the three convention circles of a regular polygon (equal edges and equal turns)"),
           _arg("--out", dest="out_path"))
 def cmd_render(curve_file, spline_path, with_circles, out_path):
     """Render a curve (and optional spline) to SVG."""
@@ -318,17 +328,30 @@ def cmd_render(curve_file, spline_path, with_circles, out_path):
     splines = []
     if spline_path:
         splines.append(io.load_spline(spline_path))
-    circles = []
-    if with_circles:
-        if not curve.closed:
-            raise InputError("--with-circles needs a closed regular polygon")
-        side = float(np.mean(curve.edge_lengths()))
-        center = curve.points[:, :2].mean(axis=0)
-        spec = NGonSpec(len(curve), side, center=tuple(center))
-        for conv in Convention:
-            circles.append(circle_of_ngon(spec, conv))
+    circles = [circle_of_ngon(_regular_polygon(curve), conv) for conv in Convention] if with_circles else []
     doc = svg.render_svg(curves=[curve], splines=splines, circles=circles)
     _write([doc, "\n"], out_path)
+
+
+def _regular_polygon(curve) -> NGonSpec:
+    """The regular N-gon that curve is, about its centroid; an InputError naming the spread unless curve is
+    closed, its edge lengths spread by at most UNIFORM_LENGTH_REL of their mean (as refine allows) and its
+    turns, all of one sign, lie within UNIFORM_LENGTH_REL rad of 2 pi / N (moving a vertex by that share of
+    an edge turns its edges by about that angle, so the two bounds agree)."""
+    need = "--with-circles needs a closed regular polygon"
+    if not curve.closed:
+        raise InputError(need)
+    lengths = curve.edge_lengths()
+    side, spread = float(np.mean(lengths)), float(np.max(lengths)) - float(np.min(lengths))  # inf - inf: no warning
+    if not spread <= UNIFORM_LENGTH_REL * side:
+        raise InputError(f"{need}; its edge lengths spread by {spread:.3e}, over {UNIFORM_LENGTH_REL:.1e} "
+                         f"of their mean {side:.6g}")
+    turns = polyline_turning_angles(curve)
+    want = math.copysign(2.0 * math.pi / len(curve), turns.sum())  # a clockwise polygon turns by -2 pi / N
+    if not np.max(np.abs(turns - want)) <= UNIFORM_LENGTH_REL:
+        raise InputError(f"{need}; its turns spread over [{turns.min():.6g}, {turns.max():.6g}] rad, not within "
+                         f"{UNIFORM_LENGTH_REL:.1e} of 2*pi/{len(curve)} = {want:.6g}")
+    return NGonSpec(len(curve), side, center=tuple(curve.points[:, :2].mean(axis=0)))
 
 
 if __name__ == "__main__":

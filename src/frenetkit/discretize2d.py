@@ -72,7 +72,11 @@ def _check_params(positive, **values):
 
 
 class _ArcLengthParam:
-    """Numeric arc-length reparametrization of a regular parametric curve."""
+    """Numeric arc-length reparametrization of a regular parametric curve.
+
+    t_of_s keeps its last input and result: the discretizations ask point, tangent and
+    curvature at one sample array in turn, and invert its arc lengths once.
+    """
 
     def __init__(self, deriv, t0, t1):
         self.deriv = deriv
@@ -82,6 +86,7 @@ class _ArcLengthParam:
         with np.errstate(over="ignore"):  # an overflowing length fails SmoothCurve's finite-length check
             self.cum = np.concatenate([[0.0], np.cumsum(self._cells(self.grid[:-1], self.grid[1:]))])
         self.length = float(self.cum[-1])
+        self._last = (None, None)  # (a copy of s, t_of_s(s)) of the last call; t never leaves this module
 
     def _cells(self, a, b):
         """16-node Gauss-Legendre speed integrals over the cells [a, b], elementwise."""
@@ -98,10 +103,15 @@ class _ArcLengthParam:
         return self.cum[j] + self._cells(self.grid[j], t)
 
     def t_of_s(self, s):
-        s = np.clip(s, 0.0, self.length)
+        last_s, last_t = self._last
+        if last_s is not None and np.shape(s) == last_s.shape and np.array_equal(s, last_s):
+            return last_t
+        key = np.array(s, dtype=float)
+        s = np.clip(key, 0.0, self.length)
         t = np.interp(s, self.cum, self.grid)
         for _ in range(4):
             t = np.clip(t - (self.s_of_t(t) - s) / np.hypot(*self.deriv(t)), self.t0, self.t1)
+        self._last = (key, t)
         return t
 
 

@@ -230,7 +230,8 @@ class IntrinsicData:
         validate_angle_record(theta, phi, self.turn_parity)
         table = np.array((theta, phi))
         if self.convention:
-            table = np.concatenate([table, _signed_kernel(table, self.ell, [self.convention])[0]])
+            kernel = _signed_kernel(_one_value(theta, phi, self.turn_parity), self.ell, [self.convention])[0]
+            table = np.concatenate([table, _halves(kernel, self.turn_parity)])
         table.flags.writeable = False
         for name, value in zip(("theta", "phi", "kappa", "tau"), (*table, None, None)):  # None for a bare record
             object.__setattr__(self, name, value)
@@ -257,6 +258,24 @@ def validate_angle_record(theta: np.ndarray, phi: np.ndarray, turn_parity: int) 
         raise AngleOutOfRange("angles must lie in [-pi/2, pi/2]")
 
 
+def _one_value(turn_side: np.ndarray, twist_side: np.ndarray, turn_parity: int) -> np.ndarray:
+    """The value of each transition that may be nonzero, the per-transition angle or curvature:
+    turn_side's at a record's turns, the indices of parity turn_parity, and twist_side's at its
+    twists (theta or phi, kappa or tau)."""
+    one = np.array(twist_side, dtype=float)
+    one[turn_parity::2] = turn_side[turn_parity::2]
+    return one
+
+
+def _halves(one: np.ndarray, turn_parity: int) -> np.ndarray:
+    """The inverse of _one_value: one, indexed by transition along its last axis, as (turn side;
+    twist side) stacked along a new next-to-last axis, each +0.0 off its half."""
+    out = np.zeros((*one.shape[:-1], 2, one.shape[-1]))
+    out[..., 0, turn_parity::2] = one[..., turn_parity::2]
+    out[..., 1, 1 - turn_parity :: 2] = one[..., 1 - turn_parity :: 2]
+    return out
+
+
 def _signed_kernel(signs: np.ndarray, ell, conventions) -> np.ndarray:
     """kappa_from_angle of |signs| at ell per convention, stacked and signed as signs (+0.0 for a -0.0 angle)."""
     angles = np.abs(signs)
@@ -276,26 +295,29 @@ def curvature_torsion(
 
 
 def _residuals(ff: FrameField, data: IntrinsicData, scaled: np.ndarray) -> list[float]:
-    """frenet_residual of data's angles for each (ell kappa; ell tau) in the stack scaled, NaN if an equation is."""
+    """frenet_residual of data's angles for each row of scaled, the one value per transition (see _one_value)
+    of ell kappa and ell tau under a convention, NaN if an equation is."""
     if ff.Tv is None:
         ff = vertex_frames(ff)
     if len(data.theta) != ff.n_transitions:
         raise InputError(f"angle arrays have length {len(data.theta)}, expected {ff.n_transitions}")
     edge = np.array([ff.Te, ff.Ne, ff.Be])
     DTe, DNe, DBe = ff.succ(edge) - ff.pred_slice(edge)
-    lk, lt = scaled[:, 0], scaled[:, 1]
-    # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the nonzero angle of each
-    # transition, 1 where that chord is 0 (its limit, also where a subnormal angle's chord
-    # underflows); 2 sin(|angle|/2) is the inscribed kernel at ell = 1
-    turning = data.theta != 0.0
-    angle = np.abs(np.where(turning, data.theta, data.phi))
-    chord = kappa_from_angle(angle, 1.0, Convention.INSCRIBED)
-    nu = np.divide(np.abs(np.where(turning, lk, lt)), chord, out=np.ones(lk.shape), where=chord != 0.0)
-    nu, lk, lt = nu[..., None], lk[..., None], lt[..., None]
-    r1 = _norms(nu * DTe - lk * ff.Nv)
-    r2 = _norms(nu * DNe + lk * ff.Tv - lt * ff.Bv)
-    r3 = _norms(nu * DBe + lt * ff.Nv)
-    return np.max([r.max(axis=-1, initial=0.0) for r in (r1, r2, r3)], axis=0).tolist()
+    angle = _one_value(data.theta, data.phi, data.turn_parity)
+    # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the one angle of each transition,
+    # 1 where that chord is 0 (its limit, also where a subnormal angle's chord underflows);
+    # 2 sin(|angle|/2) is the inscribed kernel at ell = 1
+    chord = kappa_from_angle(np.abs(angle), 1.0, Convention.INSCRIBED)
+    nu = np.divide(np.abs(scaled), chord, out=np.ones(scaled.shape), where=chord != 0.0)[..., None]
+    # ell tau is 0 at a turn and ell kappa at a twist, so with s = scaled each transition has one
+    # equation of (1) and (3) that reads s, nu DTe - s Nv at a turn and nu DBe + s Nv at a twist, and
+    # one that does not; and (2) is nu DNe + s Tv at a turn and nu DNe - s Bv at a twist
+    turn, s = np.zeros((len(angle), 1), dtype=bool), scaled[..., None]
+    turn[data.turn_parity :: 2] = True
+    r_reads = _norms(nu * np.where(turn, DTe, DBe) + np.where(turn, -s, s) * ff.Nv)
+    r_other = _norms(nu * np.where(turn, DBe, DTe))
+    r2 = _norms(nu * DNe + s * np.where(turn, ff.Tv, -ff.Bv))
+    return np.max([r.max(axis=-1, initial=0.0) for r in (r_reads, r_other, r2)], axis=0).tolist()
 
 
 def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
@@ -309,15 +331,16 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
     chord form (nu = 1 for the inscribed convention).  For frames built by
     edge_frames/vertex_frames the result is at machine-precision level.
     """
-    return _residuals(ff, data, data.ell * np.stack([data.kappa, data.tau])[None])[0]
+    return _residuals(ff, data, data.ell * _one_value(data.kappa, data.tau, data.turn_parity)[None])[0]
 
 
 def convention_table(ff: FrameField, data: IntrinsicData, conventions) -> tuple[list[float], np.ndarray]:
     """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, 2, n), curvature_torsion's
-    (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it; one kernel call serves both lengths."""
-    ells = np.array([data.ell, 2.0 * data.ell])[:, None, None]
-    table = _signed_kernel(np.stack([data.theta, data.phi]), ells, conventions)  # (convention, length, 2, n)
-    return _residuals(ff, data, data.ell * table[:, 0]), table[:, 1]
+    (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it.  One kernel call on the one angle
+    of each transition serves both lengths; kappa and tau are +0.0 off their halves."""
+    angle, ells = _one_value(data.theta, data.phi, data.turn_parity), np.array([data.ell, 2.0 * data.ell])[:, None]
+    kernel = _signed_kernel(angle, ells, conventions)  # (convention, length, n)
+    return _residuals(ff, data, data.ell * kernel[:, 0]), _halves(kernel[:, 1], data.turn_parity)
 
 
 def analyze(rc: RefinedCurve, convention: Convention | None = Convention.INSCRIBED):
@@ -338,8 +361,7 @@ def polyline_turning_angles(dc: DiscreteCurve) -> np.ndarray:
     Signed for planar curves (positive = left turn), unsigned in 3D.
     One value per interior vertex (open) or per vertex (closed).
     """
-    e = diff(_embed3(dc.points), dc.closed)
-    t = e / np.linalg.norm(e, axis=1)[:, None]
+    t = diff(_embed3(dc.points), dc.closed) / dc.edge_lengths()[:, None]  # lengths measured without underflow
     t_next = np.roll(t, -1, axis=0) if dc.closed else t[1:]
     t_here = t if dc.closed else t[:-1]
     if dc.dim == 2:

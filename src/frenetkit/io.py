@@ -12,9 +12,10 @@ import csv
 import io as _io
 import json
 import math
-from itertools import chain
+from itertools import chain, cycle, islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +36,22 @@ def spell_floats(values) -> list[str]:
     nonzero = values.view(np.int64).astype(bool)  # a +0.0 has all bits zero and is spelled "0.0"
     out = np.empty(len(values), dtype=object)
     out.fill("0.0")
-    out[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
+    out[nonzero] = list(map(repr, values[nonzero].tolist()))  # repr calls float.__repr__ without its slot wrapper
     out = out.tolist()
     if not np.isfinite(values).all():
         out = [_NONFINITE.get(text, text) for text in out]
     return out
 
 
-class Rows(dict):
-    """A table {key: column of spelled values}, which json_pieces writes as a
-    list of one {key: value} object per row."""
+class Rows(NamedTuple):
+    """A table that json_pieces writes as a list of one {key: value} object per row, in the
+    order of keys.  Row r takes its cells from shapes[r % len(shapes)], one per key: None for
+    the value of the next column (columns are lists of spelled values, one per row), or JSON
+    text written as it stands, such as "0.0".  Every shape has one None cell per column."""
+
+    keys: tuple
+    shapes: list
+    columns: list
 
 
 class Runs(list):
@@ -54,26 +61,42 @@ class Runs(list):
     lays them out."""
 
 
-def _glue(lead, texts, sep, n):
-    """lead, then n rows texts[0] v texts[1] ... v texts[-1] joined by sep, as a list of text
-    whose odd entries are the slots of the values v, row by row: column c of k fills [1 + 2c :: 2k]."""
-    if len(texts) == 1:
-        return [lead + sep.join(texts * n)]
-    unit = [None] * (2 * len(texts) - 2)
-    unit[::2] = [texts[-1] + sep + texts[0], *texts[1:-1]]
-    out = unit * n
-    out[0] = lead + texts[0]
-    out.append(texts[-1])
+def _merge(texts, cells):
+    """texts around one slot per cell, with each str cell written in its slot's place; a None cell keeps its slot."""
+    out = texts[:1]
+    for cell, text in zip(cells, texts[1:]):
+        if cell is None:
+            out.append(text)
+        else:
+            out[-1] += cell + text
     return out
 
 
-def _pieces(texts, sep, n, columns, step=None):
+def _glue(lead, shapes, sep, n):
+    """lead, then n rows joined by sep, row r laid out as shapes[r % len(shapes)], the texts
+    t[0] v t[1] ... v t[-1] around its k values v (k the same in every shape); as a list of text
+    whose odd entries are the slots of the values, row by row: column c fills [1 + 2c :: 2k]."""
+    if len(shapes[0]) == 1:
+        return [lead + sep.join(texts[0] for texts in islice(cycle(shapes), n))]
+    unit = []  # a row of each shape, opened by the text that ends the row before it
+    for texts, before in zip(shapes, shapes[-1:] + shapes[:-1]):
+        row = [None] * (2 * len(texts) - 2)
+        row[::2] = [before[-1] + sep + texts[0], *texts[1:-1]]
+        unit += row
+    out = unit * (n // len(shapes))
+    out += unit[: len(unit) // len(shapes) * (n % len(shapes))]
+    out[0] = lead + shapes[0][0]
+    out.append(shapes[(n - 1) % len(shapes)][-1])
+    return out
+
+
+def _pieces(shapes, sep, n, columns, step=None):
     """The n rows of _glue filled, step (by default PIECE_ROWS) rows a piece; columns
     are spelled lists, or a float array whose rows are spelled a piece at a time."""
     step = step or PIECE_ROWS
     for i in range(0, n, step):
         j = min(n, i + step)
-        out = _glue(sep if i else "", texts, sep, j - i)
+        out = _glue(sep if i else "", shapes[i % len(shapes) :] + shapes[: i % len(shapes)], sep, j - i)
         cols = [spell_floats(columns[i:j])] if isinstance(columns, np.ndarray) else [col[i:j] for col in columns]
         for c, col in enumerate(cols):
             out[1 + 2 * c :: 2 * len(cols)] = col
@@ -101,23 +124,24 @@ def _walk(obj, ind, glue, values):
         glue += [None, ""]
     elif isinstance(obj, (np.ndarray, Rows, Runs)):
         if isinstance(obj, Rows):
-            runs = [(dict.fromkeys(obj, 0.0), list(obj.values()), len(next(iter(obj.values()), ())), PIECE_ROWS)]
+            texts = _row_texts(dict.fromkeys(obj.keys, 0.0), inner)
+            runs = [([_merge(texts, cells) for cells in obj.shapes], obj.columns, len(obj.columns[0]), PIECE_ROWS)]
         elif isinstance(obj, Runs):  # a piece of a run holds about PIECE_ROWS floats
-            runs = [(row, table, len(table), max(1, PIECE_ROWS // table.shape[1])) for row, table in obj]
+            runs = [([_row_texts(row, inner)], table, len(table), max(1, PIECE_ROWS // table.shape[1]))
+                    for row, table in obj]
         else:
-            runs = [(0.0 if obj.ndim == 1 else [0.0] * obj.shape[1], obj, len(obj), PIECE_ROWS)]
+            runs = [([_row_texts(0.0 if obj.ndim == 1 else [0.0] * obj.shape[1], inner)], obj, len(obj), PIECE_ROWS)]
         glue[-1] += "["
-        for k, (row, columns, n, step) in enumerate(runs):
-            texts = _row_texts(row, inner)
+        for k, (shapes, columns, n, step) in enumerate(runs):
             glue[-1] += "," if k else ""
             if n > step:
                 yield
-                yield from _pieces(texts, ",", n, columns, step)
+                yield from _pieces(shapes, ",", n, columns, step)
             elif isinstance(columns, list):  # spelled columns
-                glue[-1] += "".join(_pieces(texts, ",", n, columns))
+                glue[-1] += "".join(_pieces(shapes, ",", n, columns))
             elif n:
                 values += columns.ravel().tolist()
-                glue[-1:] = _glue(glue[-1], texts, ",", n)
+                glue[-1:] = _glue(glue[-1], shapes, ",", n)
         glue[-1] += ind + "]" if sum(run[2] for run in runs) else "]"
     elif isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(obj.items()):
@@ -152,9 +176,13 @@ def json_pieces(obj):
         yield piece
 
 
-def csv_pieces(columns, end: str = "\n"):
-    """The CSV lines of spelled columns, each ended by end, PIECE_ROWS lines a piece."""
-    return _pieces(["", *[","] * (len(columns) - 1), end], "", len(columns[0]), columns)
+def csv_pieces(columns, end: str = "\n", shapes=None):
+    """The CSV lines of spelled columns, each ended by end, PIECE_ROWS lines a piece.  Line r
+    takes its cells from shapes[r % len(shapes)]: None for the value of the next column, or a
+    str written as it stands; by default every cell is a column's value."""
+    shapes = shapes or [(None,) * len(columns)]
+    texts = ["", *[","] * (len(shapes[0]) - 1), end]
+    return _pieces([_merge(texts, cells) for cells in shapes], "", len(columns[0]), columns)
 
 
 def curve_record(curve: DiscreteCurve) -> dict:

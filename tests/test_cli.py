@@ -1179,13 +1179,36 @@ def test_centered_spline_is_scale_free(runner, tmp_path, turns):
 
 
 def test_render_with_circles(runner, tmp_path):
-    curve = _write(tmp_path, "hex.json", _hexagon_json())
-    out = tmp_path / "hex.svg"
-    result = runner.invoke(main, ["render", curve, "--with-circles", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    doc = out.read_text()
-    for r in (1.0, math.sqrt(3.0) / 2.0, 3.0 / math.pi):
-        assert f'r="{r:.10g}"' in doc
+    # a clockwise regular polygon draws the circles of its counterclockwise twin
+    hexagon = _write(tmp_path, "hex.json", _hexagon_json())
+    clockwise = _write(tmp_path, "cw.json", curve_to_json(DiscreteCurve(load_curve(hexagon).points[::-1], closed=True)))
+    for curve in (hexagon, clockwise):
+        out = tmp_path / "hex.svg"
+        result = runner.invoke(main, ["render", curve, "--with-circles", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = out.read_text()
+        for r in (1.0, math.sqrt(3.0) / 2.0, 3.0 / math.pi):
+            assert f'r="{r:.10g}"' in doc
+
+
+_IRREGULAR_POLYGONS = {
+    "rectangle": ([[0, 0], [4, 0], [4, 1], [0, 1]], "its edge lengths spread by 3.000e+00, over 1.0e-09 of their "
+                  "mean 2.5"),
+    "rhombus": ([[0, 0], [1, 0], [1.5, math.sqrt(0.75)], [0.5, math.sqrt(0.75)]], "its turns spread over "
+                "[1.0472, 2.0944] rad, not within 1.0e-09 of 2*pi/4 = 1.5708"),
+    "pentagram": ([[math.cos(a), math.sin(a)] for a in np.arange(5) * 4.0 * math.pi / 5.0], "its turns spread "
+                  "over [2.51327, 2.51327] rad, not within 1.0e-09 of 2*pi/5 = 1.25664"),
+}
+
+
+@pytest.mark.parametrize("name", list(_IRREGULAR_POLYGONS))
+def test_render_with_circles_needs_a_regular_polygon(runner, tmp_path, name):
+    """A closed polygon with unequal edges, or with equal edges but turns other than 2 pi / N, exits 2 and
+    names the spread, where it drew the circles of a regular N-gon before."""
+    points, spread = _IRREGULAR_POLYGONS[name]
+    curve = _write(tmp_path, f"{name}.json", json.dumps({"dim": 2, "closed": True, "points": points}))
+    result = runner.invoke(main, ["render", curve, "--with-circles", "--out", str(tmp_path / "out.svg")])
+    assert (result.exit_code, result.stderr) == (2, f"error: --with-circles needs a closed regular polygon; {spread}\n")
 
 
 def test_circumscribed_svg_samples_all_clothoids_at_once(runner, tmp_path, monkeypatch):
@@ -1254,6 +1277,33 @@ def _old_analyze_csv(report):
     return "\n".join(lines) + "\n"
 
 
+# integer steps of length 5, a quarter turn apart every 3 steps: a curve of them has uniform edges, and goes
+# exactly straight on (theta = 0.0) where a step repeats
+_LATTICE_STEPS = np.array([(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3), (-3, -4), (0, -5),
+                           (3, -4), (4, -3)], dtype=float)
+
+
+def _lattice_curve(rng, n_vertices, planar, closed):
+    """A curve of _LATTICE_STEPS: a closed rectangle of 2 (a + b) >= 4 vertices, a + b about n_vertices / 2,
+    or an open path that turns by at most pi/2 at each vertex, at least once, and goes straight on at a
+    third (2D) or half (3D) of them; in 3D, in the plane z = 0 and turning one way (a binormal that flips
+    has no vertex frame)."""
+    first = int(rng.integers(12))
+    if closed:
+        a = max(1, n_vertices // 4)
+        sides = np.repeat(first + 3 * np.arange(4), [a, max(1, n_vertices // 2 - a)] * 2)
+        points = np.vstack([np.zeros(2), np.cumsum(_LATTICE_STEPS[sides[:-1] % 12], axis=0)])
+    else:
+        sign = 1 if planar else rng.choice([-1, 1])
+        choices = [0, 0, 0, sign, 2 * sign, 3 * sign] + ([-1, -2, -3] if planar else [])
+        offsets = rng.choice(choices, size=n_vertices - 2)
+        if len(offsets):
+            offsets[rng.integers(len(offsets))] = 3 * sign
+        steps = _LATTICE_STEPS[(first + np.cumsum([0, *offsets])) % 12]
+        points = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    return DiscreteCurve(points if planar else np.pad(points, ((0, 0), (0, 1))), closed=closed)
+
+
 def _random_curve(rng, n_vertices, planar, closed):
     if closed:
         dc = ngon_of_circle(
@@ -1273,19 +1323,23 @@ def _random_curve(rng, n_vertices, planar, closed):
     n_vertices=st.integers(2, 40),
     planar=st.booleans(),
     closed=st.booleans(),
+    lattice=st.booleans(),
     convention=st.sampled_from([None, *CONVENTIONS]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_analyze_output_matches_row_dict_report(
-    tmp_path_factory, seed, n_vertices, planar, closed, convention
+    tmp_path_factory, seed, n_vertices, planar, closed, lattice, convention
 ):
-    """analyze writes exactly json.dumps(report, indent=2) of the row-dict report (and its CSV)."""
+    """analyze writes exactly json.dumps(report, indent=2) of the row-dict report (and its CSV): open and
+    closed curves, whose turns sit at indices of either parity, in 2D and 3D, and lattice curves with
+    exactly straight turns."""
     # a closed polygon turns by at most pi/2 from 4 vertices on; a two-point
     # curve has a binormal only in the plane
     assume(n_vertices >= (4 if closed else 2 if planar else 3))
     rng = np.random.default_rng(seed)
     work = tmp_path_factory.mktemp("analyze")
-    path = _write(work, "curve.json", curve_to_json(_random_curve(rng, n_vertices, planar, closed)))
+    curve = (_lattice_curve if lattice else _random_curve)(rng, n_vertices, planar, closed)
+    path = _write(work, "curve.json", curve_to_json(curve))
     wanted = [Convention(convention)] if convention else list(Convention)
     report = _old_analyze_report(path, wanted)
     expect = {"json": json.dumps(report, indent=2) + "\n", "csv": _old_analyze_csv(report)}

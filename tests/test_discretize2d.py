@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frenetkit import discretize2d
 from frenetkit import (
     Convention,
     analyze,
@@ -337,3 +338,26 @@ def test_clothoid_quadrature_work_is_bounded():
         with pytest.raises(InputError, match="^clothoid length .* must be at most 1e3"):
             clothoid_arc(**kwargs)
     assert clothoid_arc(kappa0=0.0, sharpness=0.0, length=1e3).length == 1e3
+
+
+
+@pytest.mark.parametrize("method", ["inscribed", "circumscribed", "centered"])
+def test_one_arc_length_inversion_per_sample_array(monkeypatch, method):
+    """A discretization of a curve on another parameter inverts the arc length of its samples once, although
+    it may read curvature, tangent and point there in turn: one inversion is 4 Newton steps of one s_of_t call
+    each, and the inflection search of the circumscribed method makes one more call."""
+    calls = []
+    s_of_t = discretize2d._ArcLengthParam.s_of_t
+    monkeypatch.setattr(discretize2d._ArcLengthParam, "s_of_t", lambda self, t: calls.append(1) or s_of_t(self, t))
+    c = ellipse(2.0, 1.0)
+    if method == "centered":
+        discretize_centered(c, 8.0)
+    else:
+        disc = discretize_inscribed if method == "inscribed" else discretize_circumscribed
+        disc(c, uniform_samples(c, 65))
+    assert len(calls) == 4 + (method == "circumscribed")
+    # a sample array changed in place after a call is inverted anew
+    s = uniform_samples(c, 65)
+    c.point(s)
+    s[3] += 0.25
+    assert c.point(s).tobytes() == ellipse(2.0, 1.0).point(s).tobytes()

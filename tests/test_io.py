@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from itertools import cycle
 from unittest import mock
 
 import numpy as np
@@ -274,8 +275,11 @@ def _plain(obj):
     """obj with every array and Rows table turned into the lists and dicts it holds."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Rows):
-        return [dict(zip(obj, map(json.loads, row))) for row in zip(*obj.values())]
+    if isinstance(obj, Rows):  # row r's shape, its None cells taken in order from the row's values
+        return [
+            {key: json.loads(next(values) if cell is None else cell) for key, cell in zip(obj.keys, shape)}
+            for shape, values in zip(cycle(obj.shapes), map(iter, zip(*obj.columns)))
+        ]
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -290,12 +294,22 @@ _ARRAY = hnp.arrays(
 )
 
 
+def _table(**columns):
+    """A Rows table of one shape, a value at every key."""
+    return Rows(tuple(columns), [(None,) * len(columns)], list(columns.values()))
+
+
 @st.composite
 def _rows(draw):
+    """A Rows table of one to three shapes, each with a value at k of its keys and a spelled float
+    at the others, as analyze lays out its turns and twists."""
     keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(0, 5))
-    columns = [spell_floats(draw(st.lists(_FLOAT, min_size=n, max_size=n))) for _ in keys]
-    return Rows(zip(keys, columns))
+    k, n = draw(st.integers(1, len(keys))), draw(st.integers(0, 5))
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = set(draw(st.permutations(keys))[:k])
+        shapes.append(tuple(None if key in slots else spell_floats([draw(_FLOAT)])[0] for key in keys))
+    return Rows(tuple(keys), shapes, [spell_floats(draw(st.lists(_FLOAT, min_size=n, max_size=n))) for _ in range(k)])
 
 
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _FLOAT, st.text(max_size=6), _ARRAY, _rows())
@@ -335,7 +349,7 @@ def test_spell_floats_is_repr_with_json_nonfinite_names(values):
 def test_no_piece_holds_more_than_piece_rows():
     n = 2 * PIECE_ROWS + 5
     values = np.linspace(-1.0, 1.0, n)
-    table = Rows(a=spell_floats(values), b=spell_floats(-values))
+    table = _table(a=spell_floats(values), b=spell_floats(-values))
     doc = {"points": np.column_stack([values, values]), "first": table, "second": table, "line": values}
     pieces = list(json_pieces(doc))
     assert "".join(pieces) == json.dumps(_plain(doc), indent=2)
@@ -351,7 +365,7 @@ def test_tables_around_the_piece_size(n, shape):
     rows = np.linspace(-1.0, 1.0, n)
     array = {"n": rows, "n, 3": np.column_stack([rows, -rows, 2.0 * rows]), "n, 0": np.empty((n, 0))}[shape]
     column = spell_floats(rows)
-    doc = {"array": array, "rows": Rows(a=column, b=column[::-1]), "after": 0.5}
+    doc = {"array": array, "rows": _table(a=column, b=column[::-1]), "after": 0.5}
     pieces = list(json_pieces(doc))
     assert "".join(pieces) == json.dumps(_plain(doc), indent=2)
     if n > PIECE_ROWS:  # both tables stream: the text before each, its two pieces, and the text after
@@ -364,7 +378,7 @@ def test_tables_around_the_piece_size(n, shape):
 
 def test_rows_keys_with_percent_signs():
     keys = ["%", "%s", "%%", "%(a)s"]
-    table = Rows({key: spell_floats([0.5 * k, -1.0, math.nan]) for k, key in enumerate(keys)})
+    table = _table(**{key: spell_floats([0.5 * k, -1.0, math.nan]) for k, key in enumerate(keys)})
     doc = {key: table for key in keys}
     assert "".join(json_pieces(doc)) == json.dumps(_plain(doc), indent=2)
 
@@ -377,12 +391,22 @@ def test_rows_keys_with_percent_signs():
     ),
     st.integers(1, 4),
     st.sampled_from(["\n", "\r\n"]),
+    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_csv_pieces_are_the_lines_joined_by_commas(columns, piece_rows, end):
+def test_csv_pieces_are_the_lines_joined_by_commas(columns, piece_rows, end, data):
+    """Also with lines that take turns among one to three shapes, each with as many fixed cells among the values."""
+    shapes = [(None,) * len(columns)]
+    if data.draw(st.booleans()):
+        fixed = data.draw(st.integers(0, 2))
+        cells = st.lists(st.text(max_size=3), min_size=fixed, max_size=fixed)
+        shapes = [data.draw(st.permutations([None] * len(columns) + data.draw(cells)))
+                  for _ in range(data.draw(st.integers(1, 3)))]
     with mock.patch.object(fio, "PIECE_ROWS", piece_rows):
-        pieces = list(csv_pieces(columns, end))
-    assert "".join(pieces) == "".join(",".join(row) + end for row in zip(*columns))
+        pieces = list(csv_pieces(columns, end, shapes=shapes))
+    lines = [[next(values) if cell is None else cell for cell in shape]
+             for shape, values in zip(cycle(shapes), map(iter, zip(*columns)))]
+    assert "".join(pieces) == "".join(",".join(line) + end for line in lines)
     assert len(pieces) == -(-len(columns[0]) // piece_rows)
 
 
