@@ -13,6 +13,10 @@ Runs in process, through ``frenetkit.cli.main``, at each size N:
   under the growth check;
 * ``render FILE --spline FILE.M.json --out FILE.M.render.svg`` on each spline
   file, so that the spline reader is too;
+* the same two ops, named ``spline ngon M`` and ``render ngon M``, on the
+  closed regular N-gon of unit edges, so that closed spline paths (every
+  inscribed and circumscribed segment an arc, the first one included) are
+  under the render-bytes and growth checks;
 * ``discretize ellipse --method centered --density N``;
 * ``analyze FILE --out FILE.analyze.json`` and ``roundtrip FILE`` on the open
   3D curve of N vertices that ``perfbench/workloads.py`` builds for
@@ -47,7 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from output_digests import run_op  # noqa: E402
 from workloads import G1_TOL, LENGTH_TOL, _open_curve  # noqa: E402
 
-from frenetkit import curve_to_json  # noqa: E402
+from frenetkit import Convention, curve_to_json, ngon_of_circle  # noqa: E402
 from frenetkit.figures import _unit_step_polyline  # noqa: E402
 
 MAX_RATIO = 15.0  # time ratio per decade of size; linear growth is 10
@@ -91,13 +95,15 @@ def timed(argv, check):
 
 
 def ops(work, n):
-    """(name, argv, check) of each op at size n, in the order they run; the polyline and curve files are in work."""
-    poly = f"{work}/poly{n}"
-    for method in ("inscribed", "circumscribed", "centered"):
-        spline, svg, rendered = (f"{poly}.{method}{ext}" for ext in (".json", ".svg", ".render.svg"))
-        yield f"spline {method}", ["spline", f"{poly}.json", "--method", method, "--out", spline, "--svg", svg], check
-        yield f"render {method}", ["render", f"{poly}.json", "--spline", spline, "--out", rendered], same_bytes(
-            rendered, svg)
+    """(name, argv, check) of each op at size n, in the order they run; the polyline, polygon and curve files
+    are in work."""
+    for shape, poly in (("", f"{work}/poly{n}"), ("ngon ", f"{work}/ngon{n}")):
+        for method in ("inscribed", "circumscribed", "centered"):
+            spline, svg, rendered = (f"{poly}.{method}{ext}" for ext in (".json", ".svg", ".render.svg"))
+            argv = ["spline", f"{poly}.json", "--method", method, "--out", spline, "--svg", svg]
+            yield f"spline {shape}{method}", argv, check
+            argv = ["render", f"{poly}.json", "--spline", spline, "--out", rendered]
+            yield f"render {shape}{method}", argv, same_bytes(rendered, svg)
     yield "discretize ellipse centered", ["discretize", "ellipse", "--method", "centered", "--density", str(n)], check
     curve = f"{work}/curve{n}"
     yield "analyze --out", ["analyze", f"{curve}.json", "--out", f"{curve}.analyze.json"], residual_ok(
@@ -116,6 +122,8 @@ def main(argv=None):
         for n in sizes:
             turns = 0.25 * np.sin(0.05 * np.arange(n - 2))
             Path(work, f"poly{n}.json").write_text(curve_to_json(_unit_step_polyline(turns)))
+            ngon = ngon_of_circle(n / (2.0 * math.pi), n, Convention.CENTERED)  # edges of length 1
+            Path(work, f"ngon{n}.json").write_text(curve_to_json(ngon))
             Path(work, f"curve{n}.json").write_text(curve_to_json(_open_curve(np.random.default_rng(n), n, False)[0]))
             for name, op, op_check in ops(work, n):
                 times.setdefault(name, []).append((n, *timed(op, op_check)))

@@ -21,7 +21,7 @@ from . import discretize2d, io, spline2d, svg
 from .config import CLI_RESIDUAL, CONGRUENCE_RMS, UNIFORM_LENGTH_REL
 from .curve_core import DiscreteCurve, refine
 from .errors import FrenetError, InputError, ParseError
-from .frames import _embed3, analyze, convention_table, polyline_turning_angles
+from .frames import _embed3, _one_value, analyze, convention_table, polyline_turning_angles
 from .ngon_circle import Convention, circle_of_ngon, NGonSpec
 from .reconstruct import InitialPose, congruent, reconstruct
 
@@ -153,12 +153,10 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     wanted = [Convention(convention)] if convention else list(Convention)
     ff, data = analyze(rc, None)
     residuals, at_edge = convention_table(ff, data, wanted)
-    n, turns, twists = len(data.theta), slice(data.turn_parity, None, 2), slice(1 - data.turn_parity, None, 2)
+    n = len(data.theta)
     # the one value each transition may have nonzero, spelled by repr (the table is finite): theta at a turn
     # (the indices of the turn parity) and phi at a twist, then each convention's kappa or tau
-    one = np.empty((1 + len(wanted), n))
-    one[0, turns], one[1:, turns] = data.theta[turns], at_edge[:, 0, turns]
-    one[0, twists], one[1:, twists] = data.phi[twists], at_edge[:, 1, twists]
+    one = np.vstack([_one_value(data.theta, data.phi, data.turn_parity), at_edge])
     angle, *kernels = ([*map(repr, row)] for row in one.tolist())
     cells = [_TURN_CELLS, _TWIST_CELLS] if data.turn_parity == 0 else [_TWIST_CELLS, _TURN_CELLS]  # row 0's first
     worst = float(np.max(residuals))  # NaN if any residual is NaN, which then fails

@@ -56,6 +56,9 @@ class DiscreteCurve:
                 lengths[odd] = scale * np.linalg.norm(edges[odd] / scale[:, None], axis=1)
         if np.min(lengths) <= 0.0:
             raise InputError("consecutive points must be distinct")
+        if not np.max(lengths) < np.inf:
+            i = int(np.argmax(lengths))
+            raise InputError(f"the length of edge {i} from {pts[i].tolist()} to {pts[(i + 1) % n].tolist()} overflows")
         lengths.flags.writeable = False
         object.__setattr__(self, "_edge_lengths", lengths)
 

@@ -231,7 +231,8 @@ class IntrinsicData:
         table = np.array((theta, phi))
         if self.convention:
             kernel = _signed_kernel(_one_value(theta, phi, self.turn_parity), self.ell, [self.convention])[0]
-            table = np.concatenate([table, _halves(kernel, self.turn_parity)])
+            turn = np.arange(len(kernel)) % 2 == self.turn_parity  # kappa and tau are +0.0 off their halves
+            table = np.concatenate([table, [np.where(turn, kernel, 0.0), np.where(turn, 0.0, kernel)]])
         table.flags.writeable = False
         for name, value in zip(("theta", "phi", "kappa", "tau"), (*table, None, None)):  # None for a bare record
             object.__setattr__(self, name, value)
@@ -265,15 +266,6 @@ def _one_value(turn_side: np.ndarray, twist_side: np.ndarray, turn_parity: int) 
     one = np.array(twist_side, dtype=float)
     one[turn_parity::2] = turn_side[turn_parity::2]
     return one
-
-
-def _halves(one: np.ndarray, turn_parity: int) -> np.ndarray:
-    """The inverse of _one_value: one, indexed by transition along its last axis, as (turn side;
-    twist side) stacked along a new next-to-last axis, each +0.0 off its half."""
-    out = np.zeros((*one.shape[:-1], 2, one.shape[-1]))
-    out[..., 0, turn_parity::2] = one[..., turn_parity::2]
-    out[..., 1, 1 - turn_parity :: 2] = one[..., 1 - turn_parity :: 2]
-    return out
 
 
 def _signed_kernel(signs: np.ndarray, ell, conventions) -> np.ndarray:
@@ -335,12 +327,13 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
 
 
 def convention_table(ff: FrameField, data: IntrinsicData, conventions) -> tuple[list[float], np.ndarray]:
-    """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, 2, n), curvature_torsion's
-    (kappa; tau) at the edge 2 * data.ell, from data as analyze validated it.  One kernel call on the one angle
-    of each transition serves both lengths; kappa and tau are +0.0 off their halves."""
+    """Per convention, frenet_residual at data.ell and, stacked to shape (conventions, n), curvature_torsion's
+    curvature at the edge 2 * data.ell as one value per transition (kappa at a turn, tau at a twist; see
+    _one_value), from data as analyze validated it.  One kernel call on the one angle of each transition
+    serves both lengths."""
     angle, ells = _one_value(data.theta, data.phi, data.turn_parity), np.array([data.ell, 2.0 * data.ell])[:, None]
     kernel = _signed_kernel(angle, ells, conventions)  # (convention, length, n)
-    return _residuals(ff, data, data.ell * kernel[:, 0]), _halves(kernel[:, 1], data.turn_parity)
+    return _residuals(ff, data, data.ell * kernel[:, 0]), kernel[:, 1]
 
 
 def analyze(rc: RefinedCurve, convention: Convention | None = Convention.INSCRIBED):

@@ -107,7 +107,7 @@ def clothoid_xy(kappa0: float, a: float, theta0: float, s):
     s = np.asarray(s, dtype=float)
     order = np.argsort(s, axis=None, kind="stable")
     xy = np.empty(s.shape + (2,))
-    xy.reshape(-1, 2)[order] = _clothoid_runs(theta0, kappa0, a, s.ravel()[order], [0])[0]
+    xy.reshape(-1, 2)[order] = _clothoid_runs(theta0, kappa0, a, s.ravel()[order], [0])
     return xy
 
 
@@ -115,14 +115,14 @@ def _clothoid_runs(theta0, kappa0, a, s, first):
     """Displacements along clothoids at the arc lengths s: one clothoid per run of
     sorted samples, each run starting at an index in first; theta0, kappa0 and a
     are floats or given per sample.  The phase integral is taken over each nonzero
-    gap between samples, all in one _phase_integrals call, and summed in order."""
+    gap between samples, all in one _phase_integrals call, and summed in order per run."""
     t = np.concatenate([[0.0], s[:-1]])  # each row integrates from t over the gap h
     t[first] = 0.0
     h = s - t
     c, gap = (theta0 + t * (kappa0 + 0.5 * a * t), (kappa0 + a * t) * h, 0.5 * a * h * h), h != 0.0
     steps = np.zeros((len(s), 2))
     steps[gap] = h[gap, None] * _phase_integrals(*(v[gap] for v in c))[:, :2]
-    return [np.cumsum(run, axis=0) for run in np.split(steps, first[1:])]
+    return np.concatenate([np.cumsum(run, axis=0) for run in np.split(steps, first[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +339,26 @@ def _grid(lengths, counts):
 
 
 def polyline_sampler(spline):
-    """A function of a chord tolerance tol that returns every segment's polyline in
-    the spline, from its start to its end point.  Arc and clothoid chords stray at
-    most tol from the curve, and are the chords themselves at an infinite tol, which
-    are sampled once, here, and kept; with arcs false, arcs keep those chords.  Lines
-    and elastica give fixed polylines, no larger than their segments.  All arcs are
-    sampled as one angle array and all clothoids with one _phase_integrals call.
-    InputError if the segments sampled would take over MAX_SAMPLES points between
-    their end points."""
-    fixed, curved = {}, []  # the polylines that do not depend on tol, and the arc and clothoid tables
+    """A function of a chord tolerance tol that returns the spline's polylines as (points,
+    starts): segment i's, from its start to its end point, is points[starts[i] : starts[i + 1]].
+    Arc and clothoid chords stray at most tol from the curve, and are the chords themselves at
+    an infinite tol, which are sampled once, here, and kept; with arcs false, arcs are their
+    chords.  Lines and elastica give fixed polylines, no larger than their segments.  All arcs
+    are sampled as one angle array and all clothoids with one _phase_integrals call.  InputError
+    if the segments sampled would take over MAX_SAMPLES points between their end points."""
+    # (the segment of each point, points) of the lines and elastica, after an empty one; the arc and clothoid tables
+    fixed, curved = [(np.zeros(0, np.intp), np.zeros((0, 2)))], []
     for kind, rows, c in spline.tables:
-        if kind is ElasticaSegment:
-            fixed.update(zip(rows.tolist(), _elastica_nodes(c["start"], c["thetas"], c["length"])))
-        elif kind is LineSegment:
-            ends = c["start"] + c["length"][:, None] * c["direction"]
-            fixed.update(zip(rows.tolist(), np.stack([c["start"], ends], 1)))
+        if kind is ElasticaSegment or kind is LineSegment:
+            nodes = (_elastica_nodes(c["start"], c["thetas"], c["length"]) if kind is ElasticaSegment
+                     else np.stack([c["start"], c["start"] + c["length"][:, None] * c["direction"]], 1))
+            fixed.append((np.repeat(rows, nodes.shape[1]), nodes.reshape(-1, 2)))
         else:
-            curved.append((kind, rows.tolist(), c))
+            curved.append((kind, rows, c))
 
-    def sample(tol: float, tables: list, drawn: dict) -> list:
-        """The polylines of tables at tol, and drawn's of the other segments."""
-        counts = []  # chords per arc or clothoid, and per table
+    def sample(tol: float, tables: list) -> list:
+        """(the segment of each point, points) of each of the arc and clothoid tables at tol."""
+        counts = []  # points per arc or clothoid, and per table
         with np.errstate(over="ignore"):  # a tol that overflows against a curvature needs one chord
             for kind, _, c in tables:
                 if kind is ArcSegment:
@@ -372,23 +371,30 @@ def polyline_sampler(spline):
         # two end points per segment are no more than the segments hold: only the samples between them count
         if not total - 2.0 * sum(map(len, counts)) <= MAX_SAMPLES:
             raise InputError(f"drawing the spline needs {total:.6g} points, over the limit of {MAX_SAMPLES}")
-        out = dict(drawn)
+        out = []
         for (kind, rows, c), n in zip(tables, counts):
             s, first, rep = _grid(c["length"], n)
             if kind is ArcSegment:
                 a = rep(c["start_angle"]) + rep(c["sweep"]) * s / rep(c["length"])
                 pts = rep(c["center"]) + rep(c["radius"])[:, None] * np.stack([np.cos(a), np.sin(a)], -1)
-                out.update(zip(rows, np.split(pts, first[1:])))
             else:
                 runs = _clothoid_runs(rep(c["start_angle"]), rep(c["kappa0"]), rep(c["sharpness"]), s, first)
-                out.update(zip(rows, map(np.add, c["start"], runs)))
-        return [out[i] for i in range(len(spline))]
+                pts = rep(c["start"]) + runs
+            out.append((rep(rows), pts))
+        return out
 
-    chords = sample(math.inf, curved, fixed)
-    clothoids = [table for table in curved if table[0] is not ArcSegment]
-    fixed_and_arcs = {**fixed, **{i: chords[i] for kind, rows, _ in curved if kind is ArcSegment for i in rows}}
-    return lambda tol, arcs=True: (chords if tol == math.inf else sample(tol, curved, fixed) if arcs
-                                   else sample(tol, clothoids, fixed_and_arcs))
+    def join(tables: list) -> tuple:
+        """(points, starts) of the spline from (the segment of each point, points) of every table."""
+        owner, points = (np.concatenate(v) for v in zip(*tables))
+        order = np.argsort(owner, kind="stable")
+        return points.take(order, axis=0), np.searchsorted(owner[order], np.arange(len(spline) + 1))
+
+    whole = join(fixed + sample(math.inf, curved))
+    arc_tables, clothoids = ([table for table in curved if table[0] is kind] for kind in (ArcSegment, ClothoidSegment))
+    # where no table is sampled at tol (lines, elastica, and arcs when arcs is false), the polylines are the chords
+    return lambda tol, arcs=True: (whole if tol == math.inf or not (curved if arcs else clothoids) else
+                                   join(fixed + sample(tol, curved)) if arcs else
+                                   join(fixed + sample(math.inf, arc_tables) + sample(tol, clothoids)))
 
 
 def g1_defects(spline: Spline):
@@ -397,8 +403,9 @@ def g1_defects(spline: Spline):
     joints = len(spline) if spline.closed and len(spline) > 1 else len(spline) - 1
     if joints < 1:
         return 0.0, 0.0
-    start, end = (np.array([pts[k] for pts in spline.sampler(math.inf)]) for k in (0, -1))
-    gaps = end[:joints] - np.roll(start, -1, axis=0)[:joints]
+    points, starts = spline.sampler(math.inf)
+    # a segment's end point against the next one's start point (the first segment's after the last)
+    gaps = points[starts[1 : joints + 1] - 1] - points[starts[1 : joints + 1] % len(points)]
     # the norm squares the gaps: scaled by a power of two (exactly), gaps near the underflow keep their squares
     e = int(np.frexp(np.max(np.abs(gaps)))[1])
     pos = float(np.ldexp(np.max(np.linalg.norm(np.ldexp(gaps, -e), axis=1)), e))
@@ -465,6 +472,7 @@ def spline_inscribed(rc: RefinedCurve) -> Spline:
 
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
 _CELL_NODES = np.linspace(0.0, 1.0, 65)  # each round splits a bracket into 64 equal cells
+_CLOTHOID_NEWTON_STEPS = 200  # Newton steps of _clothoid_roots before the rows it leaves go to _bracket_roots
 
 
 def refine_roots(f, lo, hi, xtol: float, *args) -> np.ndarray:
@@ -510,7 +518,7 @@ def _bracket_roots(phi0, delta, center):
     return roots
 
 
-def _clothoid_roots(phi0, delta, max_iter: int = 200):
+def _clothoid_roots(phi0, delta, max_iter: int = _CLOTHOID_NEWTON_STEPS):
     """Roots A of Y(A) = int_0^1 sin(phi0 + (delta - A) u + A u^2) du = 0, and X(A)
     (the same integral of cos), for arrays phi0, delta; nan where none is found.
     Newton from the linearized solution runs on all rows at once, then _bracket_roots on
@@ -649,6 +657,8 @@ def spline_circumscribed(dc: DiscreteCurve) -> Spline:
 # ---------------------------------------------------------------------------
 # elastica (centered splining); the helpers take thetas (n+1,) or rows (B, n+1)
 
+_KKT_NEWTON_STEPS = 100  # Newton steps per row of _newton_batch
+
 
 def _cell_arrays(thetas: np.ndarray):
     """Per cell: cos and sin of the midpoint angle, the half-spread h, sinc h
@@ -777,7 +787,7 @@ def _kkt_step(thetas, lam, ds, res):
     return np.column_stack([-hr - np.einsum("bij,bj->bi", hg, dlam), dlam]), ok
 
 
-def _newton_batch(starts, ds, targets, max_iter=100):
+def _newton_batch(starts, ds, targets, max_iter: int = _KKT_NEWTON_STEPS):
     """Damped Newton on the KKT system of every row of starts (B, n+1) at once;
     returns the final thetas, each row's max|res| and its multipliers (B, 2).
 

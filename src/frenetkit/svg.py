@@ -27,6 +27,8 @@ _CURVE_COLOR = "#1f4e9c"
 _SPLINE_COLOR = "#c03020"
 _CIRCLE_COLOR = "#3a9c3a"
 _MARKER_COLOR = "#202020"
+# arc commands by 2 * (large arc) + (sweep flag)
+_ARC_COMMANDS = [f" A %.10g %.10g 0 {large} {sweep} %.10g %.10g" for large in (0, 1) for sweep in (0, 1)]
 
 
 def _require_planar(points: np.ndarray) -> np.ndarray:
@@ -53,28 +55,21 @@ def _polyline_path(pts: np.ndarray, close: bool) -> str:
     return _fill(" L ".join(["%.10g %.10g"] * len(pts)).join(["M ", " Z" if close else ""]), _xy(pts))
 
 
-def _spline_path(spline, polylines) -> str:
-    """Path data of a spline: arcs as native arc commands, every other segment as
-    lines through its polyline."""
-    arcs = {}  # (radius, sweep) of the arc at each position
-    for kind, rows, c in spline.tables:
-        if kind is ArcSegment:
-            arcs.update(zip(rows.tolist(), zip(c["radius"].tolist(), c["sweep"].tolist())))
-    xy = _xy(np.concatenate(polylines))
-    cmds, values, start = ["M %.10g %.10g"], [xy[:1]], 0
-    for i, pts in enumerate(polylines):
-        end = start + len(pts)
-        if i in arcs:
-            radius, sweep = arcs[i]
-            # y-flip reverses the sweep sense
-            large, sweep_flag = int(abs(sweep) > math.pi), 0 if sweep > 0 else 1
-            cmds.append(f"A %.10g %.10g 0 {large} {sweep_flag} %.10g %.10g")
-            values += [[[radius, radius]], xy[end - 1 : end]]
-        else:
-            cmds += ["L %.10g %.10g"] * (len(pts) - 1)
-            values.append(xy[start + 1 : end])
-        start = end
-    return _fill(" ".join(cmds), np.concatenate(values))
+def _spline_path(spline, points, starts) -> str:
+    """Path data of a spline from its polylines (points, starts), whose first points repeat the last
+    ones before them: arcs as native arc commands to their end points, the other segments as lines."""
+    radius, sweep = spline.in_order(lambda kind, c: np.column_stack([c["radius"], c["sweep"]])
+                                    if kind is ArcSegment else math.nan, 2).T
+    arcs = np.flatnonzero(~np.isnan(radius))
+    keep = np.ones(len(points), dtype=bool)
+    keep[starts[1:-1]] = False
+    xy = _xy(points.compress(keep, axis=0))
+    ends = starts[arcs + 1] - 1 - arcs  # each arc's end point in xy
+    flags = (2 * (np.abs(sweep[arcs]) > math.pi) + (sweep[arcs] <= 0.0)).tolist()  # y-flip reverses the sweep sense
+    bounds = [0, *ends.tolist(), len(xy)]  # the path's start, its arc ends and its end: line commands run between
+    runs = zip(bounds, bounds[1:], [_ARC_COMMANDS[f] for f in flags] + [""])
+    cmds = "".join(" L %.10g %.10g" * (end - start - 1) + arc for start, end, arc in runs)
+    return _fill("M %.10g %.10g" + cmds, np.insert(xy.ravel(), np.repeat(2 * ends, 2), np.repeat(radius[arcs], 2)))
 
 
 def render_svg(curves=(), splines=(), circles=()) -> str:
@@ -91,10 +86,10 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
     splines = [sp for sp in splines if len(sp)]
     if splines:
         # bounds from a sample within 1e-3, or within 1e-6 of the chords' extent if that is larger
-        chords = np.vstack([pts for sp in splines for pts in sp.sampler(math.inf)])
+        chords = np.vstack([sp.sampler(math.inf)[0] for sp in splines])
         with np.errstate(over="ignore"):  # an extent that overflows samples at the chords
             tol = max(1e-3, 1e-6 * float(np.max(chords.max(axis=0) - chords.min(axis=0))))
-        chunks += [pts for sp in splines for pts in sp.sampler(tol)]
+        chunks += [sp.sampler(tol)[0] for sp in splines]
     for center, radius in circles:
         center = np.asarray(center, dtype=float)
         chunks.append(center + np.array([[radius, 0], [-radius, 0], [0, radius], [0, -radius]]))
@@ -131,6 +126,6 @@ def render_svg(curves=(), splines=(), circles=()) -> str:
         out += [path.format(_polyline_path(pts, closed), _CURVE_COLOR), markers]
     tol = _CHORD_TOL_FRAC * scale
     # arcs are drawn natively from their end points: only the clothoids are sampled at tol
-    out += [path.format(_spline_path(sp, sp.sampler(tol, arcs=False)), _SPLINE_COLOR) for sp in splines]
+    out += [path.format(_spline_path(sp, *sp.sampler(tol, arcs=False)), _SPLINE_COLOR) for sp in splines]
     out.append("</svg>")
     return "\n".join(out)

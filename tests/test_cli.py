@@ -1211,6 +1211,28 @@ def test_render_with_circles_needs_a_regular_polygon(runner, tmp_path, name):
     assert (result.exit_code, result.stderr) == (2, f"error: --with-circles needs a closed regular polygon; {spread}\n")
 
 
+# curve files with an edge whose difference of points overflows, and that edge as the error names it
+_OVERFLOWING_EDGES = {
+    "open": ({"dim": 2, "closed": False, "points": [[-1e308, 0], [1e308, 0]]},
+             "edge 0 from [-1e+308, 0.0] to [1e+308, 0.0]"),
+    "closed": ({"dim": 2, "closed": True, "points": [[-1e308, 0], [0, 1e308], [1e308, 0]]},
+               "edge 2 from [1e+308, 0.0] to [-1e+308, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING_EDGES))
+@pytest.mark.parametrize("args", [["render"], ["render", "--with-circles"], ["analyze"],
+                                  ["spline", "--method", "inscribed"]], ids=" ".join)
+def test_overflowing_edge_is_named(runner, tmp_path, name, args):
+    """A curve whose edge length overflows is an input error that names the edge, not a drawing too
+    large to lay out or edge lengths spread by nan."""
+    points, edge = _OVERFLOWING_EDGES[name]
+    curve = _write(tmp_path, f"{name}.json", json.dumps(points))
+    result = runner.invoke(main, [args[0], curve, *args[1:]])
+    want = f"error: invalid curve: the length of {edge} overflows\n"
+    assert (result.exit_code, result.stderr) == (2, want)
+
+
 def test_circumscribed_svg_samples_all_clothoids_at_once(runner, tmp_path, monkeypatch):
     # 31 vertices: the fit, its end-pose check, and one quadrature per sampling pass of
     # render_svg (the chords that set its bounds tolerance, the bounds and the path)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,21 @@ def test_discrete_curve_validation():
         DiscreteCurve(np.array([[0.0, np.nan], [1.0, 0.0]]))
     with pytest.raises(InputError):
         DiscreteCurve(np.zeros((3, 4)))  # bad dimension
+
+
+@pytest.mark.parametrize(
+    "points, edge",
+    [
+        ([[-0.75e308, -0.75e308], [0.75e308, 0.75e308]], "edge 0 from [-7.5e+307, -7.5e+307] to [7.5e+307, 7.5e+307]"),
+        ([[0, 0, 0], [1, 0, 0], [1, -1e308, 0], [1, 1e308, 0]], "edge 2 from [1.0, -1e+308, 0.0] to [1.0, 1e+308, 0.0]"),
+    ],
+    ids=["difference-finite", "difference-overflows"],
+)
+def test_discrete_curve_names_an_edge_whose_length_overflows(points, edge):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^the length of {re.escape(edge)} overflows$"):
+            DiscreteCurve(np.array(points, dtype=float))
 
 
 def test_edges_and_length_closed():

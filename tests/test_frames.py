@@ -328,12 +328,13 @@ def test_convention_table_is_bit_for_bit_the_one_convention_path(
     rc = curve_from_intrinsic(rng, record, planar=planar)
     ff, data = _closed_analysis(rng, rc, record, planar)[:2] if closed else analyze(rc)
     residuals, at_edge = convention_table(ff, data, conventions)
-    assert at_edge.shape == (len(conventions), 2, len(data.theta))
-    for conv, res, (kappa, tau) in zip(conventions, residuals, at_edge):
+    assert at_edge.shape == (len(conventions), len(data.theta))
+    turns, twists = slice(data.turn_parity, None, 2), slice(1 - data.turn_parity, None, 2)
+    for conv, res, one in zip(conventions, residuals, at_edge):
         at_ell = curvature_torsion(data.theta, data.phi, data.ell, conv, data.turn_parity)
         assert res.hex() == frenet_residual(ff, at_ell).hex()
         edge = curvature_torsion(data.theta, data.phi, 2.0 * data.ell, conv, data.turn_parity)
-        assert _bits(kappa) == _bits(edge.kappa) and _bits(tau) == _bits(edge.tau)
+        assert _bits(one[turns]) == _bits(edge.kappa[turns]) and _bits(one[twists]) == _bits(edge.tau[twists])
 
 
 def test_frenet_residual_rejects_a_record_of_another_length():

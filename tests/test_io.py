@@ -469,6 +469,35 @@ def test_svg_draws_arcs_split_over_tables_as_arcs():
     assert render_svg(splines=[split]) == doc
 
 
+# the paths of the hexagon's closed splines: six arcs each, the first from the path's first point
+_HEXAGON_SPLINE_PATHS = {
+    "inscribed": "M 0.75 0.4330127019"
+    " A 0.8660254038 0.8660254038 0 0 0 0.75 -0.4330127019"
+    " A 0.8660254038 0.8660254038 0 0 0 5.302876194e-17 -0.8660254038"
+    " A 0.8660254038 0.8660254038 0 0 0 -0.75 -0.4330127019"
+    " A 0.8660254038 0.8660254038 0 0 0 -0.75 0.4330127019"
+    " A 0.8660254038 0.8660254038 0 0 0 -5.536083803e-16 0.8660254038"
+    " A 0.8660254038 0.8660254038 0 0 0 0.75 0.4330127019",
+    "circumscribed": "M 1 -0"
+    " A 1 1 0 0 0 0.5 -0.8660254038"
+    " A 1 1 0 0 0 -0.5 -0.8660254038"
+    " A 1 1 0 0 0 -1 -1.224646799e-16"
+    " A 1 1 0 0 0 -0.5 0.8660254038"
+    " A 1 1 0 0 0 0.5 0.8660254038"
+    " A 1 1 0 0 0 1 1.110223025e-16",
+}
+
+
+@pytest.mark.parametrize("method", sorted(_HEXAGON_SPLINE_PATHS))
+def test_svg_path_of_a_closed_spline_that_starts_with_an_arc(method):
+    ang = np.arange(6) * math.pi / 3.0
+    hexagon = DiscreteCurve(np.column_stack([np.cos(ang), np.sin(ang)]), closed=True)
+    sp = spline_inscribed(refine(hexagon)) if method == "inscribed" else spline_circumscribed(hexagon)
+    assert sp.closed and all(isinstance(seg, ArcSegment) for seg in sp.segments)
+    (path,) = re.findall(r'<path d="([^"]*)"', render_svg(splines=[sp]))
+    assert path == _HEXAGON_SPLINE_PATHS[method]
+
+
 def test_svg_template_speller_matches_fmt():
     # x as the format spec .10g spells it, y as it spells -y: a y of 0.0 spells -0 and a y of -0.0 spells 0
     values = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, math.pi, 123456.789012345]
@@ -484,7 +513,8 @@ def test_svg_polyline_chordal_deviation():
     # elastica polylines must stay within 0.1% of the viewport span
     seg = ElasticaSegment(np.array([0.0, 0.0]), np.linspace(0.0, 2.0, 65), 2.0)
     doc = render_svg(splines=[Spline((seg,))])
-    (pts,) = polyline_sampler(Spline((seg,)))(1e-3)
+    pts, starts = polyline_sampler(Spline((seg,)))(1e-3)
+    assert starts.tolist() == [0, len(pts)]
     steps = np.diff(pts, axis=0)
     # crude bound: sagitta <= kappa * chord^2 / 8
     kmax = np.max(np.abs(np.diff(seg.thetas))) / seg.ds

@@ -149,12 +149,19 @@ def test_clothoid_xy_nearly_circular():
     np.testing.assert_allclose(xy[:, 1], 2.0 * np.sin(kappa0 * s / 2.0) ** 2 / kappa0, rtol=0, atol=1e-9)
 
 
+def _polylines(sampled):
+    """The per-segment polylines of a sampler's (points, starts)."""
+    points, starts = sampled
+    assert starts[0] == 0 and starts[-1] == len(points) and (np.diff(starts) >= 2).all()
+    return np.split(points, starts[1:-1])
+
+
 def test_segment_polylines_match_pointwise_evaluation():
     arc = ArcSegment(np.array([0.5, -1.0]), 2.0, 0.3, -2.5)
     clothoid = ClothoidSegment(np.array([1.0, 2.0]), 0.4, -0.7, 1.3, 3.0)
     # each segment alone, and both sampled together
     for segs in ([arc], [clothoid], [arc, clothoid]):
-        for seg, pts in zip(segs, polyline_sampler(spline2d.Spline(segs))(1e-4)):
+        for seg, pts in zip(segs, _polylines(polyline_sampler(spline2d.Spline(segs))(1e-4)), strict=True):
             s = np.linspace(0.0, seg.length, len(pts))
             atol = 0.0 if seg is arc else 1e-14
             np.testing.assert_allclose(pts, [seg.point_at(v) for v in s], rtol=0, atol=atol)
@@ -195,7 +202,7 @@ _SAMPLED_SEGMENT = st.one_of(
 def test_polyline_sampler_matches_per_segment_sampling(segs, tols):
     sample = polyline_sampler(spline2d.Spline(segs))
     for tol in tols:
-        got = sample(tol)
+        got = _polylines(sample(tol))
         assert len(got) == len(segs)
         for seg, pts in zip(segs, got):
             want = _reference_polyline(seg, tol)
@@ -209,11 +216,18 @@ def test_polyline_sampler_keeps_arc_chords_without_arcs(segs, tol):
     """With arcs false the sampler keeps each arc's chord, whose ends are those of the
     arc sampled at tol, bit for bit, and samples every other segment as with arcs."""
     sample = polyline_sampler(spline2d.Spline(segs))
-    for seg, pts, kept, chord in zip(segs, sample(tol), sample(tol, arcs=False), sample(math.inf)):
+    sampled = (_polylines(sample(tol)), _polylines(sample(tol, arcs=False)), _polylines(sample(math.inf)))
+    for seg, pts, kept, chord in zip(segs, *sampled, strict=True):
         if isinstance(seg, ArcSegment):
             assert kept.tobytes() == chord.tobytes() == pts[[0, -1]].tobytes()
         else:
             assert kept.tobytes() == pts.tobytes()
+
+
+def test_polyline_sampler_of_no_segments():
+    sample = polyline_sampler(spline2d.Spline(()))
+    for points, starts in (sample(math.inf), sample(1e-3), sample(1e-3, arcs=False)):
+        assert points.shape == (0, 2) and starts.tolist() == [0]
 
 
 def test_polyline_sampler_counts_before_sampling():
@@ -806,7 +820,8 @@ def test_elastica_chords_near_the_overflow(p0, p1, length, error):
         warnings.simplefilter("error")
         if error is None:
             seg = elastica_bvp(p0, [1.0, 0.0], p1, [1.0, 0.0], length)
-            (pts,) = polyline_sampler(spline2d.Spline([seg]))(math.inf)
+            pts, starts = polyline_sampler(spline2d.Spline([seg]))(math.inf)
+            assert starts.tolist() == [0, len(pts)]
             assert seg.length == length and np.max(np.abs(pts[-1] - p1)) <= 1e-12 * length
         else:
             with pytest.raises(Infeasible if "shorter" in error else InputError, match=error):
