@@ -27,7 +27,7 @@ Checks every report as ``perfbench/workloads.py`` does: both G1 gaps of a
 spline at most ``G1_TOL``, the ``length_error`` of a discretization at most
 ``LENGTH_TOL``, ``residual_ok`` of an analysis and ``congruent`` of a
 roundtrip; and checks that each render writes the bytes of the ``--svg`` of
-the spline op before it.  Prints the least of 3 wall times at each size
+the spline op before it.  Prints the least of 5 wall times at each size
 and, from the second size on, the ratio to the time at the size before it,
 per decade of size (10 for linear growth).  Exits 1 if an op exits non-zero,
 a check fails or a ratio is above MAX_RATIO.
@@ -55,7 +55,7 @@ from frenetkit import Convention, curve_to_json, ngon_of_circle  # noqa: E402
 from frenetkit.figures import _unit_step_polyline  # noqa: E402
 
 MAX_RATIO = 15.0  # time ratio per decade of size; linear growth is 10
-REPEATS = 3
+REPEATS = 5
 
 
 def check(stdout):

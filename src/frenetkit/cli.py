@@ -154,10 +154,10 @@ def cmd_analyze(curve_file, convention, tol, fmt, out_path):
     ff, data = analyze(rc, None)
     residuals, at_edge = convention_table(ff, data, wanted)
     n = len(data.theta)
-    # the one value each transition may have nonzero, spelled by repr (the table is finite): theta at a turn
+    # the one value each transition may have nonzero, spelled in one call (n texts a row): theta at a turn
     # (the indices of the turn parity) and phi at a twist, then each convention's kappa or tau
     one = np.vstack([_one_value(data.theta, data.phi, data.turn_parity), at_edge])
-    angle, *kernels = ([*map(repr, row)] for row in one.tolist())
+    angle, *kernels = zip(*[iter(io.spell_floats(one))] * n)
     cells = [_TURN_CELLS, _TWIST_CELLS] if data.turn_parity == 0 else [_TWIST_CELLS, _TURN_CELLS]  # row 0's first
     worst = float(np.max(residuals))  # NaN if any residual is NaN, which then fails
     if fmt == "csv":

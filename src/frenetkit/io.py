@@ -28,15 +28,89 @@ from .spline2d import ArcSegment, ClothoidSegment, ElasticaSegment, LineSegment,
 
 PIECE_ROWS = 4096  # table rows per piece of json_pieces and csv_pieces; about the floats json_pieces spells per call
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
+KERNEL_MIN = 512  # spell_floats spells arrays of fewer values by repr alone: it beat _positional up to about 400
+BLOCK = 8192  # values per _positional call, which keeps its temporaries small
+
+# _positional's tables: the powers of ten that are doubles, and their halves of 26 bits (Veltkamp's split);
+# 10^-4 ... 10^15 as doubles (those below 1 round up, so |x| >= _DECADES[i] exactly when |x| >= 10^(i - 4));
+# the four ASCII digits of 0 ... 9999 as one uint32 each, then again with their trailing zeros as NUL; and,
+# for each layout (sign, decade), the 23 columns of _positional's character table that its text takes: digit
+# i is column 3 + i, or 23 + i with NUL as "0" (up to the first after the point); "0", ".", "-", NUL are 40-43
+_POW10 = np.array([10**k for k in range(23)], dtype=float)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
+_DIGITS = np.stack([np.arange(10**4, dtype=np.int16) // 10**k % 10 + 48 for k in (3, 2, 1, 0)], 1).astype(np.uint8)
+_DIGITS = np.vstack([_DIGITS, _DIGITS * ~np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]])
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_LAYOUTS = np.array([([42] * s + ([*range(23, 24 + e), 41, 24 + e, *range(e + 5, 20)] if e >= 0 else
+                                   [40, 41, *[40] * (-1 - e), *range(3, 20)]) + [43] * 23)[:23]
+                     for s in (0, 1) for e in range(-4, 16)])
+
+
+def _nearest(q, r, half, frac):
+    """q rounded half to even by a remainder r + frac (0 <= frac < 1) of 2 half units of q."""
+    return q + ((r > half) | (r == half) & ((frac > 0) | (q & 1 == 1)))
+
+
+def _positional(x):
+    """(texts, rows): the repr of each x[rows], in the order of rows, for x finite with 1e-4 <= |x| < 1e16,
+    where repr writes digits with a point, and no power of two.  rows leaves out the values whose shortest
+    digits are not found here: those with no candidate of 15 digits and one of 16 that is 2**53 or more.
+
+    |x| 10^j = big + frac exactly, in [1e16, 1e17), by Dekker's two-product; rounded half to even to 15, 16 and
+    17 digits, the shortest candidate that one correctly rounded division gives back as x (Clinger's fast path,
+    as float(str) reads it) is kept, else the one of 17 digits.  This is repr: at most one decimal of 15 digits
+    or fewer lies in the rounding interval of x, which is symmetric about x, and the nearest one of 16 or 17
+    digits lies in it whenever any does, always for 17."""
+    ax = np.abs(x)
+    e = np.searchsorted(_DECADES, ax, side="right") - 5  # 10^e <= |x| < 10^(e + 1)
+    j = 16 - e
+    h, split, ph, pl = ax * _POW10[j], ax * 134217729.0, _POW10_HI[j], _POW10_LO[j]
+    ah = split - (split - ax)
+    al = ax - ah
+    low = ((ah * ph - h) + ah * pl + al * ph) + al * pl  # |x| 10^j - h, exactly
+    floor = np.floor(low)
+    big, frac = h.astype(np.int64) + floor.astype(np.int64), low - floor
+    n15, n16 = big // 100, big // 10
+    n15, n16 = _nearest(n15, big - 100 * n15, 50, frac), _nearest(n16, big - 10 * n16, 5, frac)
+    ok15 = np.where(j > 1, n15 / _POW10[j - 2], n15 * 10.0) == ax
+    rows = np.flatnonzero(ok15 | (n16 < 2**53))
+    digits = np.where(ok15, n15 * 100, np.where(n16 / _POW10[j - 1] == ax, n16 * 10, _nearest(big, frac, 0.5, 0)))
+    # digits < 1e17: 10^(e + 1) never reads back as x, and each double below it is below by over 8e-17 of it
+    layout = (x < 0) * 20 + e + 4
+    order = np.argsort(layout[rows].astype(np.int8), kind="stable")  # the rows of each layout together
+    rows, layout, digits = rows[order], layout[rows[order]], digits[rows[order]]
+    keys, zeros = np.empty((len(rows), 5), np.int64), True  # groups of four digits, the first of one; each
+    for k in range(4, 0, -1):  # looked up with its trailing zeros as NUL where only zero groups follow it
+        quad, digits = digits, digits // 10**4
+        quad -= 10**4 * digits
+        keys[:, k], zeros = quad + 10**4 * zeros, zeros & (quad == 0)
+    keys[:, 0] = digits + 10**4 * zeros
+    quads = _DIGITS[keys]  # then with NUL as "0", then "0.-" and NUL
+    chars = np.hstack([quads, quads | 0x30303030, np.full((len(rows), 1), 0x2D2E30, np.uint32)]).view(np.uint8)
+    out = np.empty((len(rows), 23), np.uint8)
+    starts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), len(rows)]
+    for a, b in zip(starts, starts[1:]):
+        out[a:b] = chars[a:b, _LAYOUTS[layout[a]]]
+    return out.astype(np.uint32).view("<U23").ravel().tolist(), rows
 
 
 def spell_floats(values) -> list[str]:
-    """The values, flattened, spelled as json.dumps spells floats: a finite one as repr does."""
+    """The values, flattened, spelled as json.dumps spells floats: a finite one as repr does.  Those of an
+    array of KERNEL_MIN values or more that _positional spells are spelled by it, BLOCK values a call."""
     values = np.asarray(values, dtype=float).ravel()
-    nonzero = values.view(np.int64).astype(bool)  # a +0.0 has all bits zero and is spelled "0.0"
+    bits = values.view(np.int64)
     out = np.empty(len(values), dtype=object)
     out.fill("0.0")
-    out[nonzero] = list(map(repr, values[nonzero].tolist()))  # repr calls float.__repr__ without its slot wrapper
+    left = bits.astype(bool)  # a +0.0 has all bits zero and is spelled "0.0"
+    if len(values) >= KERNEL_MIN:
+        ax = np.abs(values)
+        fit = np.flatnonzero((1e-4 <= ax) & (ax < 1e16) & (bits & (2**52 - 1) != 0))  # with a point, no power of 2
+        for i in range(0, len(fit), BLOCK):
+            texts, rows = _positional(values[block := fit[i : i + BLOCK]])
+            out[block[rows]], left[block[rows]] = texts, False
+    out[left] = list(map(repr, values[left].tolist()))  # repr calls float.__repr__ without its slot wrapper
     out = out.tolist()
     if not np.isfinite(values).all():
         out = [_NONFINITE.get(text, text) for text in out]

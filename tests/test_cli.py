@@ -1342,7 +1342,7 @@ def _random_curve(rng, n_vertices, planar, closed):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_vertices=st.integers(2, 40),
+    n_vertices=st.one_of(st.integers(2, 40), st.integers(150, 300)),  # the second: tables of over KERNEL_MIN values
     planar=st.booleans(),
     closed=st.booleans(),
     lattice=st.booleans(),
@@ -1354,7 +1354,8 @@ def test_analyze_output_matches_row_dict_report(
 ):
     """analyze writes exactly json.dumps(report, indent=2) of the row-dict report (and its CSV): open and
     closed curves, whose turns sit at indices of either parity, in 2D and 3D, and lattice curves with
-    exactly straight turns."""
+    exactly straight turns.  Curves of 150 vertices or more have their tables spelled by io._positional,
+    with their exact zeros and powers of two left to repr among its values."""
     # a closed polygon turns by at most pi/2 from 4 vertices on; a two-point
     # curve has a binormal only in the plane
     assume(n_vertices >= (4 if closed else 2 if planar else 3))

@@ -34,7 +34,7 @@ from frenetkit import svg
 from frenetkit.cli import main
 from frenetkit.errors import InputError, NonPlanarData, ParseError
 from frenetkit.figures import _SPLINE_DEMO_ANGLES, _unit_step_polyline
-from frenetkit.io import PIECE_ROWS, Rows, csv_pieces, json_pieces, spell_floats
+from frenetkit.io import BLOCK, KERNEL_MIN, PIECE_ROWS, Rows, csv_pieces, json_pieces, spell_floats
 from frenetkit import refine
 from frenetkit.spline2d import (
     ClothoidSegment,
@@ -344,6 +344,91 @@ def test_spell_floats_is_repr_with_json_nonfinite_names(values):
     flat = values.ravel().tolist()
     assert spell_floats(values) == [json.dumps(v) for v in flat]
     assert spell_floats(values[np.isfinite(values)]) == [repr(v) for v in flat if math.isfinite(v)]
+
+
+def _hard_doubles(rng, n):
+    """n doubles of each family that strains a shortest-digits spelling, both signs."""
+    def decimals(digits, size):  # integers of exactly so many digits, scaled by a power of ten
+        m = rng.integers(10 ** (digits - 1), 10**digits, size)
+        k = rng.integers(0, 23, size)
+        return np.where(rng.random(size) < 0.5, m / 10.0**k, m * 10.0 ** (k % 10))
+    short = np.concatenate([decimals(d, n // 6) for d in range(1, 7)])
+    integers = rng.integers(10**15, 10**16, n).astype(float)
+    families = [
+        rng.uniform(-10.0, 10.0, n),
+        10.0 ** rng.uniform(-5.0, 17.0, n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(float),
+        short, np.nextafter(short, math.inf), np.nextafter(short, -math.inf),
+        *[decimals(d, n) for d in (15, 16, 17)],
+        *[integers + frac for frac in (0.5, 0.25, 0.125)], np.floor(integers / 8.0) + 0.125,
+        2.0**53 + rng.integers(-(10**6), 10**6, n),
+        rng.integers(1, 2**20, n) / 2.0 ** rng.integers(0, 60, n),
+        *[edge + rng.integers(-500, 500, n) * math.ulp(edge) for edge in (1e-4, 1e16)],
+        np.array([float(f"1e{k}") + ulps * math.ulp(float(f"1e{k}")) for k in range(-5, 18) for ulps in range(-3, 4)]),
+        2.0 ** np.arange(-16.0, 56.0),
+    ]
+    values = np.concatenate(families)
+    return np.where(rng.random(len(values)) < 0.5, values, -values)
+
+
+def test_spell_floats_is_repr_on_a_million_hard_doubles():
+    """Each family a shortest-digits spelling can get wrong, about 1e6 doubles in all: what spell_floats
+    spells of them, most of it by _positional, is repr's spelling (JSON's for the non-finite)."""
+    values = _hard_doubles(np.random.default_rng(34), 60_000)
+    assert len(values) > 1_000_000
+    expect = [repr(v) for v in values.tolist()]
+    expect = [fio._NONFINITE.get(text, text) for text in expect]
+    assert spell_floats(values) == expect
+
+
+def test_positional_spells_as_repr_all_but_its_documented_leftovers():
+    """_positional itself, on the values it takes: each text it returns is repr's, and the only
+    values it leaves to repr have no repr of 15 digits or fewer and 16 leading digits of 2**53 or more."""
+    values = _hard_doubles(np.random.default_rng(7919), 10_000)
+    bits, size = values.view(np.int64), np.abs(values)
+    values = values[(1e-4 <= size) & (size < 1e16) & (bits & (2**52 - 1) != 0)]
+    texts, rows = [], []
+    for i in range(0, len(values), BLOCK):
+        block_texts, block_rows = fio._positional(values[i : i + BLOCK])
+        texts += block_texts
+        rows += (block_rows + i).tolist()
+    assert texts == [repr(v) for v in values[rows].tolist()]
+    assert len(rows) > 0.8 * len(values)
+    for v in np.delete(values, rows).tolist():
+        digits = repr(abs(v)).replace(".", "").lstrip("0")
+        assert len(digits.rstrip("0")) > 15 and int(digits[:16].ljust(16, "0")) >= 2**53 - 1, v
+
+
+def test_kernel_tables_are_exact():
+    """The decades below 1 round up, so |x| >= _DECADES[i] is |x| >= 10^(i - 4); the powers of ten are
+    exact and split into halves of at most 26 significant bits each that add up to them."""
+    from fractions import Fraction
+
+    def significant_bits(v):
+        n = abs(Fraction(v).numerator)
+        return (n // (n & -n)).bit_length() if n else 0
+
+    for i, decade in enumerate(fio._DECADES.tolist()):
+        assert Fraction(math.nextafter(decade, 0.0)) < Fraction(10) ** (i - 4) <= Fraction(decade)
+    for k, (p, hi, lo) in enumerate(zip(fio._POW10.tolist(), fio._POW10_HI.tolist(), fio._POW10_LO.tolist())):
+        assert p == 10**k == Fraction(hi) + Fraction(lo)
+        assert significant_bits(hi) <= 26 and significant_bits(lo) <= 26
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([KERNEL_MIN - 1, KERNEL_MIN, BLOCK, BLOCK + 1]),
+       st.lists(st.one_of(st.integers(0, 2**64 - 1), st.floats().map(lambda v: np.float64(v).view(np.uint64).item())),
+                max_size=40), st.data())
+@settings(max_examples=40, deadline=None)
+def test_spell_floats_is_repr_for_any_bits_around_the_crossover_and_the_block(seed, size, patterns, data):
+    """Arrays just under and over KERNEL_MIN and BLOCK values, of random doubles of about the sizes
+    repr writes with a point, with arbitrary bit patterns put in at drawn places."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**52, size, dtype=np.uint64) | rng.integers(1005, 1080, size, dtype=np.uint64) << 52
+    bits |= rng.integers(0, 2, size, dtype=np.uint64) << 63
+    places = data.draw(st.lists(st.integers(0, size - 1), min_size=len(patterns), max_size=len(patterns)))
+    bits[places] = patterns
+    values = bits.view(float)
+    assert spell_floats(values) == [json.dumps(v) for v in values.tolist()]
 
 
 def test_no_piece_holds_more_than_piece_rows():
