@@ -222,13 +222,10 @@ def cmd_reconstruct(intrinsic_file, origin, tangent, normal, out_path):
           _arg("--out", dest="out_path"))
 def cmd_discretize(curve_name, method, samples, density, variant, params, out_path):
     """Discretize a built-in smooth curve."""
-    ctor = discretize2d.BUILTIN_CURVES[curve_name]
-    numeric = sorted(
-        name
-        for name, par in inspect.signature(ctor).parameters.items()
-        if isinstance(par.default, float)
-    )
-    kwargs = {}
+    ctor, kwargs = discretize2d.BUILTIN_CURVES[curve_name], {}
+    if params:  # the curve's numeric parameters, read only to check each --param
+        numeric = sorted(name for name, par in inspect.signature(ctor).parameters.items()
+                         if isinstance(par.default, float))
     for item in params:
         if "=" not in item:
             raise ParseError(f"--param expects key=value, got {item!r}")

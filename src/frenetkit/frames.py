@@ -52,61 +52,85 @@ def _embed3(points: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross(a, b) of two (n, 3) arrays, bit for bit: its products and differences,
-    component by component, without its per-call set-up."""
-    (a0, a1, a2), (b0, b1, b2), out = a.T, b.T, np.empty(a.shape)
-    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    """np.cross of the (n, 3) rows a.T and b.T, bit for bit, on component rows (3, n): its products and
+    differences, component by component."""
+    (a0, a1, a2), (b0, b1, b2), out = a, b, np.empty(a.shape)
+    np.subtract(a1 * b2, a2 * b1, out=out[0])
+    np.subtract(a2 * b0, a0 * b2, out=out[1])
+    np.subtract(a0 * b1, a1 * b0, out=out[2])
     return out
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of 3-vectors, bit for bit: the squares summed in its order."""
+    """np.linalg.norm(v.T, axis=-1) of 3-vectors, bit for bit, on component rows (..., 3, n): the squares
+    summed in its order."""
     sq = v * v
-    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    return np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum("ij,ij->i") of the C-contiguous (n, 3) rows a.T and b.T, bit for bit, on component rows:
+    it sums the products p of a row as ((0 + p0) + p2) + ((0 + p1) + 0), which is ((0 + p0) + p2) + p1, as
+    the first sum is never -0.0.  (On a strided operand it sums them in order, so the layout changes bits.)"""
+    p0, p1, p2 = a * b
+    return (0.0 + p0 + p2) + p1
+
+
+def _rows(name: str, k: int) -> property:
+    """Vector k (T, N or B) of a frame field array as a (rows, 3) view, None where the array is."""
+    return property(lambda self: None if getattr(self, name) is None else getattr(self, name)[k].T)
 
 
 @dataclass(frozen=True)
 class FrameField:
-    """Per-edge frames (Te, Ne, Be) and per-transition vertex frames.
+    """Per-edge frames and per-transition vertex frames, each field one component-major array.
 
-    Edge arrays have one row per edge; vertex arrays (filled in by
-    :func:`vertex_frames`) have one row per transition between consecutive
-    edges.  ``turn_mask[i]`` is True where transition i crosses a vertex
-    (a turn); the complementary transitions cross midpoints (twists).
+    ``edge`` is shaped (3, 3, m): the vectors T, N, B, by their x, y, z components, by edge.  ``vertex``
+    (filled in by :func:`vertex_frames`) is (3, 3, n), one column per transition: transition i joins edges
+    i and i + 1 (mod m) and crosses a vertex (a turn) where i % 2 == turn_parity, a midpoint (a twist)
+    elsewhere.  edge_frames and vertex_frames make them read-only, and Te, Ne, Be, Tv, Nv and Bv are
+    (rows, 3) views of them.
     """
 
-    Te: np.ndarray
-    Ne: np.ndarray
-    Be: np.ndarray
+    edge: np.ndarray
     ell: float
     closed: bool
-    turn_mask: np.ndarray
+    turn_parity: int
     planar: bool
-    Tv: np.ndarray | None = None
-    Nv: np.ndarray | None = None
-    Bv: np.ndarray | None = None
+    vertex: np.ndarray | None = None
+
+    Te, Ne, Be = (_rows("edge", k) for k in range(3))
+    Tv, Nv, Bv = (_rows("vertex", k) for k in range(3))
 
     @property
     def n_edges(self) -> int:
-        return len(self.Te)
+        return self.edge.shape[-1]
 
     @property
     def n_transitions(self) -> int:
-        return len(self.turn_mask)
+        return self.n_edges if self.closed else self.n_edges - 1
 
     def succ(self, arr: np.ndarray) -> np.ndarray:
-        """arr, indexed by edge along its next-to-last axis, shifted to the next edge across each transition."""
+        """arr, indexed by edge along its last axis, shifted to the next edge across each transition."""
         if self.closed:
-            return np.concatenate((arr[..., 1:, :], arr[..., :1, :]), axis=-2)
-        return arr[..., 1:, :]
+            return np.concatenate((arr[..., 1:], arr[..., :1]), axis=-1)
+        return arr[..., 1:]
 
     def pred_slice(self, arr: np.ndarray) -> np.ndarray:
-        """arr, indexed by edge along its next-to-last axis, restricted to the transition index set."""
+        """arr, indexed by edge along its last axis, restricted to the transition index set."""
         if self.closed:
             return arr
-        return arr[..., :-1, :]
+        return arr[..., :-1]
+
+
+def _share(arr: np.ndarray, start: int, stop: int, value: np.ndarray) -> None:
+    """Write value, one column per transition start, start + 2, ... < stop, to both edges of each along the
+    last axis of arr: edge i and edge i + 1, which is edge 0 after the last edge of a closed curve."""
+    arr[..., start:stop:2] = value
+    nxt = arr[..., start + 1 :: 2]
+    nxt[...] = value[..., : nxt.shape[-1]]
+    if nxt.shape[-1] < value.shape[-1]:
+        arr[..., 0] = value[..., -1]
 
 
 def edge_frames(rc: RefinedCurve) -> FrameField:
@@ -117,75 +141,70 @@ def edge_frames(rc: RefinedCurve) -> FrameField:
     the tangent of the edge they reach; a 3D curve with no
     turning anywhere has no binormal and raises UndefinedBinormal.
     """
-    edges = diff(_embed3(rc.points), rc.closed)
-    lengths = _norms(edges)
+    m = rc.n_edges()
+    # transition i joins edges i and i+1 at point i+1; it is a turn iff that point is an original vertex
+    ff = FrameField(np.zeros((3, 3, m)), rc.ell, rc.closed, turn_parity=1 - rc.vertex_parity, planar=rc.dim == 2)
+    T, N, B = ff.edge
+    T[: rc.dim] = diff(rc.points, rc.closed).T
+    lengths = _norms(T)
     if np.min(lengths) <= 0.0:
         raise InputError("zero-length edge")
-    Te = edges / lengths[:, None]
-    m = len(Te)
-    n_trans = m if rc.closed else m - 1
-    # transition i joins edges i and i+1 at point i+1; it is a turn iff that
-    # point is an original vertex
-    turn_mask = np.arange(n_trans) % 2 != rc.vertex_parity
-    # the two half-edges of an original edge are collinear (midpoint
-    # invariant); share one tangent so twist transitions carry no spurious
-    # turning from rounding in the points.  Twist transitions alternate, so
-    # the pairs (i, i+1) are disjoint.
-    tw = np.arange(rc.vertex_parity, n_trans, 2)
-    tw_next = (tw + 1) % m
-    t = Te[tw] + Te[tw_next]
-    Te[tw] = Te[tw_next] = t / _norms(t)[:, None]
+    T /= lengths
+    n_trans = ff.n_transitions
+    # the two half-edges of an original edge are collinear (midpoint invariant); share one tangent so
+    # twist transitions carry no spurious turning from rounding in the points.  Twist transitions
+    # alternate, so the pairs (i, i+1) are disjoint.
+    twists = slice(rc.vertex_parity, n_trans, 2)
+    t = T[:, twists] + ff.succ(T)[:, twists]
+    _share(T, rc.vertex_parity, n_trans, t / _norms(t))
 
-    planar = rc.dim == 2
-    if planar:
-        Be = np.tile(_EZ, (m, 1))
+    if ff.planar:
+        B[2] = 1.0
     else:
-        tr = np.arange(1 - rc.vertex_parity, n_trans, 2)
-        c = _cross(Te[tr], Te[(tr + 1) % m])
+        turns = slice(ff.turn_parity, n_trans, 2)
+        c = _cross(T[:, turns], ff.succ(T)[:, turns])
         nc = _norms(c)
         ok = nc >= PARALLEL_CROSS
-        tr, b = tr[ok], c[ok] / nc[ok, None]
-        if not len(tr):
+        if not ok.any():
             raise UndefinedBinormal("curve is straight everywhere; no binormal in 3D")
         # the binormal is shared by the two half-edges around the vertex
-        Be = np.empty((m, 3))
         defined = np.zeros(m, dtype=bool)
-        Be[tr] = Be[(tr + 1) % m] = b
-        defined[tr] = defined[(tr + 1) % m] = True
-        # parallel-transport across straight vertices: each undefined edge
-        # takes the last defined binormal before it, a leading run the first
-        src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
-        src[src < 0] = tr[0]
-        Be = Be[src]
-        # a binormal carried past a straight vertex to another tangent is made normal to that tangent
-        moved = np.flatnonzero(src != np.arange(m))
-        moved = moved[(Te[moved] != Te[src[moved]]).any(axis=1)]
-        if moved.size:
-            b = Be[moved] - np.einsum("ij,ij->i", Be[moved], Te[moved])[:, None] * Te[moved]
-            Be[moved] = b / _norms(b)[:, None]
-    Ne = _cross(Be, Te)
-    return FrameField(
-        Te=Te, Ne=Ne, Be=Be, ell=rc.ell, closed=rc.closed, turn_mask=turn_mask, planar=planar
-    )
+        _share(B, ff.turn_parity, n_trans, np.divide(c, nc, out=c, where=ok))
+        _share(defined, ff.turn_parity, n_trans, ok)
+        if not defined.all():
+            # parallel-transport across straight vertices: each undefined edge takes the last defined
+            # binormal before it, a leading run the first
+            src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
+            src[src < 0] = np.argmax(defined)
+            moved = np.flatnonzero(~defined)
+            src = src[moved]
+            B[:, moved] = B[:, src]
+            # a binormal carried past a straight vertex to another tangent is made normal to that tangent
+            moved = moved[(T[:, moved] != T[:, src]).any(axis=0)]
+            if moved.size:
+                b = B[:, moved] - _dot(B[:, moved], T[:, moved]) * T[:, moved]
+                B[:, moved] = b / _norms(b)
+    N[:] = _cross(B, T)
+    ff.edge.flags.writeable = False
+    return ff
 
 
 def vertex_frames(ff: FrameField) -> FrameField:
     """Fill in vertex frames: normalized sums of consecutive edge frames."""
-    edge = np.array([ff.Te, ff.Ne, ff.Be])
-    sums = ff.pred_slice(edge) + ff.succ(edge)
+    sums = ff.pred_slice(ff.edge) + ff.succ(ff.edge)
     norms = _norms(sums)
     low = norms.min(axis=1) < PARALLEL_CROSS
     if low.any():  # name the first of Tv, Nv and Bv to degenerate, where its sum is shortest
         i = int(np.argmin(norms[np.argmax(low)]))
         raise DegenerateVertexFrame(f"antiparallel frame vectors at transition {i}")
-    Tv, Nv, Bv = sums / norms[..., None]
-    return replace(ff, Tv=Tv, Nv=Nv, Bv=Bv)
+    sums /= norms[:, None]
+    sums.flags.writeable = False
+    return replace(ff, vertex=sums)
 
 
 def _signed_angles(a: np.ndarray, b: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Row-wise angle from a[i] to b[i], signed by the sense of rotation about axis[i]."""
-    cross = _cross(a, b)
-    return np.arctan2(np.einsum("ij,ij->i", axis, cross), np.einsum("ij,ij->i", a, b))
+    """Angle from each column of a to b (component rows), signed by the sense of rotation about axis."""
+    return np.arctan2(_dot(axis, _cross(a, b)), _dot(a, b))
 
 
 def turn_twist_angles(ff: FrameField):
@@ -194,14 +213,12 @@ def turn_twist_angles(ff: FrameField):
     A turn measures the tangent rotation about the binormal, a twist the
     binormal rotation about the tangent.
     """
-    turn = ff.turn_mask
-    Te, Be = ff.pred_slice(ff.Te), ff.pred_slice(ff.Be)
-    Te_next, Be_next = ff.succ(ff.Te), ff.succ(ff.Be)
-    sel = turn[:, None]
-    angle = _signed_angles(
-        np.where(sel, Te, Be), np.where(sel, Te_next, Be_next), np.where(sel, Be, Te)
-    )
-    return np.where(turn, angle, 0.0), np.where(turn, 0.0, angle)
+    (T, _, B), (T_next, _, B_next) = ff.pred_slice(ff.edge), ff.succ(ff.edge)
+    turns, twists = slice(ff.turn_parity, None, 2), slice(1 - ff.turn_parity, None, 2)
+    theta, phi = np.zeros(ff.n_transitions), np.zeros(ff.n_transitions)
+    theta[turns] = _signed_angles(T[:, turns], T_next[:, turns], B[:, turns])
+    phi[twists] = _signed_angles(B[:, twists], B_next[:, twists], T[:, twists])
+    return theta, phi
 
 
 @dataclass(frozen=True)
@@ -289,27 +306,25 @@ def curvature_torsion(
 def _residuals(ff: FrameField, data: IntrinsicData, scaled: np.ndarray) -> list[float]:
     """frenet_residual of data's angles for each row of scaled, the one value per transition (see _one_value)
     of ell kappa and ell tau under a convention, NaN if an equation is."""
-    if ff.Tv is None:
+    if ff.vertex is None:
         ff = vertex_frames(ff)
     if len(data.theta) != ff.n_transitions:
         raise InputError(f"angle arrays have length {len(data.theta)}, expected {ff.n_transitions}")
-    edge = np.array([ff.Te, ff.Ne, ff.Be])
-    DTe, DNe, DBe = ff.succ(edge) - ff.pred_slice(edge)
+    (DTe, DNe, DBe), (Tv, Nv, Bv) = ff.succ(ff.edge) - ff.pred_slice(ff.edge), ff.vertex
     angle = _one_value(data.theta, data.phi, data.turn_parity)
     # nu * 2 sin(|angle|/2) = |ell kappa| (or |ell tau|) from the one angle of each transition,
     # 1 where that chord is 0 (its limit, also where a subnormal angle's chord underflows);
     # 2 sin(|angle|/2) is the inscribed kernel at ell = 1
     chord = kappa_from_angle(np.abs(angle), 1.0, Convention.INSCRIBED)
-    nu = np.divide(np.abs(scaled), chord, out=np.ones(scaled.shape), where=chord != 0.0)[..., None]
+    nu, s = np.divide(np.abs(scaled), chord, out=np.ones(scaled.shape), where=chord != 0.0)[:, None], scaled[:, None]
     # ell tau is 0 at a turn and ell kappa at a twist, so with s = scaled each transition has one
     # equation of (1) and (3) that reads s, nu DTe - s Nv at a turn and nu DBe + s Nv at a twist, and
     # one that does not; and (2) is nu DNe + s Tv at a turn and nu DNe - s Bv at a twist
-    turn, s = np.zeros((len(angle), 1), dtype=bool), scaled[..., None]
-    turn[data.turn_parity :: 2] = True
-    r_reads = _norms(nu * np.where(turn, DTe, DBe) + np.where(turn, -s, s) * ff.Nv)
-    r_other = _norms(nu * np.where(turn, DBe, DTe))
-    r2 = _norms(nu * DNe + s * np.where(turn, ff.Tv, -ff.Bv))
-    return np.max([r.max(axis=-1, initial=0.0) for r in (r_reads, r_other, r2)], axis=0).tolist()
+    tu, tw = (..., slice(data.turn_parity, None, 2)), (..., slice(1 - data.turn_parity, None, 2))
+    r = [_norms(nu[tu] * DTe[tu] - s[tu] * Nv[tu]), _norms(nu[tw] * DBe[tw] + s[tw] * Nv[tw]),
+         _norms(nu[tu] * DBe[tu]), _norms(nu[tw] * DTe[tw]),
+         _norms(nu[tu] * DNe[tu] + s[tu] * Tv[tu]), _norms(nu[tw] * DNe[tw] - s[tw] * Bv[tw])]
+    return np.max([half.max(axis=-1, initial=0.0) for half in r], axis=0).tolist()
 
 
 def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
@@ -323,6 +338,10 @@ def frenet_residual(ff: FrameField, data: IntrinsicData) -> float:
     chord form (nu = 1 for the inscribed convention).  For frames built by
     edge_frames/vertex_frames the result is at machine-precision level.
     """
+    if data.convention is None:
+        raise InputError("the angle record has no convention, so no kappa or tau to check: make it with one, "
+                         "as analyze(rc, convention) or curvature_torsion(theta, phi, ell, convention) do, "
+                         "or check every convention's with convention_table")
     return _residuals(ff, data, data.ell * _one_value(data.kappa, data.tau, data.turn_parity)[None])[0]
 
 
@@ -358,6 +377,5 @@ def polyline_turning_angles(dc: DiscreteCurve) -> np.ndarray:
     t_next = np.roll(t, -1, axis=0) if dc.closed else t[1:]
     t_here = t if dc.closed else t[:-1]
     if dc.dim == 2:
-        return _signed_angles(t_here, t_next, np.broadcast_to(_EZ, t_here.shape))
-    cross = _norms(_cross(t_here, t_next))
-    return np.arctan2(cross, np.einsum("ij,ij->i", t_here, t_next))
+        return _signed_angles(t_here.T, t_next.T, _EZ[:, None])
+    return np.arctan2(_norms(_cross(t_here.T, t_next.T)), _dot(t_here.T, t_next.T))

@@ -54,15 +54,18 @@ def _nearest(q, r, half, frac):
 
 
 def _positional(x):
-    """(texts, rows): the repr of each x[rows], in the order of rows, for x finite with 1e-4 <= |x| < 1e16,
-    where repr writes digits with a point, and no power of two.  rows leaves out the values whose shortest
-    digits are not found here: those with no candidate of 15 digits and one of 16 that is 2**53 or more.
+    """(texts, rows): the repr of each x[rows], in the order of rows (a permutation), for x finite with
+    1e-4 <= |x| < 1e16, where repr writes digits with a point, and no power of two.
 
-    |x| 10^j = big + frac exactly, in [1e16, 1e17), by Dekker's two-product; rounded half to even to 15, 16 and
-    17 digits, the shortest candidate that one correctly rounded division gives back as x (Clinger's fast path,
-    as float(str) reads it) is kept, else the one of 17 digits.  This is repr: at most one decimal of 15 digits
-    or fewer lies in the rounding interval of x, which is symmetric about x, and the nearest one of 16 or 17
-    digits lies in it whenever any does, always for 17."""
+    |x| 10^j = h + low exactly, in [1e16, 1e17), by Dekker's two-product, and = big + frac with big an
+    integer and 0 <= frac < 1; rounded half to even to 15, 16 and 17 digits, the shortest candidate c that
+    reads back as x is kept, else the one of 17 digits.  c reads back as x when |c - |x| 10^j| is below half
+    an ulp of x times 10^j, or equals it and the significand of x is even (reading rounds half to even).
+    The test is exact: half an ulp of x times 10^j is 10^j scaled by a power of two, and c - |x| 10^j is
+    (c - h) - low, an integer of at most 58 less a multiple of the last bit of |x| 10^j, 2^-46 or more, whose
+    difference of at most 50 (c is the nearest of its digits) then has at most 52 significant bits.  This is
+    repr: at most one decimal of 15 digits or fewer lies in the rounding interval of x, which is symmetric
+    about x, and the nearest one of 16 or 17 digits lies in it whenever any does, always for 17."""
     ax = np.abs(x)
     e = np.searchsorted(_DECADES, ax, side="right") - 5  # 10^e <= |x| < 10^(e + 1)
     j = 16 - e
@@ -70,17 +73,17 @@ def _positional(x):
     ah = split - (split - ax)
     al = ax - ah
     low = ((ah * ph - h) + ah * pl + al * ph) + al * pl  # |x| 10^j - h, exactly
-    floor = np.floor(low)
-    big, frac = h.astype(np.int64) + floor.astype(np.int64), low - floor
+    floor, h = np.floor(low), h.astype(np.int64)
+    big, frac = h + floor.astype(np.int64), low - floor
     n15, n16 = big // 100, big // 10
-    n15, n16 = _nearest(n15, big - 100 * n15, 50, frac), _nearest(n16, big - 10 * n16, 5, frac)
-    ok15 = np.where(j > 1, n15 / _POW10[j - 2], n15 * 10.0) == ax
-    rows = np.flatnonzero(ok15 | (n16 < 2**53))
-    digits = np.where(ok15, n15 * 100, np.where(n16 / _POW10[j - 1] == ax, n16 * 10, _nearest(big, frac, 0.5, 0)))
+    n15, n16 = 100 * _nearest(n15, big - 100 * n15, 50, frac), 10 * _nearest(n16, big - 10 * n16, 5, frac)
+    gap, half = np.abs((np.stack([n15, n16]) - h) - low), np.ldexp(_POW10[j], np.frexp(ax)[1] - 54)
+    back = (gap < half) | (gap == half) & (x.view(np.int64) & 1 == 0)  # which of n15, n16 reads back as x
+    digits = np.where(back[0], n15, np.where(back[1], n16, _nearest(big, frac, 0.5, 0)))
     # digits < 1e17: 10^(e + 1) never reads back as x, and each double below it is below by over 8e-17 of it
     layout = (x < 0) * 20 + e + 4
-    order = np.argsort(layout[rows].astype(np.int8), kind="stable")  # the rows of each layout together
-    rows, layout, digits = rows[order], layout[rows[order]], digits[rows[order]]
+    rows = np.argsort(layout.astype(np.int8), kind="stable")  # the rows of each layout together
+    layout, digits = layout[rows], digits[rows]
     keys, zeros = np.empty((len(rows), 5), np.int64), True  # groups of four digits, the first of one; each
     for k in range(4, 0, -1):  # looked up with its trailing zeros as NUL where only zero groups follow it
         quad, digits = digits, digits // 10**4
@@ -98,7 +101,7 @@ def _positional(x):
 
 def spell_floats(values) -> list[str]:
     """The values, flattened, spelled as json.dumps spells floats: a finite one as repr does.  Those of an
-    array of KERNEL_MIN values or more that _positional spells are spelled by it, BLOCK values a call."""
+    array of KERNEL_MIN values or more that _positional takes are spelled by it, BLOCK values a call."""
     values = np.asarray(values, dtype=float).ravel()
     bits = values.view(np.int64)
     out = np.empty(len(values), dtype=object)
@@ -109,7 +112,8 @@ def spell_floats(values) -> list[str]:
         fit = np.flatnonzero((1e-4 <= ax) & (ax < 1e16) & (bits & (2**52 - 1) != 0))  # with a point, no power of 2
         for i in range(0, len(fit), BLOCK):
             texts, rows = _positional(values[block := fit[i : i + BLOCK]])
-            out[block[rows]], left[block[rows]] = texts, False
+            out[block[rows]] = texts
+        left[fit] = False
     out[left] = list(map(repr, values[left].tolist()))  # repr calls float.__repr__ without its slot wrapper
     out = out.tolist()
     if not np.isfinite(values).all():

@@ -431,7 +431,7 @@ def _vertex_turns(rc: RefinedCurve):
     e0 = pts[v] - pts[v - 1]  # negative index wraps, which is what closed curves need
     e1 = pts[(v + 1) % n] - pts[v]
     e0, e1 = (e / np.linalg.norm(e, axis=1)[:, None] for e in (e0, e1))
-    return v, e0, e1, _signed_angles(_embed3(e0), _embed3(e1), np.broadcast_to(_EZ, (len(v), 3)))
+    return v, e0, e1, _signed_angles(_embed3(e0).T, _embed3(e1).T, _EZ[:, None])
 
 
 def _arc_table(rows, p, direction, kappa, length) -> tuple:

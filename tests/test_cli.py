@@ -921,6 +921,18 @@ def test_discretize_inscribed_with_params(runner, tmp_path):
     np.testing.assert_allclose(np.max(np.abs(pts), axis=0), [3.0, 0.5], rtol=1e-12)
 
 
+def test_discretize_reads_the_curve_signature_only_to_check_param(runner, monkeypatch):
+    """The curve's signature is read only when --param is given, and an unknown key still
+    names the curve's numeric parameters."""
+    seen, signature = [], inspect.signature
+    monkeypatch.setattr(cli.inspect, "signature", lambda fn, **kw: seen.append(fn) or signature(fn, **kw))
+    argv = ["discretize", "circle", "--method", "inscribed", "--samples", "8"]
+    assert runner.invoke(main, argv).exit_code == 0 and BUILTIN_CURVES["circle"] not in seen
+    result = runner.invoke(main, [*argv, "--param", "bogus=1"])
+    assert result.exit_code == 2 and BUILTIN_CURVES["circle"] in seen
+    assert result.stderr == "error: circle has no parameter 'bogus'; choose from ['radius']\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_discretize_reports_a_finite_length_when_edge_squares_overflow(runner):
     # edges near 1e200 long: their squared norms overflow, their lengths do not

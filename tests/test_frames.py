@@ -23,7 +23,8 @@ from frenetkit import (
     validate_refined,
     vertex_frames,
 )
-from frenetkit import cli, frames
+from frenetkit import cli, frames, spline2d
+from frenetkit.curve_core import diff
 from frenetkit.frames import IntrinsicData, convention_table, validate_angle_record
 from frenetkit.ngon_circle import kappa_from_angle
 from frenetkit.errors import (
@@ -66,7 +67,7 @@ def test_hexagon_angles_and_tangent_turns():
     rc = _hexagon_refined()
     ff = edge_frames(rc)
     theta, phi = turn_twist_angles(ff)
-    turn = ff.turn_mask
+    turn = np.arange(ff.n_transitions) % 2 == ff.turn_parity
     np.testing.assert_allclose(theta[turn], math.pi / 3.0, atol=1e-14)
     np.testing.assert_allclose(theta[~turn], 0.0, atol=1e-15)
     np.testing.assert_allclose(phi, 0.0, atol=1e-15)
@@ -344,13 +345,15 @@ def test_frenet_residual_rejects_a_record_of_another_length():
         frenet_residual(ff, short)
 
 
-@pytest.mark.parametrize("field", ["Tv", "Nv", "Bv"])
-def test_frenet_residual_checks_every_vertex_frame_vector(field):
-    """Each of Tv, Nv and Bv enters an equation the residual checks, for one
-    convention and for the stacked table: flipping it leaves a large residual."""
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["Tv", "Nv", "Bv"])
+def test_frenet_residual_checks_every_vertex_frame_vector(k):
+    """Each of Tv, Nv and Bv (ff.vertex[k]) enters an equation the residual checks,
+    for one convention and for the stacked table: flipping it leaves a large residual."""
     rc, _ = make_random_refined(np.random.default_rng(7), 41)
     ff, data = analyze(rc)
-    flipped = replace(ff, **{field: -getattr(ff, field)})
+    vertex = ff.vertex.copy()
+    vertex[k] *= -1.0
+    flipped = replace(ff, vertex=vertex)
     assert frenet_residual(ff, data) <= 1e-12 < 1e-3 < frenet_residual(flipped, data)
     assert min(convention_table(flipped, data, list(Convention))[0]) > 1e-3
 
@@ -386,13 +389,184 @@ def _vector_rows(draw):
 @given(rows=_vector_rows())
 @settings(max_examples=300, deadline=None)
 def test_inlined_cross_and_norms_are_numpys_bit_for_bit(rows):
-    """frames' row cross product and 3-vector norms give np.cross and
-    np.linalg.norm(axis=-1) bit for bit, signed zeros included, also on a stack
-    of row arrays as vertex_frames and the residual take them."""
+    """frames' cross product and 3-vector norms on component rows give np.cross and
+    np.linalg.norm(axis=-1) of the (n, 3) rows bit for bit, signed zeros included, also
+    on a stack of component rows as vertex_frames and the residual take them."""
     a, b = rows
-    assert frames._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert frames._cross(a.T, b.T).T.tobytes() == np.cross(a, b).tobytes()
     for v in (a, b, np.stack([a, b, a - b])):
-        assert frames._norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+        assert frames._norms(np.swapaxes(v, -1, -2)).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
+_TINY = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-160, -1e-160])
+
+
+@given(rows=_vector_rows(), tiny=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 11), st.integers(0, 2), _TINY)))
+@settings(max_examples=300, deadline=None)
+def test_dot_is_einsum_on_c_contiguous_rows(rows, tiny):
+    """_dot on component rows is np.einsum("ij,ij->i") on C-contiguous (n, 3) rows bit for bit,
+    on rows with signed zeros and subnormal components and products; einsum does not sum
+    such a row of three in order, so an in-order dot would differ in the last bit or the sign of a zero."""
+    a, b = (np.ascontiguousarray(v) for v in rows)
+    for side, i, k, value in tiny:
+        (a, b)[side][i % len(a), k] = value
+    assert frames._dot(a.T, b.T).tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
+
+
+def _row_frames(rc):
+    """edge_frames and vertex_frames as they were computed on (rows, 3) arrays, the reference for the
+    component-major ones: np.cross, np.linalg.norm(axis=1), einsum on C-contiguous rows and pairs of
+    transitions as index arrays.  Returns the (3, rows, 3) stacks (T, N, B) of the edges and transitions."""
+    edges = diff(frames._embed3(rc.points), rc.closed)
+    Te = edges / np.linalg.norm(edges, axis=1)[:, None]
+    m = len(Te)
+    n_trans = m if rc.closed else m - 1
+    tw = np.arange(rc.vertex_parity, n_trans, 2)
+    t = Te[tw] + Te[(tw + 1) % m]
+    Te[tw] = Te[(tw + 1) % m] = t / np.linalg.norm(t, axis=1)[:, None]
+    if rc.dim == 2:
+        Be = np.tile([0.0, 0.0, 1.0], (m, 1))
+    else:
+        tr = np.arange(1 - rc.vertex_parity, n_trans, 2)
+        c = np.cross(Te[tr], Te[(tr + 1) % m])
+        nc = np.linalg.norm(c, axis=1)
+        ok = nc >= frames.PARALLEL_CROSS
+        tr, b = tr[ok], c[ok] / nc[ok, None]
+        if not len(tr):
+            raise UndefinedBinormal("curve is straight everywhere; no binormal in 3D")
+        Be, defined = np.empty((m, 3)), np.zeros(m, dtype=bool)
+        Be[tr] = Be[(tr + 1) % m] = b
+        defined[tr] = defined[(tr + 1) % m] = True
+        src = np.maximum.accumulate(np.where(defined, np.arange(m), -1))
+        src[src < 0] = tr[0]
+        Be = Be[src]
+        moved = np.flatnonzero(src != np.arange(m))
+        moved = moved[(Te[moved] != Te[src[moved]]).any(axis=1)]
+        b = Be[moved] - np.einsum("ij,ij->i", Be[moved], Te[moved])[:, None] * Te[moved]
+        Be[moved] = b / np.linalg.norm(b, axis=1)[:, None]
+    edge = np.array([Te, np.cross(Be, Te), Be])
+    sums = (edge if rc.closed else edge[:, :-1]) + np.roll(edge, -1, axis=1)[:, :n_trans]
+    norms = np.linalg.norm(sums, axis=-1)
+    low = norms.min(axis=1) < frames.PARALLEL_CROSS
+    if low.any():
+        raise DegenerateVertexFrame(f"antiparallel frame vectors at transition {int(np.argmin(norms[np.argmax(low)]))}")
+    return edge, sums / norms[..., None]
+
+
+def _row_signed_angles(a, b, axis):
+    return np.arctan2(np.einsum("ij,ij->i", axis, np.cross(a, b)), np.einsum("ij,ij->i", a, b))
+
+
+def _row_angles(edge, closed, turn_parity):
+    """turn_twist_angles on the (rows, 3) stacks of _row_frames."""
+    n = len(edge[0]) if closed else len(edge[0]) - 1
+    Te, _, Be = edge[:, :n]
+    Te_next, _, Be_next = np.roll(edge, -1, axis=1)[:, :n]
+    turn = np.arange(n) % 2 == turn_parity
+    sel = turn[:, None]
+    angle = _row_signed_angles(np.where(sel, Te, Be), np.where(sel, Te_next, Be_next), np.where(sel, Be, Te))
+    return np.where(turn, angle, 0.0), np.where(turn, 0.0, angle)
+
+
+def _row_residuals(edge, vertex, data, scaled):
+    """frames._residuals on the (rows, 3) stacks of _row_frames, with np.where over every transition."""
+    n = len(vertex[0])
+    DTe, DNe, DBe = np.roll(edge, -1, axis=1)[:, :n] - edge[:, :n]
+    Tv, Nv, Bv = vertex
+    angle = frames._one_value(data.theta, data.phi, data.turn_parity)
+    chord = kappa_from_angle(np.abs(angle), 1.0, Convention.INSCRIBED)
+    nu = np.divide(np.abs(scaled), chord, out=np.ones(scaled.shape), where=chord != 0.0)[..., None]
+    turn, s = np.zeros((n, 1), dtype=bool), scaled[..., None]
+    turn[data.turn_parity :: 2] = True
+    r_reads = np.linalg.norm(nu * np.where(turn, DTe, DBe) + np.where(turn, -s, s) * Nv, axis=-1)
+    r_other = np.linalg.norm(nu * np.where(turn, DBe, DTe), axis=-1)
+    r2 = np.linalg.norm(nu * DNe + s * np.where(turn, Tv, -Bv), axis=-1)
+    return np.max([r.max(axis=-1, initial=0.0) for r in (r_reads, r_other, r2)], axis=0).tolist()
+
+
+@st.composite
+def _frame_curves(draw):
+    """A curve of equal edges, open or closed, 2D or 3D: a walk on the integer lattice (exact-zero
+    and right-angle turns), or of float steps that turn by up to about 1 rad, where a straight
+    vertex repeats the step before it exactly (some drawn at the start, in the middle and at the end).
+    A closed curve is the walk followed by its point reflection."""
+    dim, closed, lattice = draw(st.sampled_from([2, 3])), draw(st.booleans()), draw(st.booleans())
+    k, rng = draw(st.integers(2, 24)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if lattice:
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        steps = [axes[rng.integers(2 * dim)]]
+        while len(steps) < k:  # no step back along the one before
+            step = axes[rng.integers(2 * dim)]
+            steps += [] if np.array_equal(step, -steps[-1]) else [step]
+        steps = np.array(steps)
+    else:
+        steps = rng.normal(size=(k, dim))
+        for i in range(1, k):
+            steps[i] = steps[i - 1] + 0.9 * steps[i] / np.linalg.norm(steps[i])
+            steps[i] /= np.linalg.norm(steps[i])
+        steps[0] /= np.linalg.norm(steps[0])
+        straight = rng.random(k) < 0.2
+        straight[:2] = [False, draw(st.booleans())]
+        straight[k // 2] |= draw(st.booleans())
+        straight[-1] |= draw(st.booleans())
+        for i in np.flatnonzero(straight):
+            steps[i] = steps[i - 1]
+        steps *= rng.uniform(0.1, 10.0)
+    points = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)]) + rng.normal(size=dim)
+    if closed:
+        points = np.vstack([points, points[-1] + points[0] - points[1:-1]])
+    return DiscreteCurve(points, closed=closed)
+
+
+@given(curve=_frame_curves(), conventions=st.lists(st.sampled_from(list(Convention)), min_size=1, max_size=3,
+                                                   unique=True))
+@settings(max_examples=300, deadline=None)
+def test_frame_stages_are_the_row_wise_algorithm_bit_for_bit(curve, conventions):
+    """edge_frames, vertex_frames, turn_twist_angles and convention_table on component rows give, bit for
+    bit, what _row_frames, _row_angles and _row_residuals compute on (rows, 3) arrays, or raise what they
+    raise; so do polyline_turning_angles and spline2d's vertex turns, which pass rows as .T."""
+    rc = refine(curve)
+    try:
+        edge, vertex = _row_frames(rc)
+    except (UndefinedBinormal, DegenerateVertexFrame) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            vertex_frames(edge_frames(rc))
+        return
+    ff = vertex_frames(edge_frames(rc))
+    assert _bits(ff.edge) == _bits(np.swapaxes(edge, 1, 2)) and _bits(ff.vertex) == _bits(np.swapaxes(vertex, 1, 2))
+    assert _bits(ff.Te) == _bits(edge[0]) and _bits(ff.Bv) == _bits(vertex[2]) and not ff.Nv.flags.writeable
+    theta, phi = turn_twist_angles(ff)
+    want_theta, want_phi = _row_angles(edge, rc.closed, ff.turn_parity)
+    assert _bits(theta) == _bits(want_theta) and _bits(phi) == _bits(want_phi)
+
+    t = diff(frames._embed3(curve.points), curve.closed) / curve.edge_lengths()[:, None]
+    t_here, t_next = (t, np.roll(t, -1, axis=0)) if curve.closed else (t[:-1], t[1:])
+    if curve.dim == 2:
+        want = _row_signed_angles(t_here, t_next, np.broadcast_to([0.0, 0.0, 1.0], t_here.shape))
+        _, e0, e1, turns = spline2d._vertex_turns(rc)
+        assert _bits(turns) == _bits(_row_signed_angles(frames._embed3(e0), frames._embed3(e1),
+                                                        np.broadcast_to([0.0, 0.0, 1.0], (len(e0), 3))))
+    else:
+        want = np.arctan2(np.linalg.norm(np.cross(t_here, t_next), axis=1), np.einsum("ij,ij->i", t_here, t_next))
+    assert _bits(polyline_turning_angles(curve)) == _bits(want)
+
+    try:
+        data = curvature_torsion(theta, phi, rc.ell, None, ff.turn_parity)
+    except AngleOutOfRange:
+        return
+    residuals, at_edge = convention_table(ff, data, conventions)
+    angle = frames._one_value(data.theta, data.phi, data.turn_parity)
+    kernel = frames._signed_kernel(angle, np.array([data.ell, 2.0 * data.ell])[:, None], conventions)
+    want = _row_residuals(edge, vertex, data, data.ell * kernel[:, 0])
+    assert [r.hex() for r in residuals] == [r.hex() for r in want] and _bits(at_edge) == _bits(kernel[:, 1])
+
+
+def test_frenet_residual_of_a_bare_record_says_it_has_no_convention():
+    """The bare record analyze(rc, None) returns has no kappa or tau: frenet_residual raises an
+    InputError that says so and how to get one, not a TypeError from None."""
+    ff, bare = analyze(_hexagon_refined(), None)
+    with pytest.raises(InputError, match=r"no convention.*analyze\(rc, convention\).*convention_table"):
+        frenet_residual(ff, bare)
 
 
 @pytest.mark.filterwarnings("error")
